@@ -403,6 +403,7 @@ def _cmd_plan(args) -> int:
         shared_memory_available=(
             False if args.assume_no_shm else detected.shared_memory_available
         ),
+        native_available=detected.native_available,
     )
     plan = compile_plan(options, env)
     issues = validate_plan(plan, env)
@@ -417,6 +418,7 @@ def _cmd_plan(args) -> int:
         environment={
             "cpu_count": env.cpu_count,
             "shared_memory_available": env.shared_memory_available,
+            "native_available": env.native_available,
         },
     )
     if args.json:
@@ -898,8 +900,8 @@ def main(argv=None) -> int:
     p_prof.add_argument("--size", type=int, default=512,
                         help="decode profiling: square workload size "
                         "(default 512, the paper's 16-tile workload)")
-    p_prof.add_argument("--kernel", default="batched",
-                        choices=["fast", "batched", "reference"],
+    p_prof.add_argument("--kernel", default="native",
+                        choices=["native", "reference"],
                         help="decode profiling: Tier-1 kernel")
     p_prof.add_argument("--workers", type=int, default=0,
                         help="decode profiling: worker processes "
@@ -922,9 +924,9 @@ def main(argv=None) -> int:
                         "'auto' = one per CPU (default 0)")
     p_plan.add_argument("--chunk-size", type=int, default=8,
                         help="max code blocks per work unit (default 8)")
-    p_plan.add_argument("--kernel", default="fast",
-                        choices=["fast", "batched", "reference"],
-                        help="Tier-1 kernel (default fast)")
+    p_plan.add_argument("--kernel", default="native",
+                        choices=["native", "reference"],
+                        help="Tier-1 kernel (default native)")
     p_plan.add_argument("--tier2", default="fast",
                         choices=["fast", "reference"],
                         help="Tier-2 parser (default fast)")

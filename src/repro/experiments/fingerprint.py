@@ -46,6 +46,10 @@ DEFAULT_SUBSYSTEMS = (
 #: cached payload means.
 EXTRA_FILES = ("experiments/execute.py",)
 
+#: Source files a subsystem's behaviour comes from: Python modules and
+#: the C sources native kernels are compiled from at run time.
+SOURCE_PATTERNS = ("*.py", "*.c")
+
 
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, no whitespace, strict types."""
@@ -77,7 +81,8 @@ def code_fingerprint(
     subsystems: Sequence[str] = DEFAULT_SUBSYSTEMS,
     root: Optional[Path] = None,
 ) -> str:
-    """Hash of every ``*.py`` source under *root*'s listed subsystems.
+    """Hash of every source (``*.py``, and the ``*.c`` the native
+    kernels compile from) under *root*'s listed subsystems.
 
     The digest covers relative path + file bytes in sorted path order, so
     renames, additions, deletions and single-byte edits all change it.
@@ -103,7 +108,8 @@ def _fingerprint(subsystems: tuple, root: Path) -> str:
     for subsystem in subsystems:
         base = root / subsystem
         if base.is_dir():
-            paths.extend(base.rglob("*.py"))
+            for pattern in SOURCE_PATTERNS:
+                paths.extend(base.rglob(pattern))
     for extra in EXTRA_FILES:
         candidate = root / extra
         if candidate.is_file():

@@ -10,9 +10,7 @@ Decoding is plan-driven: :func:`compile_plan` turns a
 :class:`DecodeOptions` value (plus the host environment) into an
 explicit, statically validated :class:`DecodePlan` — stages
 ``parse → entropy → reconstruct → assemble``, each bound to an
-implementation and an executor — which the decoder executes.  The
-legacy :mod:`~repro.jpeg2000.parallel` entry points remain as
-deprecation shims.
+implementation and an executor — which the decoder executes.
 """
 
 from .codestream import (
@@ -25,8 +23,7 @@ from .codestream import (
 from .decoder import DecodingError, Jpeg2000Decoder, TileStages, decode_codestream
 from .encoder import EncodingError, Jpeg2000Encoder, encode_image
 from .options import (
-    KERNEL_BATCHED,
-    KERNEL_FAST,
+    KERNEL_NATIVE,
     KERNEL_REFERENCE,
     BlockSpec,
     DecodeOptions,
@@ -44,12 +41,7 @@ from .plan import (
     options_for_plan,
     validate_plan,
 )
-from .parallel import (
-    decode_blocks,
-    decode_blocks_spec,
-    open_spec_stream,
-    shutdown_pool,
-)
+from .stages.entropy import shutdown_pool
 from .image import Image, TileGrid, synthetic_image
 from .transcode import TranscodeError, drop_layers
 from .pipeline import (
@@ -75,8 +67,7 @@ __all__ = [
     "Image",
     "Jpeg2000Decoder",
     "Jpeg2000Encoder",
-    "KERNEL_BATCHED",
-    "KERNEL_FAST",
+    "KERNEL_NATIVE",
     "KERNEL_REFERENCE",
     "ParallelDegradedWarning",
     "PlanEnvironment",
@@ -95,12 +86,9 @@ __all__ = [
     "TranscodeError",
     "check_plan",
     "compile_plan",
-    "decode_blocks",
-    "decode_blocks_spec",
     "decode_codestream",
     "drop_layers",
     "encode_image",
-    "open_spec_stream",
     "options_for_plan",
     "parse_codestream",
     "shutdown_pool",

@@ -110,45 +110,3 @@ def mr_context(first_refinement: bool, any_significant_neighbour: bool) -> int:
         return CTX_MR_BASE + 2
     return CTX_MR_BASE + (1 if any_significant_neighbour else 0)
 
-
-# -- precomputed lookup tables for the fast Tier-1 kernel -------------------------
-#
-# The fast decoder keeps one packed neighbour-significance counter per
-# sample: ``h | v << 2 | d << 4`` with h, v in 0..2 and d in 0..4.  A
-# single table lookup on the packed value then replaces the per-sample
-# calls to :func:`zc_context`.
-
-#: Packed-counter field shifts/limits.
-PACK_V_SHIFT = 2
-PACK_D_SHIFT = 4
-PACKED_SIZE = 2 | (2 << PACK_V_SHIFT) | (4 << PACK_D_SHIFT)  # largest packed value
-
-
-def pack_neighbours(h: int, v: int, d: int) -> int:
-    """Pack (h, v, d) significant-neighbour counts into one table index."""
-    return h | (v << PACK_V_SHIFT) | (d << PACK_D_SHIFT)
-
-
-def _build_zc_lut(orientation: str) -> tuple[int, ...]:
-    lut = [0] * (PACKED_SIZE + 1)
-    for h in range(3):
-        for v in range(3):
-            for d in range(5):
-                lut[pack_neighbours(h, v, d)] = zc_context(orientation, h, v, d)
-    return tuple(lut)
-
-
-#: orientation -> packed neighbour counts -> zero-coding context.
-ZC_LUT: dict[str, tuple[int, ...]] = {
-    orientation: _build_zc_lut(orientation) for orientation in (LL, HL, LH, HH)
-}
-
-#: (h + 1) * 3 + (v + 1) -> (sign context, xor bit), h/v in [-1, 1].
-SC_LUT: tuple[tuple[int, int], ...] = tuple(
-    _SC_TABLE[(h, v)] for h in (-1, 0, 1) for v in (-1, 0, 1)
-)
-
-
-def sc_lut_index(h_contribution: int, v_contribution: int) -> int:
-    """Index into :data:`SC_LUT` for clipped contributions in [-1, 1]."""
-    return (h_contribution + 1) * 3 + (v_contribution + 1)

@@ -12,9 +12,8 @@ Three schedules, dispatched from the plan's entropy binding:
 ``_run_sequential``
     Inline (or single-tile) decode: every tile's Tier-2 parse first,
     then one entropy call over all blocks of the image (a single kernel
-    batch for the batched impl — and still a pool fan-out when a
-    single-tile plan binds one), then the cross-tile vectorised
-    reconstruction.
+    batch — and still a pool fan-out when a single-tile plan binds
+    one), then the cross-tile vectorised reconstruction.
 ``_run_barrier``
     Pool entropy without overlap: full parse, one size-aware fan-out,
     then per-tile gather and reconstruction.
@@ -53,8 +52,10 @@ class StageFates:
 
     ``fates[stage]`` is ``{"state": ..., "rewrites": [...]}`` where
     *state* walks planned → running → done and each rewrite is a
-    ``{"rule", "detail"}`` record of a runtime degradation (arena →
-    pickle, pool → inline, broken-pool resume, overlap → barrier).
+    ``{"rule", "detail"}`` record of a compile-time rewrite carried on
+    the plan (native kernel unavailable → reference) or a runtime
+    degradation (arena → pickle, pool → inline, broken-pool resume,
+    overlap → barrier).
     :meth:`publish` installs the compiled plan and this (live, mutable)
     map into the flight-recorder context, so a crash report dumped at
     any point shows both the plan and the per-stage fates as of the
@@ -67,6 +68,10 @@ class StageFates:
             binding.stage: {"state": "planned", "rewrites": []}
             for binding in plan.stages
         }
+        for stage, rule, detail in plan.rewrites:
+            self.fates[stage]["rewrites"].append(
+                {"rule": rule, "detail": detail}
+            )
 
     def publish(self) -> None:
         flight = telemetry.flight_recorder()

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import telemetry
+from .t1_native import MAX_BITPLANES
 
 try:  # pragma: no cover - present on every supported platform
     from multiprocessing import shared_memory
@@ -33,10 +34,9 @@ except ImportError:  # pragma: no cover - exotic builds without _posixshmem
     shared_memory = None
 
 #: Kernel names accepted by :class:`DecodeOptions`.
-KERNEL_FAST = "fast"
+KERNEL_NATIVE = "native"
 KERNEL_REFERENCE = "reference"
-KERNEL_BATCHED = "batched"
-_KERNELS = (KERNEL_FAST, KERNEL_REFERENCE, KERNEL_BATCHED)
+_KERNELS = (KERNEL_NATIVE, KERNEL_REFERENCE)
 
 #: Tier-2 parser selection accepted by :class:`DecodeOptions`.
 TIER2_FAST = "fast"
@@ -55,9 +55,10 @@ BlockTask = tuple
 #: shm_open limit, distinctive enough for the leak checks in CI.
 ARENA_PREFIX = "repro-j2k-"
 
-#: Blocks with more bit planes than this cannot be carried in the int32
-#: output arena; such (pathological) streams take the pickle path.
-_MAX_ARENA_BITPLANES = 30
+#: Blocks with more bit planes than this cannot be carried in int32
+#: coefficients: the native kernel hands them to the reference kernel
+#: (int64), and streams containing them skip the int32 output arena.
+_MAX_ARENA_BITPLANES = MAX_BITPLANES
 
 
 class ParallelDegradedWarning(RuntimeWarning):
@@ -109,10 +110,11 @@ class DecodeOptions:
         balance better.  The shared-memory scheduler plans size-aware
         chunks up to this bound.
     ``kernel``
-        ``"fast"`` (the optimised ``t1_fast`` kernel, default),
-        ``"batched"`` (the chunk-at-a-time ``t1_fast`` entry point —
-        what shared-memory workers always run), or ``"reference"``
-        (the readable ``t1`` specification kernel).
+        ``"native"`` (the C kernel in ``t1_native.c``, decoding whole
+        chunks of blocks per call; default) or ``"reference"`` (the
+        readable ``t1`` specification kernel).  A host that cannot
+        build the native kernel compiles ``"native"`` to
+        ``"reference"`` (a recorded plan rewrite).
     ``shared_memory``
         Allow the zero-copy shared-memory transport (default).  Off, or
         when arenas cannot be created, the pickle transport is used.
@@ -140,7 +142,7 @@ class DecodeOptions:
 
     workers: Optional[int] = 0
     chunk_size: int = 8
-    kernel: str = KERNEL_FAST
+    kernel: str = KERNEL_NATIVE
     shared_memory: bool = True
     start_method: Optional[str] = None
     oversubscribe: bool = False
@@ -234,7 +236,7 @@ class DecodeOptions:
         }
 
 
-#: Default options: sequential, fast kernel.
+#: Default options: sequential, native kernel.
 DEFAULT_OPTIONS = DecodeOptions()
 
 

@@ -39,17 +39,16 @@ Validation rules
                                     in a shared output arena)
 ``executor.arena-unavailable``      arena transport on a host without
                                     ``multiprocessing.shared_memory``
-``kernel.arena-requires-batched``   the per-block ``fast`` kernel bound to
-                                    the arena transport (arena workers decode
-                                    whole chunks through the batched kernel;
-                                    the planner normalises ``fast`` →
-                                    ``batched`` there)
 
-Runtime degradations (arena → pickle → inline, broken-pool resume) are
-expressed as *plan rewrites* (:func:`degrade_to_pickle`,
-:func:`degrade_to_inline`, :func:`without_overlap`) applied by the
-driver and recorded in the per-stage fate map — testable in isolation
-instead of control flow buried in a fan-out function.
+Compile-time rewrites — a ``native`` kernel request on a host that
+cannot build the native kernel binds ``reference`` — are carried on the
+plan (:attr:`DecodePlan.rewrites`), shown by :meth:`DecodePlan.describe`
+and seeded into the driver's fate map.  Runtime degradations (arena →
+pickle → inline, broken-pool resume) are expressed as *plan rewrites*
+(:func:`degrade_to_pickle`, :func:`degrade_to_inline`,
+:func:`without_overlap`) applied by the driver and recorded in the
+per-stage fate map — testable in isolation instead of control flow
+buried in a fan-out function.
 """
 
 from __future__ import annotations
@@ -57,13 +56,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .options import (
     DEFAULT_OPTIONS,
-    KERNEL_BATCHED,
-    KERNEL_FAST,
+    KERNEL_NATIVE,
     KERNEL_REFERENCE,
     TIER2_FAST,
     TIER2_REFERENCE,
@@ -95,7 +93,7 @@ ASSEMBLE_MOSAIC = "mosaic"
 #: Registered implementation ids per stage.
 STAGE_IMPLS = {
     STAGE_PARSE: (TIER2_FAST, TIER2_REFERENCE),
-    STAGE_ENTROPY: (KERNEL_FAST, KERNEL_BATCHED, KERNEL_REFERENCE),
+    STAGE_ENTROPY: (KERNEL_NATIVE, KERNEL_REFERENCE),
     STAGE_RECONSTRUCT: (RECONSTRUCT_VECTORISED,),
     STAGE_ASSEMBLE: (ASSEMBLE_MOSAIC,),
 }
@@ -167,9 +165,15 @@ class StageBinding:
 @dataclass(frozen=True)
 class DecodePlan:
     """An explicit, validatable decode pipeline: the unit the driver
-    executes, the benchmark labels, and the ledger records."""
+    executes, the benchmark labels, and the ledger records.
+
+    ``rewrites`` holds the planner's ``(stage, rule, detail)`` records of
+    requests it could not honour on the host.  They are provenance, not
+    identity: the canonical form, the digest and equality ignore them.
+    """
 
     stages: tuple = ()
+    rewrites: tuple = field(default=(), compare=False)
 
     def stage(self, name: str) -> StageBinding:
         for binding in self.stages:
@@ -182,7 +186,7 @@ class DecodePlan:
         return DecodePlan(tuple(
             binding if existing.stage == binding.stage else existing
             for existing in self.stages
-        ))
+        ), self.rewrites)
 
     def as_dict(self) -> dict:
         """Canonical plain-data form (stable key order, JSON-safe)."""
@@ -208,21 +212,32 @@ class DecodePlan:
                 f"impl={binding.impl:<{impl_width}}  "
                 f"{binding.executor.describe()}"
             )
+        for stage, rule, detail in self.rewrites:
+            lines.append(f"  rewrite {stage}: [{rule}] {detail}")
         return "\n".join(lines)
 
 
 @dataclass(frozen=True)
 class PlanEnvironment:
-    """The host facts the planner and validator consult."""
+    """The host facts the planner and validator consult.
+
+    The defaults describe a minimal host (one CPU, no shared memory, no
+    C compiler); :meth:`detect` reads the real one.
+    """
 
     cpu_count: int = 1
     shared_memory_available: bool = False
+    native_available: bool = False
 
     @classmethod
     def detect(cls) -> "PlanEnvironment":
+        """This host's facts; builds the native kernel on first call."""
+        from . import t1_native
+
         return cls(
             cpu_count=os.cpu_count() or 1,
             shared_memory_available=shared_memory is not None,
+            native_available=t1_native.available(),
         )
 
 
@@ -366,13 +381,6 @@ def _validate_binding(binding: StageBinding, env: PlanEnvironment,
                 "which this host does not provide",
                 rule="executor.arena-unavailable", path=path,
             )
-        if stage == STAGE_ENTROPY and binding.impl == KERNEL_FAST:
-            issue(
-                "the per-block 'fast' kernel cannot ride the arena "
-                "transport; arena workers decode whole chunks through "
-                "the batched kernel (use impl 'batched' or 'reference')",
-                rule="kernel.arena-requires-batched", path=f"{stage}.impl",
-            )
 
 
 def check_plan(plan: DecodePlan,
@@ -400,8 +408,19 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
     1-CPU host compiles to an inline entropy executor — and the *report*
     of that degradation stays with the decode entry points
     (``ParallelDegradedWarning``), not the planner, which is pure.
+    A ``native`` kernel request on a host without the native kernel
+    binds ``reference`` and records the rewrite on the plan.
     """
     env = env if env is not None else PlanEnvironment.detect()
+    impl = options.kernel
+    rewrites = ()
+    if impl == KERNEL_NATIVE and not env.native_available:
+        impl = KERNEL_REFERENCE
+        rewrites = ((
+            STAGE_ENTROPY, "native-unavailable",
+            "the native Tier-1 kernel cannot be built on this host; "
+            "binding the reference kernel",
+        ),)
     requested = (
         env.cpu_count if options.workers is None else options.workers
     )
@@ -410,11 +429,6 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
     if workers > 1:
         use_arena = options.shared_memory and env.shared_memory_available
         transport = TRANSPORT_ARENA if use_arena else TRANSPORT_PICKLE
-        impl = options.kernel
-        if transport == TRANSPORT_ARENA and impl == KERNEL_FAST:
-            # Arena workers always decode whole chunks through the
-            # batched kernel; record what actually runs.
-            impl = KERNEL_BATCHED
         executor = ExecutorSpec(
             kind=EXECUTOR_POOL,
             workers=workers,
@@ -425,13 +439,13 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
         )
         entropy = StageBinding(STAGE_ENTROPY, impl, executor)
     else:
-        entropy = StageBinding(STAGE_ENTROPY, options.kernel)
+        entropy = StageBinding(STAGE_ENTROPY, impl)
     return DecodePlan((
         parse,
         entropy,
         StageBinding(STAGE_RECONSTRUCT, RECONSTRUCT_VECTORISED),
         StageBinding(STAGE_ASSEMBLE, ASSEMBLE_MOSAIC),
-    ))
+    ), rewrites)
 
 
 def options_for_plan(plan: DecodePlan) -> DecodeOptions:

@@ -28,9 +28,10 @@ overlap) — never a raw options bag.  Two pool transports exist:
 Scheduling is at *code-block* granularity in both transports.  The
 arena path additionally plans its chunks **size-aware** (largest-first
 into the least-loaded chunk) so one giant block cannot serialise the
-tail of the decode, and decodes each chunk through the *batched* Tier-1
-kernel (:func:`repro.jpeg2000.t1_fast.decode_codeblock_batch`) so the
-per-block Python overhead is paid once per chunk.
+tail of the decode.  Every executor — inline, pickle chunk, arena
+chunk, broken-pool resume — decodes through one entry point,
+:func:`decode_batch`, which hands whole chunks to the native C kernel
+(:func:`repro.jpeg2000.t1_native.decode_codeblock_batch`) in one call.
 
 Runtime degradations — arena unusable → pickle, pool unusable → inline,
 broken pool → per-chunk resume — are reported to the caller's
@@ -38,7 +39,7 @@ stage-fate recorder (the ``fates`` parameter, duck-typed to
 :class:`repro.jpeg2000.driver.StageFates`) so every crash report and
 ledger row shows what *actually* ran, not just what was planned.
 
-All kernels and transports return bit-identical coefficients and
+Both kernels and every transport return bit-identical coefficients and
 identical basic-op counts, so the Fig. 1 / Table 1 instrumentation is
 unaffected by how the work is scheduled.
 """
@@ -65,8 +66,6 @@ from ..options import (
     _MAX_ARENA_BITPLANES,
     BlockSpec,
     BlockTask,
-    KERNEL_BATCHED,
-    KERNEL_FAST,
     KERNEL_REFERENCE,
     _warn_degraded,
     shared_memory,
@@ -79,7 +78,7 @@ from ..plan import (
     StageBinding,
 )
 from ..t1 import CodeBlockDecoder
-from ..t1_fast import FastCodeBlockDecoder, decode_codeblock_batch
+from ..t1_native import decode_codeblock_batch
 
 
 def _rewrite(fates, rule: str, detail: str) -> None:
@@ -88,36 +87,68 @@ def _rewrite(fates, rule: str, detail: str) -> None:
         fates.rewrite(STAGE_ENTROPY, rule, detail)
 
 
-def decode_block(task: BlockTask, kernel: str = KERNEL_FAST):
-    """Decode one code block; returns (int64 coefficient array, ops)."""
-    data, width, height, orientation, num_bitplanes, num_passes = task
-    decoder_cls = (
-        CodeBlockDecoder if kernel == KERNEL_REFERENCE else FastCodeBlockDecoder
+def decode_batch(batch: Sequence[tuple], out, kernel: str) -> list:
+    """Decode *batch* into the flat array *out*; returns per-block ops.
+
+    Each block is ``(data, width, height, orientation, num_bitplanes,
+    num_passes, out_offset)``.  Under the native kernel every block with
+    at most 30 bit planes goes to C in one call; deeper blocks, and all
+    blocks under the reference kernel, go through the reference
+    :class:`~repro.jpeg2000.t1.CodeBlockDecoder`, whose coefficients
+    need an int64 *out* when a block is that deep (callers size it).
+    """
+    ops = [0] * len(batch)
+    native = []
+    for index, block in enumerate(batch):
+        if kernel != KERNEL_REFERENCE and block[4] <= _MAX_ARENA_BITPLANES:
+            native.append(index)
+            continue
+        data, width, height, orientation, num_bitplanes, num_passes, offset = block
+        decoder = CodeBlockDecoder(
+            data, width, height, orientation, num_bitplanes, num_passes
+        )
+        out[offset:offset + width * height] = decoder.decode()
+        ops[index] = decoder.ops
+    if native:
+        blocks = [batch[index] for index in native]
+        target = out if out.dtype == np.int32 else np.zeros(len(out), np.int32)
+        for index, count in zip(native, decode_codeblock_batch(blocks, target)[1]):
+            ops[index] = count
+        if target is not out:
+            for block in blocks:
+                start, end = block[6], block[6] + block[1] * block[2]
+                out[start:end] = target[start:end]
+    return ops
+
+
+def _coefficient_dtype(bitplanes: Iterable[int]):
+    """int32 unless a block is too deep for it."""
+    if all(planes <= _MAX_ARENA_BITPLANES for planes in bitplanes):
+        return np.int32
+    return np.int64
+
+
+def _spec_block(spec: BlockSpec, source, offset: int) -> tuple:
+    """A :func:`decode_batch` block for *spec*, resolved in *source*."""
+    return (
+        spec.codeword(source), spec.width, spec.height, spec.orientation,
+        spec.num_bitplanes, spec.num_passes, offset,
     )
-    decoder = decoder_cls(data, width, height, orientation, num_bitplanes, num_passes)
-    values = np.asarray(decoder.decode(), dtype=np.int64)
-    return values, decoder.ops
 
 
 def _decode_tasks_sequential(tasks: Sequence[BlockTask], kernel: str) -> list:
-    """In-process decode of *tasks*, honouring the batched kernel."""
-    if kernel == KERNEL_BATCHED and tasks and all(
-        task[4] <= _MAX_ARENA_BITPLANES for task in tasks
-    ):
-        batch = []
-        offset = 0
-        for data, width, height, orientation, num_bitplanes, num_passes in tasks:
-            batch.append(
-                (data, width, height, orientation, num_bitplanes, num_passes, offset)
-            )
-            offset += width * height
-        out, op_counts = decode_codeblock_batch(batch)
-        results = []
-        for (_, width, height, _, _, _, offset), ops in zip(batch, op_counts):
-            results.append((out[offset:offset + width * height], ops))
-        return results
-    single = KERNEL_FAST if kernel == KERNEL_BATCHED else kernel
-    return [decode_block(task, single) for task in tasks]
+    """In-process decode of *tasks*; returns [(coefficients, ops), ...]."""
+    batch = []
+    offset = 0
+    for task in tasks:
+        batch.append(tuple(task) + (offset,))
+        offset += task[1] * task[2]
+    out = np.empty(offset, _coefficient_dtype(task[4] for task in tasks))
+    ops = decode_batch(batch, out, kernel)
+    return [
+        (out[block[6]:block[6] + block[1] * block[2]], count)
+        for block, count in zip(batch, ops)
+    ]
 
 
 def _decode_chunk(payload):
@@ -287,25 +318,15 @@ def _decode_chunk_shm(payload):
     op_counts = None
     try:
         view = src.buf
-        if kernel == KERNEL_REFERENCE:
-            op_counts = []
-            for offset, width, height, orientation, num_bitplanes, num_passes, segments in blocks:
-                data = _join_segments(view, segments)
-                decoder = CodeBlockDecoder(
-                    data, width, height, orientation, num_bitplanes, num_passes
-                )
-                out[offset:offset + width * height] = decoder.decode()
-                op_counts.append(decoder.ops)
-        else:
-            batch = [
-                (
-                    _join_segments(view, segments),
-                    width, height, orientation, num_bitplanes, num_passes, offset,
-                )
-                for offset, width, height, orientation, num_bitplanes, num_passes, segments
-                in blocks
-            ]
-            op_counts = decode_codeblock_batch(batch, out)[1]
+        batch = [
+            (
+                _join_segments(view, segments),
+                width, height, orientation, num_bitplanes, num_passes, offset,
+            )
+            for offset, width, height, orientation, num_bitplanes, num_passes, segments
+            in blocks
+        ]
+        op_counts = decode_batch(batch, out, kernel)
     except BaseException as exc:
         # Carry the failure as a string: re-raising after the buffers are
         # released keeps the traceback from pinning views over the mmap,
@@ -639,20 +660,13 @@ def _decode_specs_shm(sources, specs, sizes, offsets, binding, *,
         for chunk in failed:
             # Resume: only the chunks lost with the broken pool are
             # re-decoded, in-process, straight into the gathered array.
+            batch = []
             for block in chunk:
                 source_index, spec = specs[block]
-                task = (
-                    spec.codeword(sources[source_index]),
-                    spec.width, spec.height, spec.orientation,
-                    spec.num_bitplanes, spec.num_passes,
-                )
-                values, ops = decode_block(
-                    task,
-                    KERNEL_REFERENCE if kernel == KERNEL_REFERENCE
-                    else KERNEL_FAST,
-                )
-                start = int(offsets[block])
-                flat[start:start + spec.size] = values
+                batch.append(_spec_block(
+                    spec, sources[source_index], int(offsets[block])
+                ))
+            for block, ops in zip(chunk, decode_batch(batch, flat, kernel)):
                 ops_all[block] = ops
         return flat, ops_all
     finally:
@@ -871,21 +885,16 @@ class SpecStream:
                     redecoded=len(failed),
                 )
             source = self._sources[source_index]
-            single = (
-                KERNEL_REFERENCE
-                if self._binding.impl == KERNEL_REFERENCE else KERNEL_FAST
-            )
             for ids in failed:
-                for block in ids:
-                    spec = specs[block - first]
-                    task = (
-                        spec.codeword(source),
-                        spec.width, spec.height, spec.orientation,
-                        spec.num_bitplanes, spec.num_passes,
+                batch = [
+                    _spec_block(
+                        specs[block - first], source,
+                        int(self._offsets[block]) - start,
                     )
-                    values, ops = decode_block(task, single)
-                    local = int(self._offsets[block]) - start
-                    flat[local:local + spec.size] = values
+                    for block in ids
+                ]
+                counts = decode_batch(batch, flat, self._binding.impl)
+                for block, ops in zip(ids, counts):
                     self._ops[block] = ops
         offsets = self._offsets[first:first + count + 1] - start
         return flat, offsets, self._ops[first:first + count]
@@ -945,9 +954,8 @@ def run_specs(
     sizes = [spec.size for _, spec in specs]
     offsets = np.zeros(len(specs) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    int32_safe = all(
-        spec.num_bitplanes <= _MAX_ARENA_BITPLANES for _, spec in specs
-    )
+    dtype = _coefficient_dtype(spec.num_bitplanes for _, spec in specs)
+    int32_safe = dtype == np.int32
     pooled = ex.kind == EXECUTOR_POOL and len(specs) > 1
     if pooled and ex.transport == TRANSPORT_ARENA:
         if int32_safe:
@@ -968,34 +976,19 @@ def run_specs(
         binding = replace(binding, executor=replace(
             ex, transport=TRANSPORT_PICKLE, overlap=False
         ))
-    tasks = [
-        (
-            spec.codeword(sources[source_index]),
-            spec.width, spec.height, spec.orientation,
-            spec.num_bitplanes, spec.num_passes,
-        )
-        for source_index, spec in specs
+    batch = [
+        _spec_block(spec, sources[source_index], int(start))
+        for (source_index, spec), start in zip(specs, offsets)
     ]
-    if pooled:
-        results = run_tasks(tasks, binding, schedule=schedule, fates=fates)
-        flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        ops_all = []
-        for (values, ops), start, size in zip(results, offsets, sizes):
-            flat[int(start):int(start) + size] = values
-            ops_all.append(ops)
-        return flat, offsets, ops_all
-    dtype = np.int32 if int32_safe else np.int64
     flat = np.empty(int(offsets[-1]), dtype=dtype)
-    if binding.impl == KERNEL_BATCHED and int32_safe:
-        batch = [
-            task + (int(start),) for task, start in zip(tasks, offsets)
-        ]
-        ops_all = decode_codeblock_batch(batch, flat)[1]
-        return flat, offsets, ops_all
+    if not pooled:
+        return flat, offsets, decode_batch(batch, flat, binding.impl)
+    results = run_tasks(
+        [block[:6] for block in batch], binding,
+        schedule=schedule, fates=fates,
+    )
     ops_all = []
-    single = KERNEL_FAST if binding.impl == KERNEL_BATCHED else binding.impl
-    for task, start, size in zip(tasks, offsets, sizes):
-        values, ops = decode_block(task, single)
-        flat[int(start):int(start) + size] = values
+    for (values, ops), block in zip(results, batch):
+        flat[block[6]:block[6] + block[1] * block[2]] = values
         ops_all.append(ops)
     return flat, offsets, ops_all

@@ -222,9 +222,11 @@ def measure_fresh(
             synthetic_image(size, size, 3, seed=2008), params
         )
         mode = "lossless" if lossless else "lossy"
+        # The committed baseline predates the native kernel: it is
+        # measured against the in-process optimised row it replaced.
         for schedule, kernel in (
-            ("fast-sequential", "fast"),
-            ("batched-sequential", "batched"),
+            ("reference-sequential", "reference"),
+            ("batched-sequential", "native"),
         ):
             decoder = Jpeg2000Decoder(
                 codestream, options=DecodeOptions(kernel=kernel)

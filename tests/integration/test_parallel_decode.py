@@ -2,7 +2,7 @@
 
 Covers both case-study modes (lossless 5/3 and lossy 9/7) end to end:
 real codestreams, multiple tiles, and every scheduling variant of
-:class:`~repro.jpeg2000.parallel.DecodeOptions` — the parity guarantee
+:class:`~repro.jpeg2000.options.DecodeOptions` — the parity guarantee
 that makes the worker pool a pure wall-clock optimisation.
 """
 
@@ -58,10 +58,10 @@ def test_parallel_equals_sequential(codestream):
 
 def test_fast_kernel_equals_reference_kernel(codestream):
     reference, ref_ops = _decode(codestream, DecodeOptions(kernel=KERNEL_REFERENCE))
-    fast, fast_ops = _decode(codestream, DecodeOptions())
-    for ours, theirs in zip(fast.components, reference.components):
+    native, native_ops = _decode(codestream, DecodeOptions())
+    for ours, theirs in zip(native.components, reference.components):
         assert np.array_equal(ours, theirs)
-    assert fast_ops.counts == ref_ops.counts
+    assert native_ops.counts == ref_ops.counts
 
 
 def test_parallel_reference_kernel_also_identical(codestream):

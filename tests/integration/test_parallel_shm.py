@@ -73,17 +73,20 @@ def _decode(codestream, options):
 
 @pytest.mark.parametrize("start_method", START_METHODS)
 def test_shm_parallel_byte_identical(codestream, start_method):
-    sequential, seq_ops = _decode(codestream, DecodeOptions())
-    parallel_image, par_ops = _decode(
-        codestream,
-        DecodeOptions(
-            workers=2, chunk_size=4, oversubscribe=True,
-            start_method=start_method,
-        ),
+    """Native-kernel arena workers match the reference kernel in-process."""
+    reference, ref_ops = _decode(
+        codestream, DecodeOptions(kernel="reference", tier2="reference")
     )
-    for ours, theirs in zip(parallel_image.components, sequential.components):
+    decoder = Jpeg2000Decoder(codestream, options=DecodeOptions(
+        workers=2, chunk_size=4, oversubscribe=True, start_method=start_method,
+    ))
+    entropy_binding = decoder.plan.stage("entropy")
+    assert entropy_binding.impl == "native"
+    assert entropy_binding.executor.transport == "arena"
+    parallel_image = decoder.decode()
+    for ours, theirs in zip(parallel_image.components, reference.components):
         assert np.array_equal(ours, theirs)
-    assert par_ops.counts == seq_ops.counts
+    assert decoder.ops.counts == ref_ops.counts
 
 
 def test_no_segments_survive_shutdown(codestream):

@@ -1,10 +1,10 @@
 """The plan-matrix differential suite (the decode-identity guarantee).
 
 Every *valid* decode plan — inline or pool, pickle or arena transport,
-barrier or overlapped, fast/batched/reference kernels, fast/reference
+barrier or overlapped, native/reference kernels, fast/reference
 Tier-2 — must produce the byte-identical image and identical
-basic-operation counts as the reference plan on the same 4-tile
-workload, in both case-study modes (lossless 5/3 and lossy 9/7).
+basic-operation counts as the reference plan (reference Tier-1 kernel,
+bit-by-bit Tier-2 parser) on the same 4-tile workload, in both case-study modes (lossless 5/3 and lossy 9/7).
 Invalid stage/executor combinations must be rejected *statically*, with
 their documented rule codes, before any worker spawns.
 
@@ -60,15 +60,16 @@ def _plan(entropy=None, tier2="fast"):
 
 #: Every valid schedule shape the executor supports, labelled for CI.
 MATRIX = {
-    "inline-fast": _plan(),
-    "inline-batched": _plan(StageBinding(STAGE_ENTROPY, "batched")),
+    "inline-native": _plan(StageBinding(STAGE_ENTROPY, "native")),
     "inline-reference": _plan(StageBinding(STAGE_ENTROPY, "reference")),
-    "inline-reference-tier2": _plan(tier2="reference"),
-    "pickle-fast": _plan(_pool(TRANSPORT_PICKLE, impl="fast")),
+    "inline-reference-tier2": _plan(
+        StageBinding(STAGE_ENTROPY, "native"), tier2="reference"
+    ),
+    "pickle-native": _plan(_pool(TRANSPORT_PICKLE, impl="native")),
     "pickle-reference": _plan(_pool(TRANSPORT_PICKLE, impl="reference")),
-    "arena-barrier": _plan(_pool(TRANSPORT_ARENA, impl="batched")),
+    "arena-barrier": _plan(_pool(TRANSPORT_ARENA, impl="native")),
     "arena-overlap": _plan(
-        _pool(TRANSPORT_ARENA, impl="batched", overlap=True)
+        _pool(TRANSPORT_ARENA, impl="native", overlap=True)
     ),
     "arena-reference-overlap": _plan(
         _pool(TRANSPORT_ARENA, impl="reference", overlap=True, chunk_size=1)
@@ -78,20 +79,17 @@ MATRIX = {
 #: The documented static rejections (rule code → a plan that trips it).
 INVALID = {
     "executor.pool-requires-workers": _plan(StageBinding(
-        STAGE_ENTROPY, "batched",
+        STAGE_ENTROPY, "native",
         ExecutorSpec(kind=EXECUTOR_POOL, workers=1, chunk_size=3,
                      transport=TRANSPORT_ARENA),
     )),
     "executor.overlap-requires-arena": _plan(StageBinding(
-        STAGE_ENTROPY, "fast",
+        STAGE_ENTROPY, "native",
         ExecutorSpec(kind=EXECUTOR_POOL, workers=2, chunk_size=3,
                      transport=TRANSPORT_PICKLE, overlap=True),
     )),
-    "kernel.arena-requires-batched": _plan(
-        _pool(TRANSPORT_ARENA, impl="fast")
-    ),
     "executor.transport-required": _plan(StageBinding(
-        STAGE_ENTROPY, "batched",
+        STAGE_ENTROPY, "native",
         ExecutorSpec(kind=EXECUTOR_POOL, workers=2, chunk_size=3),
     )),
     "stage.unknown-impl": _plan(StageBinding(STAGE_ENTROPY, "quantum")),
@@ -108,7 +106,9 @@ def workload(request):
         lossless=lossless, base_step=1 / 8,
     )
     data = encode_image(image, params)
-    decoder = Jpeg2000Decoder(data)  # the reference plan: inline fast
+    decoder = Jpeg2000Decoder(
+        data, options=DecodeOptions(kernel="reference", tier2="reference")
+    )
     reference = decoder.decode()
     return data, reference, decoder.ops
 

@@ -1,26 +1,29 @@
-"""Property-based parity: the optimised Tier-1 kernel vs the reference.
+"""Property-based parity: the native Tier-1 kernel vs the reference.
 
-The fast kernel (``t1_fast``) exists purely for speed; these properties
-pin it to the readable specification kernel bit for bit — identical
-coefficients AND identical basic-operation counts (the Fig. 1 / Table 1
-cycle models read the op counter, so a drift there would silently skew
-the paper reproduction).
+The native C kernel (``t1_native.c``) exists purely for speed; these
+properties pin it to the readable specification kernel bit for bit —
+identical coefficients AND identical basic-operation counts (the Fig. 1
+/ Table 1 cycle models read the op counter, so a drift there would
+silently skew the paper reproduction).  Truncated pass counts, odd
+shapes, garbage codewords and over-deep blocks are all compared
+differentially against :class:`~repro.jpeg2000.t1.CodeBlockDecoder`.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.jpeg2000.options import KERNEL_NATIVE
+from repro.jpeg2000.stages.entropy import decode_batch
 from repro.jpeg2000.t1 import CodeBlockDecoder, CodeBlockEncoder
-from repro.jpeg2000.t1_fast import FastCodeBlockDecoder, decode_codeblock_batch
+from repro.jpeg2000.t1_native import decode_codeblock_batch
+
+ORIENTATIONS = st.sampled_from(["LL", "HL", "LH", "HH"])
 
 
-@st.composite
-def coded_blocks(draw):
-    """A random encoded code block plus its decode parameters."""
-    width = draw(st.integers(min_value=1, max_value=12))
-    height = draw(st.integers(min_value=1, max_value=12))
-    orientation = draw(st.sampled_from(["LL", "HL", "LH", "HH"]))
-    amplitude = draw(st.sampled_from([1, 7, 127, 2047]))
+def _encoded(draw, width, height, amplitudes=(1, 7, 127, 2047)):
+    orientation = draw(ORIENTATIONS)
+    amplitude = draw(st.sampled_from(amplitudes))
     coeffs = draw(
         st.lists(
             st.integers(min_value=-amplitude, max_value=amplitude),
@@ -42,14 +45,67 @@ def coded_blocks(draw):
     return data, width, height, orientation, result.num_bitplanes, num_passes, coeffs
 
 
+@st.composite
+def coded_blocks(draw):
+    """A random encoded code block plus its decode parameters."""
+    width = draw(st.integers(min_value=1, max_value=12))
+    height = draw(st.integers(min_value=1, max_value=12))
+    return _encoded(draw, width, height)
+
+
+@st.composite
+def odd_shaped_blocks(draw):
+    """Strips (1xN, Nx1) and heights that leave a partial last stripe."""
+    long_side = draw(st.integers(min_value=1, max_value=40))
+    shape = draw(st.sampled_from(["row", "column", "ragged"]))
+    if shape == "row":
+        width, height = long_side, 1
+    elif shape == "column":
+        width, height = 1, long_side
+    else:
+        width = draw(st.integers(min_value=1, max_value=9))
+        height = 4 * draw(st.integers(min_value=0, max_value=3)) + draw(
+            st.integers(min_value=1, max_value=3)
+        )
+    return _encoded(draw, width, height)
+
+
+def _reference(block):
+    data, width, height, orientation, num_bitplanes, num_passes = block[:6]
+    decoder = CodeBlockDecoder(
+        data, width, height, orientation, num_bitplanes, num_passes
+    )
+    return decoder.decode(), decoder.ops
+
+
+def _batch(blocks, gap=0):
+    """Blocks laid end to end (``gap`` samples apart) in one output."""
+    batch = []
+    offset = gap
+    for data, width, height, orientation, num_bitplanes, num_passes, *_ in blocks:
+        batch.append(
+            (data, width, height, orientation, num_bitplanes, num_passes, offset)
+        )
+        offset += width * height + gap
+    return batch, offset
+
+
+def _assert_matches_reference(blocks, batch, out, op_counts):
+    assert len(op_counts) == len(blocks)
+    for block, entry, ops in zip(blocks, batch, op_counts):
+        start = entry[6]
+        values, reference_ops = _reference(block)
+        assert out[start : start + block[1] * block[2]].tolist() == values
+        assert ops == reference_ops
+
+
 @given(coded_blocks())
 @settings(max_examples=120, deadline=None)
 def test_fast_kernel_matches_reference(block):
-    data, width, height, orientation, num_bitplanes, num_passes, _ = block
-    reference = CodeBlockDecoder(data, width, height, orientation, num_bitplanes, num_passes)
-    fast = FastCodeBlockDecoder(data, width, height, orientation, num_bitplanes, num_passes)
-    assert fast.decode() == reference.decode()
-    assert fast.ops == reference.ops
+    """Single blocks, truncated pass counts included."""
+    batch, _ = _batch([block])
+    out, op_counts = decode_codeblock_batch(batch)
+    _assert_matches_reference([block], batch, out, op_counts)
 
 
 @given(coded_blocks())
@@ -58,43 +114,26 @@ def test_fast_kernel_roundtrips_full_blocks(block):
     data, width, height, orientation, num_bitplanes, num_passes, coeffs = block
     if num_passes is not None:
         return  # truncated segments reconstruct approximations by design
-    fast = FastCodeBlockDecoder(data, width, height, orientation, num_bitplanes)
-    assert fast.decode() == coeffs
+    out, _ = decode_codeblock_batch(
+        [(data, width, height, orientation, num_bitplanes, None, 0)]
+    )
+    assert out.tolist() == coeffs
 
 
 @given(st.lists(coded_blocks(), min_size=1, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_batched_kernel_matches_single_block_and_reference(blocks):
-    """The batched entry point is a pure re-scheduling of the fast kernel:
-    random geometries and pass counts must decode bit-for-bit like the
-    single-block fast kernel AND the reference kernel, op counts included.
-    """
-    batch = []
-    offset = 0
-    for data, width, height, orientation, num_bitplanes, num_passes, _ in blocks:
-        batch.append(
-            (data, width, height, orientation, num_bitplanes, num_passes, offset)
-        )
-        offset += width * height
+    """One call over a whole chunk decodes every block exactly like a
+    one-block call AND like the reference kernel, op counts included."""
+    batch, _ = _batch(blocks)
     out, op_counts = decode_codeblock_batch(batch)
     assert out.dtype == np.int32
-    assert len(op_counts) == len(blocks)
-    for block, entry, batched_ops in zip(blocks, batch, op_counts):
-        data, width, height, orientation, num_bitplanes, num_passes, _ = block
+    _assert_matches_reference(blocks, batch, out, op_counts)
+    for entry, ops in zip(batch, op_counts):
+        alone, (alone_ops,) = decode_codeblock_batch([entry[:6] + (0,)])
         start = entry[6]
-        batched_values = out[start : start + width * height].tolist()
-        fast = FastCodeBlockDecoder(
-            data, width, height, orientation, num_bitplanes, num_passes
-        )
-        reference = CodeBlockDecoder(
-            data, width, height, orientation, num_bitplanes, num_passes
-        )
-        fast_values = fast.decode()
-        reference_values = reference.decode()
-        assert batched_values == fast_values
-        assert batched_values == reference_values
-        assert batched_ops == fast.ops
-        assert batched_ops == reference.ops
+        assert alone.tolist() == out[start : start + len(alone)].tolist()
+        assert alone_ops == ops
 
 
 @given(st.lists(coded_blocks(), min_size=1, max_size=4))
@@ -102,16 +141,74 @@ def test_batched_kernel_matches_single_block_and_reference(blocks):
 def test_batched_kernel_writes_into_caller_buffer(blocks):
     """With a caller-supplied output array the batch writes in place at
     the given offsets and leaves untouched gaps at zero."""
-    batch = []
-    offset = 0
-    for data, width, height, orientation, num_bitplanes, num_passes, _ in blocks:
-        batch.append(
-            (data, width, height, orientation, num_bitplanes, num_passes, offset)
-        )
-        offset += width * height
-    out = np.zeros(offset + 5, dtype=np.int32)  # trailing gap stays zero
+    batch, end = _batch(blocks)
+    out = np.zeros(end + 5, dtype=np.int32)  # trailing gap stays zero
     returned, _ = decode_codeblock_batch(batch, out)
     assert returned is out
     auto, _ = decode_codeblock_batch(batch)
-    assert out[:offset].tolist() == auto[:offset].tolist()
-    assert out[offset:].tolist() == [0] * 5
+    assert out[:end].tolist() == auto[:end].tolist()
+    assert out[end:].tolist() == [0] * 5
+
+
+@given(st.lists(odd_shaped_blocks(), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_native_kernel_matches_reference_on_odd_shapes(blocks):
+    batch, _ = _batch(blocks)
+    out, op_counts = decode_codeblock_batch(batch)
+    _assert_matches_reference(blocks, batch, out, op_counts)
+
+
+@st.composite
+def garbage_blocks(draw):
+    """Random bytes posing as a codeword, with random geometry/planes."""
+    width = draw(st.integers(min_value=1, max_value=16))
+    height = draw(st.integers(min_value=1, max_value=16))
+    data = draw(st.binary(min_size=0, max_size=48))
+    num_bitplanes = draw(st.integers(min_value=0, max_value=12))
+    num_passes = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=40)))
+    return data, width, height, draw(ORIENTATIONS), num_bitplanes, num_passes
+
+
+@given(st.lists(garbage_blocks(), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_native_kernel_matches_reference_on_garbage_codewords(blocks):
+    """Hostile codewords: the native kernel agrees with the reference
+    (which reads 0xFF past a codeword's end).  The codewords sit back to
+    back in one buffer, so a read past one block's codeword would see
+    its neighbour's bytes and diverge; canary samples between blocks
+    catch any write outside a block."""
+    canary = -0x5A5A5A5
+    batch, end = _batch(blocks, gap=3)
+    out = np.full(end, canary, dtype=np.int32)
+    _, op_counts = decode_codeblock_batch(batch, out)
+    _assert_matches_reference(blocks, batch, out, op_counts)
+    written = np.zeros(end, dtype=bool)
+    for entry in batch:
+        written[entry[6] : entry[6] + entry[1] * entry[2]] = True
+    assert (out[~written] == canary).all()
+
+
+@given(st.integers(min_value=31, max_value=40), st.integers(min_value=1, max_value=6))
+@settings(max_examples=10, deadline=None)
+def test_deep_blocks_route_to_the_reference_kernel(bitplanes, side):
+    """Blocks over 30 bit planes overflow int32: the native kernel
+    refuses them, and the entropy stage decodes them through the
+    reference kernel into an int64 output, next to native blocks."""
+    peak = (1 << bitplanes) - 1
+    coeffs = [-peak // 3 if index % 2 else peak for index in range(side * side)]
+    deep = CodeBlockEncoder(coeffs, side, side, "HH").encode()
+    assert deep.num_bitplanes == bitplanes
+    shallow_coeffs = list(range(-8, 8))
+    shallow = CodeBlockEncoder(shallow_coeffs, 4, 4, "LL").encode()
+    deep_task = (deep.data, side, side, "HH", bitplanes, None)
+    with pytest.raises(ValueError, match="bit planes"):
+        decode_codeblock_batch([deep_task + (0,)])
+    batch = [
+        (shallow.data, 4, 4, "LL", shallow.num_bitplanes, None, 0),
+        deep_task + (16,),
+    ]
+    out = np.zeros(16 + side * side, dtype=np.int64)
+    ops = decode_batch(batch, out, KERNEL_NATIVE)
+    assert out[:16].tolist() == shallow_coeffs
+    assert out[16:].tolist() == coeffs
+    assert ops == [_reference(block)[1] for block in batch]

@@ -96,6 +96,26 @@ class TestCacheKey:
         after = fp.code_fingerprint(("design", "kernel"), root=root)
         assert before != after
 
+    def test_native_source_byte_flip_changes_fingerprint(self, tmp_path):
+        """A kernel compiled from C at run time is part of the code: one
+        changed byte of a ``*.c`` source must miss the cache too."""
+        root = tmp_path / "repro"
+        (root / "jpeg2000").mkdir(parents=True)
+        (root / "jpeg2000" / "mod.py").write_text("VALUE = 1\n")
+        (root / "jpeg2000" / "kernel.c").write_bytes(b"int k = 1;\n")
+        before = fp.code_fingerprint(("jpeg2000",), root=root)
+        (root / "jpeg2000" / "kernel.c").write_bytes(b"int k = 2;\n")
+        assert fp.code_fingerprint(("jpeg2000",), root=root) != before
+
+    def test_shipped_native_kernel_is_fingerprinted(self):
+        sources = {
+            path.name
+            for pattern in fp.SOURCE_PATTERNS
+            for path in (fp.package_root() / "jpeg2000").rglob(pattern)
+        }
+        assert "t1_native.c" in sources
+        assert "jpeg2000" in fp.DEFAULT_SUBSYSTEMS
+
     def test_default_subsystems_cover_runtime_packages(self):
         """Every package a run executes is fingerprinted.
 

@@ -1,29 +1,64 @@
-"""Unit tests of the parallel entropy-decode scheduling layer."""
+"""Unit tests of the parallel entropy-decode scheduling layer
+(:mod:`repro.jpeg2000.stages.entropy`), driven through compiled plans."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.jpeg2000 import parallel
-from repro.jpeg2000.stages import entropy
-from repro.jpeg2000.parallel import (
+from repro.jpeg2000 import (
+    CodingParameters,
+    Jpeg2000Decoder,
+    encode_image,
+    synthetic_image,
+)
+from repro.jpeg2000 import options as options_module
+from repro.jpeg2000.options import (
+    KERNEL_NATIVE,
+    KERNEL_REFERENCE,
     BlockSpec,
     DecodeOptions,
-    KERNEL_BATCHED,
-    KERNEL_FAST,
-    KERNEL_REFERENCE,
     ParallelDegradedWarning,
+)
+from repro.jpeg2000.plan import STAGE_ENTROPY, compile_plan
+from repro.jpeg2000.stages import entropy
+from repro.jpeg2000.stages.entropy import (
     SharedArena,
     _chunked,
-    decode_block,
-    decode_blocks,
-    decode_blocks_spec,
     plan_chunks,
     shutdown_pool,
 )
 from repro.jpeg2000.t1 import CodeBlockEncoder
+
+
+def _binding(options):
+    """The entropy binding *options* compile to on this host."""
+    return compile_plan(options).stage(STAGE_ENTROPY)
+
+
+def run_pickle_tasks(tasks, options):
+    """Materialised block tasks through the pickle-transport executor."""
+    return entropy.run_tasks(
+        tasks, _binding(replace(options, shared_memory=False)),
+        schedule=options.schedule_info(),
+    )
+
+
+def run_plan_specs(sources, specs, options):
+    """Segment-described blocks through the plan's entropy executor."""
+    return entropy.run_specs(sources, specs, _binding(options))
+
+
+def _decode_degraded(options):
+    """Decode a tiny image under *options* (whose request the host clamps)."""
+    params = CodingParameters(
+        width=16, height=16, num_components=3, tile_width=16, tile_height=16,
+        num_levels=1, lossless=True,
+    )
+    data = encode_image(synthetic_image(16, 16, 3, seed=3), params)
+    Jpeg2000Decoder(data, options=options).decode()
 
 
 def _encode_block(seed: int, width: int = 8, height: int = 8, orientation: str = "HH"):
@@ -55,7 +90,7 @@ class TestDecodeOptions:
     def test_defaults_are_sequential_fast(self):
         options = DecodeOptions()
         assert options.workers == 0
-        assert options.kernel == KERNEL_FAST
+        assert options.kernel == KERNEL_NATIVE
         assert not options.parallel
 
     def test_none_workers_uses_cpu_count(self):
@@ -75,8 +110,9 @@ class TestDecodeOptions:
             DecodeOptions(chunk_size=0)
 
     def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            DecodeOptions(kernel="simd")
+        for retired in ("simd", "fast", "batched"):
+            with pytest.raises(ValueError):
+                DecodeOptions(kernel=retired)
 
     def test_single_worker_is_not_parallel(self):
         assert not DecodeOptions(workers=1).parallel
@@ -97,15 +133,17 @@ class TestChunking:
 class TestDecodeBlocks:
     def test_kernels_agree_per_block(self):
         task, coeffs = _encode_block(seed=1)
-        fast_values, fast_ops = decode_block(task, KERNEL_FAST)
-        ref_values, ref_ops = decode_block(task, KERNEL_REFERENCE)
-        assert fast_values.tolist() == coeffs
-        assert np.array_equal(fast_values, ref_values)
-        assert fast_ops == ref_ops
+        native = np.zeros(64, dtype=np.int32)
+        reference = np.zeros(64, dtype=np.int32)
+        (native_ops,) = entropy.decode_batch([task + (0,)], native, KERNEL_NATIVE)
+        (ref_ops,) = entropy.decode_batch([task + (0,)], reference, KERNEL_REFERENCE)
+        assert native.tolist() == coeffs
+        assert np.array_equal(native, reference)
+        assert native_ops == ref_ops
 
     def test_sequential_order_is_preserved(self):
         tasks, expected = zip(*(_encode_block(seed) for seed in range(6)))
-        results = decode_blocks(list(tasks), DecodeOptions())
+        results = run_pickle_tasks(list(tasks), DecodeOptions())
         assert len(results) == 6
         for (values, ops), coeffs in zip(results, expected):
             assert values.tolist() == coeffs
@@ -113,8 +151,8 @@ class TestDecodeBlocks:
 
     def test_pool_matches_sequential(self):
         tasks, _ = zip(*(_encode_block(seed) for seed in range(9)))
-        sequential = decode_blocks(list(tasks), DecodeOptions())
-        pooled = decode_blocks(
+        sequential = run_pickle_tasks(list(tasks), DecodeOptions())
+        pooled = run_pickle_tasks(
             list(tasks), DecodeOptions(workers=2, chunk_size=2)
         )
         assert len(pooled) == len(sequential)
@@ -124,16 +162,16 @@ class TestDecodeBlocks:
         shutdown_pool()
 
     def test_empty_task_list(self):
-        assert decode_blocks([], DecodeOptions(workers=2)) == []
+        assert run_pickle_tasks([], DecodeOptions(workers=2)) == []
 
     def test_pool_failure_falls_back_to_sequential(self, monkeypatch):
         tasks, expected = zip(*(_encode_block(seed) for seed in range(3)))
         monkeypatch.setattr(
             entropy, "_get_pool", lambda workers, start_method=None: None
         )
-        parallel._degradations_warned.clear()
-        with pytest.warns(parallel.ParallelDegradedWarning):
-            results = decode_blocks(
+        options_module._degradations_warned.clear()
+        with pytest.warns(ParallelDegradedWarning):
+            results = run_pickle_tasks(
                 list(tasks), DecodeOptions(workers=4, oversubscribe=True)
             )
         for (values, _), coeffs in zip(results, expected):
@@ -184,16 +222,15 @@ class TestScheduleInfo:
 
     def test_degraded_request_warns_once(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        parallel._degradations_warned.clear()
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(2)))
+        options_module._degradations_warned.clear()
         with pytest.warns(ParallelDegradedWarning):
-            decode_blocks(list(tasks), DecodeOptions(workers=4))
+            _decode_degraded(DecodeOptions(workers=4))
         # Deduplicated: the same degradation does not warn a second time.
         import warnings as warnings_module
 
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error", ParallelDegradedWarning)
-            decode_blocks(list(tasks), DecodeOptions(workers=4))
+            _decode_degraded(DecodeOptions(workers=4))
 
 
 class TestPlanChunks:
@@ -238,25 +275,25 @@ class TestSharedArena:
     def test_registry_and_sweep(self):
         pytest.importorskip("multiprocessing.shared_memory")
         arena = SharedArena(64)
-        assert arena.name in parallel._live_arenas
+        assert arena.name in entropy._live_arenas
         arena.buf[:4] = b"abcd"
         assert bytes(arena.buf[:4]) == b"abcd"
         shutdown_pool()
-        assert arena.name not in parallel._live_arenas
+        assert arena.name not in entropy._live_arenas
 
     def test_destroy_is_idempotent(self):
         pytest.importorskip("multiprocessing.shared_memory")
         arena = SharedArena(16)
         arena.destroy()
         arena.destroy()
-        assert arena.name not in parallel._live_arenas
+        assert arena.name not in entropy._live_arenas
 
 
 class TestDecodeBlocksSpec:
-    @pytest.mark.parametrize("kernel", [KERNEL_FAST, KERNEL_BATCHED, KERNEL_REFERENCE])
+    @pytest.mark.parametrize("kernel", [KERNEL_NATIVE, KERNEL_REFERENCE])
     def test_sequential_kernels_agree(self, kernel):
         source, specs, expected = _spec_workload(range(6))
-        flat, offsets, ops = decode_blocks_spec(
+        flat, offsets, ops = run_plan_specs(
             [source], specs, DecodeOptions(kernel=kernel)
         )
         assert len(ops) == len(specs)
@@ -268,10 +305,10 @@ class TestDecodeBlocksSpec:
     def test_shm_parallel_matches_sequential(self):
         pytest.importorskip("multiprocessing.shared_memory")
         source, specs, _ = _spec_workload(range(9))
-        seq_flat, seq_offsets, seq_ops = decode_blocks_spec(
+        seq_flat, seq_offsets, seq_ops = run_plan_specs(
             [source], specs, DecodeOptions()
         )
-        par_flat, par_offsets, par_ops = decode_blocks_spec(
+        par_flat, par_offsets, par_ops = run_plan_specs(
             [source], specs,
             DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
         )
@@ -282,8 +319,8 @@ class TestDecodeBlocksSpec:
 
     def test_pickle_parallel_matches_sequential(self):
         source, specs, _ = _spec_workload(range(7))
-        seq_flat, _, seq_ops = decode_blocks_spec([source], specs, DecodeOptions())
-        par_flat, _, par_ops = decode_blocks_spec(
+        seq_flat, _, seq_ops = run_plan_specs([source], specs, DecodeOptions())
+        par_flat, _, par_ops = run_plan_specs(
             [source], specs,
             DecodeOptions(
                 workers=2, chunk_size=3, oversubscribe=True, shared_memory=False
@@ -297,7 +334,7 @@ class TestDecodeBlocksSpec:
         source_a, specs_a, expected_a = _spec_workload(range(3))
         source_b, specs_b, expected_b = _spec_workload(range(10, 13))
         specs = [(0, spec) for _, spec in specs_a] + [(1, spec) for _, spec in specs_b]
-        flat, offsets, ops = decode_blocks_spec(
+        flat, offsets, ops = run_plan_specs(
             [source_a, source_b], specs, DecodeOptions()
         )
         expected = expected_a + expected_b
@@ -306,7 +343,7 @@ class TestDecodeBlocksSpec:
             assert flat[start:end].tolist() == coeffs
 
     def test_empty_spec_list(self):
-        flat, offsets, ops = decode_blocks_spec([b""], [], DecodeOptions(workers=2))
+        flat, offsets, ops = run_plan_specs([b""], [], DecodeOptions(workers=2))
         assert len(flat) == 0
         assert offsets.tolist() == [0]
         assert ops == []
@@ -314,10 +351,10 @@ class TestDecodeBlocksSpec:
     def test_no_shm_segments_leak(self):
         pytest.importorskip("multiprocessing.shared_memory")
         source, specs, _ = _spec_workload(range(5))
-        decode_blocks_spec(
+        run_plan_specs(
             [source], specs, DecodeOptions(workers=2, oversubscribe=True)
         )
-        assert parallel._live_arenas == {}
+        assert entropy._live_arenas == {}
         shutdown_pool()
 
 
@@ -366,7 +403,7 @@ class TestBrokenPoolResume:
         monkeypatch.setattr(entropy, "_decode_tasks_sequential", bomb)
         recorder = telemetry.install()
         try:
-            results = decode_blocks(
+            results = run_pickle_tasks(
                 list(tasks),
                 DecodeOptions(
                     workers=2, chunk_size=1, oversubscribe=True,
@@ -396,7 +433,7 @@ class TestParallelObservability:
         tasks, _ = zip(*(_encode_block(seed) for seed in range(6)))
         log = telemetry.install_log()
         try:
-            decode_blocks(
+            run_pickle_tasks(
                 list(tasks),
                 DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
             )
@@ -423,7 +460,7 @@ class TestParallelObservability:
         source, specs, _ = _spec_workload(range(6))
         log = telemetry.install_log()
         try:
-            decode_blocks_spec(
+            run_plan_specs(
                 [source], specs,
                 DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
             )
@@ -439,19 +476,18 @@ class TestParallelObservability:
     def test_workers_send_no_events_when_log_disabled(self):
         tasks, _ = zip(*(_encode_block(seed) for seed in range(4)))
         kernel = DecodeOptions().kernel
-        results, events = parallel._decode_chunk((kernel, list(tasks), False))
+        results, events = entropy._decode_chunk((kernel, list(tasks), False))
         assert events is None
         assert len(results) == len(tasks)
 
     def test_degraded_counter_is_reason_labelled(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        parallel._degradations_warned.clear()
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(2)))
+        options_module._degradations_warned.clear()
         recorder = telemetry.install()
         log = telemetry.install_log()
         try:
             with pytest.warns(ParallelDegradedWarning):
-                decode_blocks(list(tasks), DecodeOptions(workers=4))
+                _decode_degraded(DecodeOptions(workers=4))
         finally:
             telemetry.uninstall_log()
             telemetry.uninstall()
@@ -491,7 +527,7 @@ class TestCrashReport:
         telemetry.install_log()
         telemetry.install_flight(FlightRecorder(crash_dir=tmp_path))
         try:
-            results = decode_blocks(
+            results = run_pickle_tasks(
                 list(tasks),
                 DecodeOptions(
                     workers=2, chunk_size=1, oversubscribe=True,

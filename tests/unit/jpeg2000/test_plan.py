@@ -42,11 +42,19 @@ from repro.jpeg2000.plan import (
 
 #: A host that can run everything (so validation exercises the plan, not
 #: the machine the tests happen to run on).
-BIG_HOST = PlanEnvironment(cpu_count=8, shared_memory_available=True)
+BIG_HOST = PlanEnvironment(
+    cpu_count=8, shared_memory_available=True, native_available=True
+)
 #: A host with no shared memory.
-NO_SHM_HOST = PlanEnvironment(cpu_count=8, shared_memory_available=False)
+NO_SHM_HOST = PlanEnvironment(
+    cpu_count=8, shared_memory_available=False, native_available=True
+)
 #: A single-CPU host.
-SMALL_HOST = PlanEnvironment(cpu_count=1, shared_memory_available=True)
+SMALL_HOST = PlanEnvironment(
+    cpu_count=1, shared_memory_available=True, native_available=True
+)
+#: A host that cannot build the native Tier-1 kernel (no C compiler).
+NO_NATIVE_HOST = PlanEnvironment(cpu_count=8, shared_memory_available=True)
 
 
 def valid_pool_plan(**executor_overrides) -> DecodePlan:
@@ -59,7 +67,7 @@ def valid_pool_plan(**executor_overrides) -> DecodePlan:
     executor = ExecutorSpec(**fields)
     return DecodePlan((
         StageBinding(STAGE_PARSE, "fast"),
-        StageBinding(STAGE_ENTROPY, "batched", executor),
+        StageBinding(STAGE_ENTROPY, "native", executor),
         StageBinding(STAGE_RECONSTRUCT, RECONSTRUCT_VECTORISED),
         StageBinding(STAGE_ASSEMBLE, ASSEMBLE_MOSAIC),
     ))
@@ -75,11 +83,13 @@ class TestCompileTotality:
     # The full cross product is ~1.5k combinations; cheap, and the whole
     # point of a totality property.
     WORKERS = (0, 1, 2, 4, None)
-    KERNELS = ("fast", "batched", "reference")
+    KERNELS = ("native", "reference")
     TIER2 = ("fast", "reference")
     BOOLS = (False, True)
 
-    @pytest.mark.parametrize("env", [BIG_HOST, NO_SHM_HOST, SMALL_HOST])
+    @pytest.mark.parametrize(
+        "env", [BIG_HOST, NO_SHM_HOST, SMALL_HOST, NO_NATIVE_HOST]
+    )
     def test_every_options_value_compiles_valid(self, env):
         for workers, kernel, shm, tier2, overlap, oversub in itertools.product(
             self.WORKERS, self.KERNELS, self.BOOLS, self.TIER2,
@@ -130,17 +140,37 @@ class TestCompileTotality:
         assert ex.transport == TRANSPORT_PICKLE
         assert not ex.overlap  # streaming needs the arena
 
-    def test_arena_normalises_fast_kernel_to_batched(self):
-        # Arena workers always run the batched kernel; the plan records
-        # what actually executes.
-        plan = compile_plan(DecodeOptions(workers=4, kernel="fast"), BIG_HOST)
-        assert plan.stage(STAGE_ENTROPY).impl == "batched"
-
     def test_pickle_transport_keeps_fast_kernel(self):
-        plan = compile_plan(
-            DecodeOptions(workers=4, kernel="fast"), NO_SHM_HOST
-        )
-        assert plan.stage(STAGE_ENTROPY).impl == "fast"
+        plan = compile_plan(DecodeOptions(workers=4), NO_SHM_HOST)
+        assert plan.stage(STAGE_ENTROPY).impl == "native"
+        assert plan.rewrites == ()
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_no_native_kernel_compiles_to_reference(self, workers):
+        plan = compile_plan(DecodeOptions(workers=workers), NO_NATIVE_HOST)
+        assert plan.stage(STAGE_ENTROPY).impl == "reference"
+        ((stage, rule, _),) = plan.rewrites
+        assert (stage, rule) == (STAGE_ENTROPY, "native-unavailable")
+        assert "rewrite entropy: [native-unavailable]" in plan.describe()
+        assert validate_plan(plan, NO_NATIVE_HOST) == []
+
+    def test_native_rewrite_is_provenance_not_identity(self):
+        rewritten = compile_plan(DecodeOptions(), NO_NATIVE_HOST)
+        explicit = compile_plan(DecodeOptions(kernel="reference"), BIG_HOST)
+        assert explicit.rewrites == ()
+        assert rewritten == explicit
+        assert rewritten.digest() == explicit.digest()
+        # Swapping a stage keeps the planner's record.
+        swapped = rewritten.with_stage(StageBinding(STAGE_PARSE, "reference"))
+        assert swapped.rewrites == rewritten.rewrites
+
+    def test_fate_map_starts_with_the_compile_rewrites(self):
+        from repro.jpeg2000.driver import StageFates
+
+        fates = StageFates(compile_plan(DecodeOptions(), NO_NATIVE_HOST))
+        assert [r["rule"] for r in fates.fates[STAGE_ENTROPY]["rewrites"]] == [
+            "native-unavailable"
+        ]
 
     def test_tier2_choice_lands_on_parse_stage(self):
         plan = compile_plan(DecodeOptions(tier2="reference"), BIG_HOST)
@@ -204,7 +234,7 @@ class TestValidatorRules:
 
     def test_unknown_executor_kind(self):
         plan = valid_pool_plan().with_stage(StageBinding(
-            STAGE_ENTROPY, "batched", ExecutorSpec(kind="gpu")
+            STAGE_ENTROPY, "native", ExecutorSpec(kind="gpu")
         ))
         assert "executor.unknown-kind" in rules_of(plan)
 
@@ -235,7 +265,7 @@ class TestValidatorRules:
 
     def test_inline_carries_pool_config(self):
         plan = valid_pool_plan().with_stage(StageBinding(
-            STAGE_ENTROPY, "fast", ExecutorSpec(kind=EXECUTOR_INLINE, workers=4)
+            STAGE_ENTROPY, "native", ExecutorSpec(kind=EXECUTOR_INLINE, workers=4)
         ))
         assert "executor.inline-carries-pool-config" in rules_of(plan)
 
@@ -259,12 +289,13 @@ class TestValidatorRules:
             valid_pool_plan(), NO_SHM_HOST
         )
 
-    def test_arena_requires_batched(self):
-        plan = valid_pool_plan().with_stage(StageBinding(
-            STAGE_ENTROPY, "fast",
-            valid_pool_plan().stage(STAGE_ENTROPY).executor,
-        ))
-        assert "kernel.arena-requires-batched" in rules_of(plan)
+    def test_retired_kernel_names_are_unknown(self):
+        for retired in ("fast", "batched"):
+            plan = valid_pool_plan().with_stage(StageBinding(
+                STAGE_ENTROPY, retired,
+                valid_pool_plan().stage(STAGE_ENTROPY).executor,
+            ))
+            assert "stage.unknown-impl" in rules_of(plan)
 
     def test_issues_carry_paths(self):
         issues = validate_plan(valid_pool_plan(workers=1), BIG_HOST)
@@ -339,8 +370,8 @@ class TestOptionsCanonicalDict:
     """Satellite regression: as_dict is the identity the cache hashes."""
 
     def test_equal_valued_instances_serialise_identically(self):
-        a = DecodeOptions(workers=4, kernel="batched", chunk_size=16)
-        b = DecodeOptions(workers=4, kernel="batched", chunk_size=16)
+        a = DecodeOptions(workers=4, kernel="reference", chunk_size=16)
+        b = DecodeOptions(workers=4, kernel="reference", chunk_size=16)
         assert a == b
         assert a.as_dict() == b.as_dict()
         assert (
