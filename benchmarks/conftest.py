@@ -7,36 +7,6 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--profile",
-        action="store_true",
-        default=False,
-        help="attach per-process SimProfiler data to benchmark payloads "
-        "(slower: profiled runs time every process step)",
-    )
-
-
-@pytest.fixture(scope="session")
-def profile_enabled(request):
-    return request.config.getoption("--profile")
-
-
-def pytest_collection_modifyitems(config, items):
-    """Skip ``slow``-marked benchmarks unless selected with ``-m slow``.
-
-    The wall-clock decode benchmark takes minutes; tier-1 runs and plain
-    ``pytest benchmarks`` stay quick by default.
-    """
-    markexpr = config.getoption("-m", default="") or ""
-    if "slow" in markexpr:
-        return
-    skip_slow = pytest.mark.skip(reason="slow benchmark: select with -m slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip_slow)
-
-
 @pytest.fixture(scope="session")
 def results_dir():
     RESULTS_DIR.mkdir(exist_ok=True)

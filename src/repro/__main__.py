@@ -650,24 +650,12 @@ def _cmd_results(args) -> int:
     if args.check:
         # Diff against the committed files *before* any rewrite, so
         # '--regen --check' proves reproducibility and refreshes.
-        import difflib
-
-        for name, expected in files.items():
-            path = out_dir / name
-            if not path.is_file():
-                print(f"DRIFT  results/{name}: missing")
-                status = 1
-                continue
-            actual = path.read_text(encoding="utf-8")
-            if actual != expected:
-                status = 1
-                sys.stdout.writelines(difflib.unified_diff(
-                    actual.splitlines(keepends=True),
-                    expected.splitlines(keepends=True),
-                    fromfile=f"results/{name} (committed)",
-                    tofile=f"results/{name} (regenerated)",
-                ))
-        if status == 0:
+        drift = artifacts.diff_files(files, out_dir,
+                                     complete=experiments is None)
+        sys.stdout.writelines(drift)
+        if drift:
+            status = 1
+        else:
             print(f"OK: {len(files)} artifact files reproduce byte-identically")
     if args.regen:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -770,72 +758,6 @@ def _cmd_ledger(args) -> int:
     except LookupError as error:
         raise SystemExit(str(error))
     raise SystemExit(f"unknown ledger action {args.action!r}")
-
-
-def _cmd_sentinel(args) -> int:
-    import json
-
-    from .telemetry import ledger
-    from .tools import sentinel
-
-    baseline = sentinel.load_baselines(args.root)
-    if not baseline:
-        print("sentinel: no committed baseline files found", file=sys.stderr)
-        return 2
-
-    verdicts = {}
-    if args.self_test:
-        verdicts["self_test"] = sentinel.self_test(
-            baseline, args.tolerance, args.floor
-        )
-    if args.fresh:
-        fresh = json.loads(Path(args.fresh).read_text(encoding="utf-8"))
-        verdicts["fresh"] = sentinel.compare(
-            baseline, fresh, args.tolerance, args.floor
-        )
-    if args.measure:
-        fresh = sentinel.measure_fresh()
-        verdicts["measured"] = sentinel.compare(
-            baseline, fresh, args.tolerance, args.floor
-        )
-    if args.ledger:
-        verdicts["ledger"] = sentinel.ledger_drift(
-            ledger.read_ledger(args.path), args.tolerance, args.floor
-        )
-    if not verdicts:
-        # --check alone: prove the baselines parse and the comparator
-        # passes them against themselves (structure check, zero cost).
-        verdicts["baseline"] = sentinel.compare(
-            baseline, dict(baseline), args.tolerance, args.floor
-        )
-
-    failed = [
-        name for name, verdict in verdicts.items()
-        if verdict["status"] not in ("ok",)
-    ]
-    payload = {
-        "status": "failed" if failed else "ok",
-        "baseline_metrics": len(baseline),
-        "checks": verdicts,
-    }
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
-    else:
-        for name, verdict in sorted(verdicts.items()):
-            print(f"{name}: {verdict['status']}")
-            for metric in verdict.get("regressions", []):
-                detail = verdict["metrics"].get(metric, {})
-                print(f"  REGRESSION {metric}: "
-                      f"expected ~{detail.get('median', detail.get('expected'))}s, "
-                      f"got {detail.get('fresh')}s")
-            for metric in verdict.get("missed", []):
-                print(f"  MISSED INJECTION {metric}")
-            for metric in verdict.get("spurious", []):
-                print(f"  SPURIOUS DETECTION {metric}")
-        print(f"sentinel: {payload['status']} "
-              f"({len(baseline)} baseline metrics)")
-    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -1035,44 +957,7 @@ def main(argv=None) -> int:
                           "or $REPRO_LEDGER_PATH)")
     p_ledger.set_defaults(func=_cmd_ledger)
 
-    p_sentinel = sub.add_parser(
-        "sentinel", help="perf-regression sentinel: compare timings "
-        "against the committed BENCH_* baselines")
-    p_sentinel.add_argument("--check", action="store_true",
-                            help="gate mode: exit 1 on any regression")
-    p_sentinel.add_argument("--self-test", action="store_true",
-                            dest="self_test",
-                            help="inject a 2x slowdown and assert the "
-                            "comparator detects it")
-    p_sentinel.add_argument("--measure", action="store_true",
-                            help="measure quick proxy timings on this "
-                            "machine and compare")
-    p_sentinel.add_argument("--fresh", default=None, metavar="FILE",
-                            help="compare a flat {metric: seconds} JSON")
-    p_sentinel.add_argument("--ledger", action="store_true",
-                            help="check drift within the run ledger")
-    p_sentinel.add_argument("--path", default=None,
-                            help="ledger file for --ledger")
-    p_sentinel.add_argument("--root", default=None,
-                            help="repository root holding the BENCH_* "
-                            "baselines (default: auto-detect)")
-    p_sentinel.add_argument("--tolerance", type=float, default=None,
-                            help="relative tolerance band (default 0.35)")
-    p_sentinel.add_argument("--floor", type=float, default=None,
-                            help="absolute noise floor in seconds "
-                            "(default 0.05)")
-    p_sentinel.add_argument("--json", action="store_true",
-                            help="emit the machine-readable verdict")
-    p_sentinel.set_defaults(func=_cmd_sentinel)
-
     args = parser.parse_args(argv)
-    if getattr(args, "func", None) is _cmd_sentinel:
-        from .tools import sentinel as _sentinel_mod
-
-        if args.tolerance is None:
-            args.tolerance = _sentinel_mod.DEFAULT_TOLERANCE
-        if args.floor is None:
-            args.floor = _sentinel_mod.DEFAULT_FLOOR_S
     return args.func(args)
 
 

@@ -22,12 +22,10 @@ from .execute import execute_request, timed_execute
 from .fingerprint import canonical_json, code_fingerprint, spec_hash, subsystems_for_kind
 from .registry import Experiment
 from .request import (
-    CACHEABLE_KINDS,
     KIND_LAYERS,
     KIND_PROFILE,
     KIND_SIMULATE,
     KIND_SYNTHESISE,
-    KIND_WALLCLOCK,
     KNOWN_KINDS,
     CacheKey,
     RunRequest,
@@ -39,7 +37,6 @@ from .request import (
 from .runner import ExperimentResult, Runner
 
 __all__ = [
-    "CACHEABLE_KINDS",
     "CACHE_SCHEMA",
     "CacheKey",
     "ENV_CACHE_DIR",
@@ -49,7 +46,6 @@ __all__ = [
     "KIND_PROFILE",
     "KIND_SIMULATE",
     "KIND_SYNTHESISE",
-    "KIND_WALLCLOCK",
     "KNOWN_KINDS",
     "ResultCache",
     "RunRequest",

@@ -60,15 +60,30 @@ def regenerate(experiments=None, runner=None, out_dir=None) -> List[Path]:
 def check(experiments=None, runner=None, out_dir=None) -> List[str]:
     """Diff regenerated artifacts against the files on disk.
 
-    Returns one unified diff per drifting file (empty list == clean).
-    Missing files count as drift with a synthetic diff header.
+    Returns one report per drifting file (empty list == clean); see
+    :func:`diff_files`.  Over the full registry (``experiments`` is
+    ``None``) a file that no experiment renders is drift too.
     """
     out_dir = Path(out_dir) if out_dir is not None else results_dir()
+    files = render_artifacts(experiments, runner)
+    return diff_files(files, out_dir, complete=experiments is None)
+
+
+def diff_files(files: dict, out_dir, complete: bool = False) -> List[str]:
+    """One report per file of *out_dir* that differs from *files*.
+
+    A drifting file gets a unified diff; a missing one a synthetic diff
+    header.  With *complete* set, *files* claims the whole directory,
+    so an orphan — a file on disk that nothing rendered — is reported
+    as well.
+    """
+    out_dir = Path(out_dir)
     drift: List[str] = []
-    for name, expected in render_artifacts(experiments, runner).items():
+    for name, expected in files.items():
         path = out_dir / name
         if not path.is_file():
-            drift.append(f"--- {name} (missing)\n+++ {name} (regenerated)\n")
+            drift.append(f"--- results/{name} (missing)\n"
+                         f"+++ results/{name} (regenerated)\n")
             continue
         actual = path.read_text(encoding="utf-8")
         if actual != expected:
@@ -79,4 +94,10 @@ def check(experiments=None, runner=None, out_dir=None) -> List[str]:
                 tofile=f"results/{name} (regenerated)",
             )
             drift.append("".join(diff))
+    if complete and out_dir.is_dir():
+        for path in sorted(out_dir.iterdir()):
+            if path.is_file() and path.name not in files:
+                drift.append(f"--- results/{path.name} (committed)\n"
+                             f"+++ results/{path.name} (orphan: no "
+                             "experiment renders it)\n")
     return drift

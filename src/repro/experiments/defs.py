@@ -11,7 +11,6 @@ Paper artefacts:    fig1, table1 (both halves), table2, loc.
 Ablations:          OPB bursts, RMI chunking, polling, FIFO depth,
                     HW speed-up factor, SO bus tier, quality layers.
 Studies:            processor-count scaling.
-Derived:            the wall-clock decode table (from BENCH_decode.json).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .request import (
     KIND_PROFILE,
     KIND_SIMULATE,
     KIND_SYNTHESISE,
-    KIND_WALLCLOCK,
     RunRequest,
 )
 
@@ -672,63 +670,6 @@ register(Experiment(
 
 
 # --------------------------------------------------------------------------
-# Wall-clock decode table — derived from the committed trajectory file
-# --------------------------------------------------------------------------
-
-
-def _wallclock_requests() -> tuple:
-    return (
-        RunRequest(
-            rid="wallclock",
-            kind=KIND_WALLCLOCK,
-            params={"source": "BENCH_decode.json"},
-        ),
-    )
-
-
-def _wallclock_tables(payloads) -> dict:
-    bench = payloads["wallclock"]["bench"]
-    table = Table(
-        ["mode", "schedule", "seconds", "speedup vs reference", "speedup vs seed"],
-        title="Entropy-decode wall clock - 16-tile workload",
-    )
-    baseline = bench["baseline"]
-    schedules = bench.get("schedules", {})
-    for mode_name, entry in bench["modes"].items():
-        seconds = entry["seconds"]
-        speedups = entry.get(f"speedup_vs_{baseline}", {})
-        seed = entry["seed_sequential_seconds"]
-        for schedule, elapsed in seconds.items():
-            # A clamped "parallel" run must not read as a parallel
-            # number — mirror DecodeBench.label() on the derived table.
-            label = schedule
-            if schedules.get(schedule, {}).get("degraded"):
-                label = f"{schedule} (degraded)"
-            table.add_row(
-                mode_name,
-                label,
-                round(elapsed, 3),
-                speedups.get(schedule, 1.0),
-                round(seed / elapsed, 2),
-            )
-        table.add_separator()
-    return {"wallclock_decode": table}
-
-
-register(Experiment(
-    id="wallclock_decode",
-    title="Entropy-decode wall clock (recorded trajectory)",
-    category="bench",
-    description="The 16-tile wall-clock table, derived from the committed "
-    "BENCH_decode.json trajectory (re-measure with 'pytest "
-    "benchmarks/test_wallclock_decode.py -m slow').",
-    artefacts=("wallclock_decode",),
-    build_requests=_wallclock_requests,
-    build_tables=_wallclock_tables,
-))
-
-
-# --------------------------------------------------------------------------
 # Sweep groups
 # --------------------------------------------------------------------------
 
@@ -742,5 +683,5 @@ GROUPS.update({
     "all": ("fig1", "table1_application_layer", "table1_vta_layer", "table2",
             "loc", "ablation_opb_burst", "ablation_chunking",
             "ablation_polling", "ablation_fifo_depth", "ablation_hw_speedup",
-            "ablation_plb", "ablation_layers", "scaling", "wallclock_decode"),
+            "ablation_plb", "ablation_layers", "scaling"),
 })

@@ -28,7 +28,6 @@ from .request import (
     KIND_PROFILE,
     KIND_SIMULATE,
     KIND_SYNTHESISE,
-    KIND_WALLCLOCK,
     RunRequest,
 )
 
@@ -65,8 +64,6 @@ def _dispatch(request: RunRequest) -> dict:
         return _layers_decode(request.params)
     if request.kind == KIND_SYNTHESISE:
         return _synthesise(request.params)
-    if request.kind == KIND_WALLCLOCK:
-        return _wallclock(request.params)
     raise ValueError(f"request kind {request.kind!r} has no interpreter")
 
 
@@ -311,33 +308,6 @@ def _layers_decode(params: dict) -> dict:
     decoder = Jpeg2000Decoder(codestream, max_layers=int(params["layers"]))
     decoded = decoder.decode()
     return {"psnr": decoded.psnr(image), "arith_ops": decoder.ops["arith"]}
-
-
-# --------------------------------------------------------------------------
-# wallclock: the committed decode-benchmark trajectory (never cached)
-# --------------------------------------------------------------------------
-
-
-def _wallclock(params: dict) -> dict:
-    """Load the recorded wall-clock trajectory the bench suite committed.
-
-    Wall-clock numbers are machine-bound and cannot be regenerated
-    byte-identically, so the artifact derives deterministically from the
-    committed ``BENCH_decode.json`` instead of re-measuring.
-    """
-    import json
-    from pathlib import Path
-
-    source = params.get("source", "BENCH_decode.json")
-    # src/repro/experiments/execute.py -> repo root (src layout).
-    root = Path(__file__).resolve().parents[3]
-    path = root / source
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"wall-clock trajectory {path} missing; run "
-            "'pytest benchmarks/test_wallclock_decode.py -m slow' to record it"
-        )
-    return {"bench": json.loads(path.read_text(encoding="utf-8"))}
 
 
 # --------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class Experiment:
 
     id: str
     title: str
-    category: str  # "paper" | "ablation" | "extension" | "bench"
+    category: str  # "paper" | "ablation" | "extension"
     description: str
     artefacts: tuple
     build_requests: Callable[[], tuple] = field(repr=False)

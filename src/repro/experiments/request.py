@@ -19,20 +19,10 @@ KIND_SIMULATE = "simulate"
 KIND_PROFILE = "profile"
 KIND_LAYERS = "layers"
 KIND_SYNTHESISE = "synthesise"
-KIND_WALLCLOCK = "wallclock"
 
-KNOWN_KINDS = (
-    KIND_SIMULATE,
-    KIND_PROFILE,
-    KIND_LAYERS,
-    KIND_SYNTHESISE,
-    KIND_WALLCLOCK,
-)
-
-#: Kinds whose payloads are pure functions of (spec, workload, code) and
-#: therefore cacheable.  ``wallclock`` tables derive from the committed
-#: benchmark trajectory file instead — always rebuilt, never cached.
-CACHEABLE_KINDS = (KIND_SIMULATE, KIND_PROFILE, KIND_LAYERS, KIND_SYNTHESISE)
+#: Every payload is a pure function of (spec, workload, code), so every
+#: kind is cacheable.
+KNOWN_KINDS = (KIND_SIMULATE, KIND_PROFILE, KIND_LAYERS, KIND_SYNTHESISE)
 
 
 @dataclass(frozen=True)
@@ -62,10 +52,6 @@ class RunRequest:
                 f"unknown request kind {self.kind!r}; expected one of {KNOWN_KINDS}"
             )
 
-    @property
-    def cacheable(self) -> bool:
-        return self.kind in CACHEABLE_KINDS
-
     def with_options(self, **options) -> "RunRequest":
         return replace(self, options={**self.options, **options})
 
@@ -92,9 +78,9 @@ class RunResult:
 
     request: RunRequest
     payload: dict
+    key: CacheKey
     cached: bool = False
     seconds: float = 0.0
-    key: Optional[CacheKey] = None
     deduplicated: bool = False
 
     @property
@@ -192,8 +178,8 @@ def workload_descriptor(request: RunRequest) -> dict:
                 "dc": times.dc,
             },
         }
-    # profile / layers / synthesise / wallclock: the parameters *are* the
-    # workload description.
+    # profile / layers / synthesise: the parameters *are* the workload
+    # description.
     return {"workload": request.kind, **request.params}
 
 
@@ -218,10 +204,8 @@ def normalised_options(options: dict) -> dict:
     return {**options, "decode": decode.as_dict()}
 
 
-def cache_key(request: RunRequest) -> Optional[CacheKey]:
-    """Content address of *request*; ``None`` for uncacheable kinds."""
-    if not request.cacheable:
-        return None
+def cache_key(request: RunRequest) -> CacheKey:
+    """Content address of *request*."""
     spec = request_spec(request)
     spec_digest = fp.spec_hash(spec) if spec is not None else None
     workload_digest = fp.sha256_hex(fp.canonical_json(workload_descriptor(request)))

@@ -68,8 +68,7 @@ class Runner:
     ``jobs``
         Worker processes for cache misses.  ``0``/``1`` run in-process;
         higher values fan out (the value is honoured as given — on a
-        single-core host extra workers cost rather than help, which the
-        sweep bench records instead of hiding).
+        single-core host extra workers cost rather than help).
     ``cache``
         A :class:`ResultCache`, or ``None`` to disable caching entirely
         (every cell recomputes, nothing is stored).
@@ -95,21 +94,20 @@ class Runner:
         owners: dict = {}
         aliases: dict = {}
         for index, (request, key) in enumerate(zip(requests, keys)):
-            if key is not None:
-                entry = self.cache.load(key) if self.cache is not None else None
-                if entry is not None:
-                    results[index] = RunResult(
-                        request=request,
-                        payload=entry["payload"],
-                        cached=True,
-                        seconds=float(entry.get("seconds", 0.0)),
-                        key=key,
-                    )
-                    continue
-                if key.key in owners:
-                    aliases.setdefault(owners[key.key], []).append(index)
-                    continue
-                owners[key.key] = index
+            entry = self.cache.load(key) if self.cache is not None else None
+            if entry is not None:
+                results[index] = RunResult(
+                    request=request,
+                    payload=entry["payload"],
+                    cached=True,
+                    seconds=float(entry.get("seconds", 0.0)),
+                    key=key,
+                )
+                continue
+            if key.key in owners:
+                aliases.setdefault(owners[key.key], []).append(index)
+                continue
+            owners[key.key] = index
             pending.append(index)
 
         executed = self._execute([requests[i] for i in pending])
@@ -119,7 +117,7 @@ class Runner:
             results[index] = RunResult(
                 request=requests[index], payload=payload, seconds=seconds, key=key
             )
-            if key is not None and self.cache is not None:
+            if self.cache is not None:
                 self.cache.store(key, requests[index], payload, seconds)
             for alias in aliases.get(index, ()):
                 # The owner's execution was timed; the alias only shares

@@ -172,9 +172,7 @@ def explore(config: ExplorationConfig, runner) -> ExplorationOutcome:
         candidate.payload = result.payload
         candidate.cached = result.cached
         candidate.executed = not result.cached and not result.deduplicated
-        candidate.spec_hash = (
-            result.key.spec_hash if result.key is not None else None
-        )
+        candidate.spec_hash = result.key.spec_hash
         if "failed" in result.payload:
             candidate.failure = dict(result.payload["failed"])
         else:

@@ -1,15 +1,9 @@
-"""``repro.reporting`` — result tables and wall-clock benchmark output."""
+"""``repro.reporting`` — result tables."""
 
-from .bench import DecodeBench, SimulationBench, SweepBench, machine_info, time_call
 from .tables import CHANNEL_TRAFFIC_COLUMNS, Table, channel_traffic_row
 
 __all__ = [
     "CHANNEL_TRAFFIC_COLUMNS",
-    "DecodeBench",
-    "SimulationBench",
-    "SweepBench",
     "Table",
     "channel_traffic_row",
-    "machine_info",
-    "time_call",
 ]

@@ -11,9 +11,9 @@ the degraded/resumed flags of the parallel fallback chain.
 That turns "the sweep got slower" from an anecdote into a query: two
 ledger records can be diffed (:func:`diff_records`) to show exactly
 which subsystems' sources changed between them, how the wall time
-moved, and which degradation counters fired — and the perf-regression
-sentinel (:mod:`repro.tools.sentinel` via ``python -m repro sentinel``)
-reads the same records to gate trajectories automatically.
+moved, and which degradation counters fired.  Records are provenance,
+not a benchmark: speed is measured by ``python3 perfbench/run.py``,
+end to end and per layer, in fresh processes.
 
 The ledger is plain JSON lines so it appends atomically enough for a
 single writer, survives partial tails (bad lines are skipped with a

@@ -11,7 +11,7 @@ import pytest
 from repro.experiments import ResultCache, Runner, artifacts, registry
 
 #: Registry entries cheap enough for the unit suite (< 1 s together).
-CHEAP = ("table2", "loc", "wallclock_decode")
+CHEAP = ("table2", "loc")
 
 
 @pytest.fixture(scope="module")
@@ -53,20 +53,36 @@ class TestRegenerateAndCheck:
         assert artifacts.check(experiments, self._runner(tmp_path), out) == []
 
     def test_check_reports_drift_with_diff(self, tmp_path):
-        experiments = registry.expand(["wallclock_decode"])
+        experiments = registry.expand(["table2"])
         out = tmp_path / "results"
         artifacts.regenerate(experiments, self._runner(tmp_path), out)
-        victim = out / "wallclock_decode.txt"
-        victim.write_text(victim.read_text().replace("lossless", "lossful"))
+        victim = out / "table2_synthesis.txt"
+        victim.write_text(victim.read_text().replace("IDWT53", "IDWTXX"))
         drift = artifacts.check(experiments, self._runner(tmp_path), out)
         assert len(drift) == 1
-        assert "wallclock_decode.txt" in drift[0]
+        assert "table2_synthesis.txt" in drift[0]
         assert "-" in drift[0] and "+" in drift[0]  # unified diff body
 
     def test_check_reports_missing_file(self, tmp_path):
-        experiments = registry.expand(["wallclock_decode"])
+        experiments = registry.expand(["table2"])
         out = tmp_path / "results"
         artifacts.regenerate(experiments, self._runner(tmp_path), out)
-        (out / "wallclock_decode.csv").unlink()
+        (out / "table2_ratios.csv").unlink()
         drift = artifacts.check(experiments, self._runner(tmp_path), out)
         assert any("missing" in report for report in drift)
+
+    def test_full_registry_check_reports_orphan_file(self, tmp_path,
+                                                     monkeypatch):
+        """A file no experiment renders is drift when the whole registry
+        is checked, and ignored when only some experiments are."""
+        monkeypatch.setattr(registry, "all_experiments",
+                            lambda: registry.expand(list(CHEAP)))
+        out = tmp_path / "results"
+        artifacts.regenerate(None, self._runner(tmp_path), out)
+        assert artifacts.check(None, self._runner(tmp_path), out) == []
+        (out / "retired.csv").write_text("stale\n")
+        drift = artifacts.check(None, self._runner(tmp_path), out)
+        assert len(drift) == 1
+        assert "results/retired.csv" in drift[0]
+        subset = registry.expand(["table2"])
+        assert artifacts.check(subset, self._runner(tmp_path), out) == []

@@ -70,11 +70,6 @@ class TestCacheKey:
         flipped = cache_key(profile({"workers": 2, "chunk_size": 9}))
         assert flipped.key != spelled_out.key
 
-    def test_wallclock_requests_are_uncacheable(self):
-        request = RunRequest("wallclock", "wallclock", {"source": "x.json"})
-        assert not request.cacheable
-        assert cache_key(request) is None
-
     def test_spec_field_flip_changes_key(self, monkeypatch):
         """Satellite guard, part 1: one changed spec field == a miss."""
         base = cache_key(_sim_request())

@@ -45,7 +45,6 @@ class TestRegistry:
             "table1_application_layer", "table1_vta_layer",
             "table1_vta_bus_traffic", "table2_synthesis", "table2_ratios",
             "loc_comparison", "loc_states", "scaling_parallelism",
-            "wallclock_decode",
         ):
             assert stem in stems
         assert len(stems) == len(set(stems)), "artefact stems must be unique"

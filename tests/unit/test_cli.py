@@ -159,7 +159,7 @@ class TestExperimentCli:
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
         assert "table1_application_layer" in out
-        assert "wallclock_decode" in out
+        assert "loc_comparison" in out
         assert "groups:" in out and "ablations" in out
 
     def test_sweep_cold_then_warm(self, capsys, tmp_path):
@@ -190,8 +190,8 @@ class TestExperimentCli:
             main(["results"])
 
     def test_results_check_clean_for_cheap_experiment(self, capsys, tmp_path):
-        """The committed wallclock artifact reproduces byte-identically."""
-        assert main(["results", "--check", "--experiments", "wallclock_decode",
+        """The committed Table 2 artifacts reproduce byte-identically."""
+        assert main(["results", "--check", "--experiments", "table2",
                      "--cache-dir", str(tmp_path)]) == 0
         assert "reproduce byte-identically" in capsys.readouterr().out
 
@@ -217,9 +217,25 @@ class TestExperimentCli:
         assert "table2_synthesis.txt" in diff
         assert "IDWTXX" in diff  # the unified diff body is printed
 
+    def test_results_check_reports_orphan_file(self, capsys, tmp_path,
+                                               monkeypatch):
+        """Over the full registry, a file no experiment renders drifts."""
+        from repro.experiments import registry
+
+        monkeypatch.setattr(registry, "all_experiments",
+                            lambda: registry.expand(["table2"]))
+        out = tmp_path / "results"
+        args = ["results", "--out", str(out),
+                "--cache-dir", str(tmp_path / "c")]
+        assert main(args + ["--regen"]) == 0
+        (out / "retired.txt").write_text("stale\n")
+        capsys.readouterr()
+        assert main(args + ["--check"]) == 1
+        assert "results/retired.txt" in capsys.readouterr().out
+
 
 class TestObservabilityCli:
-    """Ledger, sentinel, events, and Prometheus subcommand surfaces."""
+    """Ledger, events, and Prometheus subcommand surfaces."""
 
     def test_plan_decode_is_byte_deterministic(self, capsys):
         assert main(["plan", "decode", "--workers", "4", "--cpus", "8"]) == 0
@@ -392,46 +408,3 @@ class TestObservabilityCli:
         assert "repro_" in out
         # Exposition only: the human table must not be mixed in.
         assert "telemetry summary" not in out
-
-    def test_sentinel_check_passes_on_committed_baselines(self, capsys):
-        assert main(["sentinel", "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "baseline: ok" in out
-        assert "sentinel: ok" in out
-
-    def test_sentinel_self_test_json(self, capsys):
-        import json
-
-        assert main(["sentinel", "--self-test", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["status"] == "ok"
-        verdict = payload["checks"]["self_test"]
-        assert verdict["detected"] == verdict["injected"]
-        assert verdict["missed"] == []
-
-    def test_sentinel_fresh_file_detects_regression(self, capsys, tmp_path):
-        import json
-
-        from repro.tools import sentinel
-
-        fresh = sentinel.load_baselines()
-        victim = next(m for m in fresh if m.startswith("decode/"))
-        fresh[victim] *= 2.0
-        fresh_file = tmp_path / "fresh.json"
-        fresh_file.write_text(json.dumps(fresh), encoding="utf-8")
-        assert main(["sentinel", "--fresh", str(fresh_file)]) == 1
-        out = capsys.readouterr().out
-        assert f"REGRESSION {victim}" in out
-        assert "sentinel: failed" in out
-
-    def test_sentinel_ledger_drift(self, tmp_path, monkeypatch, capsys):
-        from repro.telemetry import ledger
-
-        path = tmp_path / "l.jsonl"
-        monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
-        for wall in (1.0, 1.05, 0.95):
-            ledger.append_record(
-                ledger.make_record("decode", label="t", wall_seconds=wall)
-            )
-        assert main(["sentinel", "--ledger"]) == 0
-        assert "ledger: ok" in capsys.readouterr().out
