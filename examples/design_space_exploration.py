@@ -4,46 +4,30 @@
 Walks the nine design versions of the JPEG 2000 decoder case study —
 software-only (1) through the fully parallel HW/SW architecture on the
 virtual target architecture (7b) — on the paper workload (16 tiles, 3
-components, 100 MHz) and prints the reconstructed Table 1 with the
-speed-up and IDWT columns the paper discusses.
+components, 100 MHz) through the experiment registry and prints the
+reconstructed Table 1 with the speed-up and IDWT columns the paper
+discusses.
 
 Run:  python examples/design_space_exploration.py
 """
 
-from repro.casestudy import ROW_LABELS, build_table1
-from repro.reporting import Table
+from repro.experiments import Runner
+from repro.experiments.defs import shape_relations
 
 
 def main() -> None:
     print("simulating all nine versions in both modes "
           "(about 15 s of wall clock)...\n")
-    table1 = build_table1()
-    output = Table(
-        [
-            "ver", "model",
-            "lossless [ms]", "lossy [ms]",
-            "IDWT ll [ms]", "IDWT ly [ms]",
-            "speedup ll", "speedup ly",
-        ],
-        title="Table 1 (reconstructed) - decoding 16 tiles with 3 components",
-    )
-    baseline = table1.row("1")
-    for row in table1.rows:
-        if row.version == "6a":
-            output.add_separator()  # application layer | VTA layer
-        output.add_row(
-            row.version,
-            ROW_LABELS[row.version],
-            row.decode_ms["lossless"],
-            row.decode_ms["lossy"],
-            row.idwt_ms["lossless"],
-            row.idwt_ms["lossy"],
-            row.speedup(baseline, "lossless"),
-            row.speedup(baseline, "lossy"),
-        )
-    print(output.render())
+    # The registry's 'table1' group: the same tables 'python -m repro
+    # sweep table1' prints and results/ holds.
+    payloads = {}
+    print("Table 1 (reconstructed) - decoding 16 tiles with 3 components\n")
+    for outcome in Runner().sweep("table1"):
+        payloads.update(outcome.payloads)
+        for table in outcome.tables().values():
+            print(table.render())
 
-    relations = table1.shape_relations()
+    relations = shape_relations(payloads)
     print("the paper's prose, checked against the simulation:")
     checks = [
         ("v2 speed-up 'about 10%/19%'",

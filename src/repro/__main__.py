@@ -1,7 +1,10 @@
 """Command-line entry point: ``python -m repro <experiment>``.
 
 Regenerates any paper artefact from the terminal without writing a
-script — the quick path for anyone auditing the reproduction.
+script — the quick path for anyone auditing the reproduction.  The
+paper's tables come only from the experiment registry: ``sweep`` prints
+them (``sweep paper``, ``sweep table1``, ...) and ``results`` writes or
+checks them under ``results/``, both served from the result cache.
 """
 
 from __future__ import annotations
@@ -58,110 +61,6 @@ def _parallel_health(recorder) -> dict:
         "resumed": counter("jpeg2000.parallel.chunks_resumed") > 0
         or counter("jpeg2000.parallel.chunks_redecoded") > 0,
     }
-
-
-def _cmd_fig1(args) -> int:
-    from .casestudy import (
-        CYCLES_PER_OP,
-        PAPER_SHARES_LOSSLESS,
-        PAPER_SHARES_LOSSY,
-        measured_shares,
-    )
-    from .jpeg2000 import ALL_STAGES, CodingParameters, Jpeg2000Decoder, encode_image, synthetic_image
-    from .reporting import Table
-
-    table = Table(
-        ["stage", "paper ll [%]", "measured ll [%]", "paper ly [%]", "measured ly [%]"],
-        title="Figure 1 - SW decoder profile",
-    )
-    measured = {}
-    for lossless in (True, False):
-        image = synthetic_image(args.size, args.size, 3, seed=2008)
-        params = CodingParameters(
-            width=args.size, height=args.size, num_components=3,
-            tile_width=min(128, args.size), tile_height=min(128, args.size),
-            num_levels=3, lossless=lossless, base_step=1 / 8,
-        )
-        decoder = Jpeg2000Decoder(encode_image(image, params))
-        decoder.decode()
-        measured[lossless] = measured_shares(decoder.ops, CYCLES_PER_OP)
-    for stage in ALL_STAGES:
-        table.add_row(
-            stage,
-            PAPER_SHARES_LOSSLESS[stage], measured[True][stage],
-            PAPER_SHARES_LOSSY[stage], measured[False][stage],
-        )
-    print(table.render())
-    return 0
-
-
-def _cmd_table1(args) -> int:
-    from .casestudy import ROW_LABELS, build_table1
-    from .reporting import Table
-
-    try:
-        table1 = build_table1(versions=args.versions)
-    except ValueError as error:
-        raise SystemExit(str(error))
-    table = Table(
-        ["ver", "model", "lossless [ms]", "lossy [ms]", "IDWT ll [ms]", "IDWT ly [ms]"],
-        title="Table 1 - simulation results (16 tiles x 3 components @ 100 MHz)",
-    )
-    for row in table1.rows:
-        if row.version == "6a":
-            table.add_separator()
-        table.add_row(
-            row.version, ROW_LABELS[row.version],
-            row.decode_ms["lossless"], row.decode_ms["lossy"],
-            row.idwt_ms["lossless"], row.idwt_ms["lossy"],
-        )
-    print(table.render())
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    from .fossy import synthesise_system
-    from .reporting import Table
-
-    system = synthesise_system()
-    table = Table(
-        ["metric", "53 FOSSY", "53 ref", "97 FOSSY", "97 ref"],
-        title="Table 2 - RTL synthesis results (Virtex-4 LX25 estimates)",
-    )
-    b53, b97 = system.block("idwt53"), system.block("idwt97")
-    for label, attr in (
-        ("slice flip flops", "flip_flops"),
-        ("4-input LUTs", "luts"),
-        ("occupied slices", "slices"),
-        ("equivalent gates", "gate_count"),
-        ("est. frequency [MHz]", "frequency_mhz"),
-    ):
-        table.add_row(
-            label,
-            getattr(b53.fossy_report, attr), getattr(b53.reference_report, attr),
-            getattr(b97.fossy_report, attr), getattr(b97.reference_report, attr),
-        )
-    print(table.render())
-    return 0
-
-
-def _cmd_loc(args) -> int:
-    from .fossy import build_idwt53, build_idwt97, synthesise_block
-    from .reporting import Table
-
-    table = Table(
-        ["artefact", "paper [LoC]", "measured"],
-        title="Section 4 - code size comparison",
-    )
-    paper = {"idwt53": (404, 356, 2231), "idwt97": (948, 903, 4225)}
-    for build in (build_idwt53, build_idwt97):
-        block = synthesise_block(build())
-        ref, model, fossy = paper[block.name]
-        table.add_row(f"{block.name} reference VHDL", ref, block.reference_loc)
-        table.add_row(f"{block.name} behavioural model", model, block.model_statements)
-        table.add_row(f"{block.name} FOSSY VHDL", fossy, block.fossy_loc)
-    print(table.render())
-    return 0
 
 
 def _cmd_versions(args) -> int:
@@ -502,34 +401,9 @@ def _selected_experiments(tokens):
 
 
 def _cmd_sweep(args) -> int:
-    import dataclasses
-
-    from .experiments import KIND_SIMULATE
-
-    experiments = _selected_experiments(args.experiments)
-    if args.telemetry:
-        # Telemetry is an identity-bearing option: flipping it addresses
-        # different cache cells, and the recorded spans ride into them.
-        def _instrumented(requests):
-            return tuple(
-                request.with_options(telemetry=True)
-                if request.kind == KIND_SIMULATE
-                else request
-                for request in requests
-            )
-
-        experiments = [
-            dataclasses.replace(
-                entry,
-                build_requests=(
-                    lambda reqs=entry.requests(): _instrumented(reqs)
-                ),
-            )
-            for entry in experiments
-        ]
-
     import time
 
+    experiments = _selected_experiments(args.experiments)
     runner = _make_runner(args)
     with _event_sink(getattr(args, "events", None)):
         start = time.perf_counter()
@@ -767,22 +641,6 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fig1 = sub.add_parser("fig1", help="reconstruct the Fig. 1 profile")
-    p_fig1.add_argument("--size", type=int, default=256,
-                        help="profiling image edge length (default 256)")
-    p_fig1.set_defaults(func=_cmd_fig1)
-
-    p_t1 = sub.add_parser("table1", help="reconstruct Table 1 (all versions)")
-    p_t1.add_argument("--versions", nargs="*", default=None,
-                      help="subset of versions (default: all nine)")
-    p_t1.set_defaults(func=_cmd_table1)
-
-    p_t2 = sub.add_parser("table2", help="reconstruct Table 2 (synthesis)")
-    p_t2.set_defaults(func=_cmd_table2)
-
-    p_loc = sub.add_parser("loc", help="reconstruct the code-size comparison")
-    p_loc.set_defaults(func=_cmd_loc)
-
     from .design import catalog
 
     version_names = catalog.names()
@@ -895,8 +753,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("experiments", nargs="+",
                          help="experiment ids and/or groups "
                          "(e.g. 'table1', 'ablations', 'all')")
-    p_sweep.add_argument("--telemetry", action="store_true",
-                         help="record telemetry spans on simulation runs")
     add_runner_options(p_sweep)
     add_events_option(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -1,11 +1,12 @@
 """``repro.casestudy`` — the JPEG 2000 decoder case study.
 
 All nine design versions of the paper's Table 1 as executable OSSS models
-(Application Layer 1-5, VTA 6a-7b), the Fig. 1 profiling model, and the
-exploration driver that reconstructs Table 1.
+(Application Layer 1-5, VTA 6a-7b), the Fig. 1 profiling model, and
+``run_version``, which simulates one of them.  The Table 1 reconstruction
+itself lives in the experiment registry (``python -m repro sweep table1``).
 """
 
-from .explorer import ALL_VERSIONS, ROW_LABELS, Table1, Table1Row, build_table1, run_version
+from .explorer import ALL_VERSIONS, ROW_LABELS, run_version
 from .profiles import (
     ARITH_MS_PER_TILE,
     CYCLES_PER_OP,
@@ -35,11 +36,8 @@ __all__ = [
     "PROFILE_LOSSY",
     "ROW_LABELS",
     "StageTimes",
-    "Table1",
-    "Table1Row",
     "VTA_VERSIONS",
     "Workload",
-    "build_table1",
     "functional_workload",
     "measured_shares",
     "measured_stage_times",

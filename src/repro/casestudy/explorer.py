@@ -1,17 +1,16 @@
-"""Design-space exploration driver: run versions, rebuild Table 1.
+"""Run one design version of the case study.
 
 ``run_version`` executes any of the nine catalog models *or* an
 arbitrary :class:`~repro.design.spec.DesignSpec` (generated designs are
 first-class — they elaborate straight through
-:func:`repro.design.elaborate_design`); ``build_table1`` runs the whole
-matrix (both modes) and returns the reconstruction of the paper's
-Table 1, including derived columns (speed-up vs. version 1) and the
-shape relations the paper states in prose.
+:func:`repro.design.elaborate_design`).  Table 1 itself — the whole
+matrix in both modes, its derived columns and the shape relations the
+paper states in prose — is built by the experiment registry
+(:mod:`repro.experiments.defs`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..design import catalog, elaborate_design
@@ -51,83 +50,3 @@ def run_version(
         raise KeyError(f"unknown version {version!r}; pick one of {sorted(ALL_VERSIONS)}")
     model = ALL_VERSIONS[version](workload)
     return model.run()
-
-
-@dataclass
-class Table1Row:
-    """One row of the reconstructed Table 1."""
-
-    version: str
-    label: str
-    layer: str  # "application" or "vta"
-    decode_ms: dict = field(default_factory=dict)  # mode -> ms
-    idwt_ms: dict = field(default_factory=dict)
-
-    def speedup(self, baseline: "Table1Row", mode: str) -> float:
-        return baseline.decode_ms[mode] / self.decode_ms[mode]
-
-
-@dataclass
-class Table1:
-    """The full reconstruction, with the paper's prose relations checked."""
-
-    rows: list
-
-    def row(self, version: str) -> Table1Row:
-        for row in self.rows:
-            if row.version == version:
-                return row
-        raise KeyError(version)
-
-    def shape_relations(self) -> dict:
-        """The quantitative relations the paper asserts around Table 1."""
-        get = self.row
-        relations = {}
-        for mode in ("lossless", "lossy"):
-            v1, v2, v3 = get("1"), get("2"), get("3")
-            v4, v5 = get("4"), get("5")
-            v6a, v6b = get("6a"), get("6b")
-            v7a, v7b = get("7a"), get("7b")
-            relations[mode] = {
-                # "a speed-up of about 10/19% compared to 1"
-                "v2_speedup": v2.speedup(v1, mode),
-                # "this effort only has a small impact"
-                "v3_vs_v2": v2.decode_ms[mode] / v3.decode_ms[mode],
-                # "an acceptable speedup by a factor of 4.5/5"
-                "v4_speedup": v4.speedup(v1, mode),
-                "v5_speedup": v5.speedup(v1, mode),
-                # "the IDWT time is increased significantly (up to a factor of 8)"
-                "idwt_6a_vs_3": v6a.idwt_ms[mode] / v3.idwt_ms[mode],
-                # "in 7a the IDWT time is increased even more than in 6a"
-                "idwt_7a_vs_6a": v7a.idwt_ms[mode] / v6a.idwt_ms[mode],
-                # "the IDWT times of 6b and 7b are equal"
-                "idwt_7b_vs_6b": v7b.idwt_ms[mode] / v6b.idwt_ms[mode],
-                # "a speed-up by a factor of 12/16 for the IDWT in HW"
-                "idwt_speedup_6b": v1.idwt_ms[mode] / v6b.idwt_ms[mode],
-                "idwt_speedup_7b": v1.idwt_ms[mode] / v7b.idwt_ms[mode],
-            }
-        return relations
-
-
-def build_table1(versions=None) -> Table1:
-    """Simulate every version in both modes and assemble Table 1.
-
-    *versions* goes through :func:`repro.design.catalog.select`, so any
-    subset is validated and ordered canonically (unknown identifiers
-    raise ``ValueError`` naming the registered versions); entries may
-    mix catalog identifiers with dynamic :class:`DesignSpec` instances,
-    which gain extra rows after the catalog ones.
-    """
-    rows = []
-    for version in catalog.select(versions):
-        spec = catalog.resolve(version)
-        row = Table1Row(
-            version=spec.name, label=spec.label, layer=spec.mapping.layer
-        )
-        for lossless in (True, False):
-            mode = "lossless" if lossless else "lossy"
-            report = run_version(version, lossless)
-            row.decode_ms[mode] = report.decode_ms
-            row.idwt_ms[mode] = report.idwt_ms
-        rows.append(row)
-    return Table1(rows=rows)

@@ -82,59 +82,29 @@ def names() -> list:
     return list(ROW_ORDER)
 
 
-def resolve(ref) -> DesignSpec:
-    """One reference — catalog identifier or :class:`DesignSpec` — to a
-    spec.  Dynamic specs pass through untouched; strings look up the
-    catalog (``ValueError`` for unknown identifiers), making generated
-    designs first-class wherever a "version" used to be a string.
-    """
-    if isinstance(ref, DesignSpec):
-        return ref
-    if ref not in _BUILDERS:
-        raise ValueError(
-            f"unknown design version {ref!r}; "
-            f"registered versions: {list(ROW_ORDER)}"
-        )
-    return get(ref)
-
-
 def select(ids=None, *, layer=None) -> list:
-    """Validated version selection, catalog rows in Table 1 order first.
+    """Validated version selection, in Table 1 row order.
 
     The one version-selection helper every consumer goes through (the
-    CLI's ``--versions``, the explorer, the experiment registry).
+    experiment registry's Table 1 halves among them).
 
     ``ids``
-        Iterable of catalog identifiers and/or :class:`DesignSpec`
-        instances, or ``None`` for all nine catalog rows.  Catalog
-        identifiers are normalised to Table 1 order with duplicates
-        dropped; an unknown identifier raises ``ValueError`` naming the
-        full vocabulary.  Dynamic specs keep their first-appearance
-        order (after the catalog rows) and deduplicate by spec name.
+        Catalog identifiers (one string or an iterable), or ``None`` for
+        all nine rows.  They are normalised to Table 1 order with
+        duplicates dropped; an unknown identifier raises ``ValueError``
+        naming the full vocabulary.
     ``layer``
-        ``"application"`` or ``"vta"`` restricts to that layer
-        (applied after ``ids``; dynamic specs filter on
-        ``mapping.layer``).
+        ``"application"`` or ``"vta"`` restricts to that layer (applied
+        after ``ids``).
     """
     if layer is not None and layer not in _LAYERS:
         raise ValueError(
             f"unknown layer {layer!r}; expected one of {sorted(_LAYERS)}"
         )
-    dynamic: list = []
     if ids is None:
         chosen = set(ROW_ORDER)
     else:
-        if isinstance(ids, (str, DesignSpec)):
-            ids = [ids]
-        chosen = set()
-        seen_names: set = set()
-        for ref in ids:
-            if isinstance(ref, DesignSpec):
-                if ref.name not in seen_names:
-                    seen_names.add(ref.name)
-                    dynamic.append(ref)
-            else:
-                chosen.add(ref)
+        chosen = {ids} if isinstance(ids, str) else set(ids)
         unknown = chosen.difference(ROW_ORDER)
         if unknown:
             raise ValueError(
@@ -143,8 +113,7 @@ def select(ids=None, *, layer=None) -> list:
             )
     if layer is not None:
         chosen.intersection_update(_LAYERS[layer])
-        dynamic = [spec for spec in dynamic if spec.mapping.layer == layer]
-    return [name for name in ROW_ORDER if name in chosen] + dynamic
+    return [name for name in ROW_ORDER if name in chosen]
 
 
 def get(name: str) -> DesignSpec:

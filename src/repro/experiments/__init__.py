@@ -16,7 +16,7 @@ Typical use::
 """
 
 from . import registry
-from .artifacts import check, regenerate, render_artifacts, results_dir
+from .artifacts import render_artifacts, results_dir
 from .cache import CACHE_SCHEMA, ENV_CACHE_DIR, ResultCache, default_cache_dir
 from .execute import execute_request, timed_execute
 from .fingerprint import canonical_json, code_fingerprint, spec_hash, subsystems_for_kind
@@ -53,11 +53,9 @@ __all__ = [
     "Runner",
     "cache_key",
     "canonical_json",
-    "check",
     "code_fingerprint",
     "default_cache_dir",
     "execute_request",
-    "regenerate",
     "registry",
     "render_artifacts",
     "request_spec",

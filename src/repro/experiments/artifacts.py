@@ -2,10 +2,10 @@
 
 The registry is the single source of truth for the result artefacts:
 each experiment owns its ``results/<stem>.{txt,csv}`` stems and renders
-them as a pure function of run payloads.  This module drives the full
-pipeline — run (or cache-serve) the requests, render the tables, write
-or diff the files — so ``python -m repro results --regen --check``
-proves the committed artifacts are reproducible byte-for-byte.
+them as a pure function of run payloads.  This module renders the files
+(:func:`render_artifacts`) and diffs them against a directory
+(:func:`diff_files`); ``python -m repro results --regen --check`` is the
+one writer, and proves the committed artifacts reproduce byte-for-byte.
 """
 
 from __future__ import annotations
@@ -43,30 +43,6 @@ def render_artifacts(experiments=None, runner: Optional[Runner] = None) -> dict:
             files[f"{stem}.txt"] = table.render()
             files[f"{stem}.csv"] = table.to_csv()
     return files
-
-
-def regenerate(experiments=None, runner=None, out_dir=None) -> List[Path]:
-    """Write every artefact file; returns the paths written."""
-    out_dir = Path(out_dir) if out_dir is not None else results_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, content in render_artifacts(experiments, runner).items():
-        path = out_dir / name
-        path.write_text(content, encoding="utf-8")
-        written.append(path)
-    return written
-
-
-def check(experiments=None, runner=None, out_dir=None) -> List[str]:
-    """Diff regenerated artifacts against the files on disk.
-
-    Returns one report per drifting file (empty list == clean); see
-    :func:`diff_files`.  Over the full registry (``experiments`` is
-    ``None``) a file that no experiment renders is drift too.
-    """
-    out_dir = Path(out_dir) if out_dir is not None else results_dir()
-    files = render_artifacts(experiments, runner)
-    return diff_files(files, out_dir, complete=experiments is None)
 
 
 def diff_files(files: dict, out_dir, complete: bool = False) -> List[str]:

@@ -7,7 +7,8 @@ the same payloads and emit the same tables, and ``python -m repro
 results --regen`` rebuilds every ``results/`` file from here,
 byte-identical regardless of cache state or scheduling.
 
-Paper artefacts:    fig1, table1 (both halves), table2, loc.
+Paper artefacts:    fig1, table1 (both halves, plus the prose relations
+                    of :func:`shape_relations`), table2, loc.
 Ablations:          OPB bursts, RMI chunking, polling, FIFO depth,
                     HW speed-up factor, SO bus tier, quality layers.
 Studies:            processor-count scaling.
@@ -267,6 +268,40 @@ register(Experiment(
     build_requests=_table1_vta_requests,
     build_tables=_table1_vta_tables,
 ))
+
+
+def shape_relations(payloads) -> dict:
+    """The quantitative relations the paper asserts around Table 1.
+
+    *payloads* is ``{rid: payload}`` holding every ``sim:<version>:<mode>``
+    cell of the nine catalog versions — the merged payloads of the
+    ``table1`` group.  Returns ``{mode: {relation: ratio}}``.
+    """
+    versions = _app_versions() + _vta_versions()
+    relations = {}
+    for _, mode in MODES:
+        cells = {version: payloads[f"sim:{version}:{mode}"] for version in versions}
+        decode = {version: cell["decode_ms"] for version, cell in cells.items()}
+        idwt = {version: cell["idwt_ms"] for version, cell in cells.items()}
+        relations[mode] = {
+            # "a speed-up of about 10/19% compared to 1"
+            "v2_speedup": decode["1"] / decode["2"],
+            # "this effort only has a small impact"
+            "v3_vs_v2": decode["2"] / decode["3"],
+            # "an acceptable speedup by a factor of 4.5/5"
+            "v4_speedup": decode["1"] / decode["4"],
+            "v5_speedup": decode["1"] / decode["5"],
+            # "the IDWT time is increased significantly (up to a factor of 8)"
+            "idwt_6a_vs_3": idwt["6a"] / idwt["3"],
+            # "in 7a the IDWT time is increased even more than in 6a"
+            "idwt_7a_vs_6a": idwt["7a"] / idwt["6a"],
+            # "the IDWT times of 6b and 7b are equal"
+            "idwt_7b_vs_6b": idwt["7b"] / idwt["6b"],
+            # "a speed-up by a factor of 12/16 for the IDWT in HW"
+            "idwt_speedup_6b": idwt["1"] / idwt["6b"],
+            "idwt_speedup_7b": idwt["1"] / idwt["7b"],
+        }
+    return relations
 
 
 # --------------------------------------------------------------------------

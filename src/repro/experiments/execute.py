@@ -2,7 +2,7 @@
 
 This is the *only* place experiment work is performed — the runner calls
 it in-process or ships it to a worker process (requests and payloads are
-small picklable plain data, mirroring ``jpeg2000/parallel.py``).
+small picklable plain data).
 
 Every ablation tweak the benchmarks used to apply by hand (module-global
 rebinding, post-construction pokes, bus-swap subclasses) is expressed
@@ -15,8 +15,6 @@ key and is reproducible from the registry alone:
 ``poll``                   ``False`` disables guarded-call bus polling.
 ``fifo_depth``             stream-pipeline FIFO capacity of the filters.
 ``so_bus``                 ``"plb"`` re-attaches the HW/SW SO to the PLB.
-``telemetry`` / ``profile``  attach span/stage shares and a SimProfiler
-                           summary to the payload (rides into the cache).
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ def _dispatch(request: RunRequest) -> dict:
     if request.kind == KIND_SIMULATE:
         return _simulate(request.params, request.options)
     if request.kind == KIND_PROFILE:
-        return _profile_decode(request.params, request.options)
+        return _profile_decode(request.params)
     if request.kind == KIND_LAYERS:
         return _layers_decode(request.params)
     if request.kind == KIND_SYNTHESISE:
@@ -96,8 +94,6 @@ def _simulate(params: dict, options: dict) -> dict:
     saved_speedup = profiles.HW_COPROCESSOR_SPEEDUP
     saved_chunk = vta_versions.RMI_CHUNK_WORDS
     ambient = telemetry.active()
-    recorder = None
-    profiler = None
     try:
         if hw_speedup is not None:
             profiles.HW_COPROCESSOR_SPEEDUP = float(hw_speedup)
@@ -132,24 +128,17 @@ def _simulate(params: dict, options: dict) -> dict:
             model_cls = ALL_VERSIONS[version]
         if version != "spec" and options.get("so_bus") == "plb":
             model_cls = _plb_variant(model_cls)
-        if options.get("telemetry") or options.get("profile"):
-            recorder = telemetry.TelemetryRecorder()
-            telemetry.install(recorder)
-        elif ambient is not None:
+        if ambient is not None:
             # Scope every run to its own registry: an ambient recorder
             # (installed by a caller that is itself being traced) must
-            # not accumulate this run's spans and counters, or a later
-            # cache hit would report metrics from unrelated work.
+            # not accumulate this run's spans and counters, or its
+            # totals would depend on which cells the cache served.
             telemetry.install(telemetry.TelemetryRecorder())
         workload = paper_workload(lossless)
         num_tiles = params.get("num_tiles")
         if num_tiles is not None:
             workload = dataclasses.replace(workload, num_tiles=int(num_tiles))
         model = model_cls(workload)
-        if options.get("profile"):
-            from ..kernel.tracing import SimProfiler
-
-            profiler = SimProfiler(model.sim)
         _apply_model_tweaks(model, options)
         report = model.run()
     finally:
@@ -161,16 +150,13 @@ def _simulate(params: dict, options: dict) -> dict:
             else:
                 telemetry.uninstall()
 
-    payload = {
+    return {
         "version": report.version,
         "mode": report.mode,
         "decode_ms": report.decode_ms,
         "idwt_ms": report.idwt_ms,
         "details": _plain_details(report.details),
     }
-    if recorder is not None:
-        payload["telemetry"] = _telemetry_summary(recorder, profiler)
-    return payload
 
 
 def _plb_variant(base_cls):
@@ -220,41 +206,18 @@ def _plain_details(details: dict) -> dict:
     return plain
 
 
-def _telemetry_summary(recorder, profiler) -> dict:
-    from ..telemetry.export import aggregate, stage_shares
-
-    summary = {
-        "stage_shares": stage_shares(recorder),
-        "spans": aggregate(recorder),
-        "metrics": recorder.metrics.as_dict(),
-    }
-    if recorder.design is not None:
-        summary["design"] = recorder.design
-    if profiler is not None:
-        summary["profile"] = profiler.as_dict()
-    return summary
-
-
 # --------------------------------------------------------------------------
 # profile: the Fig. 1 software profiling decode
 # --------------------------------------------------------------------------
 
 
-def _profile_decode(params: dict, options: Optional[dict] = None) -> dict:
+def _profile_decode(params: dict) -> dict:
     from ..jpeg2000 import (
         CodingParameters,
-        DecodeOptions,
         Jpeg2000Decoder,
         encode_image,
         synthetic_image,
     )
-
-    decode_options = None
-    decode = (options or {}).get("decode")
-    if decode is not None:
-        if not isinstance(decode, DecodeOptions):
-            decode = DecodeOptions.from_dict(dict(decode))
-        decode_options = decode
 
     size = int(params["size"])
     tile = int(params["tile"])
@@ -270,9 +233,7 @@ def _profile_decode(params: dict, options: Optional[dict] = None) -> dict:
         lossless=lossless,
         base_step=1 / 8,
     )
-    decoder = Jpeg2000Decoder(
-        encode_image(image, coding), options=decode_options
-    )
+    decoder = Jpeg2000Decoder(encode_image(image, coding))
     decoder.decode()
     return {"ops": dict(decoder.ops.counts), "plan": decoder.plan.digest()}
 

@@ -9,7 +9,7 @@ payload back, together with where it came from (computed or cache).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import fingerprint as fp
@@ -37,7 +37,7 @@ class RunRequest:
     ``params``
         What to run (version/mode/geometry).  Identity-bearing.
     ``options``
-        How to run it (ablation tweaks, telemetry).  Identity-bearing —
+        How to run it (ablation tweaks).  Identity-bearing —
         any option flip is a different cache cell.
     """
 
@@ -51,9 +51,6 @@ class RunRequest:
             raise ValueError(
                 f"unknown request kind {self.kind!r}; expected one of {KNOWN_KINDS}"
             )
-
-    def with_options(self, **options) -> "RunRequest":
-        return replace(self, options={**self.options, **options})
 
 
 @dataclass(frozen=True)
@@ -86,10 +83,6 @@ class RunResult:
     @property
     def rid(self) -> str:
         return self.request.rid
-
-    @property
-    def telemetry(self) -> Optional[dict]:
-        return self.payload.get("telemetry")
 
 
 def spec_request(
@@ -183,27 +176,6 @@ def workload_descriptor(request: RunRequest) -> dict:
     return {"workload": request.kind, **request.params}
 
 
-def normalised_options(options: dict) -> dict:
-    """*options* with any decode schedule in canonical form.
-
-    ``options["decode"]`` is a
-    :class:`~repro.jpeg2000.options.DecodeOptions` value (or its dict
-    form, possibly partial).  Fingerprinting its ``as_dict()`` rather
-    than whatever the caller wrote means two requests asking for the
-    same schedule — one spelling out the defaults, one omitting them —
-    land in the same cache cell, and every real field flip still
-    misses.
-    """
-    decode = options.get("decode")
-    if decode is None:
-        return options
-    from ..jpeg2000.options import DecodeOptions
-
-    if not isinstance(decode, DecodeOptions):
-        decode = DecodeOptions.from_dict(dict(decode))
-    return {**options, "decode": decode.as_dict()}
-
-
 def cache_key(request: RunRequest) -> CacheKey:
     """Content address of *request*."""
     spec = request_spec(request)
@@ -213,7 +185,7 @@ def cache_key(request: RunRequest) -> CacheKey:
     material = {
         "kind": request.kind,
         "params": request.params,
-        "options": normalised_options(request.options),
+        "options": request.options,
         "spec": spec_digest,
         "workload": workload_digest,
         "code": code,

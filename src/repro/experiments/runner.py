@@ -12,11 +12,10 @@ One API for every consumer (benchmarks, CLI, artifact pipeline):
     cell shared between experiments (e.g. the synthesis runs feeding
     both Table 2 and the LoC comparison) executes exactly once.
 
-The fan-out mirrors :mod:`repro.jpeg2000.parallel`: requests and
-payloads are small picklable plain data, ``ProcessPoolExecutor.map``
-preserves submission order, and any failure to *create or sustain* the
-pool falls back to in-process sequential execution — scheduling may
-change timing, never results.
+The fan-out ships requests and payloads as small picklable plain data,
+``ProcessPoolExecutor.map`` preserves submission order, and any failure
+to *create or sustain* the pool falls back to in-process sequential
+execution — scheduling may change timing, never results.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from repro.casestudy.explorer import ALL_VERSIONS, build_table1
+from repro.casestudy.explorer import ALL_VERSIONS, run_version
 from repro.casestudy.workload import paper_workload
 from repro.design import catalog, elaborate_design, model_topology
 
@@ -39,9 +39,11 @@ def test_shim_class_builds_the_same_machine(name):
 
 @pytest.mark.slow
 def test_table1_bit_identical_to_seed():
-    table1 = build_table1()
-    values = {
-        row.version: {"decode_ms": row.decode_ms, "idwt_ms": row.idwt_ms}
-        for row in table1.rows
-    }
+    values = {}
+    for name in ALL_VERSIONS:
+        cell = values[name] = {"decode_ms": {}, "idwt_ms": {}}
+        for lossless, mode in ((True, "lossless"), (False, "lossy")):
+            report = run_version(name, lossless)
+            cell["decode_ms"][mode] = report.decode_ms
+            cell["idwt_ms"][mode] = report.idwt_ms
     assert values == TABLE1_SEED

@@ -8,6 +8,7 @@ driven against a scratch directory.
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments import ResultCache, Runner, artifacts, registry
 
 #: Registry entries cheap enough for the unit suite (< 1 s together).
@@ -41,24 +42,36 @@ class TestRenderArtifacts:
 
 
 class TestRegenerateAndCheck:
-    def _runner(self, tmp_path):
-        return Runner(cache=ResultCache(tmp_path / "cache"))
+    """``results --regen`` writes the files; the drift check is
+    :func:`render_artifacts` diffed against them by :func:`diff_files`."""
+
+    def _regen(self, tmp_path, out, tokens=None):
+        args = ["results", "--regen", "--out", str(out),
+                "--cache-dir", str(tmp_path / "cache")]
+        if tokens is not None:
+            args += ["--experiments", *tokens]
+        assert main(args) == 0
+
+    def _check(self, tmp_path, out, experiments=None):
+        runner = Runner(cache=ResultCache(tmp_path / "cache"))
+        files = artifacts.render_artifacts(experiments, runner)
+        return artifacts.diff_files(files, out, complete=experiments is None)
 
     def test_regenerate_then_check_clean(self, tmp_path):
         experiments = registry.expand(list(CHEAP))
         out = tmp_path / "results"
-        written = artifacts.regenerate(experiments, self._runner(tmp_path), out)
+        self._regen(tmp_path, out, CHEAP)
         stems = sum(len(entry.artefacts) for entry in experiments)
-        assert len(written) == stems * 2  # txt + csv per stem
-        assert artifacts.check(experiments, self._runner(tmp_path), out) == []
+        assert len(list(out.iterdir())) == stems * 2  # txt + csv per stem
+        assert self._check(tmp_path, out, experiments) == []
 
     def test_check_reports_drift_with_diff(self, tmp_path):
         experiments = registry.expand(["table2"])
         out = tmp_path / "results"
-        artifacts.regenerate(experiments, self._runner(tmp_path), out)
+        self._regen(tmp_path, out, ["table2"])
         victim = out / "table2_synthesis.txt"
         victim.write_text(victim.read_text().replace("IDWT53", "IDWTXX"))
-        drift = artifacts.check(experiments, self._runner(tmp_path), out)
+        drift = self._check(tmp_path, out, experiments)
         assert len(drift) == 1
         assert "table2_synthesis.txt" in drift[0]
         assert "-" in drift[0] and "+" in drift[0]  # unified diff body
@@ -66,9 +79,9 @@ class TestRegenerateAndCheck:
     def test_check_reports_missing_file(self, tmp_path):
         experiments = registry.expand(["table2"])
         out = tmp_path / "results"
-        artifacts.regenerate(experiments, self._runner(tmp_path), out)
+        self._regen(tmp_path, out, ["table2"])
         (out / "table2_ratios.csv").unlink()
-        drift = artifacts.check(experiments, self._runner(tmp_path), out)
+        drift = self._check(tmp_path, out, experiments)
         assert any("missing" in report for report in drift)
 
     def test_full_registry_check_reports_orphan_file(self, tmp_path,
@@ -78,11 +91,11 @@ class TestRegenerateAndCheck:
         monkeypatch.setattr(registry, "all_experiments",
                             lambda: registry.expand(list(CHEAP)))
         out = tmp_path / "results"
-        artifacts.regenerate(None, self._runner(tmp_path), out)
-        assert artifacts.check(None, self._runner(tmp_path), out) == []
+        self._regen(tmp_path, out)
+        assert self._check(tmp_path, out) == []
         (out / "retired.csv").write_text("stale\n")
-        drift = artifacts.check(None, self._runner(tmp_path), out)
+        drift = self._check(tmp_path, out)
         assert len(drift) == 1
         assert "results/retired.csv" in drift[0]
         subset = registry.expand(["table2"])
-        assert artifacts.check(subset, self._runner(tmp_path), out) == []
+        assert self._check(tmp_path, out, subset) == []

@@ -49,27 +49,6 @@ class TestCacheKey:
         renamed = dataclasses.replace(_sim_request(), rid="other:rid")
         assert cache_key(renamed).key == cache_key(_sim_request()).key
 
-    def test_decode_options_fingerprint_is_canonical(self):
-        """Satellite regression: the cache fingerprints the decode
-        schedule through ``DecodeOptions.as_dict()``.  Equal-valued
-        schedules hash identically however they were spelled; one field
-        flip misses."""
-        from repro.jpeg2000.options import DecodeOptions
-
-        def profile(decode):
-            return RunRequest(
-                "profile:lossless", "profile",
-                {"size": 64, "tile": 32, "lossless": True},
-                {"decode": decode},
-            )
-
-        spelled_out = cache_key(profile(DecodeOptions(workers=2).as_dict()))
-        as_value = cache_key(profile(DecodeOptions(workers=2)))
-        defaults_omitted = cache_key(profile({"workers": 2}))
-        assert spelled_out.key == as_value.key == defaults_omitted.key
-        flipped = cache_key(profile({"workers": 2, "chunk_size": 9}))
-        assert flipped.key != spelled_out.key
-
     def test_spec_field_flip_changes_key(self, monkeypatch):
         """Satellite guard, part 1: one changed spec field == a miss."""
         base = cache_key(_sim_request())

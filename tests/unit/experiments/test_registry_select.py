@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.casestudy import build_table1
 from repro.design import catalog
 from repro.experiments import registry
 
@@ -31,10 +30,6 @@ class TestCatalogSelect:
     def test_unknown_layer_raises(self):
         with pytest.raises(ValueError, match="unknown layer"):
             catalog.select(layer="rtl")
-
-    def test_build_table1_routes_through_select(self):
-        with pytest.raises(ValueError, match="registered versions"):
-            build_table1(versions=["nope"])
 
 
 class TestRegistry:

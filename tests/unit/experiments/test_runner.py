@@ -6,8 +6,6 @@ kinds so the whole engine path (key -> cache -> execute -> normalise ->
 store) runs in well under a second.
 """
 
-import pytest
-
 from repro.experiments import (
     KIND_LAYERS,
     KIND_SYNTHESISE,
@@ -132,24 +130,6 @@ class TestExperimentApi:
         assert all(len(o.results) == 10 for o in outcomes)
         # The two halves share the v1/v3 lossless cells.
         assert runner.last_stats["deduplicated"] == 2
-
-    def test_telemetry_option_rides_into_cache(self, tmp_path):
-        """An instrumented run is its own cache cell, spans included."""
-        pytest.importorskip("repro.telemetry")
-        from repro.experiments import KIND_SIMULATE
-
-        plain = RunRequest("sim:2:lossless", KIND_SIMULATE,
-                           {"version": "2", "lossless": True})
-        instrumented = plain.with_options(telemetry=True)
-        runner = Runner(cache=ResultCache(tmp_path))
-        bare, rich = runner.run([plain, instrumented])
-        assert runner.last_stats["executed"] == 2  # distinct cells
-        assert bare.telemetry is None
-        assert rich.telemetry is not None and rich.telemetry["stage_shares"]
-
-        warm = Runner(cache=ResultCache(tmp_path)).run([instrumented])[0]
-        assert warm.cached
-        assert warm.telemetry == rich.telemetry
 
 
 class TestRegistryScoping:

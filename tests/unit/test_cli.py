@@ -19,32 +19,6 @@ class TestCli:
         assert main(["run", "1", "--functional"]) == 0
         assert "produced an image" in capsys.readouterr().out
 
-    def test_table1_subset(self, capsys):
-        assert main(["table1", "--versions", "1", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
-        assert "SW only" in out
-        assert "HW/SW not parallel" in out
-        assert "6a" not in out
-
-    def test_table2(self, capsys):
-        assert main(["table2"]) == 0
-        out = capsys.readouterr().out
-        assert "occupied slices" in out
-        assert "est. frequency" in out
-
-    def test_loc(self, capsys):
-        assert main(["loc"]) == 0
-        out = capsys.readouterr().out
-        assert "idwt53 FOSSY VHDL" in out
-        assert "2231" in out  # the paper column is present
-
-    def test_fig1_small(self, capsys):
-        assert main(["fig1", "--size", "64"]) == 0
-        out = capsys.readouterr().out
-        assert "arith" in out
-        assert "88.80" in out
-
     def test_profile_reports_processes_and_stages(self, capsys):
         assert main(["profile", "2"]) == 0
         out = capsys.readouterr().out
@@ -143,10 +117,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "9z"])
 
-    def test_table1_unknown_version_rejected(self):
-        with pytest.raises(SystemExit, match="registered versions"):
-            main(["table1", "--versions", "1", "99"])
-
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
@@ -174,6 +144,18 @@ class TestExperimentCli:
         assert "executed=0" in warm
         # Same tables, whether computed or served from the cache.
         assert warm.split("#")[0] == cold.split("#")[0]
+
+    def test_sweep_prints_committed_artefacts_verbatim(self, capsys, tmp_path):
+        """The front door renders exactly what ``results/`` holds."""
+        from repro.experiments import results_dir
+
+        assert main(["sweep", "table2", "loc",
+                     "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        for stem in ("table2_synthesis", "table2_ratios",
+                     "loc_comparison", "loc_states"):
+            committed = (results_dir() / f"{stem}.txt").read_text(encoding="utf-8")
+            assert committed in out, f"results/{stem}.txt"
 
     def test_sweep_no_cache_leaves_directory_empty(self, capsys, tmp_path):
         assert main(["sweep", "loc", "--no-cache",

@@ -15,7 +15,7 @@ state whose models are known good.
 import json
 import pathlib
 
-from repro.casestudy.explorer import ALL_VERSIONS, build_table1
+from repro.casestudy.explorer import ALL_VERSIONS, run_version
 from repro.casestudy.workload import paper_workload
 from repro.design import model_topology
 
@@ -31,11 +31,13 @@ def main() -> None:
     (DATA_DIR / "topology_seed.json").write_text(
         json.dumps(topology, indent=2, sort_keys=True) + "\n"
     )
-    table1 = build_table1()
-    values = {
-        row.version: {"decode_ms": row.decode_ms, "idwt_ms": row.idwt_ms}
-        for row in table1.rows
-    }
+    values = {}
+    for name in ALL_VERSIONS:
+        cell = values[name] = {"decode_ms": {}, "idwt_ms": {}}
+        for lossless, mode in ((True, "lossless"), (False, "lossy")):
+            report = run_version(name, lossless)
+            cell["decode_ms"][mode] = report.decode_ms
+            cell["idwt_ms"][mode] = report.idwt_ms
     (DATA_DIR / "table1_seed.json").write_text(
         json.dumps(values, indent=2, sort_keys=True) + "\n"
     )
