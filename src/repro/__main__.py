@@ -248,11 +248,6 @@ def _profile_decode(args) -> int:
         metrics=recorder.metrics.as_dict(),
         **_parallel_health(recorder),
     )
-    if getattr(args, "prometheus", False):
-        from .telemetry.prometheus import render_recorder
-
-        sys.stdout.write(render_recorder(recorder))
-        return 0
     if args.json:
         json.dump({
             "workload": f"{size}x{size} RGB synthetic (seed 2008), "
@@ -348,11 +343,6 @@ def _cmd_profile(args) -> int:
         metrics=recorder.metrics.as_dict(),
         decode_ms=report.decode_ms,
     )
-    if getattr(args, "prometheus", False):
-        from .telemetry.prometheus import render_recorder
-
-        sys.stdout.write(render_recorder(recorder))
-        return 0
     if args.json:
         payload = {
             "version": args.name,
@@ -686,9 +676,6 @@ def main(argv=None) -> int:
     p_prof.add_argument("--workers", type=int, default=0,
                         help="decode profiling: worker processes "
                         "(0 = sequential)")
-    p_prof.add_argument("--prometheus", action="store_true",
-                        help="emit the run's metrics and span aggregates "
-                        "in Prometheus text exposition format")
     add_events_option(p_prof)
     p_prof.set_defaults(func=_cmd_profile)
 

@@ -63,7 +63,7 @@ class CatalogVtaModel(ElaboratedModel):
     def _design_spec(cls):
         # ``RMI_CHUNK_WORDS`` is resolved at construction time so
         # experiments can rebind the module global and sweep the RMI
-        # serialisation chunk (see benchmarks/test_ablations.py).
+        # serialisation chunk (the ``ablation_chunking`` experiment).
         return catalog.with_chunk_words(catalog.get(cls.spec_name), RMI_CHUNK_WORDS)
 
 
@@ -104,8 +104,8 @@ def scaled_parallel_version(num_tasks: int, idwt_links_p2p: bool):
     """A 7a/7b-style mapping with *num_tasks* processors.
 
     The paper closes on "7b does better scale with increasing parallelism";
-    this factory builds the models that quantify it (see
-    ``benchmarks/test_scaling.py``).
+    this factory builds the models that quantify it (the ``scaling``
+    experiment, checked by ``tests/integration/test_ablations.py``).
     """
     if num_tasks < 1:
         raise ValueError("at least one software task is required")

@@ -2,10 +2,10 @@
 
 Each entry pairs the :class:`RunRequest` list an experiment needs with a
 pure table builder over the returned payloads.  The builders are the
-*only* place the result tables are rendered — the benchmarks assert on
-the same payloads and emit the same tables, and ``python -m repro
-results --regen`` rebuilds every ``results/`` file from here,
-byte-identical regardless of cache state or scheduling.
+*only* place the result tables are rendered: ``python -m repro results
+--regen`` rebuilds every ``results/`` file from here, byte-identical
+regardless of cache state or scheduling, and the integration tests
+assert the paper's claims on the same payloads.
 
 Paper artefacts:    fig1, table1 (both halves, plus the prose relations
                     of :func:`shape_relations`), table2, loc.
@@ -26,8 +26,9 @@ from .request import (
     RunRequest,
 )
 
-#: Fig. 1 profiling subject: quarter-scale paper workload (the stage
-#: shares are scale-invariant; see ``benchmarks/test_fig1_profile.py``).
+#: Fig. 1 profiling subject: quarter-scale paper workload.  The stage
+#: shares are scale-invariant: ``tests/integration/test_paper_claims.py``
+#: (256 px) and ``test_full_flow.py`` (128 px) both match the paper.
 PROFILE_SIZE = 256
 PROFILE_TILE = 128
 

@@ -4,10 +4,10 @@ This is the *only* place experiment work is performed — the runner calls
 it in-process or ships it to a worker process (requests and payloads are
 small picklable plain data).
 
-Every ablation tweak the benchmarks used to apply by hand (module-global
-rebinding, post-construction pokes, bus-swap subclasses) is expressed
-here as a declarative ``options`` entry, so it participates in the cache
-key and is reproducible from the registry alone:
+Every ablation tweak (module-global rebinding, post-construction
+pokes, bus-swap subclasses) is expressed here as a declarative
+``options`` entry, so it participates in the cache key and is
+reproducible from the registry alone:
 
 ``rmi_chunk_words``        RMI serialisation chunk (spec rewrite).
 ``hw_speedup``             HW co-processor factor (model 2 sensitivity).

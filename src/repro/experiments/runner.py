@@ -1,6 +1,6 @@
 """The sweep runner: requests in, results out, cache in between.
 
-One API for every consumer (benchmarks, CLI, artifact pipeline):
+One API for every consumer (CLI, artifact pipeline, integration tests):
 
 ``Runner.run(requests)``
     Serve cache hits, deduplicate identical cells, execute the misses —
@@ -153,15 +153,6 @@ class Runner:
         return [timed_execute(request) for request in requests]
 
     # -- experiment-level API ---------------------------------------------
-
-    def run_experiment(self, experiment) -> ExperimentResult:
-        if isinstance(experiment, str):
-            experiment = registry.get(experiment)
-        results = self.run(experiment.requests())
-        return ExperimentResult(
-            experiment=experiment,
-            results={result.rid: result for result in results},
-        )
 
     def sweep(self, experiments) -> List[ExperimentResult]:
         """Run several experiments as one deduplicated batch."""

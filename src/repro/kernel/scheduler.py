@@ -57,8 +57,8 @@ _DEFAULT_FAST = os.environ.get("REPRO_KERNEL_FAST", "1") != "0"
 def set_default_fast(enabled: bool) -> bool:
     """Set the default ``fast`` mode of newly built simulators.
 
-    Returns the previous default so callers (benchmark harnesses mainly)
-    can restore it in a ``finally`` block.
+    Returns the previous default so callers (the substrate-invariance
+    test mainly) can restore it in a ``finally`` block.
     """
     global _DEFAULT_FAST
     previous = _DEFAULT_FAST

@@ -1,7 +1,7 @@
-"""Fixed-width table rendering for benchmark output.
+"""Fixed-width table rendering for the result artefacts.
 
-Every benchmark prints the reconstructed paper table through this module,
-so all result artefacts share one format (console text + optional CSV).
+Every registry entry renders its paper table through this module, so all
+result artefacts share one format (console text + CSV).
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ class Table:
         for row in self.rows:
             lines.append(",".join(cell.replace(",", ";") for cell in row))
         return "\n".join(lines) + "\n"
-
-    def write(self, path, csv_path=None) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.render())
-        if csv_path is not None:
-            with open(csv_path, "w", encoding="utf-8") as handle:
-                handle.write(self.to_csv())
 
 
 #: Column order of a bus-traffic table row (see :func:`channel_traffic_row`).

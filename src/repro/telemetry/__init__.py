@@ -41,7 +41,6 @@ from .export import (
 from .flight import FlightRecorder
 from .log import EventLog, capture_events, new_run_id, new_span_id
 from .metrics import DEFAULT_BUCKETS_FS, Histogram, MetricsRegistry
-from .prometheus import render_metrics, render_recorder
 from .spans import Span, TelemetryRecorder
 
 #: The active recorder — ``None`` means telemetry is disabled.  Hot paths
@@ -255,8 +254,6 @@ __all__ = [
     "merge_worker_events",
     "new_run_id",
     "new_span_id",
-    "render_metrics",
-    "render_recorder",
     "run_id",
     "software_span",
     "stage_shares",

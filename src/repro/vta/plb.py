@@ -4,8 +4,8 @@ The paper's platform keeps peripherals on the OPB; the PLB is the faster
 CoreConnect tier (64-bit data, address pipelining, burst transfers).  The
 case study never moves the Shared Object there, but the model makes the
 "what if" exploration a one-line change — exactly the kind of alternative
-mapping the OSSS Channel abstraction exists to enable (and the ablation
-benchmarks quantify it).
+mapping the OSSS Channel abstraction exists to enable (and the
+``ablation_plb`` experiment quantifies it).
 
 Defaults model PLB v3.4 at the same 100 MHz clock: one 64-bit beat per
 cycle (half a cycle per 32-bit word), single-cycle arbitration thanks to

@@ -9,15 +9,14 @@ available copy; the relations are not).
 import pytest
 
 from repro.design import catalog
-from repro.experiments import Runner
 from repro.experiments.defs import shape_relations
 
 MODES = ("lossless", "lossy")
 
 
 @pytest.fixture(scope="module")
-def outcomes():
-    return Runner().sweep("table1")
+def outcomes(runner):
+    return runner.sweep("table1")
 
 
 @pytest.fixture(scope="module")

@@ -96,18 +96,15 @@ class TestCacheKey:
         ``experiments`` machinery is covered via EXTRA_FILES,
         ``reporting`` only renders tables from payloads (never cached),
         ``explore`` only ranks and reports payloads post-hoc (objective
-        extraction and the area proxy run outside the cached cell),
-        ``tools`` only reads benchmark baselines and ledger records
-        (never executes experiments), and ``fossy`` joins for synthesis
-        kinds — everything else must be in DEFAULT_SUBSYSTEMS or edits
-        there serve stale payloads.
+        extraction and the area proxy run outside the cached cell), and
+        ``fossy`` joins for synthesis kinds — everything else must be in
+        DEFAULT_SUBSYSTEMS or edits there serve stale payloads.
         """
         root = fp.package_root()
         runtime = {
             path.name for path in root.iterdir()
             if path.is_dir() and path.name not in
-            {"experiments", "reporting", "explore", "tools", "fossy",
-             "__pycache__"}
+            {"experiments", "reporting", "explore", "fossy", "__pycache__"}
         }
         assert runtime <= set(fp.DEFAULT_SUBSYSTEMS)
 

@@ -1,7 +1,7 @@
 """The sweep runner: cache integration, dedup, pool/sequential parity.
 
-The expensive simulation kinds are covered by the benchmarks; these
-tests drive the runner with the cheap ``synthesise`` and ``layers``
+The expensive simulation kinds are covered by ``tests/integration``;
+these tests drive the runner with the cheap ``synthesise`` and ``layers``
 kinds so the whole engine path (key -> cache -> execute -> normalise ->
 store) runs in well under a second.
 """
@@ -97,7 +97,7 @@ class TestRunner:
 class TestExperimentApi:
     def test_run_experiment_by_id(self, tmp_path):
         runner = Runner(cache=ResultCache(tmp_path))
-        outcome = runner.run_experiment("table2")
+        [outcome] = runner.sweep("table2")
         assert set(outcome.payloads) == {"synth:idwt53", "synth:idwt97"}
         tables = outcome.tables()
         assert set(tables) == {"table2_synthesis", "table2_ratios"}

@@ -50,15 +50,6 @@ class TestTable:
         assert csv.splitlines()[0] == "a,b"
         assert "x;y" in csv  # commas in cells are escaped
 
-    def test_write_files(self, tmp_path):
-        table = Table(["a"])
-        table.add_row("value")
-        text_path = tmp_path / "out.txt"
-        csv_path = tmp_path / "out.csv"
-        table.write(text_path, csv_path)
-        assert "value" in text_path.read_text()
-        assert "value" in csv_path.read_text()
-
 
 def _artifact_table():
     """A table shaped like the committed artifacts: mixed cell types,

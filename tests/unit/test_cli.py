@@ -217,7 +217,7 @@ class TestExperimentCli:
 
 
 class TestObservabilityCli:
-    """Ledger, events, and Prometheus subcommand surfaces."""
+    """Plan, ledger, and events subcommand surfaces."""
 
     def test_plan_decode_is_byte_deterministic(self, capsys):
         assert main(["plan", "decode", "--workers", "4", "--cpus", "8"]) == 0
@@ -374,19 +374,3 @@ class TestObservabilityCli:
     def test_ledger_show_empty_rejected(self):
         with pytest.raises(SystemExit, match="empty"):
             main(["ledger", "show", "-1"])
-
-    def test_profile_sim_prometheus(self, capsys):
-        # 6b is a VTA-layer design: its exposition carries bus channels.
-        assert main(["profile", "6b", "--prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_span_busy_fs_total counter" in out
-        assert 'category="bus"' in out
-        assert "# TYPE repro_design_info gauge" in out
-
-    def test_profile_decode_prometheus(self, capsys):
-        assert main(["profile", "decode", "--size", "64", "--prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE" in out
-        assert "repro_" in out
-        # Exposition only: the human table must not be mixed in.
-        assert "telemetry summary" not in out
