@@ -10,57 +10,8 @@ checks them under ``results/``, both served from the result cache.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
-
-
-def _ledger_append(kind: str, label: str, **fields) -> None:
-    """Best-effort provenance: append one run-ledger record.
-
-    Never lets bookkeeping break the command it documents — a read-only
-    checkout or full disk loses the record, not the run.
-    """
-    from . import telemetry
-    from .telemetry import ledger
-
-    if not ledger.ledger_enabled():
-        return
-    try:
-        record = ledger.make_record(
-            kind, run_id=telemetry.run_id(), label=label, **fields
-        )
-        ledger.append_record(record)
-    except OSError:
-        pass
-
-
-@contextlib.contextmanager
-def _event_sink(path):
-    """Structured logging scoped to one CLI command, written as JSONL."""
-    from . import telemetry
-
-    if not path:
-        yield None
-        return
-    log = telemetry.install_log()
-    try:
-        yield log
-    finally:
-        telemetry.uninstall_log()
-        log.write(path)
-
-
-def _parallel_health(recorder) -> dict:
-    """Degraded/resumed flags from a recorder's parallel counters."""
-    if recorder is None:
-        return {"degraded": False, "resumed": False}
-    counter = recorder.metrics.counter
-    return {
-        "degraded": counter("jpeg2000.parallel.degraded") > 0,
-        "resumed": counter("jpeg2000.parallel.chunks_resumed") > 0
-        or counter("jpeg2000.parallel.chunks_redecoded") > 0,
-    }
 
 
 def _cmd_versions(args) -> int:
@@ -126,81 +77,101 @@ def _cmd_validate(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_version(args) -> int:
-    import time
+def _cmd_run(args) -> int:
+    """Simulate one design version, or ``decode`` with the software
+    pipeline, in one telemetry session; the flags choose what it records."""
+    import json
 
-    from .casestudy import run_version
-
-    with _event_sink(getattr(args, "events", None)):
-        start = time.perf_counter()
-        report = run_version(
-            args.name, lossless=not args.lossy, functional=args.functional
-        )
-        elapsed = time.perf_counter() - start
-    print(report)
-    if args.functional and report.image is not None:
-        print("functional decode produced an image "
-              f"({report.image.width}x{report.image.height})")
-    mode = "lossy" if args.lossy else "lossless"
-    _ledger_append(
-        "simulate", f"{args.name}/{mode}",
-        spec_hash=_sim_spec_hash(args.name),
-        wall_seconds=elapsed,
-        decode_ms=report.decode_ms,
-    )
+    if args.target == "decode":
+        if args.functional:
+            args.usage_error("--functional applies to design versions only")
+        run, payload = _run_decode(args)
+    else:
+        if (args.size, args.kernel, args.workers) != (None, None, None):
+            args.usage_error("--size, --kernel and --workers apply to "
+                             "'run decode' only")
+        run, payload = _run_version(args)
+    if args.json:
+        json.dump(payload, sys.stdout, indent=2)
+        print()
+    elif args.trace:
+        print(f"wrote {len(run.recorder.spans)} spans to {args.trace} "
+              "(open in ui.perfetto.dev or chrome://tracing)")
     return 0
 
 
-def _build_and_run(name: str, lossy: bool):
-    """Build one model version with telemetry installed, run it, return
-    ``(report, recorder, profiler, seconds)``.
-
-    The recorder must be installed *before* the model is constructed:
-    the Simulator caches its telemetry reference at construction time so
-    the disabled path stays branch-free.
-    """
+def _run_version(args):
+    """Simulate one catalogued version; returns ``(session, payload)``."""
     import time
 
     from . import telemetry
     from .casestudy.explorer import ALL_VERSIONS
-    from .casestudy.workload import paper_workload
-    from .kernel.tracing import SimProfiler
-
-    if name not in ALL_VERSIONS:
-        raise SystemExit(f"unknown version {name!r}")
-    recorder = telemetry.TelemetryRecorder()
-    telemetry.install(recorder)
-    try:
-        model = ALL_VERSIONS[name](paper_workload(not lossy))
-        profiler = SimProfiler(model.sim)
-        start = time.perf_counter()
-        report = model.run()
-        elapsed = time.perf_counter() - start
-    finally:
-        telemetry.uninstall()
-    return report, recorder, profiler, elapsed
-
-
-def _sim_spec_hash(name: str):
-    """Content hash of the catalogued design spec, or ``None``."""
+    from .casestudy.workload import functional_workload, paper_workload
     from .design import catalog
     from .experiments.fingerprint import spec_hash
+    from .kernel.tracing import SimProfiler
+    from .telemetry.export import aggregate, flame_summary, stage_shares
 
-    try:
-        return spec_hash(catalog.get(name))
-    except Exception:
-        return None
+    name = args.target
+    mode = "lossy" if args.lossy else "lossless"
+    workload = functional_workload if args.functional else paper_workload
+    with telemetry.session(
+        "simulate", f"{name}/{mode}", spans=args.profile,
+        events=args.events, trace=args.trace,
+    ) as run:
+        # Built inside the session: a Simulator binds the active span
+        # recorder when it is constructed.
+        model = ALL_VERSIONS[name](workload(not args.lossy))
+        profiler = SimProfiler(model.sim) if args.profile else None
+        start = time.perf_counter()
+        report = model.run()
+        run.fields.update(
+            spec_hash=spec_hash(catalog.get(name)),
+            wall_seconds=time.perf_counter() - start,
+            decode_ms=report.decode_ms,
+        )
+    recorder = run.recorder
+    payload = {
+        "version": name,
+        "mode": report.mode,
+        "decode_ms": report.decode_ms,
+        "idwt_ms": report.idwt_ms,
+    }
+    if args.profile:
+        payload.update(
+            profile=profiler.as_dict(),
+            metrics=recorder.metrics.as_dict(),
+            stage_shares=stage_shares(recorder),
+            spans=aggregate(recorder),
+        )
+        if recorder.design is not None:
+            payload["design"] = recorder.design
+    if args.json:
+        return run, payload
+    print(report)
+    if args.functional and report.image is not None:
+        print("functional decode produced an image "
+              f"({report.image.width}x{report.image.height})")
+    if args.profile:
+        print()
+        print(profiler.report())
+        if payload["stage_shares"]:
+            print("# per-stage share of simulated stage time (cf. Fig. 1)")
+            _print_shares(payload["stage_shares"])
+            print()
+        print(flame_summary(recorder))
+    return run, payload
 
 
-def _profile_decode(args) -> int:
-    """Profile the real software decode pipeline under telemetry.
+def _print_shares(shares: dict) -> None:
+    for stage, share in sorted(shares.items(), key=lambda kv: -kv[1]):
+        print(f"{stage:<12} {100.0 * share:6.2f}%")
 
-    The decode analogue of the Fig. 1 stage-share reproduction: run the
-    paper workload through the chosen schedule with a recorder active
-    and report each pipeline stage's share of wall time (``t2_parse`` /
-    ``t1_decode`` / ``idwt`` / ``dequant_mct`` / ``gather``).
-    """
-    import json
+
+def _run_decode(args):
+    """Decode the paper workload through the chosen schedule; returns
+    ``(session, payload)``.  With ``--profile`` it reports each pipeline
+    stage's share of wall time, the decode analogue of Fig. 1."""
     import time
     import warnings
 
@@ -215,59 +186,58 @@ def _profile_decode(args) -> int:
     )
     from .telemetry.export import stage_shares
 
-    size = args.size
+    size = 512 if args.size is None else args.size
     tile = min(128, size)
+    mode = "lossy" if args.lossy else "lossless"
     params = CodingParameters(
         width=size, height=size, num_components=3,
         tile_width=tile, tile_height=tile, num_levels=3,
         lossless=not args.lossy, base_step=1 / 8,
     )
+    # Encoded before the session opens: the encoder is not the profile.
     codestream = encode_image(
         synthetic_image(size, size, 3, seed=2008), params
     )
-    options = DecodeOptions(kernel=args.kernel, workers=args.workers)
-    recorder = telemetry.install()
-    try:
-        with _event_sink(getattr(args, "events", None)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                decoder = Jpeg2000Decoder(codestream, options=options)
-                start = time.perf_counter()
-                decoder.decode()
-                elapsed = time.perf_counter() - start
-                shutdown_pool()
-    finally:
-        telemetry.uninstall()
-    shares = stage_shares(recorder)
+    options = DecodeOptions(kernel=args.kernel or "native",
+                            workers=args.workers or 0)
     schedule = options.schedule_info()
-    _ledger_append(
-        "decode", f"{size}x{size}/{'lossy' if args.lossy else 'lossless'}",
-        schedule=schedule,
-        plan_hash=decoder.plan.digest(),
-        wall_seconds=elapsed,
-        metrics=recorder.metrics.as_dict(),
-        **_parallel_health(recorder),
-    )
-    if args.json:
-        json.dump({
-            "workload": f"{size}x{size} RGB synthetic (seed 2008), "
-                        f"tile {tile}, 3 levels",
-            "mode": "lossy" if args.lossy else "lossless",
-            "seconds": round(elapsed, 4),
-            "schedule": schedule,
-            "plan": decoder.plan.digest(),
-            "stage_shares": {k: round(v, 4) for k, v in shares.items()},
-        }, sys.stdout, indent=2)
-        print()
-        return 0
-    mode = "lossy (9/7)" if args.lossy else "lossless (5/3)"
-    print(f"# decode stage shares - {size}x{size} {mode}, "
-          f"kernel={schedule['kernel']}, tier2={schedule['tier2']}, "
-          f"workers={schedule['effective_workers']}")
-    print(f"wall time: {elapsed:.3f} s")
-    for stage, share in sorted(shares.items(), key=lambda kv: -kv[1]):
-        print(f"{stage:<12} {100.0 * share:6.2f}%")
-    return 0
+    with telemetry.session(
+        "decode", f"{size}x{size}/{mode}", spans=args.profile,
+        events=args.events, trace=args.trace,
+    ) as run:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            decoder = Jpeg2000Decoder(codestream, options=options)
+            start = time.perf_counter()
+            decoder.decode()
+            elapsed = time.perf_counter() - start
+            shutdown_pool()
+        run.fields.update(
+            schedule=schedule,
+            plan_hash=decoder.plan.digest(),
+            wall_seconds=elapsed,
+            **decoder.fates.health(),
+        )
+    payload = {
+        "workload": f"{size}x{size} RGB synthetic (seed 2008), "
+                    f"tile {tile}, 3 levels",
+        "mode": mode,
+        "seconds": round(elapsed, 4),
+        "schedule": schedule,
+        "plan": decoder.plan.digest(),
+    }
+    if args.profile:
+        payload["stage_shares"] = {
+            k: round(v, 4) for k, v in stage_shares(run.recorder).items()
+        }
+    if not args.json:
+        wavelet = "lossy (9/7)" if args.lossy else "lossless (5/3)"
+        print(f"# decode - {size}x{size} {wavelet}, "
+              f"kernel={schedule['kernel']}, tier2={schedule['tier2']}, "
+              f"workers={schedule['effective_workers']}")
+        print(f"wall time: {elapsed:.3f} s")
+        _print_shares(payload.get("stage_shares", {}))
+    return run, payload
 
 
 def _cmd_plan(args) -> int:
@@ -278,6 +248,9 @@ def _cmd_plan(args) -> int:
     CI can pin them.  ``--cpus`` / ``--assume-no-shm`` override the
     detected environment to answer "what would this host compile?".
     """
+    import dataclasses
+
+    from . import telemetry
     from .jpeg2000.options import DecodeOptions
     from .jpeg2000.plan import PlanEnvironment, compile_plan, validate_plan
 
@@ -299,75 +272,22 @@ def _cmd_plan(args) -> int:
         ),
         native_available=detected.native_available,
     )
-    plan = compile_plan(options, env)
-    issues = validate_plan(plan, env)
+    with telemetry.session("plan", "decode") as run:
+        plan = compile_plan(options, env)
+        issues = validate_plan(plan, env)
+        run.fields.update(
+            plan_hash=plan.digest(),
+            options=options.as_dict(),
+            environment=dataclasses.asdict(env),
+        )
     if issues:  # compilation is total; this guards future planner drift
         for issue in issues:
             print(f"[{issue.rule}] {issue.path}: {issue}", file=sys.stderr)
         return 1
-    _ledger_append(
-        "plan", "decode",
-        plan_hash=plan.digest(),
-        options=options.as_dict(),
-        environment={
-            "cpu_count": env.cpu_count,
-            "shared_memory_available": env.shared_memory_available,
-            "native_available": env.native_available,
-        },
-    )
-    if args.json:
-        print(plan.canonical_json())
-        return 0
-    print(plan.describe())
-    print()
+    if not args.json:
+        print(plan.describe())
+        print()
     print(plan.canonical_json())
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    import json
-
-    from .telemetry.export import aggregate, flame_summary, stage_shares
-
-    if args.name == "decode":
-        return _profile_decode(args)
-    with _event_sink(getattr(args, "events", None)):
-        report, recorder, profiler, elapsed = _build_and_run(
-            args.name, args.lossy
-        )
-    shares = stage_shares(recorder)
-    _ledger_append(
-        "simulate", f"{args.name}/{report.mode}",
-        spec_hash=_sim_spec_hash(args.name),
-        wall_seconds=elapsed,
-        metrics=recorder.metrics.as_dict(),
-        decode_ms=report.decode_ms,
-    )
-    if args.json:
-        payload = {
-            "version": args.name,
-            "mode": report.mode,
-            "decode_ms": report.decode_ms,
-            "idwt_ms": report.idwt_ms,
-            "profile": profiler.as_dict(),
-            "metrics": recorder.metrics.as_dict(),
-            "stage_shares": shares,
-            "spans": aggregate(recorder),
-        }
-        if recorder.design is not None:
-            payload["design"] = recorder.design
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-        return 0
-    print(report)
-    print()
-    print(profiler.report())
-    if shares:
-        print("# per-stage share of simulated stage time (cf. Fig. 1)")
-        for stage, share in sorted(shares.items(), key=lambda kv: -kv[1]):
-            print(f"{stage:<8} {100.0 * share:6.2f}%")
-        print()
-    print(flame_summary(recorder))
     return 0
 
 
@@ -375,9 +295,8 @@ def _make_runner(args):
     """A :class:`Runner` from the shared sweep/results CLI options."""
     from .experiments import ResultCache, Runner
 
-    cache = None
-    if not getattr(args, "no_cache", False):
-        cache = ResultCache(args.cache_dir)  # None -> default location
+    # A cache_dir of None means the default location.
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
     return Runner(jobs=args.jobs, cache=cache)
 
 
@@ -390,32 +309,38 @@ def _selected_experiments(tokens):
         raise SystemExit(str(error.args[0]) if error.args else str(error))
 
 
+def _runner_stats(runner) -> dict:
+    """The runner's last batch counters plus its cache's."""
+    stats = dict(runner.last_stats)
+    if runner.cache is not None:
+        stats.update(runner.cache.stats())
+    return stats
+
+
 def _cmd_sweep(args) -> int:
     import time
 
+    from . import telemetry
+
     experiments = _selected_experiments(args.experiments)
     runner = _make_runner(args)
-    with _event_sink(getattr(args, "events", None)):
+    with telemetry.session("sweep", ",".join(args.experiments),
+                           events=args.events) as run:
         start = time.perf_counter()
         for outcome in runner.sweep(experiments):
             for table in outcome.tables().values():
                 print(table.render())
-        elapsed = time.perf_counter() - start
-    stats = dict(runner.last_stats)
-    if runner.cache is not None:
-        stats.update(runner.cache.stats())
+        stats = _runner_stats(runner)
+        run.fields.update(wall_seconds=time.perf_counter() - start,
+                          batch=stats)
     print("# " + ", ".join(f"{key}={value}" for key, value in sorted(stats.items())))
-    _ledger_append(
-        "sweep", ",".join(args.experiments),
-        wall_seconds=elapsed,
-        batch=stats,
-    )
     return 0
 
 
 def _cmd_explore(args) -> int:
     import time
 
+    from . import telemetry
     from .explore import ExplorationConfig, explore, write_reports
     from .reporting import Table
 
@@ -427,44 +352,38 @@ def _cmd_explore(args) -> int:
         max_attempts=args.max_attempts,
     )
     runner = _make_runner(args)
-    with _event_sink(getattr(args, "events", None)):
+    with telemetry.session("explore",
+                           f"budget={config.budget} seed={config.seed}",
+                           events=args.events) as run:
         start = time.perf_counter()
         outcome = explore(config, runner)
-        elapsed = time.perf_counter() - start
-    paths = write_reports(outcome, args.out)
-
-    # Provenance: one engine record per *executed* generated candidate
-    # (warm re-runs append nothing), carrying the spec hash and the
-    # derived mutation label so 'repro ledger list' stays readable.
-    for candidate in outcome.candidates:
-        if candidate.executed and candidate.source == "generated":
-            _ledger_append(
-                "engine",
-                f"{candidate.name} ({candidate.derived})",
-                spec_hash=candidate.spec_hash,
-                decode_ms=(
-                    candidate.objectives.decode_ms
-                    if candidate.objectives is not None
-                    else None
-                ),
-                failed=candidate.failure is not None,
-            )
-    stats = dict(runner.last_stats)
-    if runner.cache is not None:
-        stats.update(runner.cache.stats())
-    _ledger_append(
-        "explore",
-        f"budget={config.budget} seed={config.seed}",
-        wall_seconds=elapsed,
-        metrics={
-            "candidates": len(outcome.candidates),
-            "evaluated": len(outcome.evaluated),
-            "failed": len(outcome.failed),
-            "front": len(outcome.front),
-            **outcome.enumeration,
-        },
-        batch=stats,
-    )
+        run.fields["wall_seconds"] = time.perf_counter() - start
+        stats = _runner_stats(runner)
+        # Provenance for every *executed* generated candidate (warm
+        # re-runs list none): its spec hash and derived mutation label.
+        candidates = [
+            {
+                "name": candidate.name,
+                "derived": candidate.derived,
+                "spec_hash": candidate.spec_hash,
+                "decode_ms": getattr(candidate.objectives, "decode_ms", None),
+                "failed": candidate.failure is not None,
+            }
+            for candidate in outcome.candidates
+            if candidate.executed and candidate.source == "generated"
+        ]
+        run.fields.update(
+            metrics={
+                "candidates": len(outcome.candidates),
+                "evaluated": len(outcome.evaluated),
+                "failed": len(outcome.failed),
+                "front": len(outcome.front),
+                **outcome.enumeration,
+            },
+            batch=stats,
+            candidates=candidates,
+        )
+        paths = write_reports(outcome, args.out)
 
     table = Table(
         ["design", "derived from", "decode [ms]", "bus words",
@@ -553,26 +472,6 @@ def _cmd_experiments(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from .telemetry.export import write_chrome_trace
-
-    with _event_sink(getattr(args, "events", None)):
-        report, recorder, _profiler, elapsed = _build_and_run(
-            args.name, args.lossy
-        )
-    write_chrome_trace(recorder, args.out, label=f"repro {args.name}")
-    _ledger_append(
-        "simulate", f"{args.name}/{report.mode}",
-        spec_hash=_sim_spec_hash(args.name),
-        wall_seconds=elapsed,
-        decode_ms=report.decode_ms,
-    )
-    print(report)
-    print(f"wrote {len(recorder.spans)} spans to {args.out} "
-          "(open in ui.perfetto.dev or chrome://tracing)")
-    return 0
-
-
 def _cmd_ledger(args) -> int:
     import json
 
@@ -605,23 +504,16 @@ def _cmd_ledger(args) -> int:
         print(table.render())
         return 0
     try:
-        if args.action == "show":
-            record = ledger.find_record(records, args.token)
-            json.dump(record, sys.stdout, indent=2, sort_keys=True)
-            print()
-            return 0
+        payload = ledger.find_record(records, args.token)
         if args.action == "diff":
-            old = ledger.find_record(records, args.token)
-            new = ledger.find_record(records, args.other)
-            json.dump(
-                ledger.diff_records(old, new),
-                sys.stdout, indent=2, sort_keys=True,
+            payload = ledger.diff_records(
+                payload, ledger.find_record(records, args.other)
             )
-            print()
-            return 0
     except LookupError as error:
         raise SystemExit(str(error))
-    raise SystemExit(f"unknown ledger action {args.action!r}")
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    print()
+    return 0
 
 
 def main(argv=None) -> int:
@@ -640,13 +532,29 @@ def main(argv=None) -> int:
                                 help="write the structured event log of "
                                 "this run as JSON lines to PATH")
 
-    p_run = sub.add_parser("run", help="simulate one design version")
-    p_run.add_argument("name", choices=version_names)
+    p_run = sub.add_parser(
+        "run", help="simulate one design version, or 'decode' with the "
+        "software pipeline, under one telemetry session")
+    p_run.add_argument("target", choices=version_names + ["decode"])
     p_run.add_argument("--lossy", action="store_true", help="9/7 mode (default: 5/3)")
     p_run.add_argument("--functional", action="store_true",
-                       help="really decode a codestream through the model")
+                       help="versions: really decode through the model")
+    p_run.add_argument("--size", type=int, default=None,
+                       help="decode: square workload size "
+                       "(default 512, the paper's 16-tile workload)")
+    p_run.add_argument("--kernel", default=None,
+                       choices=["native", "reference"],
+                       help="decode: Tier-1 kernel (default native)")
+    p_run.add_argument("--workers", type=int, default=None,
+                       help="decode: worker processes (default 0)")
     add_events_option(p_run)
-    p_run.set_defaults(func=_cmd_version)
+    p_run.add_argument("--trace", default=None, metavar="PATH",
+                       help="write a Chrome/Perfetto trace to PATH")
+    p_run.add_argument("--profile", action="store_true",
+                       help="report per-process and per-stage profiles")
+    p_run.add_argument("--json", action="store_true",
+                       help="print the result as JSON instead of tables")
+    p_run.set_defaults(func=_cmd_run, usage_error=p_run.error)
 
     p_versions = sub.add_parser(
         "versions", help="list the registered design descriptions")
@@ -658,26 +566,6 @@ def main(argv=None) -> int:
         "target",
         help="version id, 'all', or a .py file exposing SPEC/SPECS")
     p_validate.set_defaults(func=_cmd_validate)
-
-    p_prof = sub.add_parser("profile", help="simulate one version with "
-                            "per-process and per-stage profiling, or "
-                            "'decode' for the software pipeline's stage "
-                            "shares")
-    p_prof.add_argument("name", choices=version_names + ["decode"])
-    p_prof.add_argument("--lossy", action="store_true", help="9/7 mode (default: 5/3)")
-    p_prof.add_argument("--json", action="store_true",
-                        help="emit the full profile as JSON instead of tables")
-    p_prof.add_argument("--size", type=int, default=512,
-                        help="decode profiling: square workload size "
-                        "(default 512, the paper's 16-tile workload)")
-    p_prof.add_argument("--kernel", default="native",
-                        choices=["native", "reference"],
-                        help="decode profiling: Tier-1 kernel")
-    p_prof.add_argument("--workers", type=int, default=0,
-                        help="decode profiling: worker processes "
-                        "(0 = sequential)")
-    add_events_option(p_prof)
-    p_prof.set_defaults(func=_cmd_profile)
 
     p_plan = sub.add_parser(
         "plan", help="compile and print the validated decode plan "
@@ -715,15 +603,6 @@ def main(argv=None) -> int:
     p_plan.add_argument("--json", action="store_true",
                         help="print only the canonical plan JSON")
     p_plan.set_defaults(func=_cmd_plan)
-
-    p_trace = sub.add_parser("trace", help="simulate one version and export "
-                             "a Chrome/Perfetto trace")
-    p_trace.add_argument("name", choices=version_names)
-    p_trace.add_argument("--lossy", action="store_true", help="9/7 mode (default: 5/3)")
-    p_trace.add_argument("--out", default="trace.json",
-                         help="output path (default: trace.json)")
-    add_events_option(p_trace)
-    p_trace.set_defaults(func=_cmd_trace)
 
     def add_runner_options(sub_parser):
         sub_parser.add_argument("--jobs", type=int, default=0,

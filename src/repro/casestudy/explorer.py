@@ -17,7 +17,7 @@ from ..design import catalog, elaborate_design
 from ..design.spec import DesignSpec
 from .versions import APPLICATION_VERSIONS, DecodingReport
 from .vta_versions import VTA_VERSIONS
-from .workload import Workload, functional_workload, paper_workload
+from .workload import Workload, paper_workload
 
 _MODEL_CLASSES = {**APPLICATION_VERSIONS, **VTA_VERSIONS}
 
@@ -33,7 +33,6 @@ def run_version(
     version: Union[str, DesignSpec],
     lossless: bool,
     workload: Optional[Workload] = None,
-    functional: bool = False,
 ) -> DecodingReport:
     """Build and simulate one design; returns its report.
 
@@ -41,9 +40,7 @@ def run_version(
     or a :class:`DesignSpec` (validated and elaborated directly).
     """
     if workload is None:
-        workload = (
-            functional_workload(lossless) if functional else paper_workload(lossless)
-        )
+        workload = paper_workload(lossless)
     if isinstance(version, DesignSpec):
         return elaborate_design(version, workload).run()
     if version not in ALL_VERSIONS:

@@ -19,6 +19,7 @@ reproducible from the registry alone:
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 from .request import (
@@ -93,7 +94,6 @@ def _simulate(params: dict, options: dict) -> dict:
 
     saved_speedup = profiles.HW_COPROCESSOR_SPEEDUP
     saved_chunk = vta_versions.RMI_CHUNK_WORDS
-    ambient = telemetry.active()
     try:
         if hw_speedup is not None:
             profiles.HW_COPROCESSOR_SPEEDUP = float(hw_speedup)
@@ -128,27 +128,22 @@ def _simulate(params: dict, options: dict) -> dict:
             model_cls = ALL_VERSIONS[version]
         if version != "spec" and options.get("so_bus") == "plb":
             model_cls = _plb_variant(model_cls)
-        if ambient is not None:
-            # Scope every run to its own registry: an ambient recorder
-            # (installed by a caller that is itself being traced) must
-            # not accumulate this run's spans and counters, or its
-            # totals would depend on which cells the cache served.
-            telemetry.install(telemetry.TelemetryRecorder())
         workload = paper_workload(lossless)
         num_tiles = params.get("num_tiles")
         if num_tiles is not None:
             workload = dataclasses.replace(workload, num_tiles=int(num_tiles))
-        model = model_cls(workload)
-        _apply_model_tweaks(model, options)
-        report = model.run()
+        # Scope every run to its own registry: an ambient recorder
+        # (installed by a caller that is itself being traced) must not
+        # accumulate this run's spans and counters, or its totals would
+        # depend on which cells the cache served.
+        with (telemetry.session(spans=True) if telemetry.active() is not None
+              else contextlib.nullcontext()):
+            model = model_cls(workload)
+            _apply_model_tweaks(model, options)
+            report = model.run()
     finally:
         profiles.HW_COPROCESSOR_SPEEDUP = saved_speedup
         vta_versions.RMI_CHUNK_WORDS = saved_chunk
-        if telemetry.active() is not ambient:
-            if ambient is not None:
-                telemetry.install(ambient)
-            else:
-                telemetry.uninstall()
 
     return {
         "version": report.version,

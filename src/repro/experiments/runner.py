@@ -134,7 +134,7 @@ class Runner:
             "deduplicated": sum(len(v) for v in aliases.values()),
             "jobs": self.jobs,
         }
-        if telemetry.log_enabled() or telemetry.flight_recorder() is not None:
+        if telemetry.flight_recorder() is not None:
             telemetry.log_event("experiments.batch", **self.last_stats)
         return [result for result in results if result is not None]
 

@@ -287,7 +287,7 @@ class Jpeg2000Decoder:
     def decode(self) -> Image:
         params = self.parameters
         grid = TileGrid(params.width, params.height, params.tile_width, params.tile_height)
-        if telemetry.log_enabled() or telemetry.flight_recorder() is not None:
+        if telemetry.flight_recorder() is not None:
             telemetry.log_event(
                 "decode.start",
                 width=params.width, height=params.height,

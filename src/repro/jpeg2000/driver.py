@@ -92,6 +92,18 @@ class StageFates:
         telemetry.log_event("plan.rewrite", stage=stage, rule=rule,
                             detail=detail)
 
+    def health(self) -> dict:
+        """The run's ``degraded`` (no pool or arena) and ``resumed``
+        (broken-pool resume) flags, read from the rewrites."""
+        rules = {
+            rewrite["rule"]
+            for fate in self.fates.values() for rewrite in fate["rewrites"]
+        }
+        return {
+            "degraded": bool(rules & {"pool-unavailable", "arena-unavailable"}),
+            "resumed": "broken-pool-resume" in rules,
+        }
+
 
 def run_tiles(
     plan: DecodePlan,

@@ -399,10 +399,8 @@ def run_tasks(
         _rewrite(fates, "pool-unavailable",
                  "no worker pool could be created; decoding in-process")
         return _decode_tasks_sequential(tasks, kernel)
-    observing = (
-        telemetry.log_enabled() or telemetry.flight_recorder() is not None
-    )
     flight = telemetry.flight_recorder()
+    observing = flight is not None
     fanout = telemetry.new_span_id() if observing else None
     payloads = [
         (kernel, chunk, observing)
@@ -543,10 +541,8 @@ def _decode_specs_shm(sources, specs, sizes, offsets, binding, *,
         telemetry.count(
             "jpeg2000.parallel.bytes_shared", total_in + total_out * 4
         )
-        observing = (
-            telemetry.log_enabled() or telemetry.flight_recorder() is not None
-        )
         flight = telemetry.flight_recorder()
+        observing = flight is not None
         fanout = telemetry.new_span_id() if observing else None
         if flight is not None:
             if schedule is not None:
@@ -724,10 +720,8 @@ class SpecStream:
         self._ops: list = [0] * len(sizes)
         self._broken = False
         self._blocks_by_pid: dict = {}
-        self._observing = (
-            telemetry.log_enabled() or telemetry.flight_recorder() is not None
-        )
         flight = telemetry.flight_recorder()
+        self._observing = flight is not None
         if flight is not None:
             if schedule is not None:
                 flight.set_context("schedule", schedule)

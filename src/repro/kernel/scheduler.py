@@ -233,10 +233,7 @@ class Simulator:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         limit_fs = until.femtoseconds if until is not None else None
-        observing = (
-            _telemetry.log_enabled()
-            or _telemetry.flight_recorder() is not None
-        )
+        observing = _telemetry.flight_recorder() is not None
         if observing:
             _telemetry.log_event(
                 "kernel.run", processes=len(self.processes),

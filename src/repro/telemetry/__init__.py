@@ -6,28 +6,26 @@ fixed-bucket histograms) from every layer of the stack: the DES kernel,
 Shared Objects, VTA channels/RMI, and the JPEG 2000 decoder stages.
 Exporters render the result as Chrome trace-event JSON (openable in
 Perfetto / ``chrome://tracing``) or as a plain-text flame summary; the
-CLI surfaces both (``python -m repro trace ...`` / ``... profile ...``).
+CLI surfaces both (``python -m repro run 6b --trace trace.json`` /
+``... run 6b --profile``).
 
 Telemetry is **off by default** and the disabled cost is engineered to be
 a module-attribute read plus a branch at each instrumentation site — the
 kernel's hot loops additionally hoist that check out of their inner loops,
-so a disabled run executes the exact pre-telemetry code path.  Usage::
+so a disabled run executes the exact pre-telemetry code path.
+:func:`session` is the only switch: it gives one run one id shared by
+its span recorder, event log, trace, crash reports and ledger record::
 
     from repro import telemetry
 
-    recorder = telemetry.install()
-    try:
+    with telemetry.session(trace="trace.json") as run:
         report = run_version("7a", lossless=True)
-    finally:
-        telemetry.uninstall()
-    telemetry.write_chrome_trace(recorder, "trace.json")
-
-Setting ``REPRO_TELEMETRY=1`` in the environment installs a recorder at
-import time (handy for subprocess harnesses).
+    print(telemetry.flame_summary(run.recorder))
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Optional
 
@@ -59,27 +57,94 @@ _log_enabled = False
 
 #: The armed flight recorder, or ``None``.  When armed, every
 #: ``log_event`` also lands in its ring buffer (even with the event log
-#: itself disabled), so crash reports have history to show.
+#: itself disabled), so crash reports have history to show.  Every
+#: session arms one, so ``_flight is not None`` is also the test for
+#: "is anything listening to events".
 _flight: Optional[FlightRecorder] = None
 
 
-def install(recorder: Optional[TelemetryRecorder] = None) -> TelemetryRecorder:
-    """Activate telemetry; simulators built from now on bind to it."""
-    global _recorder, _enabled
-    if recorder is None:
-        recorder = TelemetryRecorder()
-    _recorder = recorder
-    _enabled = True
-    return recorder
+class Session:
+    """One run's telemetry, as handed out by :func:`session`.
+
+    ``recorder`` and ``log`` are the sinks the session installed
+    (``None`` when not asked for); ``fields`` is what the command adds
+    to its ledger record.
+    """
+
+    __slots__ = ("run_id", "flight", "recorder", "log", "fields")
+
+    def __init__(self, flight: FlightRecorder):
+        self.run_id = flight.run_id
+        self.flight = flight
+        self.recorder: Optional[TelemetryRecorder] = None
+        self.log: Optional[EventLog] = None
+        self.fields: dict = {}
 
 
-def uninstall() -> Optional[TelemetryRecorder]:
-    """Deactivate telemetry; returns the recorder that was active."""
-    global _recorder, _enabled
-    recorder = _recorder
-    _recorder = None
-    _enabled = False
-    return recorder
+@contextlib.contextmanager
+def session(kind: Optional[str] = None, label: Optional[str] = None, *,
+            spans: bool = False, events=None, trace=None):
+    """Turn telemetry on for one run; the only way to turn it on.
+
+    The outermost session mints the run id and arms a flight recorder
+    under it; a nested session joins that run.  ``spans`` (or a
+    ``trace`` path) installs a fresh span recorder, and an ``events``
+    path a fresh event log stamped with the run id.  On exit whatever
+    was active before is restored, so sessions nest.  An exception
+    escaping the session dumps one crash report.  Then the trace and
+    the event log are written to their paths and, when *kind* is given
+    and ``REPRO_LEDGER`` is not ``0``, exactly one ledger record is
+    appended.  It carries the run id, *label*, the command's ``fields``,
+    the span recorder's metrics, and the paths of the event log, the
+    trace and every crash report dumped during the session.
+    """
+    global _recorder, _enabled, _log, _log_enabled, _flight
+    saved = (_recorder, _enabled, _log, _log_enabled, _flight)
+    flight = _flight if _flight is not None else FlightRecorder()
+    current = Session(flight)
+    first_report = len(flight.reports)
+    _flight = flight
+    if spans or trace:
+        _recorder = current.recorder = TelemetryRecorder()
+        _enabled = True
+    if events:
+        _log = current.log = EventLog(flight.run_id)
+        _log_enabled = True
+    try:
+        yield current
+    except Exception as error:
+        if not getattr(error, "_repro_crash_dumped", False):
+            flight.dump("exception", error=error)
+            error._repro_crash_dumped = True
+        raise
+    finally:
+        _recorder, _enabled, _log, _log_enabled, _flight = saved
+        if trace:
+            write_chrome_trace(current.recorder, trace,
+                               label=f"repro {label}" if label else "repro",
+                               run_id=current.run_id)
+        if events:
+            current.log.write(events)
+        from . import ledger
+
+        if kind is not None and ledger.ledger_enabled():
+            fields = current.fields
+            fields.update(
+                (name, str(path))
+                for name, path in (("events", events), ("trace", trace))
+                if path
+            )
+            reports = flight.reports[first_report:]
+            if reports:
+                fields["crash_reports"] = [str(path) for path in reports]
+            if current.recorder is not None:
+                fields.setdefault("metrics", current.recorder.metrics.as_dict())
+            # Best effort: a read-only checkout or a full disk loses the
+            # record, not the run.
+            with contextlib.suppress(OSError):
+                ledger.append_record(ledger.make_record(
+                    kind, run_id=current.run_id, label=label, **fields
+                ))
 
 
 def active() -> Optional[TelemetryRecorder]:
@@ -97,28 +162,6 @@ def count(name: str, amount: int = 1) -> None:
         _recorder.metrics.count(name, amount)
 
 
-# -- structured logging -------------------------------------------------------
-
-
-def install_log(log: Optional[EventLog] = None) -> EventLog:
-    """Activate structured logging; returns the active event log."""
-    global _log, _log_enabled
-    if log is None:
-        log = EventLog()
-    _log = log
-    _log_enabled = True
-    return log
-
-
-def uninstall_log() -> Optional[EventLog]:
-    """Deactivate structured logging; returns the log that was active."""
-    global _log, _log_enabled
-    log = _log
-    _log = None
-    _log_enabled = False
-    return log
-
-
 def event_log() -> Optional[EventLog]:
     """The active event log, or ``None`` when logging is disabled."""
     return _log
@@ -128,14 +171,14 @@ def log_enabled() -> bool:
     return _log_enabled
 
 
+def flight_recorder() -> Optional[FlightRecorder]:
+    """The armed flight recorder, or ``None``."""
+    return _flight
+
+
 def run_id() -> Optional[str]:
-    """The active run id: the event log's if logging is on, else the
-    flight recorder's, else ``None``."""
-    if _log is not None:
-        return _log.run_id
-    if _flight is not None:
-        return _flight.run_id
-    return None
+    """The active run id (the armed flight recorder's), or ``None``."""
+    return _flight.run_id if _flight is not None else None
 
 
 def log_event(event: str, **fields) -> None:
@@ -169,31 +212,6 @@ def merge_worker_events(events) -> None:
             _flight.record(event)
 
 
-# -- flight recorder ----------------------------------------------------------
-
-
-def install_flight(recorder: Optional[FlightRecorder] = None) -> FlightRecorder:
-    """Arm the flight recorder; returns the armed instance."""
-    global _flight
-    if recorder is None:
-        recorder = FlightRecorder()
-    _flight = recorder
-    return recorder
-
-
-def uninstall_flight() -> Optional[FlightRecorder]:
-    """Disarm the flight recorder; returns the one that was armed."""
-    global _flight
-    recorder = _flight
-    _flight = None
-    return recorder
-
-
-def flight_recorder() -> Optional[FlightRecorder]:
-    """The armed flight recorder, or ``None``."""
-    return _flight
-
-
 class _NullSpan:
     """Shared do-nothing context manager for disabled software spans."""
 
@@ -217,16 +235,10 @@ def software_span(category: str, name: str, track: str = "sw", **attrs):
     return recorder.span(category, name, track, **attrs)
 
 
-if os.environ.get("REPRO_TELEMETRY", "0") == "1":  # pragma: no cover
-    install()
-
-if os.environ.get("REPRO_LOG", "0") == "1":  # pragma: no cover
-    install_log()
-
 if os.environ.get("REPRO_FLIGHT", "0") == "1":  # pragma: no cover
     from .flight import install_excepthook as _install_excepthook
 
-    install_flight()
+    _flight = FlightRecorder()
     _install_excepthook()
 
 
@@ -236,6 +248,7 @@ __all__ = [
     "FlightRecorder",
     "Histogram",
     "MetricsRegistry",
+    "Session",
     "Span",
     "TelemetryRecorder",
     "active",
@@ -246,20 +259,15 @@ __all__ = [
     "event_log",
     "flame_summary",
     "flight_recorder",
-    "install",
-    "install_flight",
-    "install_log",
     "log_enabled",
     "log_event",
     "merge_worker_events",
     "new_run_id",
     "new_span_id",
     "run_id",
+    "session",
     "software_span",
     "stage_shares",
     "to_chrome_trace",
-    "uninstall",
-    "uninstall_flight",
-    "uninstall_log",
     "write_chrome_trace",
 ]

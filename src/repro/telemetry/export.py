@@ -24,8 +24,13 @@ from .spans import Span, TelemetryRecorder
 FS_PER_US = 1_000_000_000
 
 
-def to_chrome_trace(recorder: TelemetryRecorder, label: str = "repro") -> dict:
-    """The recorder's spans as a Chrome trace-event JSON object."""
+def to_chrome_trace(recorder: TelemetryRecorder, label: str = "repro",
+                    run_id: Optional[str] = None) -> dict:
+    """The recorder's spans as a Chrome trace-event JSON object.
+
+    *run_id* lands in the trace's ``metadata``, joining it with the
+    run's event log, crash reports and ledger record.
+    """
     process_args: dict = {"name": label}
     if recorder.design is not None:
         # Design identity from the elaborated spec: lets a Perfetto user
@@ -71,13 +76,16 @@ def to_chrome_trace(recorder: TelemetryRecorder, label: str = "repro") -> dict:
     }
     if recorder.design is not None:
         payload["repro_design"] = dict(recorder.design)
+    if run_id is not None:
+        payload["metadata"] = {"run_id": run_id}
     return payload
 
 
 def write_chrome_trace(recorder: TelemetryRecorder, path,
-                       label: str = "repro") -> dict:
+                       label: str = "repro",
+                       run_id: Optional[str] = None) -> dict:
     """Serialise :func:`to_chrome_trace` to *path*; returns the payload."""
-    payload = to_chrome_trace(recorder, label=label)
+    payload = to_chrome_trace(recorder, label=label, run_id=run_id)
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
     return payload
 

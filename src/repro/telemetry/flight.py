@@ -15,7 +15,7 @@ context (schedule, arena layout, chunk states) and the last *N* events,
 so a degraded worker pool in a long-lived service is diagnosable after
 the fact instead of vanishing into a warning line.
 
-Arm it through :func:`repro.telemetry.install_flight`; every
+Every :func:`repro.telemetry.session` arms one under its run id; every
 ``log_event`` then also lands in the ring buffer, and the parallel
 fan-out keeps the context current.
 """
@@ -60,7 +60,8 @@ class FlightRecorder:
         self.context: dict = {}
         self.chunks: dict = {}
         self.crash_dir = Path(crash_dir) if crash_dir is not None else None
-        self.dumps = 0
+        #: Paths of the reports dumped so far, oldest first.
+        self.reports: list[Path] = []
 
     # -- recording -----------------------------------------------------------
 
@@ -116,19 +117,20 @@ class FlightRecorder:
                     type(error), error, error.__traceback__
                 ),
             }
-        self.dumps += 1
         if path is None:
             directory = (
                 self.crash_dir if self.crash_dir is not None
                 else default_crash_dir()
             )
-            path = directory / f"crash-{self.run_id}-{self.dumps}.json"
+            number = len(self.reports) + 1
+            path = directory / f"crash-{self.run_id}-{number}.json"
         else:
             path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(
             json.dumps(report, indent=1, default=str) + "\n", encoding="utf-8"
         )
+        self.reports.append(path)
         return path
 
     def __len__(self) -> int:

@@ -1,9 +1,12 @@
 """The run ledger: append-only provenance for every run.
 
-Every decode, simulation, and sweep appends one JSON line to
-``.repro/ledger.jsonl`` recording *what ran and under which code*: the
-run id, the canonical :class:`~repro.design.spec.DesignSpec` content
-hash (for simulation runs), per-subsystem source fingerprints (from
+Each ``run``, ``plan``, ``sweep`` and ``explore`` command appends one
+JSON line to ``.repro/ledger.jsonl`` through its
+:func:`repro.telemetry.session`, recording *what ran and under which
+code*: the run id shared with the run's event log, trace and crash
+reports (and their paths), the canonical
+:class:`~repro.design.spec.DesignSpec` content hash (for simulation
+runs), per-subsystem source fingerprints (from
 :mod:`repro.experiments.fingerprint` — the same hashes that key the
 result cache), schedule information, wall time, a metrics snapshot, and
 the degraded/resumed flags of the parallel fallback chain.
@@ -16,9 +19,9 @@ not a benchmark: speed is measured by ``python3 perfbench/run.py``,
 end to end and per layer, in fresh processes.
 
 The ledger is plain JSON lines so it appends atomically enough for a
-single writer, survives partial tails (bad lines are skipped with a
-count), and greps well.  ``REPRO_LEDGER_PATH`` overrides the location;
-``REPRO_LEDGER=0`` disables the CLI's automatic appends.
+single writer, survives partial tails (unparseable lines are skipped),
+and greps well.  ``REPRO_LEDGER_PATH`` overrides the location;
+``REPRO_LEDGER=0`` disables the sessions' appends.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def default_ledger_path() -> Path:
 
 
 def ledger_enabled() -> bool:
-    """Whether the CLI should append records (``REPRO_LEDGER=0`` opts out)."""
+    """Whether sessions append records (``REPRO_LEDGER=0`` opts out)."""
     return os.environ.get(ENV_LEDGER, "1") != "0"
 
 
@@ -77,12 +80,12 @@ def make_record(
     metrics: Optional[dict] = None,
     degraded: bool = False,
     resumed: bool = False,
-    fingerprint_kind: Optional[str] = None,
     **extra,
 ) -> dict:
     """One provenance record, ready to append.
 
-    ``kind`` is the run class (``decode`` / ``simulate`` / ``sweep``);
+    ``kind`` is the run class (``decode`` / ``simulate`` / ``plan`` /
+    ``sweep`` / ``explore``);
     ``label`` names the concrete workload (a version id, an experiment
     group, a decode schedule).  Everything else is evidence.
     """
@@ -97,7 +100,7 @@ def make_record(
             "platform": platform.platform(),
             "pid": os.getpid(),
         },
-        "fingerprints": subsystem_fingerprints(fingerprint_kind or kind),
+        "fingerprints": subsystem_fingerprints(kind),
         "degraded": bool(degraded),
         "resumed": bool(resumed),
     }

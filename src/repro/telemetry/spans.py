@@ -75,7 +75,7 @@ class _LiveSpan:
 class TelemetryRecorder:
     """Collects spans and metrics for one telemetry session.
 
-    Install it with :func:`repro.telemetry.install`; every
+    :func:`repro.telemetry.session` installs one; every
     :class:`~repro.kernel.scheduler.Simulator` built while it is active
     binds itself as the recorder's clock and enables the layer hooks.
     """

@@ -26,7 +26,6 @@ from repro.jpeg2000 import (
 )
 from repro.jpeg2000.plan import STAGE_ORDER
 from repro.jpeg2000.stages import entropy
-from repro.telemetry.flight import FlightRecorder
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +76,11 @@ def test_crash_report_embeds_plan_and_stage_fates(
         start_method="fork", shared_memory=False,
     )
     decoder = Jpeg2000Decoder(data, options=options)
-    telemetry.install_log()
-    telemetry.install_flight(FlightRecorder(crash_dir=tmp_path))
+    monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
     try:
-        image = decoder.decode()
+        with telemetry.session(events=tmp_path / "events.jsonl"):
+            image = decoder.decode()
     finally:
-        telemetry.uninstall_flight()
-        telemetry.uninstall_log()
         shutdown_pool()
 
     # The resume path still produced the byte-identical image.

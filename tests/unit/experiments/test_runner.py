@@ -141,8 +141,8 @@ class TestRegistryScoping:
 
         request = RunRequest("sim:2:lossless", KIND_SIMULATE,
                              {"version": "2", "lossless": True})
-        ambient = telemetry.install()
-        try:
+        with telemetry.session(spans=True) as outer:
+            ambient = outer.recorder
             ambient.metrics.count("test.sentinel", 3)
             before = ambient.metrics.as_dict()
             Runner(cache=ResultCache(tmp_path)).run([request])
@@ -152,20 +152,16 @@ class TestRegistryScoping:
             assert warm.cached
             assert telemetry.active() is ambient
             assert ambient.metrics.as_dict() == before
-        finally:
-            telemetry.uninstall()
 
     def test_warm_sweep_leaves_ambient_registry_untouched(self, tmp_path):
         from repro import telemetry
 
         Runner(cache=ResultCache(tmp_path)).sweep(["table2", "loc"])
-        ambient = telemetry.install()
-        try:
+        with telemetry.session(spans=True) as outer:
+            ambient = outer.recorder
             before = ambient.metrics.as_dict()
             runner = Runner(cache=ResultCache(tmp_path))
             runner.sweep(["table2", "loc"])
             assert runner.last_stats["executed"] == 0  # fully warm
             assert telemetry.active() is ambient
             assert ambient.metrics.as_dict() == before
-        finally:
-            telemetry.uninstall()

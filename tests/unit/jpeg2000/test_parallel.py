@@ -401,18 +401,18 @@ class TestBrokenPoolResume:
 
         shutdown_pool()  # the bomb must be in place before the fork
         monkeypatch.setattr(entropy, "_decode_tasks_sequential", bomb)
-        recorder = telemetry.install()
         try:
-            results = run_pickle_tasks(
-                list(tasks),
-                DecodeOptions(
-                    workers=2, chunk_size=1, oversubscribe=True,
-                    start_method="fork",
-                ),
-            )
+            with telemetry.session(spans=True) as run:
+                results = run_pickle_tasks(
+                    list(tasks),
+                    DecodeOptions(
+                        workers=2, chunk_size=1, oversubscribe=True,
+                        start_method="fork",
+                    ),
+                )
         finally:
-            telemetry.uninstall()
             shutdown_pool()
+        recorder = run.recorder
         for (values, ops), coeffs in zip(results, expected):
             assert values.tolist() == coeffs
             assert ops > 0
@@ -429,17 +429,17 @@ class TestBrokenPoolResume:
 class TestParallelObservability:
     """Worker events ride back with results and merge deterministically."""
 
-    def test_pickle_transport_carries_worker_events(self):
+    def test_pickle_transport_carries_worker_events(self, tmp_path):
         tasks, _ = zip(*(_encode_block(seed) for seed in range(6)))
-        log = telemetry.install_log()
         try:
-            run_pickle_tasks(
-                list(tasks),
-                DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
-            )
+            with telemetry.session(events=tmp_path / "e.jsonl") as run:
+                run_pickle_tasks(
+                    list(tasks),
+                    DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
+                )
         finally:
-            telemetry.uninstall_log()
             shutdown_pool()
+        log = run.log
         (fanout,) = log.select("parallel.fanout")
         assert fanout["transport"] == "pickle"
         assert fanout["chunks"] == 3
@@ -455,18 +455,18 @@ class TestParallelObservability:
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         assert {record["run_id"] for record in log.events} == {log.run_id}
 
-    def test_shm_transport_carries_worker_events(self):
+    def test_shm_transport_carries_worker_events(self, tmp_path):
         pytest.importorskip("multiprocessing.shared_memory")
         source, specs, _ = _spec_workload(range(6))
-        log = telemetry.install_log()
         try:
-            run_plan_specs(
-                [source], specs,
-                DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
-            )
+            with telemetry.session(events=tmp_path / "e.jsonl") as run:
+                run_plan_specs(
+                    [source], specs,
+                    DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
+                )
         finally:
-            telemetry.uninstall_log()
             shutdown_pool()
+        log = run.log
         (fanout,) = log.select("parallel.fanout")
         assert fanout["transport"] == "shm"
         chunks = log.select("parallel.chunk_decoded")
@@ -480,17 +480,13 @@ class TestParallelObservability:
         assert events is None
         assert len(results) == len(tasks)
 
-    def test_degraded_counter_is_reason_labelled(self, monkeypatch):
+    def test_degraded_counter_is_reason_labelled(self, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         options_module._degradations_warned.clear()
-        recorder = telemetry.install()
-        log = telemetry.install_log()
-        try:
+        with telemetry.session(spans=True, events=tmp_path / "e.jsonl") as run:
             with pytest.warns(ParallelDegradedWarning):
                 _decode_degraded(DecodeOptions(workers=4))
-        finally:
-            telemetry.uninstall_log()
-            telemetry.uninstall()
+        recorder, log = run.recorder, run.log
         assert recorder.metrics.counter(
             "jpeg2000.parallel.degraded_total{reason=clamped to os.cpu_count()}"
         ) == 1
@@ -505,8 +501,6 @@ class TestCrashReport:
         """Acceptance: a worker crash mid-decode produces a crash report
         carrying the pool-broken event and the per-chunk fate map."""
         import json
-
-        from repro.telemetry.flight import FlightRecorder
 
         if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only test
             pytest.skip("fork start method unavailable")
@@ -524,19 +518,17 @@ class TestCrashReport:
 
         shutdown_pool()  # the bomb must be in place before the fork
         monkeypatch.setattr(entropy, "_decode_tasks_sequential", bomb)
-        telemetry.install_log()
-        telemetry.install_flight(FlightRecorder(crash_dir=tmp_path))
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
         try:
-            results = run_pickle_tasks(
-                list(tasks),
-                DecodeOptions(
-                    workers=2, chunk_size=1, oversubscribe=True,
-                    start_method="fork",
-                ),
-            )
+            with telemetry.session(events=tmp_path / "events.jsonl"):
+                results = run_pickle_tasks(
+                    list(tasks),
+                    DecodeOptions(
+                        workers=2, chunk_size=1, oversubscribe=True,
+                        start_method="fork",
+                    ),
+                )
         finally:
-            telemetry.uninstall_flight()
-            telemetry.uninstall_log()
             shutdown_pool()
         for (values, _), coeffs in zip(results, expected):
             assert values.tolist() == coeffs

@@ -20,13 +20,10 @@ from repro.telemetry import TelemetryRecorder, to_chrome_trace
 
 def _run_recorded(version, lossless=True):
     """Run one version under a fresh recorder; returns (report, recorder, model)."""
-    recorder = telemetry.install()
-    try:
+    with telemetry.session(spans=True) as run:
         model = ALL_VERSIONS[version](paper_workload(lossless))
         report = model.run()
-    finally:
-        telemetry.uninstall()
-    return report, recorder, model
+    return report, run.recorder, model
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +33,7 @@ def traced_7a():
 
 class TestKernelHooks:
     def test_scheduler_counters_match_kernel_state(self):
-        recorder = telemetry.install()
-        try:
+        with telemetry.session(spans=True) as run:
             sim = Simulator()
 
             def body():
@@ -46,16 +42,15 @@ class TestKernelHooks:
 
             sim.spawn(body(), "p")
             sim.run()
-        finally:
-            telemetry.uninstall()
-        counters = recorder.metrics.as_dict()["counters"]
+        counters = run.recorder.metrics.as_dict()["counters"]
         assert counters["kernel.delta_cycles"] == sim.delta_count
         assert counters["kernel.process_steps"] >= 5
         assert counters["kernel.timer_pops"] >= 5
 
     def test_disabled_run_records_nothing(self):
-        recorder = telemetry.install()
-        telemetry.uninstall()
+        with telemetry.session(spans=True) as run:
+            pass
+        recorder = run.recorder
         before = recorder.metrics.as_dict()
         sim = Simulator()
         assert sim.telemetry is None

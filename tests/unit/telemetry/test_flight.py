@@ -11,11 +11,9 @@ from repro.telemetry.flight import FlightRecorder, install_excepthook, uninstall
 
 @pytest.fixture(autouse=True)
 def _clean_sinks():
-    telemetry.uninstall_log()
-    telemetry.uninstall_flight()
+    assert telemetry.flight_recorder() is None
     yield
-    telemetry.uninstall_log()
-    telemetry.uninstall_flight()
+    assert telemetry.flight_recorder() is None
     uninstall_excepthook()
 
 
@@ -76,17 +74,18 @@ class TestDump:
 
 
 class TestExcepthook:
-    def test_unhandled_exception_dumps_active_recorder(self, tmp_path):
-        recorder = telemetry.install_flight(
-            FlightRecorder(crash_dir=tmp_path)
-        )
-        recorder.note("the last thing that happened")
+    def test_unhandled_exception_dumps_active_recorder(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
         install_excepthook()
         try:
-            try:
-                raise ValueError("boom")
-            except ValueError:
-                sys.excepthook(*sys.exc_info())
+            with telemetry.session() as run:
+                run.flight.note("the last thing that happened")
+                try:
+                    raise ValueError("boom")
+                except ValueError:
+                    sys.excepthook(*sys.exc_info())
         finally:
             uninstall_excepthook()
         reports = list(tmp_path.glob("crash-*.json"))
@@ -131,3 +130,20 @@ class TestExcepthook:
         assert report["reason"] == "unhandled-exception"
         assert report["error"]["message"] == "env-armed crash"
         assert report["events"][-1]["event"] == "last.words"
+
+
+class TestSessionCrashReports:
+    def test_exception_dumps_one_report_even_when_nested(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
+        with pytest.raises(RuntimeError, match="deep"):
+            with telemetry.session() as outer:
+                with telemetry.session():
+                    raise RuntimeError("deep")
+        (report_path,) = tmp_path.glob("crash-*.json")
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["run_id"] == outer.run_id
+        assert report["reason"] == "exception"
+        assert report["error"]["message"] == "deep"
+        assert outer.flight.reports == [report_path]

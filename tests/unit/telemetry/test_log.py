@@ -11,11 +11,11 @@ from repro.telemetry.log import EventLog, capture_events, new_run_id, new_span_i
 @pytest.fixture(autouse=True)
 def _clean_sinks():
     """Every test starts and ends with logging and flight disabled."""
-    telemetry.uninstall_log()
-    telemetry.uninstall_flight()
+    assert telemetry.event_log() is None
+    assert telemetry.flight_recorder() is None
     yield
-    telemetry.uninstall_log()
-    telemetry.uninstall_flight()
+    assert telemetry.event_log() is None
+    assert telemetry.flight_recorder() is None
 
 
 class TestIds:
@@ -87,44 +87,61 @@ class TestModuleWiring:
         assert telemetry.event_log() is None
         assert not telemetry.log_enabled()
 
-    def test_install_uninstall_cycle(self):
-        log = telemetry.install_log()
-        assert telemetry.log_enabled()
-        assert telemetry.event_log() is log
-        telemetry.log_event("hello", n=1)
-        assert log.select("hello")[0]["n"] == 1
-        assert telemetry.uninstall_log() is log
+    def test_session_nests_and_restores_the_event_log(self, tmp_path):
+        outer_path = tmp_path / "outer.jsonl"
+        inner_path = tmp_path / "inner.jsonl"
+        with telemetry.session(events=outer_path) as outer:
+            assert telemetry.log_enabled()
+            assert telemetry.event_log() is outer.log
+            telemetry.log_event("hello", n=1)
+            with telemetry.session(events=inner_path) as inner:
+                assert telemetry.event_log() is inner.log
+                # A nested session joins the enclosing run.
+                assert inner.run_id == outer.run_id
+                assert telemetry.flight_recorder() is outer.flight
+                telemetry.log_event("inner")
+            assert telemetry.event_log() is outer.log
+            assert telemetry.log_enabled()
+            telemetry.log_event("after")
         assert not telemetry.log_enabled()
+        assert [r["event"] for r in outer.log] == ["hello", "after"]
+        assert outer.log.select("hello")[0]["n"] == 1
+        assert [r["event"] for r in inner.log] == ["inner"]
+        # Each log is written to its path on exit.
+        assert len(outer_path.read_text().splitlines()) == 2
+        assert len(inner_path.read_text().splitlines()) == 1
 
-    def test_run_id_prefers_log_then_flight(self):
+    def test_run_id_prefers_log_then_flight(self, tmp_path):
         assert telemetry.run_id() is None
-        flight = telemetry.install_flight()
-        assert telemetry.run_id() == flight.run_id
-        log = telemetry.install_log()
-        assert telemetry.run_id() == log.run_id
+        with telemetry.session() as run:
+            assert telemetry.run_id() == run.flight.run_id == run.run_id
+            with telemetry.session(events=tmp_path / "e.jsonl") as inner:
+                assert telemetry.run_id() == inner.log.run_id == run.run_id
+        assert telemetry.run_id() is None
 
-    def test_log_event_feeds_armed_flight_recorder(self):
-        flight = telemetry.install_flight()
-        telemetry.log_event("only.flight", n=1)
-        assert len(flight.events) == 1
-        log = telemetry.install_log()
-        telemetry.log_event("both", n=2)
-        assert log.select("both")
-        assert flight.events[-1]["event"] == "both"
-        # The flight copy is the stamped record, not a re-build.
-        assert flight.events[-1]["run_id"] == log.run_id
+    def test_log_event_feeds_armed_flight_recorder(self, tmp_path):
+        with telemetry.session() as run:
+            flight = run.flight
+            telemetry.log_event("only.flight", n=1)
+            assert len(flight.events) == 1
+            with telemetry.session(events=tmp_path / "e.jsonl") as inner:
+                telemetry.log_event("both", n=2)
+            log = inner.log
+            assert log.select("both")
+            assert flight.events[-1]["event"] == "both"
+            # The flight copy is the stamped record, not a re-build.
+            assert flight.events[-1]["run_id"] == log.run_id
 
-    def test_merge_worker_events_reaches_both_sinks(self):
-        log = telemetry.install_log()
-        flight = telemetry.install_flight()
-        telemetry.merge_worker_events(
-            [{"ts": 1.0, "event": "w", "pid": 1}]
-        )
-        assert log.select("w")
-        assert flight.events[-1]["event"] == "w"
+    def test_merge_worker_events_reaches_both_sinks(self, tmp_path):
+        with telemetry.session(events=tmp_path / "e.jsonl") as run:
+            telemetry.merge_worker_events(
+                [{"ts": 1.0, "event": "w", "pid": 1}]
+            )
+        assert run.log.select("w")
+        assert run.flight.events[-1]["event"] == "w"
 
-    def test_merge_worker_events_none_is_noop(self):
-        telemetry.install_log()
-        telemetry.merge_worker_events(None)
-        telemetry.merge_worker_events([])
-        assert len(telemetry.event_log()) == 0
+    def test_merge_worker_events_none_is_noop(self, tmp_path):
+        with telemetry.session(events=tmp_path / "e.jsonl"):
+            telemetry.merge_worker_events(None)
+            telemetry.merge_worker_events([])
+            assert len(telemetry.event_log()) == 0

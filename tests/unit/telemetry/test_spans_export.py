@@ -72,40 +72,45 @@ class TestRecorder:
 
 
 class TestModuleState:
-    def test_install_uninstall_cycle(self):
+    def test_session_nests_and_restores_the_recorder(self):
         assert telemetry.active() is None
         assert not telemetry.enabled()
-        recorder = telemetry.install()
-        try:
-            assert telemetry.active() is recorder
+        with telemetry.session(spans=True) as outer:
+            assert telemetry.active() is outer.recorder
             assert telemetry.enabled()
-        finally:
-            assert telemetry.uninstall() is recorder
+            with telemetry.session(spans=True) as inner:
+                assert telemetry.active() is inner.recorder
+                assert inner.recorder is not outer.recorder
+            with telemetry.session():  # no spans: the outer one stays
+                assert telemetry.active() is outer.recorder
+            assert telemetry.active() is outer.recorder
         assert telemetry.active() is None
+        assert not telemetry.enabled()
+
+    def test_session_restores_after_an_exception(self):
+        with pytest.raises(ValueError):
+            with telemetry.session(spans=True):
+                raise ValueError("boom")
+        assert telemetry.active() is None
+        assert telemetry.flight_recorder() is None
 
     def test_count_no_op_when_disabled(self):
         telemetry.count("never")  # must not raise with no recorder
 
     def test_count_reaches_recorder_when_enabled(self):
-        recorder = telemetry.install()
-        try:
+        with telemetry.session(spans=True) as run:
             telemetry.count("hits", 3)
-        finally:
-            telemetry.uninstall()
-        assert recorder.metrics.counter("hits") == 3
+        assert run.recorder.metrics.counter("hits") == 3
 
     def test_software_span_null_when_disabled(self):
         with telemetry.software_span("sw", "x") as live:
             assert live is None
 
     def test_simulator_binds_active_recorder(self):
-        recorder = telemetry.install()
-        try:
+        with telemetry.session(spans=True) as run:
             sim = Simulator()
-            assert sim.telemetry is recorder
-            assert recorder.now_fs() == 0
-        finally:
-            telemetry.uninstall()
+            assert sim.telemetry is run.recorder
+            assert run.recorder.now_fs() == 0
         assert Simulator().telemetry is None
 
 

@@ -20,7 +20,7 @@ class TestCli:
         assert "produced an image" in capsys.readouterr().out
 
     def test_profile_reports_processes_and_stages(self, capsys):
-        assert main(["profile", "2"]) == 0
+        assert main(["run", "2", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "simulation profile" in out
         assert "telemetry summary" in out
@@ -29,7 +29,7 @@ class TestCli:
     def test_profile_json(self, capsys):
         import json
 
-        assert main(["profile", "2", "--json"]) == 0
+        assert main(["run", "2", "--profile", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2"
         assert payload["profile"]["total_steps"] > 0
@@ -41,17 +41,41 @@ class TestCli:
         import json
 
         out_path = tmp_path / "trace.json"
-        assert main(["trace", "2", "--out", str(out_path)]) == 0
+        assert main(["run", "2", "--trace", str(out_path)]) == 0
         assert "wrote" in capsys.readouterr().out
         payload = json.loads(out_path.read_text())
         phases = {event["ph"] for event in payload["traceEvents"]}
         assert phases == {"M", "X"}
 
-    def test_trace_leaves_telemetry_disabled(self, tmp_path):
+    def test_trace_leaves_telemetry_disabled(self, tmp_path, capsys):
+        """The run's session restores whatever was active before it."""
         from repro import telemetry
 
-        assert main(["trace", "2", "--out", str(tmp_path / "t.json")]) == 0
-        assert telemetry.active() is None
+        def state():
+            return (telemetry.active(), telemetry.event_log(),
+                    telemetry.flight_recorder())
+
+        argv = ["run", "2", "--trace", str(tmp_path / "t.json"),
+                "--events", str(tmp_path / "e.jsonl")]
+        assert main(argv) == 0
+        assert state() == (None, None, None)
+        with telemetry.session(spans=True, events=tmp_path / "outer.jsonl"):
+            outer = state()
+            assert main(argv) == 0
+            assert state() == outer
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "2"],
+        ["trace", "2"],
+        ["run", "2", "--size", "64"],
+        ["run", "2", "--workers", "2"],
+        ["run", "2", "--kernel", "reference"],
+        ["run", "decode", "--functional"],
+    ])
+    def test_retired_commands_and_misplaced_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
     def test_versions_lists_catalog(self, capsys):
         assert main(["versions"]) == 0
@@ -108,7 +132,7 @@ class TestCli:
     def test_profile_json_carries_design_identity(self, capsys):
         import json
 
-        assert main(["profile", "6b", "--json"]) == 0
+        assert main(["run", "6b", "--profile", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["design"]["name"] == "6b"
         assert payload["design"]["layer"] == "vta"
@@ -288,11 +312,34 @@ class TestObservabilityCli:
 
         path = tmp_path / "l.jsonl"
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
-        assert main(["profile", "decode", "--size", "64"]) == 0
+        assert main(["run", "decode", "--size", "64"]) == 0
         capsys.readouterr()
         (record,) = ledger.read_ledger(path)
         assert record["kind"] == "decode"
         assert len(record["plan_hash"]) == 64
+        assert record["degraded"] is False
+        assert "metrics" not in record  # no --profile: no span recorder
+
+    def test_decode_degradation_is_recorded_without_profile(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The flags come from the decode's stage fates, not from span
+        counters, so a run without --profile still records them."""
+        import os
+
+        from repro.jpeg2000.stages import entropy
+        from repro.telemetry import ledger
+
+        path = tmp_path / "l.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(entropy, "_get_pool", lambda *args: None)
+        assert main(["run", "decode", "--size", "64", "--workers", "2"]) == 0
+        capsys.readouterr()
+        (record,) = ledger.read_ledger(path)
+        assert record["degraded"] is True
+        assert record["resumed"] is False
+        assert "metrics" not in record
 
     def test_run_appends_ledger_record(self, tmp_path, monkeypatch, capsys):
         from repro.telemetry import ledger
@@ -334,7 +381,7 @@ class TestObservabilityCli:
         import json
 
         events_path = tmp_path / "events.jsonl"
-        assert main(["profile", "decode", "--size", "64",
+        assert main(["run", "decode", "--size", "64",
                      "--events", str(events_path)]) == 0
         capsys.readouterr()
         names = [
@@ -343,6 +390,86 @@ class TestObservabilityCli:
         ]
         assert "decode.start" in names
         assert "decode.done" in names
+
+    def test_one_run_id_joins_record_events_and_trace(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Regression: the record's run id is the one its files carry."""
+        import json
+
+        from repro.telemetry import ledger
+
+        path = tmp_path / "l.jsonl"
+        events_path = tmp_path / "events.jsonl"
+        trace_path = tmp_path / "trace.json"
+        monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
+        assert main(["run", "2", "--events", str(events_path),
+                     "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        (record,) = ledger.read_ledger(path)
+        events = [
+            json.loads(line) for line in events_path.read_text().splitlines()
+        ]
+        assert events
+        assert {event["run_id"] for event in events} == {record["run_id"]}
+        trace = json.loads(trace_path.read_text())
+        assert trace["metadata"]["run_id"] == record["run_id"]
+        assert record["events"] == str(events_path)
+        assert record["trace"] == str(trace_path)
+
+    def test_failing_command_appends_record_naming_crash_report(
+        self, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro import telemetry
+        from repro.casestudy.explorer import ALL_VERSIONS
+        from repro.telemetry import ledger
+
+        def broken_model(workload):
+            raise RuntimeError("model construction failed")
+
+        path = tmp_path / "l.jsonl"
+        crash_dir = tmp_path / "crash"
+        monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
+        monkeypatch.setenv("REPRO_CRASH_DIR", str(crash_dir))
+        monkeypatch.setitem(ALL_VERSIONS, "2", broken_model)
+        with pytest.raises(RuntimeError, match="construction failed"):
+            main(["run", "2"])
+        (record,) = ledger.read_ledger(path)
+        (report_path,) = crash_dir.glob("crash-*.json")
+        assert record["crash_reports"] == [str(report_path)]
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["run_id"] == record["run_id"]
+        assert report["error"]["message"] == "model construction failed"
+        assert telemetry.active() is None
+        assert telemetry.event_log() is None
+        assert telemetry.flight_recorder() is None
+
+    def test_each_command_appends_one_record(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.telemetry import ledger
+
+        path = tmp_path / "l.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main(["results", "--check", "--experiments", "table2"]
+                    + cache) == 0
+        assert ledger.read_ledger(path) == []
+        assert main(["sweep", "table2"] + cache) == 0
+        assert main(["explore", "--budget", "1", "--tiles", "1",
+                     "--out", str(tmp_path / "report")] + cache) == 0
+        capsys.readouterr()
+        sweep, explore = ledger.read_ledger(path)
+        assert (sweep["kind"], sweep["label"]) == ("sweep", "table2")
+        assert explore["kind"] == "explore"
+        assert explore["metrics"]["candidates"] >= 9
+        assert explore["candidates"]  # the executed generated mutants
+        for candidate in explore["candidates"]:
+            assert set(candidate) == {
+                "name", "derived", "spec_hash", "decode_ms", "failed",
+            }
 
     def test_ledger_list_show_diff(self, tmp_path, monkeypatch, capsys):
         import json
