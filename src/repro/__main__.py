@@ -258,11 +258,9 @@ def _cmd_plan(args) -> int:
         workers=args.workers,
         chunk_size=args.chunk_size,
         kernel=args.kernel,
-        shared_memory=not args.no_shared_memory,
         start_method=args.start_method,
         oversubscribe=args.oversubscribe,
         tier2=args.tier2,
-        overlap=not args.no_overlap,
     )
     detected = PlanEnvironment.detect()
     env = PlanEnvironment(
@@ -588,10 +586,6 @@ def main(argv=None) -> int:
     p_plan.add_argument("--start-method", default=None,
                         choices=["fork", "spawn", "forkserver"],
                         help="pool start method (default: platform)")
-    p_plan.add_argument("--no-shared-memory", action="store_true",
-                        help="forbid the zero-copy arena transport")
-    p_plan.add_argument("--no-overlap", action="store_true",
-                        help="disable the streaming (overlapped) schedule")
     p_plan.add_argument("--oversubscribe", action="store_true",
                         help="allow more workers than CPUs")
     p_plan.add_argument("--cpus", type=int, default=None,

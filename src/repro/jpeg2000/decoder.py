@@ -128,18 +128,15 @@ class TileStages:
         )
 
     def entropy_decode(self) -> list:
-        """Per component, the list of :class:`DecodedBand` planes."""
-        if self.options.degraded:
-            _warn_degraded(
-                self.options.requested_workers,
-                self.options.effective_workers,
-                "clamped to os.cpu_count()",
-            )
+        """Per component, the list of :class:`DecodedBand` planes.
+
+        Always inline: a worker pool is scheduled only by the plan
+        driver (:func:`repro.jpeg2000.driver.run_tiles`).
+        """
         layout, specs = self.entropy_specs()
-        binding = compile_plan(self.options).stage(STAGE_ENTROPY)
+        kernel = compile_plan(self.options).stage(STAGE_ENTROPY).impl
         flat, offsets, ops = entropy_stage.run_specs(
-            [self.data], [(0, spec) for spec in specs], binding,
-            schedule=self.options.schedule_info(),
+            [self.data], [(0, spec) for spec in specs], kernel
         )
         return self.scatter_entropy(layout, flat, offsets, ops)
 

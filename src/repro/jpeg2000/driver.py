@@ -2,32 +2,28 @@
 
 Executes a compiled, validated :class:`~repro.jpeg2000.plan.DecodePlan`
 over a list of per-tile ``TileStages`` drivers.  The driver — not the
-stage modules — owns the schedule choice (sequential batch, barrier
-fan-out, streaming overlap), the runtime degradation chain, and the
-:class:`StageFates` record of what actually ran.  The stage modules
+stage modules — owns the schedule choice, the runtime degradation, and
+the :class:`StageFates` record of what actually ran.  The stage modules
 only ever see their own slice of the plan.
 
-Three schedules, dispatched from the plan's entropy binding:
+Two schedules, dispatched from the plan's entropy executor:
 
 ``_run_sequential``
-    Inline (or single-tile) decode: every tile's Tier-2 parse first,
-    then one entropy call over all blocks of the image (a single kernel
-    batch — and still a pool fan-out when a single-tile plan binds
-    one), then the cross-tile vectorised reconstruction.
-``_run_barrier``
-    Pool entropy without overlap: full parse, one size-aware fan-out,
-    then per-tile gather and reconstruction.
-``_run_overlapped``
-    Pool entropy with overlap: the output arena is laid out from pure
-    geometry before parsing, each tile's chunks ship the moment its
-    packet headers are read, and finished tiles gather and reconstruct
-    on the main process while later tiles are still decoding in the
-    workers.
+    Inline: every tile's Tier-2 parse first, then one entropy call over
+    all blocks of the image (a single kernel batch), then the
+    cross-tile vectorised reconstruction.
+``_run_pooled``
+    Pool: the output arena is laid out from pure geometry before
+    parsing, each tile's chunks ship the moment its packet headers are
+    read, and finished tiles gather and reconstruct on the main process
+    while later tiles are still decoding in the workers.
 
-Degradations are *plan rewrites*: overlap unusable → barrier, arena
-unusable → pickle, pool unusable → inline, broken pool → per-chunk
-resume.  Each is recorded on the fate map, which the flight recorder
-embeds (with the compiled plan) in every crash report.
+A pool plan that gets no pool or no shared-memory arenas runs the
+sequential schedule instead.  That degradation, a tile decoded
+in-process because a block is too deep for the int32 arena, and a
+broken-pool resume are each recorded as one rewrite on the fate map,
+which the flight recorder embeds (with the compiled plan) in every
+crash report.
 """
 
 from __future__ import annotations
@@ -47,15 +43,19 @@ from .stages import entropy as entropy_stage
 from .stages import reconstruct as reconstruct_stage
 
 
+#: Rewrites that move pool work onto the calling process.
+_DEGRADED_RULES = {"pool-unavailable", "arena-unavailable", "arena-int32-unsafe"}
+
+
 class StageFates:
     """What actually happened to each planned stage of one decode.
 
     ``fates[stage]`` is ``{"state": ..., "rewrites": [...]}`` where
     *state* walks planned → running → done and each rewrite is a
     ``{"rule", "detail"}`` record of a compile-time rewrite carried on
-    the plan (native kernel unavailable → reference) or a runtime
-    degradation (arena → pickle, pool → inline, broken-pool resume,
-    overlap → barrier).
+    the plan (native kernel unavailable → reference, no shared memory →
+    inline) or a runtime degradation (no pool or arenas → inline, a
+    block too deep for the arena, broken-pool resume).
     :meth:`publish` installs the compiled plan and this (live, mutable)
     map into the flight-recorder context, so a crash report dumped at
     any point shows both the plan and the per-stage fates as of the
@@ -93,14 +93,14 @@ class StageFates:
                             detail=detail)
 
     def health(self) -> dict:
-        """The run's ``degraded`` (no pool or arena) and ``resumed``
-        (broken-pool resume) flags, read from the rewrites."""
+        """The run's ``degraded`` (pool work decoded in-process) and
+        ``resumed`` (broken-pool resume) flags, read from the rewrites."""
         rules = {
             rewrite["rule"]
             for fate in self.fates.values() for rewrite in fate["rewrites"]
         }
         return {
-            "degraded": bool(rules & {"pool-unavailable", "arena-unavailable"}),
+            "degraded": bool(rules & _DEGRADED_RULES),
             "resumed": "broken-pool-resume" in rules,
         }
 
@@ -122,21 +122,14 @@ def run_tiles(
         fates = StageFates(plan)
     fates.publish()
     binding = plan.stage(STAGE_ENTROPY)
-    executor = binding.executor
-    if executor.kind == EXECUTOR_POOL and len(stages_list) > 1:
-        if executor.overlap:
-            planes = _run_overlapped(binding, stages_list, schedule, fates)
-            if planes is not None:
-                return planes
-            fates.rewrite(
-                STAGE_ENTROPY, "overlap-unavailable",
-                "streaming transport unusable; taking the barrier schedule",
-            )
-        return _run_barrier(binding, stages_list, schedule, fates)
-    return _run_sequential(binding, stages_list, schedule, fates)
+    if binding.executor.kind == EXECUTOR_POOL:
+        planes = _run_pooled(binding, stages_list, schedule, fates)
+        if planes is not None:
+            return planes
+    return _run_sequential(binding.impl, stages_list, fates)
 
 
-def _run_sequential(binding, stages_list, schedule, fates) -> dict:
+def _run_sequential(kernel, stages_list, fates) -> dict:
     """Parse and decode every tile in one batch (see module doc)."""
     layouts: list = []
     firsts: list = []
@@ -156,8 +149,7 @@ def _run_sequential(binding, stages_list, schedule, fates) -> dict:
     with telemetry.software_span("sw", STAGE_ARITH, "decode"):
         with telemetry.software_span("stage", "t1_decode", "decode"):
             flat, offsets, ops = entropy_stage.run_specs(
-                sources, spec_pairs, binding,
-                schedule=schedule, fates=fates,
+                sources, spec_pairs, kernel
             )
     with telemetry.software_span("stage", "gather", "decode"):
         bands_by_tile = [
@@ -173,47 +165,7 @@ def _run_sequential(binding, stages_list, schedule, fates) -> dict:
     return planes
 
 
-def _run_barrier(binding, stages_list, schedule, fates) -> dict:
-    """The non-overlapped pool schedule: parse all tiles, run one
-    size-aware fan-out over every code block of the image, then
-    reconstruct.  Kept as the fallback when the streaming path is
-    unavailable (no shared memory, no pool, pathological bit depths)
-    and for plans with overlap off."""
-    sources: list = []
-    spec_pairs: list = []
-    layouts: list = []
-    firsts: list = []
-    fates.begin(STAGE_PARSE)
-    fates.begin(STAGE_ENTROPY)
-    with telemetry.software_span("sw", STAGE_ARITH, "decode"):
-        with telemetry.software_span("stage", "t2_parse", "decode"):
-            for stages in stages_list:
-                layout, specs = stages.entropy_specs()
-                firsts.append(len(spec_pairs))
-                source_index = len(sources)
-                sources.append(stages.data)
-                spec_pairs.extend((source_index, spec) for spec in specs)
-                layouts.append(layout)
-        fates.done(STAGE_PARSE)
-        with telemetry.software_span("stage", "t1_decode", "decode"):
-            flat, offsets, ops = entropy_stage.run_specs(
-                sources, spec_pairs, binding,
-                schedule=schedule, fates=fates,
-            )
-    fates.done(STAGE_ENTROPY)
-    fates.begin(STAGE_RECONSTRUCT)
-    planes: dict[int, list] = {}
-    for tile_index, stages in enumerate(stages_list):
-        with telemetry.software_span("stage", "gather", "decode"):
-            bands = stages.scatter_entropy(
-                layouts[tile_index], flat, offsets, ops, firsts[tile_index]
-            )
-        planes.update(reconstruct_stage.finish_tiles([stages], [bands]))
-    fates.done(STAGE_RECONSTRUCT)
-    return planes
-
-
-def _run_overlapped(binding, stages_list, schedule, fates) -> Optional[dict]:
+def _run_pooled(binding, stages_list, schedule, fates) -> Optional[dict]:
     """Stream Tier-1 chunks to the pool as each tile's spans parse.
 
     The output arena is laid out from pure geometry
@@ -222,8 +174,7 @@ def _run_overlapped(binding, stages_list, schedule, fates) -> Optional[dict]:
     drain in submission order, and each finished tile's gather +
     reconstruction runs on the main process while the remaining tiles'
     entropy chunks are still decoding in the workers.  Returns ``None``
-    when the streaming transport is unusable (caller falls back to the
-    barrier schedule).
+    when no pool or arena can be had (the caller decodes inline).
     """
     sizes: list[int] = []
     firsts: list[int] = []
@@ -246,8 +197,7 @@ def _run_overlapped(binding, stages_list, schedule, fates) -> Optional[dict]:
             for source_index, stages in enumerate(stages_list):
                 layout, specs = stages.entropy_specs()
                 layouts.append(layout)
-                if not stream.submit_tile(source_index, specs, firsts[source_index]):
-                    return None  # pathological stream: barrier fallback
+                stream.submit_tile(source_index, specs, firsts[source_index])
         fates.done(STAGE_PARSE)
         fates.begin(STAGE_RECONSTRUCT)
         for source_index, stages in enumerate(stages_list):

@@ -2,8 +2,8 @@
 
 :class:`DecodeOptions` is the *request* side of the decode stack: a
 frozen, canonically-serialisable record of how the caller wants the
-entropy stage scheduled (workers, chunking, kernel, transport, start
-method, overlap).  The planner (:mod:`repro.jpeg2000.plan`) compiles it
+decode scheduled (workers, chunking, kernel, start method, Tier-2
+parser).  The planner (:mod:`repro.jpeg2000.plan`) compiles it
 — together with the host environment — into an explicit
 :class:`~repro.jpeg2000.plan.DecodePlan`; nothing below the planner
 reads :class:`DecodeOptions` directly.
@@ -47,17 +47,14 @@ _TIER2 = (TIER2_FAST, TIER2_REFERENCE)
 #: default).
 _START_METHODS = (None, "fork", "spawn", "forkserver")
 
-#: A picklable per-block decode task:
-#: (data, width, height, orientation, num_bitplanes, num_passes).
-BlockTask = tuple
-
 #: Shared-memory arena name prefix — short enough for macOS's 31-char
 #: shm_open limit, distinctive enough for the leak checks in CI.
 ARENA_PREFIX = "repro-j2k-"
 
 #: Blocks with more bit planes than this cannot be carried in int32
 #: coefficients: the native kernel hands them to the reference kernel
-#: (int64), and streams containing them skip the int32 output arena.
+#: (int64), and the pool decodes their tiles in-process, off the int32
+#: output arena.
 _MAX_ARENA_BITPLANES = MAX_BITPLANES
 
 
@@ -107,17 +104,14 @@ class DecodeOptions:
     ``chunk_size``
         Upper bound on blocks per unit of work shipped to a worker;
         larger chunks amortise per-chunk overhead, smaller chunks
-        balance better.  The shared-memory scheduler plans size-aware
-        chunks up to this bound.
+        balance better.  The pool plans size-aware chunks up to this
+        bound.
     ``kernel``
         ``"native"`` (the C kernel in ``t1_native.c``, decoding whole
         chunks of blocks per call; default) or ``"reference"`` (the
         readable ``t1`` specification kernel).  A host that cannot
         build the native kernel compiles ``"native"`` to
         ``"reference"`` (a recorded plan rewrite).
-    ``shared_memory``
-        Allow the zero-copy shared-memory transport (default).  Off, or
-        when arenas cannot be created, the pickle transport is used.
     ``start_method``
         Multiprocessing start method for the pool (``None`` = platform
         default; ``"fork"``/``"spawn"``/``"forkserver"``).
@@ -131,23 +125,19 @@ class DecodeOptions:
         ``FastBitReader`` + array-backed tag trees, default) or
         ``"reference"`` (the bit-by-bit specification reader).  Both
         parse bit-for-bit identically.
-    ``overlap``
-        Stream Tier-1 chunks to the workers while later tiles are still
-        being parsed, and finish (gather/DWT/MCT) completed tiles on the
-        main process during the flight (default).  Off serialises the
-        stages: full parse, then fan-out, then reconstruction.  Only
-        affects the parallel shared-memory path; results are identical
-        either way.
+
+    A parallel request streams each tile's blocks to the workers through
+    shared-memory arenas while later tiles are still being parsed; where
+    no pool or no arena can be had it decodes in-process, with identical
+    results.
     """
 
     workers: Optional[int] = 0
     chunk_size: int = 8
     kernel: str = KERNEL_NATIVE
-    shared_memory: bool = True
     start_method: Optional[str] = None
     oversubscribe: bool = False
     tier2: str = TIER2_FAST
-    overlap: bool = True
 
     def __post_init__(self):
         if self.workers is not None and self.workers < 0:
@@ -186,15 +176,6 @@ class DecodeOptions:
         """True when a parallel request will actually run sequentially."""
         return self.requested_workers > 1 and not self.parallel
 
-    @property
-    def granularity(self) -> str:
-        """Scheduling granularity label recorded in benchmark payloads."""
-        if not self.parallel:
-            return "codeblock/sequential"
-        if self.shared_memory and shared_memory is not None:
-            return "codeblock/size-aware"
-        return "codeblock/fixed"
-
     def as_dict(self) -> dict:
         """Canonical plain-data form: exactly the dataclass fields.
 
@@ -207,11 +188,9 @@ class DecodeOptions:
             "workers": self.workers,
             "chunk_size": self.chunk_size,
             "kernel": self.kernel,
-            "shared_memory": self.shared_memory,
             "start_method": self.start_method,
             "oversubscribe": self.oversubscribe,
             "tier2": self.tier2,
-            "overlap": self.overlap,
         }
 
     @classmethod
@@ -220,7 +199,7 @@ class DecodeOptions:
         return cls(**data)
 
     def schedule_info(self) -> dict:
-        """The scheduling facts a benchmark row must carry (schema v3)."""
+        """The scheduling facts a ledger record and crash report carry."""
         return {
             "requested_workers": self.requested_workers,
             "effective_workers": self.effective_workers,
@@ -228,9 +207,6 @@ class DecodeOptions:
             "chunk_size": self.chunk_size,
             "kernel": self.kernel,
             "tier2": self.tier2,
-            "overlap": self.overlap,
-            "granularity": self.granularity,
-            "shared_memory": self.shared_memory,
             "start_method": self.start_method,
             "oversubscribe": self.oversubscribe,
         }
@@ -246,8 +222,8 @@ class BlockSpec:
 
     The spans point into a *source* buffer (a tile-part's bytes) that is
     shipped to the workers once, via the shared input arena — the spec
-    itself is a few dozen bytes of picklable metadata, which is the whole
-    point of the zero-copy protocol.
+    itself is a small picklable record, which is the whole point of the
+    zero-copy protocol.
     """
 
     width: int

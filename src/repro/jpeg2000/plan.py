@@ -9,7 +9,7 @@ decode run — the four pipeline stages
     ``parse → entropy → reconstruct → assemble``
 
 each bound to an implementation id and an executor (inline, or a worker
-pool with start method, chunking, transport, and overlap).  The planner
+pool with start method and chunking).  The planner
 (:func:`compile_plan`) compiles a
 :class:`~repro.jpeg2000.options.DecodeOptions` value plus the host
 environment (CPU count, shared-memory availability) into a plan; the
@@ -26,29 +26,23 @@ Validation rules
 ``executor.unknown-kind``           executor kind not inline/pool
 ``executor.pool-requires-workers``  pool executor with fewer than 2 workers
 ``executor.pool-requires-chunking`` pool executor with chunk_size < 1
-``executor.transport-required``     pool executor without a transport
-``executor.unknown-transport``      transport not arena/pickle
 ``executor.unknown-start-method``   start method not fork/spawn/forkserver
 ``executor.inline-carries-pool-config``
-                                    inline executor with workers/transport/
-                                    overlap/start-method set (non-canonical)
+                                    inline executor with workers/chunking/
+                                    start method set (non-canonical)
 ``executor.stage-not-parallel``     pool executor on a stage other than
                                     entropy (only the entropy stage fans out)
-``executor.overlap-requires-arena`` overlap on a non-arena transport (the
-                                    streaming schedule needs spans resolved
-                                    in a shared output arena)
-``executor.arena-unavailable``      arena transport on a host without
-                                    ``multiprocessing.shared_memory``
+``executor.arena-unavailable``      pool executor on a host without
+                                    ``multiprocessing.shared_memory`` (the
+                                    pool ships blocks through shared-memory
+                                    arenas)
 
 Compile-time rewrites — a ``native`` kernel request on a host that
-cannot build the native kernel binds ``reference`` — are carried on the
-plan (:attr:`DecodePlan.rewrites`), shown by :meth:`DecodePlan.describe`
-and seeded into the driver's fate map.  Runtime degradations (arena →
-pickle → inline, broken-pool resume) are expressed as *plan rewrites*
-(:func:`degrade_to_pickle`, :func:`degrade_to_inline`,
-:func:`without_overlap`) applied by the driver and recorded in the
-per-stage fate map — testable in isolation instead of control flow
-buried in a fan-out function.
+cannot build the native kernel binds ``reference``; a parallel request
+on a host without shared memory binds the inline executor — are carried
+on the plan (:attr:`DecodePlan.rewrites`), shown by
+:meth:`DecodePlan.describe` and seeded into the driver's fate map, where
+the runtime degradations join them.
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .options import (
@@ -81,10 +75,6 @@ STAGE_ORDER = (STAGE_PARSE, STAGE_ENTROPY, STAGE_RECONSTRUCT, STAGE_ASSEMBLE)
 EXECUTOR_INLINE = "inline"
 EXECUTOR_POOL = "pool"
 
-#: Pool transports.
-TRANSPORT_ARENA = "arena"
-TRANSPORT_PICKLE = "pickle"
-
 #: Reconstruction / assembly implementation ids (single registered impl
 #: each today; the registry exists so refinements slot in as new ids).
 RECONSTRUCT_VECTORISED = "vectorised"
@@ -106,18 +96,14 @@ class ExecutorSpec:
     ``kind="inline"`` runs on the calling process (the canonical form
     carries no pool configuration).  ``kind="pool"`` fans out to a
     process pool: ``workers`` processes created with ``start_method``,
-    work shipped in chunks of at most ``chunk_size`` blocks over
-    ``transport`` (``"arena"`` = zero-copy shared memory, ``"pickle"`` =
-    executor pickle channel), with ``overlap`` streaming chunks during
-    Tier-2 parsing (arena transport only).
+    each tile's blocks streamed through shared-memory arenas in chunks
+    of at most ``chunk_size`` blocks while later tiles are still parsing.
     """
 
     kind: str = EXECUTOR_INLINE
     workers: int = 0
     chunk_size: int = 0
     start_method: Optional[str] = None
-    transport: Optional[str] = None
-    overlap: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -125,21 +111,15 @@ class ExecutorSpec:
             "workers": self.workers,
             "chunk_size": self.chunk_size,
             "start_method": self.start_method,
-            "transport": self.transport,
-            "overlap": self.overlap,
         }
 
     def describe(self) -> str:
         if self.kind == EXECUTOR_INLINE:
             return "inline"
-        parts = [
-            f"pool workers={self.workers}",
-            f"chunk={self.chunk_size}",
-            f"start={self.start_method or 'default'}",
-            f"transport={self.transport}",
-            f"overlap={'on' if self.overlap else 'off'}",
-        ]
-        return " ".join(parts)
+        return (
+            f"pool workers={self.workers} chunk={self.chunk_size} "
+            f"start={self.start_method or 'default'}"
+        )
 
 
 #: The canonical inline executor.
@@ -330,11 +310,10 @@ def _validate_binding(binding: StageBinding, env: PlanEnvironment,
             rule="executor.unknown-start-method", path=path,
         )
     if ex.kind == EXECUTOR_INLINE:
-        if (ex.workers or ex.chunk_size or ex.transport is not None
-                or ex.overlap or ex.start_method is not None):
+        if ex.workers or ex.chunk_size or ex.start_method is not None:
             issue(
                 "inline executors carry no pool configuration "
-                "(workers/chunking/transport/overlap/start method)",
+                "(workers/chunking/start method)",
                 rule="executor.inline-carries-pool-config", path=path,
             )
         return
@@ -355,32 +334,12 @@ def _validate_binding(binding: StageBinding, env: PlanEnvironment,
             f"pool executor needs chunk_size >= 1, got {ex.chunk_size}",
             rule="executor.pool-requires-chunking", path=path,
         )
-    if ex.transport is None:
+    if not env.shared_memory_available:
         issue(
-            "pool executor needs a transport (arena or pickle)",
-            rule="executor.transport-required", path=path,
+            "pool executors require multiprocessing.shared_memory, "
+            "which this host does not provide",
+            rule="executor.arena-unavailable", path=path,
         )
-        return
-    if ex.transport not in (TRANSPORT_ARENA, TRANSPORT_PICKLE):
-        issue(
-            f"unknown transport {ex.transport!r}",
-            rule="executor.unknown-transport", path=path,
-        )
-        return
-    if ex.overlap and ex.transport != TRANSPORT_ARENA:
-        issue(
-            "the overlapped (streaming) schedule requires the arena "
-            "transport: tiles drain from a shared output arena while "
-            "later tiles are still parsing",
-            rule="executor.overlap-requires-arena", path=path,
-        )
-    if ex.transport == TRANSPORT_ARENA:
-        if not env.shared_memory_available:
-            issue(
-                "arena transport requires multiprocessing.shared_memory, "
-                "which this host does not provide",
-                rule="executor.arena-unavailable", path=path,
-            )
 
 
 def check_plan(plan: DecodePlan,
@@ -409,14 +368,16 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
     of that degradation stays with the decode entry points
     (``ParallelDegradedWarning``), not the planner, which is pure.
     A ``native`` kernel request on a host without the native kernel
-    binds ``reference`` and records the rewrite on the plan.
+    binds ``reference``, and a parallel request on a host without
+    shared memory binds the inline executor; each records its rewrite
+    on the plan.
     """
     env = env if env is not None else PlanEnvironment.detect()
     impl = options.kernel
     rewrites = ()
     if impl == KERNEL_NATIVE and not env.native_available:
         impl = KERNEL_REFERENCE
-        rewrites = ((
+        rewrites += ((
             STAGE_ENTROPY, "native-unavailable",
             "the native Tier-1 kernel cannot be built on this host; "
             "binding the reference kernel",
@@ -425,17 +386,20 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
         env.cpu_count if options.workers is None else options.workers
     )
     workers = requested if options.oversubscribe else min(requested, env.cpu_count)
+    if workers > 1 and not env.shared_memory_available:
+        workers = 0
+        rewrites += ((
+            STAGE_ENTROPY, "arena-unavailable",
+            "multiprocessing.shared_memory is missing on this host; "
+            "binding the inline executor",
+        ),)
     parse = StageBinding(STAGE_PARSE, options.tier2)
     if workers > 1:
-        use_arena = options.shared_memory and env.shared_memory_available
-        transport = TRANSPORT_ARENA if use_arena else TRANSPORT_PICKLE
         executor = ExecutorSpec(
             kind=EXECUTOR_POOL,
             workers=workers,
             chunk_size=options.chunk_size,
             start_method=options.start_method,
-            transport=transport,
-            overlap=options.overlap and transport == TRANSPORT_ARENA,
         )
         entropy = StageBinding(STAGE_ENTROPY, impl, executor)
     else:
@@ -454,7 +418,7 @@ def options_for_plan(plan: DecodePlan) -> DecodeOptions:
     Best-effort inverse of :func:`compile_plan` — pinned by a round-trip
     property in the test suite: for any valid plan,
     ``compile_plan(options_for_plan(p), env)`` reproduces ``p`` when the
-    environment supports its transport.  Lets callers hand the decoder a
+    environment supports a pool.  Lets callers hand the decoder a
     plan directly while schedule reporting keeps working.
     """
     parse = plan.stage(STAGE_PARSE)
@@ -465,43 +429,9 @@ def options_for_plan(plan: DecodePlan) -> DecodeOptions:
             workers=ex.workers,
             chunk_size=ex.chunk_size,
             kernel=entropy.impl,
-            shared_memory=ex.transport == TRANSPORT_ARENA,
             start_method=ex.start_method,
             oversubscribe=True,
             tier2=parse.impl,
-            overlap=ex.overlap,
         )
     return DecodeOptions(kernel=entropy.impl, tier2=parse.impl)
 
-
-# --------------------------------------------------------------------------
-# plan rewrites: the degradation chain as explicit, testable functions
-# --------------------------------------------------------------------------
-
-
-def degrade_to_pickle(plan: DecodePlan) -> DecodePlan:
-    """arena → pickle: same pool, kernel unchanged, overlap dropped
-    (the streaming schedule only exists on the arena transport)."""
-    entropy = plan.stage(STAGE_ENTROPY)
-    return plan.with_stage(replace(
-        entropy,
-        executor=replace(
-            entropy.executor, transport=TRANSPORT_PICKLE, overlap=False
-        ),
-    ))
-
-
-def degrade_to_inline(plan: DecodePlan) -> DecodePlan:
-    """pool → inline: the terminal fallback when no pool exists."""
-    entropy = plan.stage(STAGE_ENTROPY)
-    return plan.with_stage(replace(entropy, executor=INLINE))
-
-
-def without_overlap(plan: DecodePlan) -> DecodePlan:
-    """The same pool schedule with streaming off (barrier fan-out)."""
-    entropy = plan.stage(STAGE_ENTROPY)
-    if not entropy.executor.overlap:
-        return plan
-    return plan.with_stage(replace(
-        entropy, executor=replace(entropy.executor, overlap=False)
-    ))

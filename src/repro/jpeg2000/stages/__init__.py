@@ -6,9 +6,9 @@ One module per :mod:`~repro.jpeg2000.plan` stage seam:
     Tier-2: packet headers → per-block codeword spans (plus the QCD
     interpretation the later stages consult).
 :mod:`~repro.jpeg2000.stages.entropy`
-    Tier-1: the code-block kernels and every executor that can run them
-    (inline, pickle pool, zero-copy arena pool, streaming overlap) with
-    the broken-pool resume machinery.
+    Tier-1: the code-block kernels and the two executors that run them
+    (inline, and the worker pool streaming through shared-memory arenas)
+    with the broken-pool resume machinery.
 :mod:`~repro.jpeg2000.stages.reconstruct`
     Gather, inverse quantisation, inverse DWT, inverse colour transform,
     DC shift — per tile and vectorised across tiles.

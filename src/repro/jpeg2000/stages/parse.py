@@ -46,7 +46,7 @@ def entropy_specs(
     specs carry ``(start, end)`` segment spans into *data*
     (``decode_packet(..., materialise=False)``), so the tile buffer can
     be placed into a shared-memory arena without per-block copies.
-    Tier-1 itself runs in :func:`repro.jpeg2000.stages.entropy.run_specs`.
+    Tier-1 itself runs in :mod:`repro.jpeg2000.stages.entropy`.
     """
     shapes = band_shapes(tile_width, tile_height, params.num_levels)
     bounds = band_bounds(params)

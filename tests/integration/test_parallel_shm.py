@@ -82,7 +82,7 @@ def test_shm_parallel_byte_identical(codestream, start_method):
     ))
     entropy_binding = decoder.plan.stage("entropy")
     assert entropy_binding.impl == "native"
-    assert entropy_binding.executor.transport == "arena"
+    assert entropy_binding.executor.kind == "pool"
     parallel_image = decoder.decode()
     for ours, theirs in zip(parallel_image.components, reference.components):
         assert np.array_equal(ours, theirs)

@@ -45,23 +45,23 @@ def _arm_bomb(monkeypatch, tmp_path):
     marker = str(tmp_path / "first-chunk-done")
     bombed = str(tmp_path / "bombed")
     parent_pid = os.getpid()
-    real = entropy._decode_tasks_sequential
+    real = entropy.decode_batch
 
-    def bomb(chunk, kernel):
+    def bomb(batch, out, kernel):
         if os.getpid() != parent_pid:
             if os.path.exists(marker) and not os.path.exists(bombed):
                 with open(bombed, "w") as handle:
                     handle.write("x")
                 time.sleep(0.2)  # let the parent drain finished chunks
                 os._exit(1)
-            result = real(chunk, kernel)
+            result = real(batch, out, kernel)
             with open(marker, "w") as handle:
                 handle.write("done")
             return result
-        return real(chunk, kernel)
+        return real(batch, out, kernel)
 
     shutdown_pool()  # the bomb must be in place before the fork
-    monkeypatch.setattr(entropy, "_decode_tasks_sequential", bomb)
+    monkeypatch.setattr(entropy, "decode_batch", bomb)
 
 
 def test_crash_report_embeds_plan_and_stage_fates(
@@ -72,8 +72,7 @@ def test_crash_report_embeds_plan_and_stage_fates(
     data, reference = workload
     _arm_bomb(monkeypatch, tmp_path)
     options = DecodeOptions(
-        workers=2, chunk_size=1, oversubscribe=True,
-        start_method="fork", shared_memory=False,
+        workers=2, chunk_size=1, oversubscribe=True, start_method="fork",
     )
     decoder = Jpeg2000Decoder(data, options=options)
     monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
@@ -100,7 +99,6 @@ def test_crash_report_embeds_plan_and_stage_fates(
         s for s in plan_context["stages"] if s["stage"] == "entropy"
     )
     assert entropy_stage["executor"]["kind"] == "pool"
-    assert entropy_stage["executor"]["transport"] == "pickle"
 
     # So does the fate map: at crash time the entropy stage was running
     # and had already recorded the broken-pool-resume rewrite.

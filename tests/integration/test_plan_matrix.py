@@ -1,10 +1,10 @@
 """The plan-matrix differential suite (the decode-identity guarantee).
 
-Every *valid* decode plan — inline or pool, pickle or arena transport,
-barrier or overlapped, native/reference kernels, fast/reference
-Tier-2 — must produce the byte-identical image and identical
-basic-operation counts as the reference plan (reference Tier-1 kernel,
-bit-by-bit Tier-2 parser) on the same 4-tile workload, in both case-study modes (lossless 5/3 and lossy 9/7).
+Every *valid* decode plan — inline or pool, native/reference kernels,
+fast/reference Tier-2 — must produce the byte-identical image and
+identical basic-operation counts as the reference plan (reference
+Tier-1 kernel, bit-by-bit Tier-2 parser) on the same 4-tile workload,
+in both case-study modes (lossless 5/3 and lossy 9/7).
 Invalid stage/executor combinations must be rejected *statically*, with
 their documented rule codes, before any worker spawns.
 
@@ -32,8 +32,6 @@ from repro.jpeg2000 import (
 from repro.jpeg2000.plan import (
     EXECUTOR_POOL,
     STAGE_ENTROPY,
-    TRANSPORT_ARENA,
-    TRANSPORT_PICKLE,
     ExecutorSpec,
     PlanValidationError,
     StageBinding,
@@ -45,10 +43,10 @@ from repro.jpeg2000.plan import (
 START_METHOD = os.environ.get("PLAN_MATRIX_START_METHOD") or None
 
 
-def _pool(transport, *, impl, overlap=False, chunk_size=3):
+def _pool(impl, chunk_size=3):
     return StageBinding(STAGE_ENTROPY, impl, ExecutorSpec(
         kind=EXECUTOR_POOL, workers=2, chunk_size=chunk_size,
-        start_method=START_METHOD, transport=transport, overlap=overlap,
+        start_method=START_METHOD,
     ))
 
 
@@ -65,32 +63,15 @@ MATRIX = {
     "inline-reference-tier2": _plan(
         StageBinding(STAGE_ENTROPY, "native"), tier2="reference"
     ),
-    "pickle-native": _plan(_pool(TRANSPORT_PICKLE, impl="native")),
-    "pickle-reference": _plan(_pool(TRANSPORT_PICKLE, impl="reference")),
-    "arena-barrier": _plan(_pool(TRANSPORT_ARENA, impl="native")),
-    "arena-overlap": _plan(
-        _pool(TRANSPORT_ARENA, impl="native", overlap=True)
-    ),
-    "arena-reference-overlap": _plan(
-        _pool(TRANSPORT_ARENA, impl="reference", overlap=True, chunk_size=1)
-    ),
+    "pool-native": _plan(_pool("native")),
+    "pool-reference": _plan(_pool("reference", chunk_size=1)),
 }
 
 #: The documented static rejections (rule code → a plan that trips it).
 INVALID = {
     "executor.pool-requires-workers": _plan(StageBinding(
         STAGE_ENTROPY, "native",
-        ExecutorSpec(kind=EXECUTOR_POOL, workers=1, chunk_size=3,
-                     transport=TRANSPORT_ARENA),
-    )),
-    "executor.overlap-requires-arena": _plan(StageBinding(
-        STAGE_ENTROPY, "native",
-        ExecutorSpec(kind=EXECUTOR_POOL, workers=2, chunk_size=3,
-                     transport=TRANSPORT_PICKLE, overlap=True),
-    )),
-    "executor.transport-required": _plan(StageBinding(
-        STAGE_ENTROPY, "native",
-        ExecutorSpec(kind=EXECUTOR_POOL, workers=2, chunk_size=3),
+        ExecutorSpec(kind=EXECUTOR_POOL, workers=1, chunk_size=3),
     )),
     "stage.unknown-impl": _plan(StageBinding(STAGE_ENTROPY, "quantum")),
 }

@@ -2,7 +2,7 @@
 (:mod:`repro.jpeg2000.stages.entropy`), driven through compiled plans."""
 
 import os
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from repro.jpeg2000.plan import STAGE_ENTROPY, compile_plan
 from repro.jpeg2000.stages import entropy
 from repro.jpeg2000.stages.entropy import (
     SharedArena,
-    _chunked,
     plan_chunks,
     shutdown_pool,
 )
@@ -38,17 +37,28 @@ def _binding(options):
     return compile_plan(options).stage(STAGE_ENTROPY)
 
 
-def run_pickle_tasks(tasks, options):
-    """Materialised block tasks through the pickle-transport executor."""
-    return entropy.run_tasks(
-        tasks, _binding(replace(options, shared_memory=False)),
-        schedule=options.schedule_info(),
+def run_stream(sources, specs, options, fates=None):
+    """Segment-described blocks through the pool executor, one tile per
+    source; returns ``(flat, ops)`` over every block in *specs* order."""
+    tiles = [
+        [spec for index, spec in specs if index == source_index]
+        for source_index in range(len(sources))
+    ]
+    stream = entropy.open_stream(
+        sources, [spec.size for _, spec in specs], _binding(options),
+        schedule=options.schedule_info(), fates=fates,
     )
-
-
-def run_plan_specs(sources, specs, options):
-    """Segment-described blocks through the plan's entropy executor."""
-    return entropy.run_specs(sources, specs, _binding(options))
+    assert stream is not None
+    try:
+        first = 0
+        for source_index, tile in enumerate(tiles):
+            stream.submit_tile(source_index, tile, first)
+            first += len(tile)
+        drained = [stream.drain_tile(index) for index in range(len(tiles))]
+    finally:
+        stream.close()
+    flat = np.concatenate([np.asarray(tile[0]) for tile in drained])
+    return flat, [ops for tile in drained for ops in tile[2]]
 
 
 def _decode_degraded(options):
@@ -59,6 +69,9 @@ def _decode_degraded(options):
     )
     data = encode_image(synthetic_image(16, 16, 3, seed=3), params)
     Jpeg2000Decoder(data, options=options).decode()
+
+
+POOL = DecodeOptions(workers=2, chunk_size=2, oversubscribe=True)
 
 
 def _encode_block(seed: int, width: int = 8, height: int = 8, orientation: str = "HH"):
@@ -120,16 +133,6 @@ class TestDecodeOptions:
         assert DecodeOptions(workers=2).parallel == ((os.cpu_count() or 1) >= 2)
 
 
-class TestChunking:
-    def test_chunks_cover_in_order(self):
-        tasks = list(range(10))
-        chunks = list(_chunked(tasks, 4))
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_single_chunk(self):
-        assert list(_chunked([1, 2], 8)) == [[1, 2]]
-
-
 class TestDecodeBlocks:
     def test_kernels_agree_per_block(self):
         task, coeffs = _encode_block(seed=1)
@@ -142,40 +145,59 @@ class TestDecodeBlocks:
         assert native_ops == ref_ops
 
     def test_sequential_order_is_preserved(self):
-        tasks, expected = zip(*(_encode_block(seed) for seed in range(6)))
-        results = run_pickle_tasks(list(tasks), DecodeOptions())
-        assert len(results) == 6
-        for (values, ops), coeffs in zip(results, expected):
-            assert values.tolist() == coeffs
-            assert ops > 0
+        """Blocks of unequal size land in order at prefix-sum offsets."""
+        shapes = [(4, 8), (8, 8), (16, 4), (2, 2), (8, 16)]
+        source = bytearray()
+        specs, expected = [], []
+        for seed, (width, height) in enumerate(shapes):
+            task, coeffs = _encode_block(seed, width, height)
+            start = len(source)
+            source += task[0]
+            specs.append((0, BlockSpec(
+                width, height, task[3], task[4], task[5],
+                ((start, len(source)),),
+            )))
+            expected.append(coeffs)
+        flat, offsets, ops = entropy.run_specs(
+            [bytes(source)], specs, KERNEL_NATIVE
+        )
+        assert offsets.tolist() == [0, 32, 96, 160, 164, 292]
+        for index, coeffs in enumerate(expected):
+            assert flat[offsets[index]:offsets[index + 1]].tolist() == coeffs
+            assert ops[index] > 0
 
     def test_pool_matches_sequential(self):
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(9)))
-        sequential = run_pickle_tasks(list(tasks), DecodeOptions())
-        pooled = run_pickle_tasks(
-            list(tasks), DecodeOptions(workers=2, chunk_size=2)
+        """Several tiles share the arenas: each one's spans are rebased."""
+        source_a, specs_a, _ = _spec_workload(range(5))
+        source_b, specs_b, _ = _spec_workload(range(10, 14))
+        specs = specs_a + [(1, spec) for _, spec in specs_b]
+        sequential, _, seq_ops = entropy.run_specs(
+            [source_a, source_b], specs, KERNEL_NATIVE
         )
-        assert len(pooled) == len(sequential)
-        for (seq_values, seq_ops), (par_values, par_ops) in zip(sequential, pooled):
-            assert np.array_equal(seq_values, par_values)
-            assert seq_ops == par_ops
+        pooled, pool_ops = run_stream([source_a, source_b], specs, POOL)
         shutdown_pool()
+        assert np.array_equal(sequential, pooled)
+        assert seq_ops == pool_ops
 
     def test_empty_task_list(self):
-        assert run_pickle_tasks([], DecodeOptions(workers=2)) == []
+        flat, ops = run_stream([b""], [], POOL)
+        shutdown_pool()
+        assert len(flat) == 0
+        assert ops == []
 
     def test_pool_failure_falls_back_to_sequential(self, monkeypatch):
-        tasks, expected = zip(*(_encode_block(seed) for seed in range(3)))
         monkeypatch.setattr(
             entropy, "_get_pool", lambda workers, start_method=None: None
         )
         options_module._degradations_warned.clear()
+        fates = _FateLog()
         with pytest.warns(ParallelDegradedWarning):
-            results = run_pickle_tasks(
-                list(tasks), DecodeOptions(workers=4, oversubscribe=True)
+            stream = entropy.open_stream(
+                [b""], [], _binding(DecodeOptions(workers=4, oversubscribe=True)),
+                fates=fates,
             )
-        for (values, _), coeffs in zip(results, expected):
-            assert values.tolist() == coeffs
+        assert stream is None
+        assert fates.rules == ["pool-unavailable"]
 
     def test_pool_is_cached_per_worker_count(self):
         first = entropy._get_pool(2)
@@ -202,19 +224,13 @@ class TestScheduleInfo:
         assert info["requested_workers"] == 4
         assert info["effective_workers"] == 1
         assert info["degraded"] is True
-        assert info["granularity"] == "codeblock/sequential"
 
     def test_oversubscribe_bypasses_clamp(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         options = DecodeOptions(workers=4, oversubscribe=True)
         assert options.effective_workers == 4
         assert not options.degraded
-        assert options.schedule_info()["granularity"] == "codeblock/size-aware"
-
-    def test_pickle_transport_granularity(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        options = DecodeOptions(workers=4, shared_memory=False)
-        assert options.schedule_info()["granularity"] == "codeblock/fixed"
+        assert options.schedule_info()["effective_workers"] == 4
 
     def test_rejects_unknown_start_method(self):
         with pytest.raises(ValueError):
@@ -293,9 +309,7 @@ class TestDecodeBlocksSpec:
     @pytest.mark.parametrize("kernel", [KERNEL_NATIVE, KERNEL_REFERENCE])
     def test_sequential_kernels_agree(self, kernel):
         source, specs, expected = _spec_workload(range(6))
-        flat, offsets, ops = run_plan_specs(
-            [source], specs, DecodeOptions(kernel=kernel)
-        )
+        flat, offsets, ops = entropy.run_specs([source], specs, kernel)
         assert len(ops) == len(specs)
         for index, coeffs in enumerate(expected):
             start, end = int(offsets[index]), int(offsets[index + 1])
@@ -305,28 +319,9 @@ class TestDecodeBlocksSpec:
     def test_shm_parallel_matches_sequential(self):
         pytest.importorskip("multiprocessing.shared_memory")
         source, specs, _ = _spec_workload(range(9))
-        seq_flat, seq_offsets, seq_ops = run_plan_specs(
-            [source], specs, DecodeOptions()
-        )
-        par_flat, par_offsets, par_ops = run_plan_specs(
-            [source], specs,
-            DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
-        )
+        seq_flat, _, seq_ops = entropy.run_specs([source], specs, KERNEL_NATIVE)
+        par_flat, par_ops = run_stream([source], specs, POOL)
         assert np.array_equal(seq_flat, par_flat)
-        assert np.array_equal(seq_offsets, par_offsets)
-        assert seq_ops == par_ops
-        shutdown_pool()
-
-    def test_pickle_parallel_matches_sequential(self):
-        source, specs, _ = _spec_workload(range(7))
-        seq_flat, _, seq_ops = run_plan_specs([source], specs, DecodeOptions())
-        par_flat, _, par_ops = run_plan_specs(
-            [source], specs,
-            DecodeOptions(
-                workers=2, chunk_size=3, oversubscribe=True, shared_memory=False
-            ),
-        )
-        assert np.array_equal(seq_flat, np.asarray(par_flat))
         assert seq_ops == par_ops
         shutdown_pool()
 
@@ -334,8 +329,8 @@ class TestDecodeBlocksSpec:
         source_a, specs_a, expected_a = _spec_workload(range(3))
         source_b, specs_b, expected_b = _spec_workload(range(10, 13))
         specs = [(0, spec) for _, spec in specs_a] + [(1, spec) for _, spec in specs_b]
-        flat, offsets, ops = run_plan_specs(
-            [source_a, source_b], specs, DecodeOptions()
+        flat, offsets, ops = entropy.run_specs(
+            [source_a, source_b], specs, KERNEL_NATIVE
         )
         expected = expected_a + expected_b
         for index, coeffs in enumerate(expected):
@@ -343,7 +338,7 @@ class TestDecodeBlocksSpec:
             assert flat[start:end].tolist() == coeffs
 
     def test_empty_spec_list(self):
-        flat, offsets, ops = run_plan_specs([b""], [], DecodeOptions(workers=2))
+        flat, offsets, ops = entropy.run_specs([b""], [], KERNEL_NATIVE)
         assert len(flat) == 0
         assert offsets.tolist() == [0]
         assert ops == []
@@ -351,134 +346,189 @@ class TestDecodeBlocksSpec:
     def test_no_shm_segments_leak(self):
         pytest.importorskip("multiprocessing.shared_memory")
         source, specs, _ = _spec_workload(range(5))
-        run_plan_specs(
-            [source], specs, DecodeOptions(workers=2, oversubscribe=True)
-        )
+        run_stream([source], specs, POOL)
         assert entropy._live_arenas == {}
         shutdown_pool()
 
 
-def _exploding_sequential(chunk, kernel, *, parent_pid, bomb_data, marker, real):
-    """Fork-inherited bomb: kill the worker process on the marked chunk,
-    but only after some other chunk has completed (so the resume path has
-    something to resume from)."""
+class _FateLog:
+    """A minimal stage-fate recorder: the rules rewritten, in order."""
+
+    def __init__(self):
+        self.rules = []
+
+    def rewrite(self, stage, rule, detail):
+        assert stage == STAGE_ENTROPY
+        self.rules.append(rule)
+
+
+def _arm_bomb(monkeypatch, marker, bomb_data):
+    """Fork-inherited bomb in :func:`entropy.decode_batch`: a worker dies
+    on the chunk holding *bomb_data*, but only after some other chunk has
+    completed (so the resume path has something to resume from).  The
+    parent process is never harmed."""
     import time
 
-    if os.getpid() != parent_pid and any(task[0] == bomb_data for task in chunk):
-        deadline = time.monotonic() + 30.0
-        while not os.path.exists(marker) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.3)  # let the parent drain completed results
-        os._exit(1)
-    result = real(chunk, kernel)
-    if os.getpid() != parent_pid:
-        with open(marker, "w") as handle:
-            handle.write("done")
-    return result
+    parent_pid = os.getpid()
+    real = entropy.decode_batch
+
+    def bomb(batch, out, kernel):
+        if os.getpid() != parent_pid and any(
+            block[0] == bomb_data for block in batch
+        ):
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(marker) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)  # let the parent drain completed results
+            os._exit(1)
+        result = real(batch, out, kernel)
+        if os.getpid() != parent_pid:
+            with open(marker, "w") as handle:
+                handle.write("done")
+        return result
+
+    shutdown_pool()  # the bomb must be in place before the fork
+    monkeypatch.setattr(entropy, "decode_batch", bomb)
+
+
+#: One worker per block, forked so the workers inherit the bomb.
+FORK_POOL = DecodeOptions(
+    workers=2, chunk_size=1, oversubscribe=True, start_method="fork",
+)
 
 
 class TestBrokenPoolResume:
     def test_resumes_completed_chunks_after_worker_crash(
         self, tmp_path, monkeypatch
     ):
-        """Fault injection: one worker dies mid-run (fork start method, so
-        the child inherits the monkeypatched chunk decoder).  The fallback
-        must keep the completed chunks' results and re-decode only the
-        chunks the broken pool lost."""
+        """Fault injection: one worker dies mid-run.  The fallback must
+        keep the completed chunks' results and re-decode only the chunks
+        the broken pool lost."""
         if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only test
             pytest.skip("fork start method unavailable")
-        tasks, expected = zip(*(_encode_block(seed) for seed in range(6)))
-        marker = str(tmp_path / "chunk-done")
-        real = entropy._decode_tasks_sequential
-        parent_pid = os.getpid()
-        bomb_data = tasks[-1][0]
-
-        def bomb(chunk, kernel):
-            return _exploding_sequential(
-                chunk, kernel, parent_pid=parent_pid, bomb_data=bomb_data,
-                marker=marker, real=real,
-            )
-
-        shutdown_pool()  # the bomb must be in place before the fork
-        monkeypatch.setattr(entropy, "_decode_tasks_sequential", bomb)
+        source, specs, expected = _spec_workload(range(6))
+        bomb_data = specs[-1][1].codeword(source)
+        _arm_bomb(monkeypatch, str(tmp_path / "chunk-done"), bomb_data)
+        fates = _FateLog()
         try:
             with telemetry.session(spans=True) as run:
-                results = run_pickle_tasks(
-                    list(tasks),
-                    DecodeOptions(
-                        workers=2, chunk_size=1, oversubscribe=True,
-                        start_method="fork",
-                    ),
-                )
+                flat, ops = run_stream([source], specs, FORK_POOL, fates)
         finally:
             shutdown_pool()
-        recorder = run.recorder
-        for (values, ops), coeffs in zip(results, expected):
-            assert values.tolist() == coeffs
-            assert ops > 0
-        counters = recorder.metrics
+        assert flat.tolist() == [value for coeffs in expected for value in coeffs]
+        assert all(count > 0 for count in ops)
+        assert fates.rules == ["broken-pool-resume"]
+        counters = run.recorder.metrics
         assert counters.counter("jpeg2000.parallel.broken_pools") == 1
         assert counters.counter("jpeg2000.parallel.chunks_resumed") >= 1
         assert counters.counter("jpeg2000.parallel.chunks_redecoded") >= 1
         # Resume must NOT have re-decoded everything from scratch.
         assert (
-            counters.counter("jpeg2000.parallel.chunks_redecoded") < len(tasks)
+            counters.counter("jpeg2000.parallel.chunks_redecoded") < len(specs)
         )
+
+
+def _no_pool(monkeypatch):
+    monkeypatch.setattr(
+        entropy, "_get_pool", lambda workers, start_method=None: None
+    )
+
+
+def _no_arena(monkeypatch):
+    def refuse(size):
+        raise OSError("no shared memory here")
+
+    monkeypatch.setattr(entropy, "SharedArena", refuse)
+
+
+def _deep_blocks(monkeypatch):
+    monkeypatch.setattr(entropy, "_MAX_ARENA_BITPLANES", 2)
+
+
+class TestDegradation:
+    """Each degradation decodes in-process and records one rewrite."""
+
+    @pytest.mark.parametrize("cause, rule", [
+        (_no_pool, "pool-unavailable"),
+        (_no_arena, "arena-unavailable"),
+        (_deep_blocks, "arena-int32-unsafe"),
+    ], ids=["no-pool", "no-arena", "deep-block"])
+    def test_one_cause_records_one_rewrite(self, monkeypatch, cause, rule):
+        params = CodingParameters(
+            width=32, height=32, num_components=3, tile_width=16,
+            tile_height=16, num_levels=2, lossless=True,
+        )
+        data = encode_image(synthetic_image(32, 32, 3, seed=5), params)
+        reference = Jpeg2000Decoder(
+            data, options=DecodeOptions(kernel="reference", tier2="reference")
+        )
+        expected = reference.decode()
+        cause(monkeypatch)
+        decoder = Jpeg2000Decoder(data, options=POOL)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ParallelDegradedWarning)
+                image = decoder.decode()
+        finally:
+            shutdown_pool()
+        for ours, theirs in zip(image.components, expected.components):
+            assert ours.tobytes() == theirs.tobytes()
+        assert decoder.ops.counts == reference.ops.counts
+        rules = [
+            rewrite["rule"]
+            for fate in decoder.fates.fates.values()
+            for rewrite in fate["rewrites"]
+        ]
+        assert rules == [rule]
+        assert decoder.fates.health()["degraded"]
+        assert entropy._live_arenas == {}
 
 
 class TestParallelObservability:
     """Worker events ride back with results and merge deterministically."""
-
-    def test_pickle_transport_carries_worker_events(self, tmp_path):
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(6)))
-        try:
-            with telemetry.session(events=tmp_path / "e.jsonl") as run:
-                run_pickle_tasks(
-                    list(tasks),
-                    DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
-                )
-        finally:
-            shutdown_pool()
-        log = run.log
-        (fanout,) = log.select("parallel.fanout")
-        assert fanout["transport"] == "pickle"
-        assert fanout["chunks"] == 3
-        chunks = log.select("parallel.chunk_decoded")
-        assert len(chunks) == 3
-        for record in chunks:
-            assert record["transport"] == "pickle"
-            assert record["pid"] > 0
-        assert log.select("parallel.gathered")
-        # Merged events are one coherent stream: one run id, unique
-        # strictly-increasing sequence numbers.
-        seqs = [record["seq"] for record in log.events]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-        assert {record["run_id"] for record in log.events} == {log.run_id}
 
     def test_shm_transport_carries_worker_events(self, tmp_path):
         pytest.importorskip("multiprocessing.shared_memory")
         source, specs, _ = _spec_workload(range(6))
         try:
             with telemetry.session(events=tmp_path / "e.jsonl") as run:
-                run_plan_specs(
-                    [source], specs,
-                    DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
-                )
+                run_stream([source], specs, POOL)
         finally:
             shutdown_pool()
         log = run.log
-        (fanout,) = log.select("parallel.fanout")
-        assert fanout["transport"] == "shm"
+        (submitted,) = log.select("parallel.tile_submitted")
+        assert submitted["blocks"] == 6
         chunks = log.select("parallel.chunk_decoded")
-        assert chunks and all(r["transport"] == "shm" for r in chunks)
-        assert all(r["pid"] > 0 for r in chunks)
+        assert len(chunks) == submitted["chunks"]
+        assert all(record["pid"] > 0 for record in chunks)
+        # Merged events are one coherent stream: one run id, unique
+        # strictly-increasing sequence numbers.
+        seqs = [record["seq"] for record in log.events]
+        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        assert {record["run_id"] for record in log.events} == {log.run_id}
 
     def test_workers_send_no_events_when_log_disabled(self):
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(4)))
-        kernel = DecodeOptions().kernel
-        results, events = entropy._decode_chunk((kernel, list(tasks), False))
+        pytest.importorskip("multiprocessing.shared_memory")
+        source, specs, expected = _spec_workload(range(4))
+        source_arena = SharedArena(len(source))
+        source_arena.buf[:len(source)] = source
+        out_arena = SharedArena(sum(spec.size for _, spec in specs) * 4)
+        blocks = tuple(
+            (64 * index, spec) for index, (_, spec) in enumerate(specs)
+        )
+        try:
+            pid, ops, events = entropy._decode_chunk((
+                source_arena.name, out_arena.name, KERNEL_NATIVE, blocks,
+                False,
+            ))
+            out = np.frombuffer(out_arena.buf, dtype=np.int32).tolist()
+        finally:
+            source_arena.destroy()
+            out_arena.destroy()
         assert events is None
-        assert len(results) == len(tasks)
+        assert pid == os.getpid()
+        assert len(ops) == len(specs)
+        assert out == [value for coeffs in expected for value in coeffs]
 
     def test_degraded_counter_is_reason_labelled(self, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -504,41 +554,25 @@ class TestCrashReport:
 
         if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only test
             pytest.skip("fork start method unavailable")
-        tasks, expected = zip(*(_encode_block(seed) for seed in range(6)))
-        marker = str(tmp_path / "chunk-done")
-        real = entropy._decode_tasks_sequential
-        parent_pid = os.getpid()
-        bomb_data = tasks[-1][0]
-
-        def bomb(chunk, kernel):
-            return _exploding_sequential(
-                chunk, kernel, parent_pid=parent_pid, bomb_data=bomb_data,
-                marker=marker, real=real,
-            )
-
-        shutdown_pool()  # the bomb must be in place before the fork
-        monkeypatch.setattr(entropy, "_decode_tasks_sequential", bomb)
+        source, specs, expected = _spec_workload(range(6))
+        bomb_data = specs[-1][1].codeword(source)
+        _arm_bomb(monkeypatch, str(tmp_path / "chunk-done"), bomb_data)
         monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
         try:
             with telemetry.session(events=tmp_path / "events.jsonl"):
-                results = run_pickle_tasks(
-                    list(tasks),
-                    DecodeOptions(
-                        workers=2, chunk_size=1, oversubscribe=True,
-                        start_method="fork",
-                    ),
-                )
+                flat, _ = run_stream([source], specs, FORK_POOL)
         finally:
             shutdown_pool()
-        for (values, _), coeffs in zip(results, expected):
-            assert values.tolist() == coeffs
+        assert flat.tolist() == [value for coeffs in expected for value in coeffs]
         (report_path,) = tmp_path.glob("crash-*.json")
         report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["reason"] == "broken-pool"
         events = [record["event"] for record in report["events"]]
         assert "parallel.pool_broken" in events
-        assert "parallel.fanout" in events
+        assert "parallel.tile_submitted" in events
+        # At the break, the lost chunk was still in flight.
         fates = set(report["chunks"].values())
-        assert "redecoded" in fates  # the lost chunk was re-decoded
-        assert fates <= {"submitted", "done", "resumed", "redecoded"}
+        assert "submitted" in fates
+        assert fates <= {"submitted", "done"}
         assert report["context"]["schedule"]["effective_workers"] == 2
+        assert report["context"]["arena"]["input"]["bytes"] == len(source)

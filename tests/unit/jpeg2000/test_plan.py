@@ -1,4 +1,4 @@
-"""Unit tests for the decode-plan IR: planner, validator, rewrites.
+"""Unit tests for the decode-plan IR: planner and validator.
 
 The properties pinned here are the contract the driver relies on:
 compilation is *total* (every constructible ``DecodeOptions`` yields a
@@ -24,8 +24,6 @@ from repro.jpeg2000.plan import (
     STAGE_ORDER,
     STAGE_PARSE,
     STAGE_RECONSTRUCT,
-    TRANSPORT_ARENA,
-    TRANSPORT_PICKLE,
     DecodePlan,
     ExecutorSpec,
     PlanEnvironment,
@@ -33,11 +31,8 @@ from repro.jpeg2000.plan import (
     StageBinding,
     check_plan,
     compile_plan,
-    degrade_to_inline,
-    degrade_to_pickle,
     options_for_plan,
     validate_plan,
-    without_overlap,
 )
 
 #: A host that can run everything (so validation exercises the plan, not
@@ -61,7 +56,6 @@ def valid_pool_plan(**executor_overrides) -> DecodePlan:
     """A known-good parallel plan to perturb in validator tests."""
     fields = {
         "kind": EXECUTOR_POOL, "workers": 4, "chunk_size": 8,
-        "transport": TRANSPORT_ARENA, "overlap": True,
         **executor_overrides,
     }
     executor = ExecutorSpec(**fields)
@@ -80,8 +74,8 @@ def rules_of(plan, env=BIG_HOST):
 class TestCompileTotality:
     """compile_plan(options, env) validates for every constructible options."""
 
-    # The full cross product is ~1.5k combinations; cheap, and the whole
-    # point of a totality property.
+    # The full cross product: cheap, and the whole point of a totality
+    # property.
     WORKERS = (0, 1, 2, 4, None)
     KERNELS = ("native", "reference")
     TIER2 = ("fast", "reference")
@@ -91,13 +85,12 @@ class TestCompileTotality:
         "env", [BIG_HOST, NO_SHM_HOST, SMALL_HOST, NO_NATIVE_HOST]
     )
     def test_every_options_value_compiles_valid(self, env):
-        for workers, kernel, shm, tier2, overlap, oversub in itertools.product(
-            self.WORKERS, self.KERNELS, self.BOOLS, self.TIER2,
-            self.BOOLS, self.BOOLS,
+        for workers, kernel, tier2, oversub in itertools.product(
+            self.WORKERS, self.KERNELS, self.TIER2, self.BOOLS,
         ):
             options = DecodeOptions(
-                workers=workers, kernel=kernel, shared_memory=shm,
-                tier2=tier2, overlap=overlap, oversubscribe=oversub,
+                workers=workers, kernel=kernel, tier2=tier2,
+                oversubscribe=oversub,
             )
             plan = compile_plan(options, env)
             issues = validate_plan(plan, env)
@@ -115,8 +108,7 @@ class TestCompileTotality:
         ex = plan.stage(STAGE_ENTROPY).executor
         assert ex.kind == EXECUTOR_POOL
         assert ex.workers == 4
-        assert ex.transport == TRANSPORT_ARENA
-        assert ex.overlap
+        assert plan.rewrites == ()
 
     def test_host_clamp_compiles_parallel_request_to_inline(self):
         # On a 1-CPU host without oversubscribe, workers=4 is clamped to
@@ -134,16 +126,12 @@ class TestCompileTotality:
         plan = compile_plan(DecodeOptions(workers=None), BIG_HOST)
         assert plan.stage(STAGE_ENTROPY).executor.workers == BIG_HOST.cpu_count
 
-    def test_no_shared_memory_compiles_to_pickle_transport(self):
+    def test_no_shared_memory_compiles_inline(self):
         plan = compile_plan(DecodeOptions(workers=4), NO_SHM_HOST)
-        ex = plan.stage(STAGE_ENTROPY).executor
-        assert ex.transport == TRANSPORT_PICKLE
-        assert not ex.overlap  # streaming needs the arena
-
-    def test_pickle_transport_keeps_fast_kernel(self):
-        plan = compile_plan(DecodeOptions(workers=4), NO_SHM_HOST)
-        assert plan.stage(STAGE_ENTROPY).impl == "native"
-        assert plan.rewrites == ()
+        assert plan.stage(STAGE_ENTROPY) == StageBinding(STAGE_ENTROPY, "native")
+        ((stage, rule, _),) = plan.rewrites
+        assert (stage, rule) == (STAGE_ENTROPY, "arena-unavailable")
+        assert "rewrite entropy: [arena-unavailable]" in plan.describe()
 
     @pytest.mark.parametrize("workers", [0, 4])
     def test_no_native_kernel_compiles_to_reference(self, workers):
@@ -248,16 +236,6 @@ class TestValidatorRules:
             valid_pool_plan(chunk_size=0)
         )
 
-    def test_transport_required(self):
-        assert "executor.transport-required" in rules_of(
-            valid_pool_plan(transport=None, overlap=False)
-        )
-
-    def test_unknown_transport(self):
-        assert "executor.unknown-transport" in rules_of(
-            valid_pool_plan(transport="carrier-pigeon", overlap=False)
-        )
-
     def test_unknown_start_method(self):
         assert "executor.unknown-start-method" in rules_of(
             valid_pool_plan(start_method="teleport")
@@ -272,17 +250,9 @@ class TestValidatorRules:
     def test_stage_not_parallel(self):
         plan = valid_pool_plan().with_stage(StageBinding(
             STAGE_RECONSTRUCT, RECONSTRUCT_VECTORISED,
-            ExecutorSpec(
-                kind=EXECUTOR_POOL, workers=4, chunk_size=8,
-                transport=TRANSPORT_PICKLE,
-            ),
+            ExecutorSpec(kind=EXECUTOR_POOL, workers=4, chunk_size=8),
         ))
         assert "executor.stage-not-parallel" in rules_of(plan)
-
-    def test_overlap_requires_arena(self):
-        assert "executor.overlap-requires-arena" in rules_of(
-            valid_pool_plan(transport=TRANSPORT_PICKLE, overlap=True)
-        )
 
     def test_arena_unavailable(self):
         assert "executor.arena-unavailable" in rules_of(
@@ -320,8 +290,8 @@ class TestOptionsRoundTrip:
         DecodeOptions(kernel="reference", tier2="reference"),
         DecodeOptions(workers=4),
         DecodeOptions(workers=4, kernel="reference", chunk_size=3),
-        DecodeOptions(workers=2, shared_memory=False, start_method="spawn"),
-        DecodeOptions(workers=6, overlap=False),
+        DecodeOptions(workers=2, start_method="spawn"),
+        DecodeOptions(workers=6, tier2="reference"),
     ])
     def test_compile_options_for_plan_reproduces_plan(self, options):
         plan = compile_plan(options, BIG_HOST)
@@ -335,35 +305,6 @@ class TestOptionsRoundTrip:
         recovered = options_for_plan(plan)
         assert recovered.oversubscribe
         assert compile_plan(recovered, SMALL_HOST) == plan
-
-
-class TestRewrites:
-    def test_degrade_to_pickle_drops_arena_and_overlap(self):
-        degraded = degrade_to_pickle(valid_pool_plan())
-        ex = degraded.stage(STAGE_ENTROPY).executor
-        assert ex.transport == TRANSPORT_PICKLE
-        assert not ex.overlap
-        assert ex.workers == 4  # pool preserved
-        assert validate_plan(degraded, NO_SHM_HOST) == []
-
-    def test_degrade_to_inline_is_terminal(self):
-        degraded = degrade_to_inline(valid_pool_plan())
-        assert degraded.stage(STAGE_ENTROPY).executor == INLINE
-
-    def test_without_overlap_keeps_everything_else(self):
-        plan = valid_pool_plan()
-        barrier = without_overlap(plan)
-        assert not barrier.stage(STAGE_ENTROPY).executor.overlap
-        assert barrier.stage(STAGE_ENTROPY).executor.transport == TRANSPORT_ARENA
-        # Idempotent, and identity on non-overlapped plans.
-        assert without_overlap(barrier) == barrier
-
-    def test_rewrites_only_touch_the_entropy_stage(self):
-        plan = valid_pool_plan()
-        for rewrite in (degrade_to_pickle, degrade_to_inline, without_overlap):
-            rewritten = rewrite(plan)
-            for stage in (STAGE_PARSE, STAGE_RECONSTRUCT, STAGE_ASSEMBLE):
-                assert rewritten.stage(stage) == plan.stage(stage)
 
 
 class TestOptionsCanonicalDict:
@@ -383,11 +324,9 @@ class TestOptionsCanonicalDict:
         {"workers": 2},
         {"chunk_size": 9},
         {"kernel": "reference"},
-        {"shared_memory": False},
         {"start_method": "spawn"},
         {"oversubscribe": True},
         {"tier2": "reference"},
-        {"overlap": False},
     ])
     def test_every_field_flip_changes_the_serialisation(self, flip):
         base = DecodeOptions(workers=4)
@@ -397,7 +336,7 @@ class TestOptionsCanonicalDict:
     def test_from_dict_round_trips(self):
         options = DecodeOptions(
             workers=None, kernel="reference", start_method="forkserver",
-            oversubscribe=True, overlap=False,
+            oversubscribe=True, tier2="reference",
         )
         assert DecodeOptions.from_dict(options.as_dict()) == options
 

@@ -71,6 +71,8 @@ class TestCli:
         ["run", "2", "--workers", "2"],
         ["run", "2", "--kernel", "reference"],
         ["run", "decode", "--functional"],
+        ["plan", "decode", "--no-shared-memory"],
+        ["plan", "decode", "--no-overlap"],
     ])
     def test_retired_commands_and_misplaced_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -249,7 +251,7 @@ class TestObservabilityCli:
         assert main(["plan", "decode", "--workers", "4", "--cpus", "8"]) == 0
         assert capsys.readouterr().out == first
         assert first.startswith("DecodePlan ")
-        assert "transport=arena" in first
+        assert "pool workers=4 chunk=8 start=default" in first
 
     def test_plan_decode_env_overrides_change_the_plan(self, capsys):
         import json
@@ -262,8 +264,8 @@ class TestObservabilityCli:
         entropy = next(
             s for s in payload["stages"] if s["stage"] == "entropy"
         )
-        assert entropy["executor"]["transport"] == "pickle"
-        assert entropy["executor"]["overlap"] is False
+        # No shared memory: the pool cannot run, so the plan is inline.
+        assert entropy["executor"]["kind"] == "inline"
         # Host clamp: 4 workers on a 1-CPU host compile to inline.
         assert main([
             "plan", "decode", "--workers", "4", "--cpus", "1", "--json",
