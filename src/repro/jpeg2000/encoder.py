@@ -7,7 +7,11 @@ and the functional payload of every OSSS model — has real work to do.
 
 Pipeline per tile component: DC level shift, colour transform (RCT for the
 5/3 path, ICT for 9/7), multi-level DWT, quantisation (9/7 only), Tier-1
-code-block coding, Tier-2 packet assembly (single layer, LRCP).
+code-block coding, Tier-2 packet assembly (LRCP or RLCP, one or more
+quality layers).  Tier-1 runs each band as one batch through the native
+kernel (``t1_native``) when it is available; the reference
+:class:`~repro.jpeg2000.t1.CodeBlockEncoder` codes every block otherwise,
+and any block deeper than 30 bit planes.  Both produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dwt, mct, quant
+from . import dwt, mct, quant, t1_native
 from .codestream import (
     CodingParameters,
     PROGRESSION_RLCP,
@@ -70,6 +74,31 @@ def signalled_delta(params: CodingParameters, resolution: int, orientation: str)
     raw = quant.default_step(orientation, level, params.num_levels, params.base_step)
     range_bits = params.bit_depth + quant.ORIENTATION_GAIN_LOG2[orientation]
     return quant.StepSize.from_delta(raw, range_bits).delta(range_bits)
+
+
+def _tier1(blocks: list) -> list:
+    """Tier-1 results for one band's ``(array, width, height, orientation)``
+    blocks: one native batch, and the reference coder for the blocks it
+    cannot take (no C compiler, more than 30 bit planes, or more than the
+    4096 samples T.800 allows a code block)."""
+    results = [None] * len(blocks)
+    if t1_native.available():
+        native = [
+            index
+            for index, (array, *_) in enumerate(blocks)
+            if array.size <= t1_native.MAX_AREA
+            and int(np.abs(array).max()) >> t1_native.MAX_BITPLANES == 0
+        ]
+        coded = t1_native.encode_codeblock_batch([blocks[i] for i in native])
+        for index, result in zip(native, coded):
+            results[index] = result
+    for index, result in enumerate(results):
+        if result is None:
+            array, width, height, orientation = blocks[index]
+            results[index] = CodeBlockEncoder(
+                array.ravel().tolist(), width, height, orientation
+            ).encode()
+    return results
 
 
 class Jpeg2000Encoder:
@@ -183,15 +212,17 @@ class Jpeg2000Encoder:
             indices = quant.quantise(array, signalled_delta(params, resolution, orientation))
         height, width = indices.shape
         band = _CodedBand(resolution, orientation, width, height)
-        for geometry in codeblock_grid(width, height, params.codeblock_size):
-            block_data = indices[
-                geometry.y0 : geometry.y0 + geometry.height,
-                geometry.x0 : geometry.x0 + geometry.width,
-            ]
-            coder = CodeBlockEncoder(
-                block_data.flatten().tolist(), geometry.width, geometry.height, orientation
+        geometries = codeblock_grid(width, height, params.codeblock_size)
+        blocks = [
+            (
+                indices[g.y0 : g.y0 + g.height, g.x0 : g.x0 + g.width],
+                g.width,
+                g.height,
+                orientation,
             )
-            result = coder.encode()
+            for g in geometries
+        ]
+        for geometry, result in zip(geometries, _tier1(blocks)):
             band.blocks.append(
                 CodeBlockContribution(
                     geometry=geometry,

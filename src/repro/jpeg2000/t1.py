@@ -50,9 +50,10 @@ class CodeBlockResult:
 
     def bytes_for_passes(self, count: int) -> int:
         """Segment length covering the first *count* passes."""
+        count = min(count, self.num_passes)
         if count <= 0:
             return 0
-        return self.pass_lengths[min(count, self.num_passes) - 1]
+        return self.pass_lengths[count - 1]
 
     def __repr__(self) -> str:
         return (
