@@ -105,9 +105,8 @@ def _run_version(args):
     import time
 
     from . import telemetry
-    from .casestudy.explorer import ALL_VERSIONS
     from .casestudy.workload import functional_workload, paper_workload
-    from .design import catalog
+    from .design import catalog, elaborate_design
     from .experiments.fingerprint import spec_hash
     from .kernel.tracing import SimProfiler
     from .telemetry.export import aggregate, flame_summary, stage_shares
@@ -121,12 +120,12 @@ def _run_version(args):
     ) as run:
         # Built inside the session: a Simulator binds the active span
         # recorder when it is constructed.
-        model = ALL_VERSIONS[name](workload(not args.lossy))
+        model = elaborate_design(catalog.get(name), workload(not args.lossy))
         profiler = SimProfiler(model.sim) if args.profile else None
         start = time.perf_counter()
         report = model.run()
         run.fields.update(
-            spec_hash=spec_hash(catalog.get(name)),
+            spec_hash=spec_hash(model.spec),
             wall_seconds=time.perf_counter() - start,
             decode_ms=report.decode_ms,
         )

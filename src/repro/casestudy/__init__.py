@@ -1,11 +1,14 @@
 """``repro.casestudy`` — the JPEG 2000 decoder case study.
 
-All nine design versions of the paper's Table 1 as executable OSSS models
-(Application Layer 1-5, VTA 6a-7b), the Fig. 1 profiling model, and
-``run_version``, which simulates one of them.  The Table 1 reconstruction
-itself lives in the experiment registry (``python -m repro sweep table1``).
+The behaviours the nine design versions of the paper's Table 1 are built
+from (Shared Objects, IDWT hardware blocks, the workload), the Fig. 1
+profiling model, and ``run_version``, which elaborates one catalog spec
+(Application Layer 1-5, VTA 6a-7b) and simulates it.  The Table 1
+reconstruction itself lives in the experiment registry
+(``python -m repro sweep table1``).
 """
 
+from ..design import DecodingReport
 from .explorer import ALL_VERSIONS, ROW_LABELS, run_version
 from .profiles import (
     ARITH_MS_PER_TILE,
@@ -20,13 +23,10 @@ from .profiles import (
     profile_for,
     stage_times_from_shares,
 )
-from .versions import APPLICATION_VERSIONS, DecodingReport
-from .vta_versions import VTA_VERSIONS
 from .workload import Workload, functional_workload, paper_workload
 
 __all__ = [
     "ALL_VERSIONS",
-    "APPLICATION_VERSIONS",
     "ARITH_MS_PER_TILE",
     "CYCLES_PER_OP",
     "DecodingReport",
@@ -36,7 +36,6 @@ __all__ = [
     "PROFILE_LOSSY",
     "ROW_LABELS",
     "StageTimes",
-    "VTA_VERSIONS",
     "Workload",
     "functional_workload",
     "measured_shares",

@@ -21,7 +21,6 @@ from typing import Optional
 from ..core import OsssModule, Port
 from ..kernel import Fifo, SimTime, Simulator, ms
 from .messages import IdwtResult, TileComponentJob, WirePayload
-from . import profiles
 from .workload import Workload
 
 
@@ -126,7 +125,7 @@ class IdwtFilterBlock(OsssModule):
         per_component_ms = (
             self.workload.stage_times.idwt
             / self.workload.num_components
-            / profiles.HW_COPROCESSOR_SPEEDUP
+            / self.workload.hw_speedup
         ) * self.compute_time_scale
         return ms(per_component_ms / self.workload.stripes_per_component)
 

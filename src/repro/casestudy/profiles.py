@@ -68,6 +68,11 @@ OPB_CYCLES_PER_WORD = 3.0
 OPB_ARBITRATION_CYCLES = 2
 P2P_CYCLES_PER_WORD = 1.0
 
+#: The faster bus tier (``ablation_plb``): the 64-bit pipelined PLB moves
+#: a 32-bit word in half a cycle after one arbitration cycle.
+PLB_CYCLES_PER_WORD = 0.5
+PLB_ARBITRATION_CYCLES = 1
+
 #: Explicit-memory insertion: extra block-RAM access cycles charged per
 #: sample visit inside the hardware IDWT datapath on the VTA.  Dual-port
 #: RAMB16s and line buffers absorb most accesses; the residual penalty is

@@ -20,7 +20,6 @@ from typing import Optional
 from ..core import guarded, guarded_args, osss_method
 from ..kernel import SimTime, Simulator, ZERO_TIME, ms, us
 from .messages import IdwtResult, TileComponentJob, WirePayload
-from . import profiles
 from .workload import Workload
 
 
@@ -92,7 +91,7 @@ class TileStoreBehaviour:
         per_component_ms = (
             self.workload.stage_times.iq
             / self.workload.num_components
-            / profiles.HW_COPROCESSOR_SPEEDUP
+            / self.workload.hw_speedup
         ) * self.iq_time_scale
         return ms(per_component_ms)
 
@@ -131,8 +130,8 @@ class TileStoreBehaviour:
         object while the caller blocks.
         """
         workload = self.workload
-        iq_ms = workload.stage_times.iq / profiles.HW_COPROCESSOR_SPEEDUP * self.iq_time_scale
-        idwt_ms = workload.stage_times.idwt / profiles.HW_COPROCESSOR_SPEEDUP * self.iq_time_scale
+        iq_ms = workload.stage_times.iq / workload.hw_speedup * self.iq_time_scale
+        idwt_ms = workload.stage_times.idwt / workload.hw_speedup * self.iq_time_scale
         result_planes = None
         if payload.content is not None:
             stages, bands = payload.content

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..jpeg2000 import CodingParameters, Jpeg2000Decoder, encode_image, synthetic_image
 from ..jpeg2000.image import Image
-from .profiles import RMI_CHUNK_WORDS, StageTimes, profile_for
+from .profiles import HW_COPROCESSOR_SPEEDUP, StageTimes, profile_for
 
 #: Paper workload geometry: 512x512 RGB in 128x128 tiles = 16 tiles.
 PAPER_TILE_SIZE = 128
@@ -38,6 +38,8 @@ class Workload:
     decoder: Optional[Jpeg2000Decoder] = None
     #: Functional mode: the reference (golden) decode for comparison.
     reference: Optional[Image] = None
+    #: Speed-up of the hardware IQ/IDWT over the software stage times.
+    hw_speedup: float = HW_COPROCESSOR_SPEEDUP
 
     @property
     def functional(self) -> bool:

@@ -70,8 +70,8 @@ _CACHE: dict = {}
 
 
 def _profiles():
-    # Deferred: repro.casestudy imports repro.design (the shims), so the
-    # constants module is only pulled in once a spec is actually built.
+    # Deferred: repro.casestudy imports repro.design, so the constants
+    # module is only pulled in once a spec is actually built.
     from ..casestudy import profiles
 
     return profiles
@@ -143,6 +143,40 @@ def with_chunk_words(spec: DesignSpec, chunk_words: Optional[int]) -> DesignSpec
     if links == spec.mapping.links:
         return spec
     return replace(spec, mapping=replace(spec.mapping, links=links))
+
+
+def with_plb_bus(spec: DesignSpec) -> DesignSpec:
+    """*spec* with its shared bus exchanged for the 64-bit PLB tier.
+
+    Only the channel changes (the OSSS Channel abstraction makes a bus
+    swap a mapping rewrite): the bus channel becomes kind ``plb`` named
+    ``plb``, its links follow it, and the spec is named ``<name>-plb``.
+    """
+    buses = spec.bus_channels
+    if not buses:
+        raise ValueError(
+            f"design {spec.name!r} has no bus channel to exchange for the PLB"
+        )
+    profiles = _profiles()
+    old = buses[0].name
+    plb = ChannelSpec(
+        "plb",
+        "plb",
+        cycles_per_word=profiles.PLB_CYCLES_PER_WORD,
+        arbitration_cycles=profiles.PLB_ARBITRATION_CYCLES,
+    )
+    channels = tuple(
+        plb if channel.name == old else channel for channel in spec.mapping.channels
+    )
+    links = tuple(
+        replace(link, channel=plb.name) if link.channel == old else link
+        for link in spec.mapping.links
+    )
+    return replace(
+        spec,
+        name=f"{spec.name}-plb",
+        mapping=replace(spec.mapping, channels=channels, links=links),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core import FunctionTask, RoundRobin, SharedObject
 from ..kernel import Simulator, join, us
-from .spec import BUS_CHANNEL_KINDS, DesignSpec, MODULE_KINDS
+from .spec import DesignSpec, MODULE_KINDS
 from .validate import check_spec
 
 #: Arbitration-policy registry (spec symbol -> policy factory).
@@ -180,12 +180,10 @@ class ElaboratedModel:
                 )
                 self.filters.append(module)
             self._modules[module_spec.name] = module
-        # The mapping hook: the Application Layer binds ports straight to
+        # The mapping step: the Application Layer binds ports straight to
         # the Shared Objects; a VTA mapping interposes processors, object
         # sockets, RMI transactors, channels, and explicit memories — the
-        # behavioural code is untouched (seamless refinement).  Kept as an
-        # overridable method so experiments can swap architecture pieces
-        # (e.g. a PLB bus) without a new spec vocabulary.
+        # behavioural code is untouched (seamless refinement).
         self._prepare_architecture()
         for module_spec in self.spec.modules:
             module = self._modules[module_spec.name]
@@ -222,14 +220,17 @@ class ElaboratedModel:
             DdrMemoryController,
             ObjectSocket,
             OpbBus,
+            PlbBus,
             SoftwareProcessor,
             ml401,
         )
 
         self.platform = ml401()
         cycle = self.platform.clock_period
+        buses = {"opb": OpbBus, "plb": PlbBus}
+        self._channels: dict = {}
         for bus_spec in self.spec.bus_channels:
-            self.opb = OpbBus(
+            self.opb = self._channels[bus_spec.name] = buses[bus_spec.kind](
                 self.sim,
                 cycle,
                 name=bus_spec.name,
@@ -259,7 +260,6 @@ class ElaboratedModel:
         )
         self._ddr_masters: dict = {}
         self._p2p_count = 0
-        self._channels: dict = {}
         # Explicit memory insertion: the object's storage moves into the
         # placed block RAM; the IQ stage streams through the RAM port at
         # one sample per cycle, so only the filter datapaths pay the
@@ -277,15 +277,11 @@ class ElaboratedModel:
             module.compute_time_scale = 1.0 + datapath.extra_cycles_per_sample
 
     def _resolve_channel(self, link):
-        channel_spec = self.spec.channel(link.channel)
-        if channel_spec.kind in BUS_CHANNEL_KINDS:
-            # Late resolution: experiments may have replaced ``self.opb``
-            # after ``_prepare_architecture`` (e.g. with a PLB model).
-            return self.opb
-        from ..vta import P2PChannel
-
         channel = self._channels.get(link.channel)
         if channel is None:
+            from ..vta import P2PChannel
+
+            channel_spec = self.spec.channel(link.channel)
             self._p2p_count += 1
             channel = self._channels[link.channel] = P2PChannel(
                 self.sim,

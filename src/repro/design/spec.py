@@ -76,10 +76,10 @@ MODULE_KINDS = {
     "idwt_filter": ("store", "params"),
 }
 
-#: Channel kinds: a shared bus arbitrates between many masters; a P2P
-#: channel is a dedicated wire pair between exactly one client and one
-#: object socket.
-BUS_CHANNEL_KINDS = ("opb",)
+#: Channel kinds: a shared bus (the paper's OPB, or the faster PLB tier)
+#: arbitrates between many masters; a P2P channel is a dedicated wire pair
+#: between exactly one client and one object socket.
+BUS_CHANNEL_KINDS = ("opb", "plb")
 P2P_CHANNEL_KINDS = ("p2p",)
 CHANNEL_KINDS = BUS_CHANNEL_KINDS + P2P_CHANNEL_KINDS
 

@@ -24,6 +24,7 @@ from .request import (
     KIND_SIMULATE,
     KIND_SYNTHESISE,
     RunRequest,
+    spec_request,
 )
 
 #: Fig. 1 profiling subject: quarter-scale paper workload.  The stage
@@ -44,19 +45,6 @@ def _sim(rid: str, version: str, lossless: bool, **options) -> RunRequest:
         kind=KIND_SIMULATE,
         params={"version": version, "lossless": lossless},
         options=options,
-    )
-
-
-def _scaled(rid: str, num_tasks: int, p2p: bool) -> RunRequest:
-    return RunRequest(
-        rid=rid,
-        kind=KIND_SIMULATE,
-        params={
-            "version": "scaled",
-            "num_tasks": num_tasks,
-            "p2p": p2p,
-            "lossless": True,
-        },
     )
 
 
@@ -669,8 +657,14 @@ TASK_COUNTS = (1, 2, 4, 8)
 
 
 def _scaling_requests() -> tuple:
+    from ..design import catalog
+
     return tuple(
-        _scaled(f"scaled:{num_tasks}:{'p2p' if p2p else 'bus'}", num_tasks, p2p)
+        spec_request(
+            catalog.scaled_vta_spec(num_tasks, p2p),
+            True,
+            rid=f"scaled:{num_tasks}:{'p2p' if p2p else 'bus'}",
+        )
         for num_tasks in TASK_COUNTS
         for p2p in (False, True)
     )

@@ -4,17 +4,22 @@ This is the *only* place experiment work is performed — the runner calls
 it in-process or ships it to a worker process (requests and payloads are
 small picklable plain data).
 
-Every ablation tweak (module-global rebinding, post-construction
-pokes, bus-swap subclasses) is expressed here as a declarative
-``options`` entry, so it participates in the cache key and is
-reproducible from the registry alone:
+A simulate request elaborates the one spec
+:func:`~repro.experiments.request.request_spec` resolves — the spec its
+cache key hashes — on a workload built from its params, then applies
+the runtime tweaks.  Every ablation is a declarative ``options`` entry,
+so it participates in the cache key and is reproducible from the
+registry alone:
 
 ``rmi_chunk_words``        RMI serialisation chunk (spec rewrite).
-``hw_speedup``             HW co-processor factor (model 2 sensitivity).
+``so_bus``                 ``"plb"`` exchanges the bus for the PLB (spec rewrite).
+``hw_speedup``             HW co-processor factor (workload field).
 ``opb_burst_threshold_words``  enable seqAddr bursts on the OPB.
 ``poll``                   ``False`` disables guarded-call bus polling.
 ``fifo_depth``             stream-pipeline FIFO capacity of the filters.
-``so_bus``                 ``"plb"`` re-attaches the HW/SW SO to the PLB.
+``tolerant``               a failure becomes a ``{"failed": ...}`` payload.
+
+A runtime tweak aimed at a part the design lacks raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .request import (
     KIND_SIMULATE,
     KIND_SYNTHESISE,
     RunRequest,
+    request_spec,
 )
 
 
@@ -56,7 +62,7 @@ def execute_request(request: RunRequest) -> dict:
 
 def _dispatch(request: RunRequest) -> dict:
     if request.kind == KIND_SIMULATE:
-        return _simulate(request.params, request.options)
+        return _simulate(request)
     if request.kind == KIND_PROFILE:
         return _profile_decode(request.params)
     if request.kind == KIND_LAYERS:
@@ -78,72 +84,32 @@ def timed_execute(request: RunRequest) -> tuple:
 # --------------------------------------------------------------------------
 
 
-def _simulate(params: dict, options: dict) -> dict:
+def _simulate(request: RunRequest) -> dict:
     import dataclasses
 
     from .. import telemetry
-    from ..casestudy import profiles, vta_versions
-    from ..casestudy.explorer import ALL_VERSIONS
-    from ..casestudy.vta_versions import scaled_parallel_version
     from ..casestudy.workload import paper_workload
+    from ..design import elaborate_design
 
-    lossless = bool(params["lossless"])
-    version = params["version"]
-    hw_speedup = options.get("hw_speedup")
-    chunk = options.get("rmi_chunk_words")
-
-    saved_speedup = profiles.HW_COPROCESSOR_SPEEDUP
-    saved_chunk = vta_versions.RMI_CHUNK_WORDS
-    try:
-        if hw_speedup is not None:
-            profiles.HW_COPROCESSOR_SPEEDUP = float(hw_speedup)
-        if chunk is not None:
-            vta_versions.RMI_CHUNK_WORDS = int(chunk)
-        if version == "spec":
-            # Spec-valued request: the design travels by value, so any
-            # generated candidate elaborates like a catalog row.
-            from ..design import catalog, elaborate_design, spec_from_dict
-
-            if options.get("so_bus") == "plb":
-                raise ValueError(
-                    "so_bus='plb' applies to catalog model classes only"
-                )
-            spec = spec_from_dict(params["spec"])
-            if chunk is not None:
-                spec = catalog.with_chunk_words(spec, int(chunk))
-
-            def model_cls(workload):
-                return elaborate_design(spec, workload)
-
-        elif version == "scaled":
-            model_cls = scaled_parallel_version(
-                int(params["num_tasks"]), bool(params["p2p"])
-            )
-        else:
-            if version not in ALL_VERSIONS:
-                raise KeyError(
-                    f"unknown design version {version!r}; "
-                    f"registered: {sorted(ALL_VERSIONS)}"
-                )
-            model_cls = ALL_VERSIONS[version]
-        if version != "spec" and options.get("so_bus") == "plb":
-            model_cls = _plb_variant(model_cls)
-        workload = paper_workload(lossless)
-        num_tiles = params.get("num_tiles")
-        if num_tiles is not None:
-            workload = dataclasses.replace(workload, num_tiles=int(num_tiles))
-        # Scope every run to its own registry: an ambient recorder
-        # (installed by a caller that is itself being traced) must not
-        # accumulate this run's spans and counters, or its totals would
-        # depend on which cells the cache served.
-        with (telemetry.session(spans=True) if telemetry.active() is not None
-              else contextlib.nullcontext()):
-            model = model_cls(workload)
-            _apply_model_tweaks(model, options)
-            report = model.run()
-    finally:
-        profiles.HW_COPROCESSOR_SPEEDUP = saved_speedup
-        vta_versions.RMI_CHUNK_WORDS = saved_chunk
+    spec = request_spec(request)
+    params, options = request.params, request.options
+    overrides = {}
+    if "num_tiles" in params:
+        overrides["num_tiles"] = int(params["num_tiles"])
+    if "hw_speedup" in options:
+        overrides["hw_speedup"] = float(options["hw_speedup"])
+    workload = dataclasses.replace(
+        paper_workload(bool(params["lossless"])), **overrides
+    )
+    # Scope every run to its own registry: an ambient recorder
+    # (installed by a caller that is itself being traced) must not
+    # accumulate this run's spans and counters, or its totals would
+    # depend on which cells the cache served.
+    with (telemetry.session(spans=True) if telemetry.active() is not None
+          else contextlib.nullcontext()):
+        model = elaborate_design(spec, workload)
+        _apply_model_tweaks(model, options)
+        report = model.run()
 
     return {
         "version": report.version,
@@ -154,26 +120,23 @@ def _simulate(params: dict, options: dict) -> dict:
     }
 
 
-def _plb_variant(base_cls):
-    """*base_cls* with the Shared-Object bus swapped to the fast PLB tier
-    (the OSSS Channel abstraction makes this a one-line refinement)."""
-    from ..vta import PlbBus
-
-    class _PlbModel(base_cls):
-        version = f"{base_cls.version}-plb"
-
-        def _prepare_architecture(self):
-            super()._prepare_architecture()
-            self.opb = PlbBus(self.sim, self.platform.clock_period)
-
-    return _PlbModel
-
-
 def _apply_model_tweaks(model, options: dict) -> None:
+    spec = model.spec
+
+    def require(option: str, present: bool, part: str) -> None:
+        if not present:
+            raise ValueError(
+                f"option {option}={options[option]!r} needs {part}; "
+                f"design {spec.name!r} has none"
+            )
+
     burst = options.get("opb_burst_threshold_words")
     if burst is not None:
+        require("opb_burst_threshold_words",
+                any(c.kind == "opb" for c in spec.bus_channels), "an OPB")
         model.opb.burst_threshold_words = int(burst)
     if options.get("poll") is False:
+        require("poll", bool(spec.modules), "the IDWT hardware pipeline")
         # Ideal readiness notification: no status polling anywhere on the
         # path to the HW/SW Shared Object.
         for task in model.tasks:
@@ -183,6 +146,7 @@ def _apply_model_tweaks(model, options: dict) -> None:
             block.store_port._provider.poll_interval = None
     depth = options.get("fifo_depth")
     if depth is not None:
+        require("fifo_depth", bool(spec.modules), "the IDWT hardware pipeline")
         for block in model.filters:
             block._in_fifo.capacity = int(depth)
             block._out_fifo.capacity = int(depth)

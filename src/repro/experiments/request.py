@@ -24,6 +24,18 @@ KIND_SYNTHESISE = "synthesise"
 #: kind is cacheable.
 KNOWN_KINDS = (KIND_SIMULATE, KIND_PROFILE, KIND_LAYERS, KIND_SYNTHESISE)
 
+#: Option names a simulate request understands (their meaning is listed in
+#: :mod:`repro.experiments.execute`).
+SIMULATE_OPTIONS = (
+    "fifo_depth",
+    "hw_speedup",
+    "opb_burst_threshold_words",
+    "poll",
+    "rmi_chunk_words",
+    "so_bus",
+    "tolerant",
+)
+
 
 @dataclass(frozen=True)
 class RunRequest:
@@ -51,6 +63,13 @@ class RunRequest:
             raise ValueError(
                 f"unknown request kind {self.kind!r}; expected one of {KNOWN_KINDS}"
             )
+        if self.kind == KIND_SIMULATE:
+            unknown = sorted(set(self.options).difference(SIMULATE_OPTIONS))
+            if unknown:
+                raise ValueError(
+                    f"{self.rid}: unknown simulate option(s) {unknown}; "
+                    f"known: {list(SIMULATE_OPTIONS)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -121,10 +140,10 @@ def spec_request(
 def request_spec(request: RunRequest):
     """The :class:`DesignSpec` a simulate request elaborates (else None).
 
-    This is the *exact* spec the interpreter builds — including the RMI
-    chunk override — so the cache key tracks the design description, not
-    just its name.  Spec-valued requests (``version == "spec"``) rebuild
-    the frozen dataclasses from the params.
+    The one resolver from request to design: the interpreter elaborates
+    exactly this spec and the cache key hashes it.  ``version`` names a
+    catalog row, or is ``"spec"`` for a design carried by value; the
+    ``rmi_chunk_words`` and ``so_bus`` options are mapping rewrites.
     """
     if request.kind != KIND_SIMULATE:
         return None
@@ -133,15 +152,16 @@ def request_spec(request: RunRequest):
     version = request.params["version"]
     if version == "spec":
         spec = spec_from_dict(request.params["spec"])
-    elif version == "scaled":
-        spec = catalog.scaled_vta_spec(
-            int(request.params["num_tasks"]), bool(request.params["p2p"])
-        )
     else:
         spec = catalog.get(version)
     chunk = request.options.get("rmi_chunk_words")
     if chunk is not None:
         spec = catalog.with_chunk_words(spec, int(chunk))
+    so_bus = request.options.get("so_bus")
+    if so_bus == "plb":
+        spec = catalog.with_plb_bus(spec)
+    elif so_bus is not None:
+        raise ValueError(f"{request.rid}: so_bus={so_bus!r}; only 'plb' exists")
     return spec
 
 

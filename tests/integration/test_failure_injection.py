@@ -3,7 +3,6 @@
 import pytest
 
 from repro.casestudy import paper_workload
-from repro.casestudy.versions import Version3HwSwParallel
 from repro.core import (
     FunctionTask,
     SharedObject,
@@ -11,6 +10,7 @@ from repro.core import (
     osss_method,
 )
 from repro.core.serialisation import SerialisationError, payload_bits
+from repro.design import catalog, elaborate_design
 from repro.fossy import Call, Design, InlineError, Procedure, inline_design
 from repro.jpeg2000 import CodestreamError, parse_codestream
 from repro.kernel import ProcessError, Simulator, ms
@@ -21,7 +21,7 @@ from repro.core import OsssArray
 class TestDeadlockDetection:
     def test_model_reports_deadlock_with_task_names(self):
         workload = paper_workload(True)
-        model = Version3HwSwParallel(workload)
+        model = elaborate_design(catalog.get("3"), workload)
         # Sabotage: the params queue never accepts jobs, so the control
         # blocks and software waits for results forever.
         model.params.capacity = 0

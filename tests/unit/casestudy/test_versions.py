@@ -6,7 +6,8 @@ full-matrix reconstruction lives in the integration tests.
 
 import pytest
 
-from repro.casestudy import APPLICATION_VERSIONS, paper_workload, run_version
+from repro.casestudy import paper_workload, run_version
+from repro.design import catalog, elaborate_design
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +16,7 @@ def reports():
     for lossless in (True, False):
         workload = paper_workload(lossless)
         mode = "lossless" if lossless else "lossy"
-        for name in APPLICATION_VERSIONS:
+        for name in catalog.select(layer="application"):
             out[(name, mode)] = run_version(name, lossless, workload)
     return out
 
@@ -81,12 +82,12 @@ class TestVersion5:
 
     def test_seven_clients_on_the_shared_object(self):
         workload = paper_workload(True)
-        model = APPLICATION_VERSIONS["5"](workload)
+        model = elaborate_design(catalog.get("5"), workload)
         assert model.shared_object.num_clients == 7
 
     def test_version3_has_four_clients(self):
         workload = paper_workload(True)
-        model = APPLICATION_VERSIONS["3"](workload)
+        model = elaborate_design(catalog.get("3"), workload)
         assert model.shared_object.num_clients == 4
 
 

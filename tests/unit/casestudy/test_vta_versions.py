@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.casestudy import VTA_VERSIONS, paper_workload, run_version
-from repro.casestudy.vta_versions import (
-    Version6aBusOnly,
-    Version6bBusAndP2p,
-    Version7aBusOnly,
-    Version7bBusAndP2p,
-)
+from repro.casestudy import paper_workload, run_version
+from repro.design import catalog, elaborate_design
+
+
+def _model(name, workload):
+    return elaborate_design(catalog.get(name), workload)
 
 
 @pytest.fixture(scope="module")
@@ -16,40 +15,43 @@ def lossless_reports():
     workload = paper_workload(True)
     v1 = run_version("1", True, workload)
     v3 = run_version("3", True, workload)
-    vta = {name: run_version(name, True, workload) for name in VTA_VERSIONS}
+    vta = {
+        name: run_version(name, True, workload)
+        for name in catalog.select(layer="vta")
+    }
     return v1, v3, vta
 
 
 class TestArchitectureWiring:
     def test_processor_counts(self):
         workload = paper_workload(True)
-        assert len(Version6aBusOnly(workload).processors) == 1
-        assert len(Version7aBusOnly(workload).processors) == 4
+        assert len(_model("6a", workload).processors) == 1
+        assert len(_model("7a", workload).processors) == 4
 
     def test_6a_puts_idwt_links_on_the_bus(self):
-        model = Version6aBusOnly(paper_workload(True))
+        model = _model("6a", paper_workload(True))
         # masters: 1 SW + control + 2 filters = 4 on the OPB
         assert len(model.opb.masters) == 4
         assert model._p2p_count == 3  # params links only (control + 2 filters)
 
     def test_6b_moves_idwt_links_to_p2p(self):
-        model = Version6bBusAndP2p(paper_workload(True))
+        model = _model("6b", paper_workload(True))
         assert len(model.opb.masters) == 1  # only the software task
         assert model._p2p_count == 6  # 3 store links + 3 params links
 
     def test_7a_has_seven_bus_masters(self):
-        model = Version7aBusOnly(paper_workload(True))
+        model = _model("7a", paper_workload(True))
         assert len(model.opb.masters) == 7  # 4 SW + control + 2 filters
 
     def test_explicit_memory_knobs_set(self):
-        model = Version6bBusAndP2p(paper_workload(True))
+        model = _model("6b", paper_workload(True))
         assert model.store.iq_streaming
         assert model.store.port_setup
         for block in model.filters:
             assert block.compute_time_scale > 1.0
 
     def test_tasks_mapped_to_processors(self):
-        model = Version7bBusAndP2p(paper_workload(True))
+        model = _model("7b", paper_workload(True))
         for task, cpu in zip(model.tasks, model.processors):
             assert task.mapped_processor is cpu
 
@@ -107,7 +109,7 @@ class TestExternalMemory:
 
     def test_ddr_traffic_accounted(self):
         workload = paper_workload(True)
-        model = Version6aBusOnly(workload)
+        model = _model("6a", workload)
         report = model.run()
         ddr = report.details["ddr"]
         # per tile: coded input (quarter of raw) + full decoded output
@@ -117,16 +119,14 @@ class TestExternalMemory:
 
     def test_four_processors_contend_for_ddr(self):
         workload = paper_workload(True)
-        single = Version6aBusOnly(workload)
+        single = _model("6a", workload)
         single.run()
-        quad = Version7aBusOnly(workload)
+        quad = _model("7a", workload)
         quad.run()
         assert quad.ddr.stats.wait_fs > single.ddr.stats.wait_fs
 
     def test_application_layer_has_no_ddr(self):
-        from repro.casestudy.versions import Version3HwSwParallel
-
         workload = paper_workload(True)
-        model = Version3HwSwParallel(workload)
+        model = _model("3", workload)
         report = model.run()
         assert "ddr" not in report.details

@@ -12,8 +12,9 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.casestudy.explorer import ALL_VERSIONS, run_version
+from repro.casestudy.explorer import run_version
 from repro.casestudy.workload import paper_workload
+from repro.design import catalog, elaborate_design
 from repro.kernel import Simulator, ns, set_default_fast
 from repro.telemetry import TelemetryRecorder, to_chrome_trace
 
@@ -21,7 +22,7 @@ from repro.telemetry import TelemetryRecorder, to_chrome_trace
 def _run_recorded(version, lossless=True):
     """Run one version under a fresh recorder; returns (report, recorder, model)."""
     with telemetry.session(spans=True) as run:
-        model = ALL_VERSIONS[version](paper_workload(lossless))
+        model = elaborate_design(catalog.get(version), paper_workload(lossless))
         report = model.run()
     return report, run.recorder, model
 

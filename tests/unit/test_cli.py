@@ -425,17 +425,17 @@ class TestObservabilityCli:
         import json
 
         from repro import telemetry
-        from repro.casestudy.explorer import ALL_VERSIONS
+        from repro.design.elaborate import ElaboratedModel
         from repro.telemetry import ledger
 
-        def broken_model(workload):
+        def broken_model(self, spec, workload):
             raise RuntimeError("model construction failed")
 
         path = tmp_path / "l.jsonl"
         crash_dir = tmp_path / "crash"
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
         monkeypatch.setenv("REPRO_CRASH_DIR", str(crash_dir))
-        monkeypatch.setitem(ALL_VERSIONS, "2", broken_model)
+        monkeypatch.setattr(ElaboratedModel, "__init__", broken_model)
         with pytest.raises(RuntimeError, match="construction failed"):
             main(["run", "2"])
         (record,) = ledger.read_ledger(path)
