@@ -417,13 +417,20 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_results(args) -> int:
+    import time
+
+    from . import telemetry
     from .experiments import artifacts
 
     if not (args.regen or args.check):
         raise SystemExit("results: pass --regen and/or --check")
     experiments = _selected_experiments(args.experiments) if args.experiments else None
     runner = _make_runner(args)
-    files = artifacts.render_artifacts(experiments, runner=runner)
+    with telemetry.session("results", ",".join(args.experiments or ["all"])) as run:
+        start = time.perf_counter()
+        files = artifacts.render_artifacts(experiments, runner=runner)
+        run.fields.update(wall_seconds=time.perf_counter() - start,
+                          batch=_runner_stats(runner))
     out_dir = Path(args.out) if args.out else artifacts.results_dir()
 
     status = 0
@@ -598,9 +605,10 @@ def main(argv=None) -> int:
     p_plan.set_defaults(func=_cmd_plan)
 
     def add_runner_options(sub_parser):
-        sub_parser.add_argument("--jobs", type=int, default=0,
-                                help="worker processes for cache misses "
-                                "(default: in-process sequential)")
+        sub_parser.add_argument("--jobs", type=int, default=None,
+                                help="worker processes for cache misses; "
+                                "0 or 1 run in-process (default: one per "
+                                "available CPU)")
         sub_parser.add_argument("--no-cache", action="store_true",
                                 help="recompute every cell; store nothing")
         sub_parser.add_argument("--cache-dir", default=None,

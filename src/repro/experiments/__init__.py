@@ -3,13 +3,15 @@
 Everything the paper reproduction *measures* is described here once —
 as :class:`Experiment` entries pairing run requests with pure table
 builders — and executed through one ``RunRequest -> RunResult`` API
-with a content-addressed result cache and process-pool fan-out.
+with a content-addressed result cache and process-pool fan-out: cache
+misses run on one worker per available CPU unless ``jobs`` says
+otherwise (``0``/``1``: in-process).
 
 Typical use::
 
     from repro import experiments
 
-    runner = experiments.Runner(jobs=4, cache=experiments.ResultCache())
+    runner = experiments.Runner(cache=experiments.ResultCache())
     for outcome in runner.sweep("table1"):
         for stem, table in outcome.tables().items():
             print(table.render())

@@ -4,8 +4,8 @@ One API for every consumer (CLI, artifact pipeline, integration tests):
 
 ``Runner.run(requests)``
     Serve cache hits, deduplicate identical cells, execute the misses —
-    across a process pool when ``jobs > 1`` — and return results in
-    request order.
+    across a process pool when ``jobs > 1`` and there are at least two
+    of them — and return results in request order.
 
 ``Runner.sweep(experiments)``
     Batch the requests of several experiments into *one* ``run`` so a
@@ -13,27 +13,25 @@ One API for every consumer (CLI, artifact pipeline, integration tests):
     both Table 2 and the LoC comparison) executes exactly once.
 
 The fan-out ships requests and payloads as small picklable plain data,
-``ProcessPoolExecutor.map`` preserves submission order, and any failure
-to *create or sustain* the pool falls back to in-process sequential
-execution — scheduling may change timing, never results.
+``ProcessPoolExecutor.map`` preserves submission order, and a failure to
+*create or sustain* the pool falls back to in-process sequential
+execution — scheduling may change timing, never results.  A cell's own
+exception is not a pool failure: it propagates after one execution.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterable, List, Mapping, Optional
 
+from .. import host
 from . import registry
 from .cache import ResultCache
 from .execute import timed_execute
 from .request import RunRequest, RunResult, cache_key
-
-try:  # pragma: no cover - exercised only when pools break mid-flight
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = OSError
 
 
 @dataclass
@@ -65,18 +63,26 @@ class Runner:
     """Executes :class:`RunRequest` batches against the result cache.
 
     ``jobs``
-        Worker processes for cache misses.  ``0``/``1`` run in-process;
-        higher values fan out (the value is honoured as given — on a
-        single-core host extra workers cost rather than help).
+        Worker processes for cache misses; ``None`` (the default) means
+        one per CPU this process may run on (:func:`repro.host.host_cpus`).
+        ``0``/``1`` run in-process; higher values fan out (an explicit
+        value is honoured as given — on a single-core host extra workers
+        cost rather than help).
     ``cache``
         A :class:`ResultCache`, or ``None`` to disable caching entirely
         (every cell recomputes, nothing is stored).
     """
 
-    jobs: int = 0
+    jobs: Optional[int] = None
     cache: Optional[ResultCache] = None
-    #: Filled by ``run``: how the last batch was served.
+    #: Filled by ``run``: how the last batch was served — ``jobs`` is the
+    #: worker count it used (1 in-process) and ``execute_s`` the executed
+    #: cells' own seconds per request kind.
     last_stats: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.jobs is None:
+            self.jobs = host.host_cpus()
 
     def run(self, requests: Iterable[RunRequest]) -> List[RunResult]:
         from .. import telemetry
@@ -109,8 +115,11 @@ class Runner:
             owners[key.key] = index
             pending.append(index)
 
-        executed = self._execute([requests[i] for i in pending])
+        executed, workers = self._execute([requests[i] for i in pending])
+        execute_s: dict = {}
         for index, (payload, seconds) in zip(pending, executed):
+            kind = requests[index].kind
+            execute_s[kind] = execute_s.get(kind, 0.0) + seconds
             payload = _normalise(payload)
             key = keys[index]
             results[index] = RunResult(
@@ -132,25 +141,22 @@ class Runner:
             "executed": len(pending),
             "cached": sum(1 for r in results if r is not None and r.cached),
             "deduplicated": sum(len(v) for v in aliases.values()),
-            "jobs": self.jobs,
+            "jobs": workers,
+            "execute_s": {kind: round(seconds, 3)
+                          for kind, seconds in sorted(execute_s.items())},
         }
         if telemetry.flight_recorder() is not None:
             telemetry.log_event("experiments.batch", **self.last_stats)
         return [result for result in results if result is not None]
 
-    def _execute(self, requests: List[RunRequest]) -> List[tuple]:
-        if not requests:
-            return []
-        if self.jobs and self.jobs > 1 and len(requests) > 1:
-            try:
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    # map() preserves submission order.
-                    return list(pool.map(timed_execute, requests))
-            except (OSError, ValueError, BrokenProcessPool):
-                # Restricted environments (no fork/semaphores) or a
-                # dying worker: same results, sequentially.
-                pass
-        return [timed_execute(request) for request in requests]
+    def _execute(self, requests: List[RunRequest]) -> tuple:
+        """``([(payload, seconds)] in request order, workers used)``."""
+        workers = min(self.jobs, len(requests))
+        if workers > 1:
+            executed = _map_in_pool(requests, workers)
+            if executed is not None:
+                return executed, workers
+        return [timed_execute(request) for request in requests], 1
 
     # -- experiment-level API ---------------------------------------------
 
@@ -176,6 +182,36 @@ class Runner:
             )
             for experiment, start, stop in spans
         ]
+
+
+def _map_in_pool(requests: List[RunRequest], workers: int) -> Optional[list]:
+    """``timed_execute`` over *requests* in a fresh pool of *workers*, or
+    ``None`` when the pool cannot be created or sustained (restricted
+    hosts without semaphores or fork, a dying worker).  A cell's own
+    exception propagates."""
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+    except (ImportError, NotImplementedError, OSError):
+        return None
+    with pool:
+        try:
+            # map() submits every cell now, which starts the workers.
+            outcomes = pool.map(_worker_execute, requests)
+        except OSError:
+            return None
+        try:
+            # Results arrive in submission order.
+            return list(outcomes)
+        except BrokenProcessPool:
+            return None
+
+
+def _worker_execute(request: RunRequest) -> tuple:
+    """The pool's entry point: ``timed_execute`` as the worker's copy of
+    this module binds it.  The pool pickles this function by reference,
+    so a ``timed_execute`` a tracer or test has wrapped in the parent
+    never needs to pickle; a forked worker inherits the wrapper."""
+    return timed_execute(request)
 
 
 def _normalise(payload: dict) -> dict:

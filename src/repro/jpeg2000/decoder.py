@@ -270,7 +270,7 @@ class Jpeg2000Decoder:
             _warn_degraded(
                 self.options.requested_workers,
                 self.options.effective_workers,
-                "clamped to os.cpu_count()",
+                "clamped to the host CPU count",
             )
         self.fates = plan_driver.StageFates(self.plan)
         planes = plan_driver.run_tiles(

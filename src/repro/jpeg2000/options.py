@@ -20,12 +20,11 @@ option vocabulary without cycles.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .. import telemetry
+from .. import host, telemetry
 from .t1_native import MAX_BITPLANES
 
 try:  # pragma: no cover - present on every supported platform
@@ -100,7 +99,8 @@ class DecodeOptions:
 
     ``workers``
         Worker processes for block decoding.  0 or 1 decodes
-        sequentially in-process; ``None`` picks ``os.cpu_count()``.
+        sequentially in-process; ``None`` picks one per host CPU
+        (:func:`repro.host.host_cpus`).
     ``chunk_size``
         Upper bound on blocks per unit of work shipped to a worker;
         larger chunks amortise per-chunk overhead, smaller chunks
@@ -116,7 +116,7 @@ class DecodeOptions:
         Multiprocessing start method for the pool (``None`` = platform
         default; ``"fork"``/``"spawn"``/``"forkserver"``).
     ``oversubscribe``
-        Allow more workers than ``os.cpu_count()``.  Off by default:
+        Allow more workers than the host has CPUs.  Off by default:
         extra workers usually only add overhead — but tests (and hosts
         whose workers stall on IO) may want real worker processes even
         on a small machine.
@@ -154,7 +154,7 @@ class DecodeOptions:
     @property
     def requested_workers(self) -> int:
         """The worker count as asked for, before any host clamping."""
-        return (os.cpu_count() or 1) if self.workers is None else self.workers
+        return host.host_cpus() if self.workers is None else self.workers
 
     @property
     def effective_workers(self) -> int:
@@ -165,7 +165,7 @@ class DecodeOptions:
         requested = self.requested_workers
         if self.oversubscribe:
             return requested
-        return min(requested, os.cpu_count() or 1)
+        return min(requested, host.host_cpus())
 
     @property
     def parallel(self) -> bool:

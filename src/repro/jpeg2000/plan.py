@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .. import host
 from .options import (
     DEFAULT_OPTIONS,
     KERNEL_NATIVE,
@@ -215,7 +215,7 @@ class PlanEnvironment:
         from . import t1_native
 
         return cls(
-            cpu_count=os.cpu_count() or 1,
+            cpu_count=host.host_cpus(),
             shared_memory_available=shared_memory is not None,
             native_available=t1_native.available(),
         )

@@ -6,14 +6,23 @@ kinds so the whole engine path (key -> cache -> execute -> normalise ->
 store) runs in well under a second.
 """
 
+import functools
+import multiprocessing
+import sys
+
+import pytest
+
+from repro import host
 from repro.experiments import (
     KIND_LAYERS,
+    KIND_PROFILE,
     KIND_SYNTHESISE,
     ResultCache,
     Runner,
     RunRequest,
     execute_request,
 )
+from repro.experiments import runner as runner_module
 
 SYNTH_53 = RunRequest("synth:idwt53", KIND_SYNTHESISE, {"block": "idwt53"})
 SYNTH_97 = RunRequest("synth:idwt97", KIND_SYNTHESISE, {"block": "idwt97"})
@@ -78,7 +87,7 @@ class TestRunner:
     def test_parallel_matches_sequential(self, tmp_path):
         requests = [SYNTH_53, SYNTH_97,
                     _layers_request(), _layers_request("layers:2", 2)]
-        sequential = Runner(cache=None).run(requests)
+        sequential = Runner(jobs=1, cache=None).run(requests)
         parallel = Runner(jobs=2, cache=None).run(requests)
         assert [r.payload for r in parallel] == [r.payload for r in sequential]
 
@@ -92,6 +101,103 @@ class TestRunner:
         second = again.run([SYNTH_53])[0]
         assert not second.cached
         assert second.payload == first.payload
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("the runner constructed a ProcessPoolExecutor")
+
+
+#: Where :func:`_counting_execute` logs executions; set per test, and
+#: inherited by forked pool workers.
+_EXECUTION_LOG = None
+
+
+def _counting_execute(request):
+    """A ``timed_execute`` stand-in: logs the cell, then fails it."""
+    with open(_EXECUTION_LOG, "a", encoding="utf-8") as log:
+        log.write(request.rid + "\n")
+    if request.rid == "synth:idwt53":
+        raise ValueError("a cell's own error")
+    return {"rid": request.rid}, 0.0
+
+
+class TestWorkerCount:
+    def test_default_is_one_worker_per_host_cpu(self):
+        assert Runner().jobs == host.host_cpus()
+
+    def test_single_cpu_host_never_constructs_a_pool(self, monkeypatch):
+        monkeypatch.setattr(host, "host_cpus", lambda: 1)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _no_pool)
+        runner = Runner(cache=None)
+        runner.run([SYNTH_53, SYNTH_97])
+        assert runner.last_stats["executed"] == 2
+        assert runner.last_stats["jobs"] == 1
+
+    def test_warm_batch_never_constructs_a_pool(self, tmp_path, monkeypatch):
+        Runner(jobs=1, cache=ResultCache(tmp_path)).run([SYNTH_53, SYNTH_97])
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _no_pool)
+        warm = Runner(jobs=2, cache=ResultCache(tmp_path))
+        assert all(result.cached for result in warm.run([SYNTH_53, SYNTH_97]))
+        assert warm.last_stats["jobs"] == 1
+        assert warm.last_stats["execute_s"] == {}
+
+    def test_pool_stats_report_workers_and_kind_seconds(self, pool_workers):
+        runner = Runner(jobs=4, cache=None)
+        runner.run([SYNTH_53, SYNTH_97])
+        # Never more workers than misses.
+        assert runner.last_stats["jobs"] == pool_workers(2)
+        assert set(runner.last_stats["execute_s"]) == {KIND_SYNTHESISE}
+        assert runner.last_stats["execute_s"][KIND_SYNTHESISE] > 0
+
+    def test_profile_cell_in_a_worker_decodes_inline(self, pool_workers):
+        """A cell in a runner worker decodes with the default (inline)
+        plan — pools never nest — so its ops and plan digest match the
+        in-process run."""
+        requests = [
+            RunRequest(f"profile:{mode}", KIND_PROFILE,
+                       {"size": 32, "tile": 16, "lossless": lossless,
+                        "seed": 2008})
+            for lossless, mode in ((True, "lossless"), (False, "lossy"))
+        ]
+        inline = Runner(jobs=1, cache=None).run(requests)
+        pooled_runner = Runner(jobs=2, cache=None)
+        pooled = pooled_runner.run(requests)
+        assert pooled_runner.last_stats["jobs"] == pool_workers(2)
+        assert [r.payload for r in pooled] == [r.payload for r in inline]
+        assert all(r.payload["plan"] for r in pooled)
+
+    def test_wrapped_timed_execute_still_pools(self, monkeypatch,
+                                               pool_workers):
+        """A tracer wraps ``timed_execute`` in the parent; the wrapper
+        (unpicklable by reference) must not stop the pool."""
+        original = runner_module.timed_execute
+
+        @functools.wraps(original)
+        def traced(request):
+            return original(request)
+
+        monkeypatch.setattr(runner_module, "timed_execute", traced)
+        runner = Runner(jobs=2, cache=None)
+        results = runner.run([SYNTH_53, SYNTH_97])
+        assert runner.last_stats["jobs"] == pool_workers(2)
+        assert [r.payload for r in results] == [
+            r.payload for r in Runner(jobs=1, cache=None).run([SYNTH_53, SYNTH_97])
+        ]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="relies on fork inheriting the patch")
+    def test_failing_cell_runs_once(self, tmp_path, monkeypatch):
+        """A cell's own exception is not a pool failure: it propagates
+        after one execution, with no sequential rerun of the batch."""
+        log = tmp_path / "executions.log"
+        monkeypatch.setattr(sys.modules[__name__], "_EXECUTION_LOG", str(log))
+        monkeypatch.setattr(runner_module, "timed_execute", _counting_execute)
+        with pytest.raises(ValueError, match="a cell's own error"):
+            Runner(jobs=2, cache=None).run([SYNTH_53, SYNTH_97])
+        executions = log.read_text(encoding="utf-8").split()
+        assert executions.count("synth:idwt53") == 1
+        # Its sibling ran at most once: the pool may cancel it unstarted.
+        assert executions.count("synth:idwt97") <= 1
 
 
 class TestExperimentApi:
@@ -120,7 +226,7 @@ class TestExperimentApi:
         # not the (expensive) Table 1 simulations themselves.
         monkeypatch.setattr(
             Runner, "_execute",
-            lambda self, reqs: [({"stub": r.rid}, 0.0) for r in reqs],
+            lambda self, reqs: ([({"stub": r.rid}, 0.0) for r in reqs], 1),
         )
         runner = Runner(cache=None)
         outcomes = runner.sweep("table1")
@@ -145,7 +251,7 @@ class TestRegistryScoping:
             ambient = outer.recorder
             ambient.metrics.count("test.sentinel", 3)
             before = ambient.metrics.as_dict()
-            Runner(cache=ResultCache(tmp_path)).run([request])
+            Runner(jobs=1, cache=ResultCache(tmp_path)).run([request])
             assert telemetry.active() is ambient
             assert ambient.metrics.as_dict() == before
             warm = Runner(cache=ResultCache(tmp_path)).run([request])[0]

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import host, telemetry
 from repro.jpeg2000 import (
     CodingParameters,
     Jpeg2000Decoder,
@@ -108,10 +108,10 @@ class TestDecodeOptions:
 
     def test_none_workers_uses_cpu_count(self):
         options = DecodeOptions(workers=None)
-        assert options.effective_workers == (os.cpu_count() or 1)
+        assert options.effective_workers == host.host_cpus()
 
     def test_workers_clamped_to_cpu_count(self):
-        cpus = os.cpu_count() or 1
+        cpus = host.host_cpus()
         assert DecodeOptions(workers=cpus + 7).effective_workers == cpus
 
     def test_rejects_negative_workers(self):
@@ -130,7 +130,7 @@ class TestDecodeOptions:
     def test_single_worker_is_not_parallel(self):
         assert not DecodeOptions(workers=1).parallel
         # Parallelism only engages when the host actually has the CPUs.
-        assert DecodeOptions(workers=2).parallel == ((os.cpu_count() or 1) >= 2)
+        assert DecodeOptions(workers=2).parallel == (host.host_cpus() >= 2)
 
 
 class TestDecodeBlocks:
@@ -215,7 +215,7 @@ class TestDecodeBlocks:
 
 class TestScheduleInfo:
     def test_degraded_flags_clamped_request(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(host, "host_cpus", lambda: 1)
         options = DecodeOptions(workers=4)
         assert options.requested_workers == 4
         assert options.effective_workers == 1
@@ -226,7 +226,7 @@ class TestScheduleInfo:
         assert info["degraded"] is True
 
     def test_oversubscribe_bypasses_clamp(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(host, "host_cpus", lambda: 1)
         options = DecodeOptions(workers=4, oversubscribe=True)
         assert options.effective_workers == 4
         assert not options.degraded
@@ -237,7 +237,7 @@ class TestScheduleInfo:
             DecodeOptions(start_method="teleport")
 
     def test_degraded_request_warns_once(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(host, "host_cpus", lambda: 1)
         options_module._degradations_warned.clear()
         with pytest.warns(ParallelDegradedWarning):
             _decode_degraded(DecodeOptions(workers=4))
@@ -531,17 +531,17 @@ class TestParallelObservability:
         assert out == [value for coeffs in expected for value in coeffs]
 
     def test_degraded_counter_is_reason_labelled(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(host, "host_cpus", lambda: 1)
         options_module._degradations_warned.clear()
         with telemetry.session(spans=True, events=tmp_path / "e.jsonl") as run:
             with pytest.warns(ParallelDegradedWarning):
                 _decode_degraded(DecodeOptions(workers=4))
         recorder, log = run.recorder, run.log
         assert recorder.metrics.counter(
-            "jpeg2000.parallel.degraded_total{reason=clamped to os.cpu_count()}"
+            "jpeg2000.parallel.degraded_total{reason=clamped to the host CPU count}"
         ) == 1
         (event,) = log.select("parallel.degraded")
-        assert event["reason"] == "clamped to os.cpu_count()"
+        assert event["reason"] == "clamped to the host CPU count"
         assert event["requested"] == 4
         assert event["effective"] == 1
 

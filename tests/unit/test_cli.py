@@ -327,14 +327,13 @@ class TestObservabilityCli:
     ):
         """The flags come from the decode's stage fates, not from span
         counters, so a run without --profile still records them."""
-        import os
-
+        from repro import host
         from repro.jpeg2000.stages import entropy
         from repro.telemetry import ledger
 
         path = tmp_path / "l.jsonl"
         monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(host, "host_cpus", lambda: 4)
         monkeypatch.setattr(entropy, "_get_pool", lambda *args: None)
         assert main(["run", "decode", "--size", "64", "--workers", "2"]) == 0
         capsys.readouterr()
@@ -449,8 +448,9 @@ class TestObservabilityCli:
         assert telemetry.flight_recorder() is None
 
     def test_each_command_appends_one_record(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, pool_workers
     ):
+        from repro.host import host_cpus
         from repro.telemetry import ledger
 
         path = tmp_path / "l.jsonl"
@@ -458,13 +458,22 @@ class TestObservabilityCli:
         cache = ["--cache-dir", str(tmp_path / "cache")]
         assert main(["results", "--check", "--experiments", "table2"]
                     + cache) == 0
-        assert ledger.read_ledger(path) == []
+        (results,) = ledger.read_ledger(path)
+        assert (results["kind"], results["label"]) == ("results", "table2")
+        # Two synthesis misses: the default resolves to the host's CPUs,
+        # and the batch never uses more workers than it has misses.
+        assert results["batch"]["executed"] == 2
+        assert results["batch"]["jobs"] == pool_workers(min(host_cpus(), 2))
+        assert set(results["batch"]["execute_s"]) == {"synthesise"}
         assert main(["sweep", "table2"] + cache) == 0
         assert main(["explore", "--budget", "1", "--tiles", "1",
                      "--out", str(tmp_path / "report")] + cache) == 0
         capsys.readouterr()
-        sweep, explore = ledger.read_ledger(path)
+        _, sweep, explore = ledger.read_ledger(path)
         assert (sweep["kind"], sweep["label"]) == ("sweep", "table2")
+        # Fully warm: nothing executed, so nothing ran in a pool.
+        assert sweep["batch"]["jobs"] == 1
+        assert sweep["batch"]["execute_s"] == {}
         assert explore["kind"] == "explore"
         assert explore["metrics"]["candidates"] >= 9
         assert explore["candidates"]  # the executed generated mutants
