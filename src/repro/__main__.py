@@ -334,88 +334,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_explore(args) -> int:
-    import time
-
-    from . import telemetry
-    from .explore import ExplorationConfig, explore, write_reports
-    from .reporting import Table
-
-    config = ExplorationConfig(
-        budget=args.budget,
-        seed=args.seed,
-        lossless=not args.lossy,
-        num_tiles=None if args.tiles <= 0 else args.tiles,
-        max_attempts=args.max_attempts,
-    )
-    runner = _make_runner(args)
-    with telemetry.session("explore",
-                           f"budget={config.budget} seed={config.seed}",
-                           events=args.events) as run:
-        start = time.perf_counter()
-        outcome = explore(config, runner)
-        run.fields["wall_seconds"] = time.perf_counter() - start
-        stats = _runner_stats(runner)
-        # Provenance for every *executed* generated candidate (warm
-        # re-runs list none): its spec hash and derived mutation label.
-        candidates = [
-            {
-                "name": candidate.name,
-                "derived": candidate.derived,
-                "spec_hash": candidate.spec_hash,
-                "decode_ms": getattr(candidate.objectives, "decode_ms", None),
-                "failed": candidate.failure is not None,
-            }
-            for candidate in outcome.candidates
-            if candidate.executed and candidate.source == "generated"
-        ]
-        run.fields.update(
-            metrics={
-                "candidates": len(outcome.candidates),
-                "evaluated": len(outcome.evaluated),
-                "failed": len(outcome.failed),
-                "front": len(outcome.front),
-                **outcome.enumeration,
-            },
-            batch=stats,
-            candidates=candidates,
-        )
-        paths = write_reports(outcome, args.out)
-
-    table = Table(
-        ["design", "derived from", "decode [ms]", "bus words",
-         "area [slice eq.]"],
-        title=f"Pareto front ({len(outcome.front)} of "
-        f"{len(outcome.evaluated)} evaluated designs)",
-    )
-    for candidate in sorted(
-        outcome.front, key=lambda c: (c.objectives.decode_ms, c.name)
-    ):
-        table.add_row(
-            candidate.name,
-            candidate.derived,
-            candidate.objectives.decode_ms,
-            candidate.objectives.bus_words,
-            candidate.objectives.area,
-        )
-    print(table.render())
-    print(
-        f"# population={len(outcome.candidates)} "
-        f"evaluated={len(outcome.evaluated)} failed={len(outcome.failed)} "
-        f"attempts={outcome.enumeration.get('attempts')} "
-        f"duplicates={outcome.enumeration.get('duplicates')} "
-        + ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-    )
-    rejections = outcome.enumeration.get("rejections") or {}
-    if rejections:
-        print("# rejections: " + ", ".join(
-            f"{rule}={count}" for rule, count in sorted(rejections.items())
-        ))
-    for kind, path in sorted(paths.items()):
-        print(f"wrote {kind}: {path}")
-    return 0
-
-
 def _cmd_results(args) -> int:
     import time
 
@@ -623,29 +541,6 @@ def main(argv=None) -> int:
     add_runner_options(p_sweep)
     add_events_option(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_explore = sub.add_parser(
-        "explore", help="generative design-space exploration: enumerate, "
-        "validate, simulate (cached, parallel), Pareto-rank")
-    p_explore.add_argument("--budget", type=int, default=120,
-                           help="generated candidates on top of the nine "
-                           "catalog rows (default 120)")
-    p_explore.add_argument("--seed", type=int, default=0,
-                           help="enumeration PRNG seed (default 0); the "
-                           "same seed reproduces byte-identical reports")
-    p_explore.add_argument("--lossy", action="store_true",
-                           help="9/7 mode (default: 5/3 lossless)")
-    p_explore.add_argument("--tiles", type=int, default=4,
-                           help="tiles of the paper workload per candidate "
-                           "(default 4, the quick workload; 0 = all 16)")
-    p_explore.add_argument("--max-attempts", type=int, default=None,
-                           help="cap on operator applications "
-                           "(default: 40 x budget)")
-    p_explore.add_argument("--out", default="explore_report",
-                           help="report directory (default: explore_report/)")
-    add_runner_options(p_explore)
-    add_events_option(p_explore)
-    p_explore.set_defaults(func=_cmd_explore)
 
     p_results = sub.add_parser(
         "results", help="regenerate/verify the results/ artifact files")

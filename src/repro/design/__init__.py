@@ -16,7 +16,7 @@ The FOSSY flow (``repro.fossy.flow``) consumes the same specs for the
 synthesis hand-off, closing the loop the paper calls seamless refinement.
 """
 
-from . import catalog, mutate
+from . import catalog
 from .elaborate import DecodingReport, ElaboratedModel, elaborate_design
 from .spec import (
     BufferSpec,
@@ -66,7 +66,6 @@ __all__ = [
     "check_spec",
     "elaborate_design",
     "model_topology",
-    "mutate",
     "spec_from_dict",
     "validate_spec",
 ]

@@ -390,6 +390,8 @@ def scaled_vta_spec(num_tasks: int, idwt_links_p2p: bool) -> DesignSpec:
 
     The paper closes on "7b does better scale with increasing
     parallelism"; these specs parameterise the models that quantify it.
+    The ``scaling`` experiment simulates them by value
+    (:func:`repro.experiments.request.spec_request`).
     """
     if num_tasks < 1:
         raise ValueError("at least one software task is required")

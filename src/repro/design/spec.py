@@ -290,11 +290,6 @@ class DesignSpec:
             None,
         )
 
-    def processor_for(self, task: str) -> Optional[ProcessorSpec]:
-        return next(
-            (p for p in self.mapping.processors if task in p.tasks), None
-        )
-
     # -- derived facts -----------------------------------------------------
 
     @property
@@ -354,7 +349,7 @@ def _as_plain(value):
 # Deserialisation: the inverse of ``as_dict``.
 #
 # ``spec_from_dict(spec.as_dict()) == spec`` holds for every spec the IR
-# can express, which is what lets generated designs travel through JSON
+# can express, which is what lets non-catalog designs travel through JSON
 # (RunRequest params, the result cache, worker processes) and come back
 # as the same frozen dataclasses.  Unknown keys raise — a serialised spec
 # from a newer IR should fail loudly, not silently drop fields.

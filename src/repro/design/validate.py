@@ -12,8 +12,7 @@ machine-readable fields:
 
 ``rule``
     A stable identifier of the violated rule (e.g.
-    ``"channels.poll-required"``), so tools — the design-space
-    enumerator in :mod:`repro.design.mutate` above all — can count and
+    ``"channels.poll-required"``), so tools and tests can count and
     classify rejections without string-matching messages.
 ``path``
     Where in the spec the problem sits, as a dotted/indexed locator

@@ -17,7 +17,6 @@ registry alone:
 ``opb_burst_threshold_words``  enable seqAddr bursts on the OPB.
 ``poll``                   ``False`` disables guarded-call bus polling.
 ``fifo_depth``             stream-pipeline FIFO capacity of the filters.
-``tolerant``               a failure becomes a ``{"failed": ...}`` payload.
 
 A runtime tweak aimed at a part the design lacks raises ``ValueError``.
 """
@@ -38,29 +37,7 @@ from .request import (
 
 
 def execute_request(request: RunRequest) -> dict:
-    """Run one request; returns its plain-data (JSON-safe) payload.
-
-    With ``options["tolerant"]`` set, an execution failure becomes a
-    deterministic ``{"failed": {...}}`` payload instead of an exception
-    — one deadlocking mutant must not kill a whole exploration batch
-    riding the same ``ProcessPoolExecutor.map``.  The flag is
-    identity-bearing like every option, so tolerant and strict cells
-    cache separately.
-    """
-    if request.options.get("tolerant"):
-        try:
-            return _dispatch(request)
-        except Exception as exc:  # noqa: BLE001 - converted to data
-            return {
-                "failed": {
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                }
-            }
-    return _dispatch(request)
-
-
-def _dispatch(request: RunRequest) -> dict:
+    """Run one request; returns its plain-data (JSON-safe) payload."""
     if request.kind == KIND_SIMULATE:
         return _simulate(request)
     if request.kind == KIND_PROFILE:
@@ -94,8 +71,6 @@ def _simulate(request: RunRequest) -> dict:
     spec = request_spec(request)
     params, options = request.params, request.options
     overrides = {}
-    if "num_tiles" in params:
-        overrides["num_tiles"] = int(params["num_tiles"])
     if "hw_speedup" in options:
         overrides["hw_speedup"] = float(options["hw_speedup"])
     workload = dataclasses.replace(

@@ -33,7 +33,6 @@ SIMULATE_OPTIONS = (
     "poll",
     "rmi_chunk_words",
     "so_bus",
-    "tolerant",
 )
 
 
@@ -108,26 +107,23 @@ def spec_request(
     spec,
     lossless: bool,
     *,
-    num_tiles: Optional[int] = None,
     rid: Optional[str] = None,
     **options,
 ) -> RunRequest:
     """A simulate request carrying an arbitrary :class:`DesignSpec`.
 
     The spec travels *by value* (its ``as_dict()`` form) in the request
-    params, so generated designs flow through the same process-pool
-    fan-out and content-addressed cache as catalog versions — no
-    registry entry, no string-id plumbing.  ``num_tiles`` shrinks the
-    paper workload (the explore driver's quick workload); omitted, the
-    full 16-tile geometry is decoded.
+    params, so designs outside the catalog (the ``scaling`` experiment's
+    processor counts) flow through the same process-pool fan-out and
+    content-addressed cache as catalog versions — no registry entry, no
+    string-id plumbing.  The workload is the full
+    16-tile paper geometry.
     """
     params: dict = {
         "version": "spec",
         "spec": spec.as_dict(),
         "lossless": bool(lossless),
     }
-    if num_tiles is not None:
-        params["num_tiles"] = int(num_tiles)
     mode = "lossless" if lossless else "lossy"
     return RunRequest(
         rid=rid or f"sim:{spec.name}:{mode}",
@@ -180,7 +176,7 @@ def workload_descriptor(request: RunRequest) -> dict:
         return {
             "workload": "paper",
             "lossless": lossless,
-            "num_tiles": int(request.params.get("num_tiles", PAPER_TILES)),
+            "num_tiles": PAPER_TILES,
             "num_components": PAPER_COMPONENTS,
             "tile": PAPER_TILE_SIZE,
             "stage_times_ms": {

@@ -1,6 +1,6 @@
 """The run ledger: append-only provenance for every run.
 
-Each ``run``, ``plan``, ``sweep``, ``explore`` and ``results`` command
+Each ``run``, ``plan``, ``sweep`` and ``results`` command
 appends one JSON line to ``.repro/ledger.jsonl`` through its
 :func:`repro.telemetry.session`, recording *what ran and under which
 code*: the run id shared with the run's event log, trace and crash
@@ -85,7 +85,7 @@ def make_record(
     """One provenance record, ready to append.
 
     ``kind`` is the run class (``decode`` / ``simulate`` / ``plan`` /
-    ``sweep`` / ``explore`` / ``results``);
+    ``sweep`` / ``results``);
     ``label`` names the concrete workload (a version id, an experiment
     group, a decode schedule).  Everything else is evidence.
     """

@@ -70,3 +70,43 @@ class TestCatalog:
         assert payload["name"] == "7b"
         assert [t["name"] for t in payload["tasks"]] == ["sw0", "sw1", "sw2", "sw3"]
         json.dumps(payload)  # plain data, serialisable as-is
+
+
+def _reorder_keys(value):
+    """Rebuild a JSON-ish structure with reversed key insertion order."""
+    if isinstance(value, dict):
+        return {key: _reorder_keys(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [_reorder_keys(item) for item in value]
+    return value
+
+
+def _by_value_specs() -> list:
+    """Every catalog row and every ``scaling`` spec sent by value."""
+    from repro.experiments.defs import TASK_COUNTS
+
+    return catalog.specs() + [
+        catalog.scaled_vta_spec(num_tasks, p2p)
+        for num_tasks in TASK_COUNTS
+        for p2p in (False, True)
+    ]
+
+
+class TestSpecRoundTrip:
+    """``spec_request`` ships a spec as ``as_dict()`` and ``cache_key``
+    hashes it, so both must survive the JSON round trip unchanged."""
+
+    def test_round_trip_is_identity_and_hash_ignores_key_order(self):
+        from repro.design import spec_from_dict
+        from repro.experiments import fingerprint as fp
+
+        specs = _by_value_specs()
+        assert len(specs) == len(catalog.names()) + 8
+        for spec in specs:
+            assert spec_from_dict(spec.as_dict()) == spec, spec.name
+            reordered = _reorder_keys(spec.as_dict())
+            shuffled = spec_from_dict(reordered)
+            assert shuffled == spec, spec.name
+            assert fp.spec_hash(shuffled) == fp.spec_hash(spec), spec.name
+            assert (fp.sha256_hex(fp.canonical_json(reordered))
+                    == fp.spec_hash(spec)), spec.name

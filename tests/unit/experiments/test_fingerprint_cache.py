@@ -94,9 +94,7 @@ class TestCacheKey:
         """Every package a run executes is fingerprinted.
 
         ``experiments`` machinery is covered via EXTRA_FILES,
-        ``reporting`` only renders tables from payloads (never cached),
-        ``explore`` only ranks and reports payloads post-hoc (objective
-        extraction and the area proxy run outside the cached cell), and
+        ``reporting`` only renders tables from payloads (never cached), and
         ``fossy`` joins for synthesis kinds — everything else must be in
         DEFAULT_SUBSYSTEMS or edits there serve stale payloads.
         """
@@ -104,7 +102,7 @@ class TestCacheKey:
         runtime = {
             path.name for path in root.iterdir()
             if path.is_dir() and path.name not in
-            {"experiments", "reporting", "explore", "fossy", "__pycache__"}
+            {"experiments", "reporting", "fossy", "__pycache__"}
         }
         assert runtime <= set(fp.DEFAULT_SUBSYSTEMS)
 

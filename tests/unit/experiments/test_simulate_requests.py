@@ -93,6 +93,3 @@ def test_tweak_on_a_missing_part_names_option_and_version(version, option, value
     pattern = rf"{option}=.*design '{version}'"
     with pytest.raises(ValueError, match=pattern):
         execute_request(_sim(version, **{option: value}))
-    payload = execute_request(_sim(version, tolerant=True, **{option: value}))
-    assert payload["failed"]["error"] == "ValueError"
-    assert option in payload["failed"]["message"]
