@@ -6,11 +6,12 @@ syntax, MQ arithmetic coding, EBCOT Tier-1/Tier-2, tag trees, de/quantisation,
 assembled into an encoder (to fabricate test material) and the decoder whose
 five stages (Fig. 1) the OSSS models distribute across hardware and software.
 
-Decoding is plan-driven: :func:`compile_plan` turns a
-:class:`DecodeOptions` value (plus the host environment) into an
-explicit, statically validated :class:`DecodePlan` — stages
+Decoding is plan-driven: a caller asks with one :class:`DecodeOptions`
+value, and :func:`compile_plan` lowers it (plus the host environment)
+into the explicit :class:`DecodePlan` that runs — stages
 ``parse → entropy → reconstruct → assemble``, each bound to an
-implementation and an executor — which the decoder executes.
+implementation and an executor.  Every error a malformed codestream
+raises is a :class:`DecodeError`.
 """
 
 from .codestream import (
@@ -21,6 +22,7 @@ from .codestream import (
     write_codestream,
 )
 from .decoder import DecodingError, Jpeg2000Decoder, TileStages, decode_codestream
+from .errors import DecodeError
 from .encoder import EncodingError, Jpeg2000Encoder, encode_image
 from .options import (
     KERNEL_NATIVE,
@@ -33,13 +35,8 @@ from .plan import (
     DecodePlan,
     ExecutorSpec,
     PlanEnvironment,
-    PlanIssue,
-    PlanValidationError,
     StageBinding,
-    check_plan,
     compile_plan,
-    options_for_plan,
-    validate_plan,
 )
 from .stages.entropy import shutdown_pool
 from .image import Image, TileGrid, synthetic_image
@@ -59,6 +56,7 @@ __all__ = [
     "BlockSpec",
     "CodestreamError",
     "CodingParameters",
+    "DecodeError",
     "DecodeOptions",
     "DecodePlan",
     "DecodingError",
@@ -71,8 +69,6 @@ __all__ = [
     "KERNEL_REFERENCE",
     "ParallelDegradedWarning",
     "PlanEnvironment",
-    "PlanIssue",
-    "PlanValidationError",
     "STAGE_ARITH",
     "STAGE_DC",
     "STAGE_ICT",
@@ -84,15 +80,12 @@ __all__ = [
     "TilePart",
     "TileStages",
     "TranscodeError",
-    "check_plan",
     "compile_plan",
     "decode_codestream",
     "drop_layers",
     "encode_image",
-    "options_for_plan",
     "parse_codestream",
     "shutdown_pool",
     "synthetic_image",
-    "validate_plan",
     "write_codestream",
 ]

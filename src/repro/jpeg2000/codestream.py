@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .errors import DecodeError
 from .quant import StepSize
 
 SOC = 0xFF4F
@@ -33,8 +34,16 @@ PROGRESSION_RLCP = 1
 
 _PROGRESSION_NAMES = {PROGRESSION_LRCP: "LRCP", PROGRESSION_RLCP: "RLCP"}
 
+#: The most decoded samples (width x height x components) a codestream
+#: may claim.  SIZ fields are 32-bit, so a 16-byte header edit can
+#: announce a 40000 x 40000 image whose code-block grids alone take
+#: seconds and gigabytes to build before the first packet fails; this
+#: bound rejects it at parse time.  2^26 is 85x the paper's 512x512x3
+#: image and far above every test and benchmark workload.
+MAX_DECODED_SAMPLES = 1 << 26
 
-class CodestreamError(ValueError):
+
+class CodestreamError(DecodeError, ValueError):
     """Malformed or unsupported codestream."""
 
 
@@ -79,9 +88,15 @@ class CodingParameters:
     def num_subbands(self) -> int:
         return 1 + 3 * self.num_levels
 
+    def num_tiles(self) -> int:
+        across = -(-self.width // self.tile_width)
+        return across * -(-self.height // self.tile_height)
+
     def validate(self) -> None:
         if self.width < 1 or self.height < 1:
             raise CodestreamError("image dimensions must be positive")
+        if self.tile_width < 1 or self.tile_height < 1:
+            raise CodestreamError("tile dimensions must be positive")
         if not 1 <= self.num_components <= 16384:
             raise CodestreamError("component count out of range")
         if not 1 <= self.bit_depth <= 16:
@@ -201,20 +216,16 @@ class _Cursor:
         self.data = data
         self.pos = 0
 
+    # Every read goes through take(), so a truncated header raises
+    # CodestreamError rather than struct.error or IndexError.
     def u8(self) -> int:
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
+        return self.take(1)[0]
 
     def u16(self) -> int:
-        (value,) = struct.unpack_from(">H", self.data, self.pos)
-        self.pos += 2
-        return value
+        return struct.unpack(">H", self.take(2))[0]
 
     def u32(self) -> int:
-        (value,) = struct.unpack_from(">I", self.data, self.pos)
-        self.pos += 4
-        return value
+        return struct.unpack(">I", self.take(4))[0]
 
     def take(self, count: int) -> bytes:
         chunk = self.data[self.pos : self.pos + count]
@@ -267,6 +278,20 @@ def parse_codestream(data: bytes) -> Codestream:
     if quant_pending is not None:
         _parse_qcd_body(quant_pending, params)
     params.validate()
+    # Bound the work the header announces before any array is built.
+    num_tiles = params.num_tiles()
+    for part in tile_parts:
+        if part.tile_index >= num_tiles:
+            raise CodestreamError(
+                f"tile-part for tile {part.tile_index}, but SIZ declares "
+                f"{num_tiles} tile(s)"
+            )
+    samples = params.width * params.height * params.num_components
+    if samples > MAX_DECODED_SAMPLES:
+        raise CodestreamError(
+            f"SIZ declares {samples} decoded samples, above the "
+            f"supported {MAX_DECODED_SAMPLES}"
+        )
     return Codestream(parameters=params, tile_parts=tile_parts)
 
 

@@ -7,15 +7,14 @@ transform (ICT/RCT) and DC level shift.  Stage boundaries are explicit —
 OSSS case-study models distribute exactly these stages between software
 tasks and hardware Shared Objects.
 
-Decoding is *plan-driven*: the caller's
-:class:`~repro.jpeg2000.options.DecodeOptions` (or an explicit
-:class:`~repro.jpeg2000.plan.DecodePlan`) is compiled and statically
-validated up front, and the plan is executed by the
-:mod:`~repro.jpeg2000.driver` over the stage modules
-(:mod:`~repro.jpeg2000.stages`) — the same plan → validate → execute
-discipline the paper's seamless refinement applies to the hardware
-design, and the reason no decode path here hides behind an ``if``
-ladder.
+Decoding is *plan-driven*: the caller's one
+:class:`~repro.jpeg2000.options.DecodeOptions` value is compiled up
+front into a :class:`~repro.jpeg2000.plan.DecodePlan`, which the
+:mod:`~repro.jpeg2000.driver` executes over the stage modules
+(:mod:`~repro.jpeg2000.stages`) — the same single description, lowered
+step by step, that the paper's seamless refinement applies to the
+hardware design, and the reason no decode path here hides behind an
+``if`` ladder.
 
 Every stage reports basic-operation counts (see ``pipeline.StageOps``)
 used by the profiling model that reconstructs Fig. 1.
@@ -30,16 +29,13 @@ from .. import telemetry
 from . import driver as plan_driver
 from .codestream import (
     Codestream,
+    CodestreamError,
     CodingParameters,
     parse_codestream,
 )
-from .errors import DecodingError
+from .errors import DecodingError  # noqa: F401 - re-exported
 from .image import Image, TileGrid
-from .options import (
-    DEFAULT_OPTIONS,
-    DecodeOptions,
-    _warn_degraded,
-)
+from .options import DEFAULT_OPTIONS, DecodeOptions, _warn_degraded
 from .pipeline import (
     STAGE_ARITH,
     STAGE_DC,
@@ -51,20 +47,16 @@ from .pipeline import (
 from .plan import (
     STAGE_ASSEMBLE,
     STAGE_ENTROPY,
+    STAGE_PARSE,
     DecodePlan,
-    check_plan,
     compile_plan,
-    options_for_plan,
+    schedule_info,
 )
 from .stages import assemble as assemble_stage
 from .stages import entropy as entropy_stage
 from .stages import parse as parse_stage
 from .stages import reconstruct as reconstruct_stage
 from .stages.reconstruct import DecodedBand
-
-#: Legacy import sites (transcode, tests) get these from here.
-qcd_delta = parse_stage.qcd_delta
-_band_bounds = parse_stage.band_bounds
 
 
 @dataclass
@@ -90,8 +82,9 @@ class TileStages:
     #: Reconstruct only up to resolution R (None = full size): the image
     #: comes out smaller by 2^(levels-R) per axis.
     max_resolution: Optional[int] = None
-    #: Scheduling of the entropy-decode kernel (workers, chunking, kernel).
-    options: DecodeOptions = field(default_factory=lambda: DEFAULT_OPTIONS)
+    #: The decoder's compiled plan: the Tier-2 parser and Tier-1 kernel
+    #: this tile's stages run.
+    plan: DecodePlan = field(default_factory=compile_plan)
     #: Which tile of the grid this is (telemetry span attribution only).
     tile_index: Optional[int] = None
 
@@ -105,7 +98,7 @@ class TileStages:
         """
         return parse_stage.entropy_specs(
             self.params, self.tile_width, self.tile_height, self.data,
-            tier2=self.options.tier2,
+            tier2=self.plan.stage(STAGE_PARSE).impl,
             max_layers=self.max_layers,
             max_resolution=self.max_resolution,
         )
@@ -134,9 +127,9 @@ class TileStages:
         driver (:func:`repro.jpeg2000.driver.run_tiles`).
         """
         layout, specs = self.entropy_specs()
-        kernel = compile_plan(self.options).stage(STAGE_ENTROPY).impl
         flat, offsets, ops = entropy_stage.run_specs(
-            [self.data], [(0, spec) for spec in specs], kernel
+            [self.data], [(0, spec) for spec in specs],
+            self.plan.stage(STAGE_ENTROPY).impl,
         )
         return self.scatter_entropy(layout, flat, offsets, ops)
 
@@ -205,10 +198,12 @@ class Jpeg2000Decoder:
     layers of every packet sequence are entropy-decoded, trading quality
     for rate exactly as a network transcoder would by dropping packets.
 
-    Scheduling is decided once, up front: ``options`` is compiled into a
-    :class:`~repro.jpeg2000.plan.DecodePlan` (or an explicit ``plan`` is
-    taken as-is) and statically validated before any worker spawns; the
-    compiled plan's digest is what benchmarks and ledgers record.
+    Scheduling is decided once, up front: ``options`` is compiled into
+    the :class:`~repro.jpeg2000.plan.DecodePlan` that runs, before any
+    worker spawns; the plan's digest is what benchmarks and ledgers
+    record, and ``schedule`` (derived from the plan) what they report.
+    Every tile must have a tile-part; that is checked here too, before
+    any sample array exists.
     """
 
     def __init__(
@@ -217,20 +212,25 @@ class Jpeg2000Decoder:
         max_layers: Optional[int] = None,
         max_resolution: Optional[int] = None,
         options: Optional[DecodeOptions] = None,
-        plan: Optional[DecodePlan] = None,
     ):
         self.codestream: Codestream = parse_codestream(data)
+        self._parts: dict = {}
+        for part in self.codestream.tile_parts:
+            self._parts.setdefault(part.tile_index, part)
+        # parse_codestream bounds every index by the tile count, so a
+        # short dict means a missing tile; find the first cheaply.
+        num_tiles = self.parameters.num_tiles()
+        if len(self._parts) < num_tiles:
+            missing = next(i for i in range(num_tiles) if i not in self._parts)
+            raise CodestreamError(
+                f"codestream has no tile-part for tile {missing} "
+                f"(of {num_tiles})"
+            )
         self.max_layers = max_layers
         self.max_resolution = max_resolution
-        if plan is not None:
-            check_plan(plan)
-            self.plan = plan
-            self.options = (
-                options if options is not None else options_for_plan(plan)
-            )
-        else:
-            self.options = options if options is not None else DEFAULT_OPTIONS
-            self.plan = check_plan(compile_plan(self.options))
+        self.options = options if options is not None else DEFAULT_OPTIONS
+        self.plan = compile_plan(self.options)
+        self.schedule = schedule_info(self.options, self.plan)
         if max_resolution is not None and max_resolution < 0:
             raise ValueError("max_resolution must be non-negative")
         self.ops = StageOps()
@@ -245,19 +245,14 @@ class Jpeg2000Decoder:
         params = self.parameters
         grid = TileGrid(params.width, params.height, params.tile_width, params.tile_height)
         x0, y0, x1, y1 = grid.tile_bounds(tile_index)
-        part = next(
-            (p for p in self.codestream.tile_parts if p.tile_index == tile_index), None
-        )
-        if part is None:
-            raise DecodingError(f"codestream has no tile-part for tile {tile_index}")
         return TileStages(
             params=params,
             tile_width=x1 - x0,
             tile_height=y1 - y0,
-            data=part.data,
+            data=self._parts[tile_index].data,
             max_layers=self.max_layers,
             max_resolution=self.max_resolution,
-            options=self.options,
+            plan=self.plan,
             tile_index=tile_index,
         )
 
@@ -266,16 +261,15 @@ class Jpeg2000Decoder:
         stages_list = [
             self.tile_stages(tile_index) for tile_index in range(grid.num_tiles)
         ]
-        if self.options.degraded:
+        if self.schedule["degraded"]:
             _warn_degraded(
-                self.options.requested_workers,
-                self.options.effective_workers,
+                self.schedule["requested_workers"],
+                self.schedule["effective_workers"],
                 "clamped to the host CPU count",
             )
         self.fates = plan_driver.StageFates(self.plan)
         planes = plan_driver.run_tiles(
-            self.plan, stages_list,
-            schedule=self.options.schedule_info(), fates=self.fates,
+            self.plan, stages_list, schedule=self.schedule, fates=self.fates,
         )
         for stages in stages_list:
             self.ops.merge(stages.ops)
@@ -289,7 +283,7 @@ class Jpeg2000Decoder:
                 "decode.start",
                 width=params.width, height=params.height,
                 components=params.num_components, tiles=grid.num_tiles,
-                schedule=self.options.schedule_info(),
+                schedule=self.schedule,
                 plan=self.plan.digest(),
                 max_layers=self.max_layers,
                 max_resolution=self.max_resolution,
@@ -324,9 +318,7 @@ class Jpeg2000Decoder:
 
 
 def decode_codestream(
-    data: bytes,
-    options: Optional[DecodeOptions] = None,
-    plan: Optional[DecodePlan] = None,
+    data: bytes, options: Optional[DecodeOptions] = None
 ) -> Image:
     """Convenience one-shot decode (plan-compile + execute)."""
-    return Jpeg2000Decoder(data, options=options, plan=plan).decode()
+    return Jpeg2000Decoder(data, options=options).decode()

@@ -1,6 +1,6 @@
 """The decode-plan driver: one executor for every schedule.
 
-Executes a compiled, validated :class:`~repro.jpeg2000.plan.DecodePlan`
+Executes a compiled :class:`~repro.jpeg2000.plan.DecodePlan`
 over a list of per-tile ``TileStages`` drivers.  The driver — not the
 stage modules — owns the schedule choice, the runtime degradation, and
 the :class:`StageFates` record of what actually ran.  The stage modules
@@ -52,10 +52,10 @@ class StageFates:
 
     ``fates[stage]`` is ``{"state": ..., "rewrites": [...]}`` where
     *state* walks planned → running → done and each rewrite is a
-    ``{"rule", "detail"}`` record of a compile-time rewrite carried on
-    the plan (native kernel unavailable → reference, no shared memory →
-    inline) or a runtime degradation (no pool or arenas → inline, a
-    block too deep for the arena, broken-pool resume).
+    ``{"rule", "detail"}`` record of the compile-time rewrite carried on
+    the plan (native kernel unavailable → reference) or a runtime
+    degradation (no pool or arenas → inline, a block too deep for the
+    arena, broken-pool resume).
     :meth:`publish` installs the compiled plan and this (live, mutable)
     map into the flight-recorder context, so a crash report dumped at
     any point shows both the plan and the per-stage fates as of the
@@ -114,9 +114,10 @@ def run_tiles(
 ) -> dict:
     """Execute *plan* over the tiles; returns tile index → sample planes.
 
-    *schedule* is the caller's reporting dict (``DecodeOptions
-    .schedule_info()``) installed into crash reports; *fates* collects
-    the per-stage outcome (one is created if the caller keeps none).
+    *schedule* is the caller's reporting dict
+    (:func:`~repro.jpeg2000.plan.schedule_info`) installed into crash
+    reports; *fates* collects the per-stage outcome (one is created if
+    the caller keeps none).
     """
     if fates is None:
         fates = StageFates(plan)

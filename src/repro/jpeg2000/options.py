@@ -3,10 +3,12 @@
 :class:`DecodeOptions` is the *request* side of the decode stack: a
 frozen, canonically-serialisable record of how the caller wants the
 decode scheduled (workers, chunking, kernel, start method, Tier-2
-parser).  The planner (:mod:`repro.jpeg2000.plan`) compiles it
-— together with the host environment — into an explicit
-:class:`~repro.jpeg2000.plan.DecodePlan`; nothing below the planner
-reads :class:`DecodeOptions` directly.
+parser), and the decoder's only scheduling input.  The requests are
+validated here, in ``__post_init__``, where the caller writes them; the
+planner (:mod:`repro.jpeg2000.plan`) then compiles every valid value —
+together with the host environment, against which it alone clamps the
+worker count — into the :class:`~repro.jpeg2000.plan.DecodePlan` that
+runs.  Nothing below the planner reads :class:`DecodeOptions`.
 
 :class:`BlockSpec` is the parse→entropy interface: one code block's
 geometry plus the ``(start, end)`` codeword segment spans into its tile
@@ -24,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .. import host, telemetry
+from .. import telemetry
 from .t1_native import MAX_BITPLANES
 
 try:  # pragma: no cover - present on every supported platform
@@ -151,36 +153,11 @@ class DecodeOptions:
         if self.tier2 not in _TIER2:
             raise ValueError(f"tier2 must be one of {_TIER2}")
 
-    @property
-    def requested_workers(self) -> int:
-        """The worker count as asked for, before any host clamping."""
-        return host.host_cpus() if self.workers is None else self.workers
-
-    @property
-    def effective_workers(self) -> int:
-        # Clamped to the host's CPU count unless oversubscription is
-        # explicitly requested: extra workers only add pool and transport
-        # overhead.  A clamp that turns a parallel request sequential is
-        # *reported* (ParallelDegradedWarning) by the decode entry points.
-        requested = self.requested_workers
-        if self.oversubscribe:
-            return requested
-        return min(requested, host.host_cpus())
-
-    @property
-    def parallel(self) -> bool:
-        return self.effective_workers > 1
-
-    @property
-    def degraded(self) -> bool:
-        """True when a parallel request will actually run sequentially."""
-        return self.requested_workers > 1 and not self.parallel
-
     def as_dict(self) -> dict:
         """Canonical plain-data form: exactly the dataclass fields.
 
-        This is the *identity* of an options value — the planner compiles
-        from it and the experiment cache fingerprints it — so two
+        The *identity* of an options value — what a ``plan decode``
+        ledger record carries next to the plan digest — so two
         equal-valued instances always serialise identically, and every
         field flip changes the serialisation.
         """
@@ -191,24 +168,6 @@ class DecodeOptions:
             "start_method": self.start_method,
             "oversubscribe": self.oversubscribe,
             "tier2": self.tier2,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecodeOptions":
-        """Rebuild from :meth:`as_dict` output (unknown keys rejected)."""
-        return cls(**data)
-
-    def schedule_info(self) -> dict:
-        """The scheduling facts a ledger record and crash report carry."""
-        return {
-            "requested_workers": self.requested_workers,
-            "effective_workers": self.effective_workers,
-            "degraded": self.degraded,
-            "chunk_size": self.chunk_size,
-            "kernel": self.kernel,
-            "tier2": self.tier2,
-            "start_method": self.start_method,
-            "oversubscribe": self.oversubscribe,
         }
 
 

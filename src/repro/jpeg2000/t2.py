@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bitio import BitReader, BitWriter, FastBitReader
+from .errors import DecodeError
 from .structure import CodeBlockGeometry, grid_dimensions
 from .tagtree import FlatTagTree, TagTree
 
@@ -162,7 +163,7 @@ class PacketBand:
         return self._inclusion_tree, self._zero_tree
 
 
-class PacketError(ValueError):
+class PacketError(DecodeError, ValueError):
     """Inconsistent packet header or body."""
 
 

@@ -22,14 +22,15 @@ from .codestream import (
     parse_codestream,
     write_codestream,
 )
-from .decoder import DecodingError, _band_bounds
 from .encoder import _progression
+from .errors import DecodeError
 from .image import TileGrid
+from .stages.parse import band_bounds
 from .structure import band_shapes, codeblock_grid
 from .t2 import CodeBlockContribution, PacketBand, consume_sop, decode_packet
 
 
-class TranscodeError(ValueError):
+class TranscodeError(DecodeError, ValueError):
     """The requested transformation is not possible on this stream."""
 
 
@@ -42,7 +43,7 @@ def _tile_prefix_length(
 ) -> int:
     """Bytes of tile data covering the first *keep_layers* layers."""
     shapes = band_shapes(tile_width, tile_height, params.num_levels)
-    bounds = _band_bounds(params)
+    bounds = band_bounds(params)
     bands_per_component = []
     for _ in range(params.num_components):
         bands = {}

@@ -1,8 +1,11 @@
 """Codestream marker syntax: writer/parser inverse, error handling."""
 
+import struct
+
 import pytest
 
 from repro.jpeg2000.codestream import (
+    MAX_DECODED_SAMPLES,
     CodestreamError,
     CodingParameters,
     TilePart,
@@ -79,8 +82,9 @@ class TestValidation:
 
     def test_truncated_stream(self):
         data = write_codestream(params_lossless(), [TilePart(0, b"abcdef")])
-        with pytest.raises((CodestreamError, Exception)):
-            parse_codestream(data[:20])
+        for cut in (1, 3, 10, 20, 30, 60, len(data) - 4):
+            with pytest.raises(CodestreamError, match="truncated"):
+                parse_codestream(data[:cut])
 
     def test_unknown_marker_rejected(self):
         data = bytearray(write_codestream(params_lossless(), []))
@@ -125,3 +129,54 @@ class TestDerivedProperties:
     def test_transform_name(self):
         assert params_lossless().transform == "5/3"
         assert params_lossy().transform == "9/7"
+
+
+class TestHostileGeometry:
+    """A SIZ that claims a huge image fails at parse time, in bounded
+    time and memory, before any code-block grid or sample array exists."""
+
+    @pytest.fixture(scope="class")
+    def four_tile_stream(self):
+        from repro.jpeg2000 import encode_image, synthetic_image
+
+        params = CodingParameters(
+            width=64, height=64, num_components=3,
+            tile_width=32, tile_height=32, num_levels=3, lossless=True,
+        )
+        return encode_image(synthetic_image(64, 64, 3, seed=1), params)
+
+    @staticmethod
+    def _rewrite_siz(data, size, tile_size):
+        # After SOC: SIZ marker, Lsiz, Rsiz, then Xsiz/Ysiz at offset 8
+        # and XTsiz/YTsiz at offset 24 (T.800 Table A.9).
+        data = bytearray(data)
+        struct.pack_into(">II", data, 8, size, size)
+        struct.pack_into(">II", data, 24, tile_size, tile_size)
+        return bytes(data)
+
+    def test_tile_parts_beyond_the_siz_tile_count(self, four_tile_stream):
+        hostile = self._rewrite_siz(four_tile_stream, 40000, 40000)
+        with pytest.raises(CodestreamError, match="tile-part for tile 1"):
+            parse_codestream(hostile)
+
+    def test_decoded_sample_count_is_bounded(self, four_tile_stream):
+        single = write_codestream(
+            parse_codestream(four_tile_stream).parameters,
+            [TilePart(0, b"")],
+        )
+        hostile = self._rewrite_siz(single, 40000, 40000)
+        with pytest.raises(CodestreamError, match="decoded samples"):
+            parse_codestream(hostile)
+        assert 40000 * 40000 * 3 > MAX_DECODED_SAMPLES >= 512 * 512 * 3
+
+    def test_zero_tile_size_rejected(self, four_tile_stream):
+        with pytest.raises(CodestreamError, match="tile dimensions"):
+            parse_codestream(self._rewrite_siz(four_tile_stream, 64, 0))
+
+    def test_decoder_rejects_a_tile_without_tile_part(self, four_tile_stream):
+        from repro.jpeg2000 import Jpeg2000Decoder
+
+        parsed = parse_codestream(four_tile_stream)
+        partial = write_codestream(parsed.parameters, parsed.tile_parts[:3])
+        with pytest.raises(CodestreamError, match="no tile-part for tile 3 "):
+            Jpeg2000Decoder(partial)

@@ -22,7 +22,7 @@ from repro.jpeg2000.options import (
     DecodeOptions,
     ParallelDegradedWarning,
 )
-from repro.jpeg2000.plan import STAGE_ENTROPY, compile_plan
+from repro.jpeg2000.plan import STAGE_ENTROPY, compile_plan, schedule_info
 from repro.jpeg2000.stages import entropy
 from repro.jpeg2000.stages.entropy import (
     SharedArena,
@@ -37,6 +37,11 @@ def _binding(options):
     return compile_plan(options).stage(STAGE_ENTROPY)
 
 
+def _schedule(options):
+    """The schedule dict a decoder reports for *options* on this host."""
+    return schedule_info(options, compile_plan(options))
+
+
 def run_stream(sources, specs, options, fates=None):
     """Segment-described blocks through the pool executor, one tile per
     source; returns ``(flat, ops)`` over every block in *specs* order."""
@@ -46,7 +51,7 @@ def run_stream(sources, specs, options, fates=None):
     ]
     stream = entropy.open_stream(
         sources, [spec.size for _, spec in specs], _binding(options),
-        schedule=options.schedule_info(), fates=fates,
+        schedule=_schedule(options), fates=fates,
     )
     assert stream is not None
     try:
@@ -104,15 +109,16 @@ class TestDecodeOptions:
         options = DecodeOptions()
         assert options.workers == 0
         assert options.kernel == KERNEL_NATIVE
-        assert not options.parallel
+        assert _schedule(options)["effective_workers"] == 0
 
     def test_none_workers_uses_cpu_count(self):
         options = DecodeOptions(workers=None)
-        assert options.effective_workers == host.host_cpus()
+        assert _schedule(options)["effective_workers"] == host.host_cpus()
 
     def test_workers_clamped_to_cpu_count(self):
         cpus = host.host_cpus()
-        assert DecodeOptions(workers=cpus + 7).effective_workers == cpus
+        schedule = _schedule(DecodeOptions(workers=cpus + 7))
+        assert schedule["effective_workers"] == cpus
 
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError):
@@ -128,9 +134,10 @@ class TestDecodeOptions:
                 DecodeOptions(kernel=retired)
 
     def test_single_worker_is_not_parallel(self):
-        assert not DecodeOptions(workers=1).parallel
+        assert _binding(DecodeOptions(workers=1)).executor.kind == "inline"
         # Parallelism only engages when the host actually has the CPUs.
-        assert DecodeOptions(workers=2).parallel == (host.host_cpus() >= 2)
+        pooled = _binding(DecodeOptions(workers=2)).executor.kind == "pool"
+        assert pooled == (host.host_cpus() >= 2)
 
 
 class TestDecodeBlocks:
@@ -216,21 +223,16 @@ class TestDecodeBlocks:
 class TestScheduleInfo:
     def test_degraded_flags_clamped_request(self, monkeypatch):
         monkeypatch.setattr(host, "host_cpus", lambda: 1)
-        options = DecodeOptions(workers=4)
-        assert options.requested_workers == 4
-        assert options.effective_workers == 1
-        assert options.degraded
-        info = options.schedule_info()
+        info = _schedule(DecodeOptions(workers=4))
         assert info["requested_workers"] == 4
         assert info["effective_workers"] == 1
         assert info["degraded"] is True
 
     def test_oversubscribe_bypasses_clamp(self, monkeypatch):
         monkeypatch.setattr(host, "host_cpus", lambda: 1)
-        options = DecodeOptions(workers=4, oversubscribe=True)
-        assert options.effective_workers == 4
-        assert not options.degraded
-        assert options.schedule_info()["effective_workers"] == 4
+        info = _schedule(DecodeOptions(workers=4, oversubscribe=True))
+        assert info["effective_workers"] == 4
+        assert info["degraded"] is False
 
     def test_rejects_unknown_start_method(self):
         with pytest.raises(ValueError):

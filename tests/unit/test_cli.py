@@ -73,6 +73,7 @@ class TestCli:
         ["run", "decode", "--functional"],
         ["plan", "decode", "--no-shared-memory"],
         ["plan", "decode", "--no-overlap"],
+        ["plan", "decode", "--assume-no-shm"],
     ])
     def test_retired_commands_and_misplaced_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -257,15 +258,13 @@ class TestObservabilityCli:
         import json
 
         assert main([
-            "plan", "decode", "--workers", "4", "--cpus", "8",
-            "--assume-no-shm", "--json",
+            "plan", "decode", "--workers", "4", "--cpus", "8", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         entropy = next(
             s for s in payload["stages"] if s["stage"] == "entropy"
         )
-        # No shared memory: the pool cannot run, so the plan is inline.
-        assert entropy["executor"]["kind"] == "inline"
+        assert entropy["executor"]["kind"] == "pool"
         # Host clamp: 4 workers on a 1-CPU host compile to inline.
         assert main([
             "plan", "decode", "--workers", "4", "--cpus", "1", "--json",
@@ -287,7 +286,7 @@ class TestObservabilityCli:
         out = capsys.readouterr().out
         plan = compile_plan(
             DecodeOptions(workers=2, kernel="reference"),
-            PlanEnvironment(cpu_count=4, shared_memory_available=True),
+            PlanEnvironment(cpu_count=4),
         )
         assert out.splitlines()[0] == f"DecodePlan {plan.digest()[:12]}"
         assert out.rstrip().splitlines()[-1] == plan.canonical_json()
