@@ -58,10 +58,6 @@ class IdwtMetrics:
     def busy_ms(self) -> float:
         return self.busy_fs / 1e12
 
-    @property
-    def latency_ms(self) -> float:
-        return self.latency_fs / 1e12
-
 
 class Idwt2dControl(OsssModule):
     """Control part: claims components, runs IQ, dispatches filter jobs."""

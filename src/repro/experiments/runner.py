@@ -50,10 +50,6 @@ class ExperimentResult:
         return self.experiment.tables(self.payloads)
 
     @property
-    def cached_count(self) -> int:
-        return sum(1 for result in self.results.values() if result.cached)
-
-    @property
     def seconds(self) -> float:
         return sum(result.seconds for result in self.results.values())
 

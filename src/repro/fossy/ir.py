@@ -114,9 +114,6 @@ class Fsmd:
     def register_bits(self) -> int:
         return sum(reg.width for reg in self.registers)
 
-    def memory_bits(self) -> int:
-        return sum(mem.width * mem.depth for mem in self.memories)
-
 
 def _count_expr_ops(expr: Expr, ops: dict) -> None:
     for node in walk_expr(expr):

@@ -103,13 +103,6 @@ class TileStages:
             max_resolution=self.max_resolution,
         )
 
-    def block_sizes(self) -> list:
-        """Every code block's sample count in scatter order (geometry
-        only); see :func:`repro.jpeg2000.stages.parse.block_sizes`."""
-        return parse_stage.block_sizes(
-            self.params, self.tile_width, self.tile_height
-        )
-
     def scatter_entropy(
         self, layout: list, flat, offsets, ops: list, first: int = 0
     ) -> list:

@@ -13,17 +13,14 @@ Two schedules, dispatched from the plan's entropy executor:
     all blocks of the image (a single kernel batch), then the
     cross-tile vectorised reconstruction.
 ``_run_pooled``
-    Pool: the output arena is laid out from pure geometry before
-    parsing, each tile's chunks ship the moment its packet headers are
+    Pool: each tile's chunks ship the moment its packet headers are
     read, and finished tiles gather and reconstruct on the main process
     while later tiles are still decoding in the workers.
 
-A pool plan that gets no pool or no shared-memory arenas runs the
-sequential schedule instead.  That degradation, a tile decoded
-in-process because a block is too deep for the int32 arena, and a
-broken-pool resume are each recorded as one rewrite on the fate map,
-which the flight recorder embeds (with the compiled plan) in every
-crash report.
+A pool plan that gets no pool runs the sequential schedule instead.
+That degradation and a broken-pool resume are each recorded as one
+rewrite on the fate map, which the flight recorder embeds (with the
+compiled plan) in every crash report.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from .stages import reconstruct as reconstruct_stage
 
 
 #: Rewrites that move pool work onto the calling process.
-_DEGRADED_RULES = {"pool-unavailable", "arena-unavailable", "arena-int32-unsafe"}
+_DEGRADED_RULES = {"pool-unavailable"}
 
 
 class StageFates:
@@ -54,8 +51,7 @@ class StageFates:
     *state* walks planned → running → done and each rewrite is a
     ``{"rule", "detail"}`` record of the compile-time rewrite carried on
     the plan (native kernel unavailable → reference) or a runtime
-    degradation (no pool or arenas → inline, a block too deep for the
-    arena, broken-pool resume).
+    degradation (no pool → inline, broken-pool resume).
     :meth:`publish` installs the compiled plan and this (live, mutable)
     map into the flight-recorder context, so a crash report dumped at
     any point shows both the plan and the per-stage fates as of the
@@ -169,22 +165,15 @@ def _run_sequential(kernel, stages_list, fates) -> dict:
 def _run_pooled(binding, stages_list, schedule, fates) -> Optional[dict]:
     """Stream Tier-1 chunks to the pool as each tile's spans parse.
 
-    The output arena is laid out from pure geometry
-    (``TileStages.block_sizes``) before any parsing, so every tile's
-    chunks ship the moment its packet headers are read; tiles then
-    drain in submission order, and each finished tile's gather +
-    reconstruction runs on the main process while the remaining tiles'
-    entropy chunks are still decoding in the workers.  Returns ``None``
-    when no pool or arena can be had (the caller decodes inline).
+    Every tile's chunks ship the moment its packet headers are read;
+    tiles then drain in submission order, and each finished tile's
+    gather + reconstruction runs on the main process while the
+    remaining tiles' entropy chunks are still decoding in the workers.
+    Returns ``None`` when no pool can be had (the caller decodes
+    inline).
     """
-    sizes: list[int] = []
-    firsts: list[int] = []
-    for stages in stages_list:
-        tile_sizes = stages.block_sizes()
-        firsts.append(len(sizes))
-        sizes.extend(tile_sizes)
     stream = entropy_stage.open_stream(
-        [stages.data for stages in stages_list], sizes, binding,
+        [stages.data for stages in stages_list], binding,
         schedule=schedule, fates=fates,
     )
     if stream is None:
@@ -198,7 +187,7 @@ def _run_pooled(binding, stages_list, schedule, fates) -> Optional[dict]:
             for source_index, stages in enumerate(stages_list):
                 layout, specs = stages.entropy_specs()
                 layouts.append(layout)
-                stream.submit_tile(source_index, specs, firsts[source_index])
+                stream.submit_tile(source_index, specs)
         fates.done(STAGE_PARSE)
         fates.begin(STAGE_RECONSTRUCT)
         for source_index, stages in enumerate(stages_list):

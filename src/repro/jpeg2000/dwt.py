@@ -17,7 +17,7 @@ blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,18 +49,6 @@ class DwtOpCounts:
     @property
     def total(self) -> int:
         return self.add_ops + self.mul_ops
-
-
-def _reflect(index: int, length: int) -> int:
-    """Whole-sample symmetric index reflection into [0, length) (the spec
-    form; the vectorised transforms use :func:`_ext_indices` instead)."""
-    if length == 1:
-        return 0
-    period = 2 * (length - 1)
-    index %= period
-    if index < 0:
-        index += period
-    return index if index < length else period - index
 
 
 @lru_cache(maxsize=512)

@@ -28,7 +28,7 @@ from .codestream import (
     write_codestream,
 )
 from .image import Image, TileGrid
-from .structure import band_shapes, codeblock_grid
+from .structure import codeblock_grid
 from .t1 import CodeBlockEncoder
 from .t2 import CodeBlockContribution, PacketBand, encode_packet, sop_segment
 

@@ -14,7 +14,7 @@ adaptation uses the standard 47-state table.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 #: The 47-row probability state table of ITU-T T.800 Table C.2:
 #: (Qe, NMPS, NLPS, SWITCH).

@@ -12,8 +12,7 @@ runs.  Nothing below the planner reads :class:`DecodeOptions`.
 
 :class:`BlockSpec` is the parse→entropy interface: one code block's
 geometry plus the ``(start, end)`` codeword segment spans into its tile
-buffer, small enough to pickle by the thousand and precise enough to
-resolve zero-copy inside a shared-memory arena.
+buffer, from which either executor joins the block's codeword.
 
 This module is the import root of the decode stack (no dependencies on
 the stages, the planner, or the driver), so every layer can share the
@@ -27,12 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import telemetry
-from .t1_native import MAX_BITPLANES
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - exotic builds without _posixshmem
-    shared_memory = None
 
 #: Kernel names accepted by :class:`DecodeOptions`.
 KERNEL_NATIVE = "native"
@@ -47,16 +40,6 @@ _TIER2 = (TIER2_FAST, TIER2_REFERENCE)
 #: Pool start methods accepted by :class:`DecodeOptions` (None = platform
 #: default).
 _START_METHODS = (None, "fork", "spawn", "forkserver")
-
-#: Shared-memory arena name prefix — short enough for macOS's 31-char
-#: shm_open limit, distinctive enough for the leak checks in CI.
-ARENA_PREFIX = "repro-j2k-"
-
-#: Blocks with more bit planes than this cannot be carried in int32
-#: coefficients: the native kernel hands them to the reference kernel
-#: (int64), and the pool decodes their tiles in-process, off the int32
-#: output arena.
-_MAX_ARENA_BITPLANES = MAX_BITPLANES
 
 
 class ParallelDegradedWarning(RuntimeWarning):
@@ -128,10 +111,9 @@ class DecodeOptions:
         ``"reference"`` (the bit-by-bit specification reader).  Both
         parse bit-for-bit identically.
 
-    A parallel request streams each tile's blocks to the workers through
-    shared-memory arenas while later tiles are still being parsed; where
-    no pool or no arena can be had it decodes in-process, with identical
-    results.
+    A parallel request streams each tile's blocks to the workers, as
+    pickled chunks, while later tiles are still being parsed; where no
+    pool can be had it decodes in-process, with identical results.
     """
 
     workers: Optional[int] = 0
@@ -179,10 +161,9 @@ DEFAULT_OPTIONS = DecodeOptions()
 class BlockSpec:
     """One code block's geometry plus its codeword's segment spans.
 
-    The spans point into a *source* buffer (a tile-part's bytes) that is
-    shipped to the workers once, via the shared input arena — the spec
-    itself is a small picklable record, which is the whole point of the
-    zero-copy protocol.
+    The spans point into a *source* buffer (a tile-part's bytes); the
+    entropy stage joins them into the codeword (:meth:`codeword`) when
+    it decodes the block or ships it to a worker.
     """
 
     width: int
@@ -208,13 +189,3 @@ class BlockSpec:
             start, end = segments[0]
             return bytes(source[start:end])
         return b"".join(bytes(source[start:end]) for start, end in segments)
-
-    def rebased(self, base: int) -> "BlockSpec":
-        """The same spec with spans shifted by *base* (arena placement)."""
-        if not base:
-            return self
-        return BlockSpec(
-            self.width, self.height, self.orientation,
-            self.num_bitplanes, self.num_passes,
-            tuple((start + base, end + base) for start, end in self.segments),
-        )

@@ -22,7 +22,7 @@ the rewrite recorded (:attr:`DecodePlan.rewrites`): a ``native`` kernel
 request on a host that cannot build the native kernel binds
 ``reference``.  :meth:`DecodePlan.describe` shows the records and the
 driver seeds them into its fate map, where the runtime degradations (no
-pool, no shared-memory arena, ...) join them.
+pool, a broken pool) join them.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class ExecutorSpec:
     ``kind="inline"`` runs on the calling process (the canonical form
     carries no pool configuration).  ``kind="pool"`` fans out to a
     process pool: ``workers`` processes created with ``start_method``,
-    each tile's blocks streamed through shared-memory arenas in chunks
-    of at most ``chunk_size`` blocks while later tiles are still parsing.
+    each tile's blocks streamed to the workers as pickled chunks of at
+    most ``chunk_size`` blocks while later tiles are still parsing.
     """
 
     kind: str = EXECUTOR_INLINE

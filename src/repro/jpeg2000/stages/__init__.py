@@ -7,8 +7,8 @@ One module per :mod:`~repro.jpeg2000.plan` stage seam:
     interpretation the later stages consult).
 :mod:`~repro.jpeg2000.stages.entropy`
     Tier-1: the code-block kernels and the two executors that run them
-    (inline, and the worker pool streaming through shared-memory arenas)
-    with the broken-pool resume machinery.
+    (inline, and the worker pool streaming pickled chunks) with the
+    broken-pool resume machinery.
 :mod:`~repro.jpeg2000.stages.reconstruct`
     Gather, inverse quantisation, inverse DWT, inverse colour transform,
     DC shift — per tile and vectorised across tiles.

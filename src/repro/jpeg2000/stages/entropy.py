@@ -13,13 +13,11 @@ Two executors exist; the driver picks one from the entropy
 
 * **inline** (:func:`run_specs`): every block of the image in one
   :func:`decode_batch` call on the calling process;
-* **pool** (:func:`open_stream` → :class:`SpecStream`): the tile
-  buffers are placed into one shared-memory input arena verbatim, each
-  tile's blocks ship to the workers in size-aware chunks the moment its
-  packet headers are parsed, and the workers write the decoded
-  ``int32`` coefficients straight into a shared output arena.  The only
-  pickled traffic is the arena names, the block specs, and the
-  per-block op counts.
+* **pool** (:func:`open_stream` → :class:`SpecStream`): each tile's
+  blocks ship to the workers in size-aware chunks the moment its packet
+  headers are parsed.  Like an RMI call, a chunk carries its data with
+  it: the pickled payload holds the blocks' codeword bytes, and the
+  reply holds the chunk's coefficients and per-block op counts.
 
 Every executor — inline, pool chunk, broken-pool resume — decodes
 through :func:`decode_batch`, which hands whole chunks to the native C
@@ -29,9 +27,8 @@ call.
 Runtime degradations go straight to in-process decoding and are
 reported to the caller's stage-fate recorder (the ``fates`` parameter,
 duck-typed to :class:`repro.jpeg2000.driver.StageFates`), one rewrite
-per cause: no pool, no arenas, a tile with a block too deep for the
-int32 arena, or a pool that broke mid-decode (completed chunks are
-kept, lost ones re-decoded).  Every path returns bit-identical
+per cause: no pool, or a pool that broke mid-decode (completed chunks
+are kept, lost ones re-decoded).  Every path returns bit-identical
 coefficients and identical basic-op counts, so the Fig. 1 / Table 1
 instrumentation is unaffected by how the work is scheduled.
 """
@@ -44,7 +41,6 @@ import math
 import os
 import pickle
 import time
-import uuid
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
@@ -53,17 +49,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ... import telemetry
-from ..options import (
-    ARENA_PREFIX,
-    _MAX_ARENA_BITPLANES,
-    BlockSpec,
-    KERNEL_REFERENCE,
-    _warn_degraded,
-    shared_memory,
-)
+from ..options import BlockSpec, KERNEL_REFERENCE, _warn_degraded
 from ..plan import STAGE_ENTROPY, StageBinding
 from ..t1 import CodeBlockDecoder
-from ..t1_native import decode_codeblock_batch
+from ..t1_native import MAX_BITPLANES, decode_codeblock_batch
 
 
 def _rewrite(fates, rule: str, detail: str) -> None:
@@ -80,12 +69,13 @@ def decode_batch(batch: Sequence[tuple], out, kernel: str) -> list:
     at most 30 bit planes goes to C in one call; deeper blocks, and all
     blocks under the reference kernel, go through the reference
     :class:`~repro.jpeg2000.t1.CodeBlockDecoder`, whose coefficients
-    need an int64 *out* when a block is that deep (callers size it).
+    need an int64 *out* when a block is that deep (callers size it with
+    :func:`_coefficient_dtype`).
     """
     ops = [0] * len(batch)
     native = []
     for index, block in enumerate(batch):
-        if kernel != KERNEL_REFERENCE and block[4] <= _MAX_ARENA_BITPLANES:
+        if kernel != KERNEL_REFERENCE and block[4] <= MAX_BITPLANES:
             native.append(index)
             continue
         data, width, height, orientation, num_bitplanes, num_passes, offset = block
@@ -108,7 +98,7 @@ def decode_batch(batch: Sequence[tuple], out, kernel: str) -> list:
 
 def _coefficient_dtype(bitplanes: Iterable[int]):
     """int32 unless a block is too deep for it."""
-    if all(planes <= _MAX_ARENA_BITPLANES for planes in bitplanes):
+    if all(planes <= MAX_BITPLANES for planes in bitplanes):
         return np.int32
     return np.int64
 
@@ -121,6 +111,14 @@ def _spec_block(spec: BlockSpec, source, offset: int) -> tuple:
     )
 
 
+def _prefix_offsets(specs: Sequence[BlockSpec]):
+    """Each block's start in a flat row-major array; the last entry is
+    the total sample count."""
+    offsets = np.zeros(len(specs) + 1, dtype=np.int64)
+    np.cumsum([spec.size for spec in specs], out=offsets[1:])
+    return offsets
+
+
 def run_specs(sources: Sequence[bytes], specs: Sequence[tuple], kernel: str):
     """Decode segment-described blocks in-process: the inline executor.
 
@@ -130,9 +128,7 @@ def run_specs(sources: Sequence[bytes], specs: Sequence[tuple], kernel: str):
     coefficients row-major at ``offsets[i]`` (a NumPy prefix-sum over
     block sizes) and ``ops[i]`` is block *i*'s basic-op count.
     """
-    sizes = [spec.size for _, spec in specs]
-    offsets = np.zeros(len(specs) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
+    offsets = _prefix_offsets([spec for _, spec in specs])
     batch = [
         _spec_block(spec, sources[source_index], int(start))
         for (source_index, spec), start in zip(specs, offsets)
@@ -191,93 +187,35 @@ def _get_pool(workers: int, start_method: Optional[str] = None) -> Optional[Proc
     return pool
 
 
-# -- shared-memory arenas ---------------------------------------------------------
-
-#: Arenas created by this process and not yet unlinked.  ``shutdown_pool``
-#: and the atexit hook sweep this, so segments cannot outlive the process
-#: even if a decode aborted mid-flight.
-_live_arenas: dict = {}
-
-
-class SharedArena:
-    """One shared-memory segment with create/attach/cleanup discipline.
-
-    The creating side registers the arena in a module-level registry
-    that :func:`shutdown_pool` (and interpreter exit) sweeps — so a
-    worker crash, an exception mid-decode, or a forgotten handle can
-    never leak a ``/dev/shm`` segment past the process.
-    """
-
-    def __init__(self, size: int):
-        if shared_memory is None:
-            raise OSError("multiprocessing.shared_memory unavailable")
-        name = f"{ARENA_PREFIX}{os.getpid():x}-{uuid.uuid4().hex[:8]}"
-        self._shm = shared_memory.SharedMemory(name=name, create=True, size=max(1, size))
-        self.size = size
-        _live_arenas[self.name] = self
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def buf(self):
-        return self._shm.buf
-
-    def destroy(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        _live_arenas.pop(self.name, None)
-        try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - defensive
-            pass
-        try:
-            self._shm.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover - already gone
-            pass
+def shutdown_pool() -> None:
+    """Tear down the cached worker pool (also runs at interpreter exit)."""
+    global _pool, _pool_key
+    if _pool is not None:
+        _pool.shutdown(wait=True, cancel_futures=True)
+        _pool = None
+        _pool_key = None
 
 
-def _sweep_arenas() -> None:
-    for arena in list(_live_arenas.values()):
-        arena.destroy()
+atexit.register(shutdown_pool)
 
 
 def _decode_chunk(payload):
-    """Worker entry point: decode one chunk of blocks between the arenas.
+    """Worker entry point: decode one pickled chunk of blocks.
 
-    ``payload`` is (input arena name, output arena name, kernel,
-    blocks, want_events) where each block is an ``(out_offset,
-    BlockSpec)`` pair whose spans point into the input arena.
-    Coefficients go straight into the output arena; only (pid, per-block
-    op counts, and — when the parent requested logging — the worker-side
-    event dicts) travel back.
+    ``payload`` is ``(kernel, blocks, want_events)`` where *blocks* are
+    :func:`decode_batch` blocks carrying their codeword bytes, with
+    offsets local to the chunk.  Returns ``(pid, coefficients, ops,
+    events)``: the chunk's coefficients in block order, the per-block op
+    counts, and — when the parent requested logging — the worker-side
+    event dicts.
     """
-    in_name, out_name, kernel, blocks, want_events = payload
+    kernel, blocks, want_events = payload
     started = time.perf_counter()
-    # Attaching re-registers the segments with the resource tracker, but
-    # pool children share the parent's tracker (its fd travels in the
-    # spawn/fork preparation data), where the duplicate is a set add —
-    # the parent's unlink unregisters exactly once.  Do NOT unregister
-    # here: that would strip the parent's registration and turn its
-    # unlink into tracker KeyError noise.
-    src = shared_memory.SharedMemory(name=in_name)
-    dst = shared_memory.SharedMemory(name=out_name)
-    out = np.frombuffer(dst.buf, dtype=np.int32)
-    error = None
-    op_counts = None
-    try:
-        batch = [_spec_block(spec, src.buf, offset) for offset, spec in blocks]
-        op_counts = decode_batch(batch, out, kernel)
-    except BaseException as exc:
-        # Carry the failure as a string: re-raising after the buffers are
-        # released keeps the traceback from pinning views over the mmap,
-        # which would turn close() into a BufferError that masks it.
-        error = f"{type(exc).__name__}: {exc}"
-    del out
-    src.close()
-    dst.close()
-    if error is not None:
-        raise RuntimeError(f"shared-memory chunk decode failed: {error}")
+    coefficients = np.empty(
+        sum(block[1] * block[2] for block in blocks),
+        dtype=_coefficient_dtype(block[4] for block in blocks),
+    )
+    op_counts = decode_batch(blocks, coefficients, kernel)
     events = None
     if want_events:
         buffer = telemetry.capture_events()
@@ -286,27 +224,7 @@ def _decode_chunk(payload):
             wall_ms=round((time.perf_counter() - started) * 1e3, 3),
         )
         events = buffer.events
-    return os.getpid(), op_counts, events
-
-
-def _close_pool() -> None:
-    """Tear down only the cached executor (arenas untouched — the
-    broken-pool resume path still reads from them)."""
-    global _pool, _pool_key
-    if _pool is not None:
-        _pool.shutdown(wait=True, cancel_futures=True)
-        _pool = None
-        _pool_key = None
-
-
-def shutdown_pool() -> None:
-    """Tear down the cached worker pool and any live shared-memory
-    arenas (also runs at interpreter exit)."""
-    _close_pool()
-    _sweep_arenas()
-
-
-atexit.register(shutdown_pool)
+    return os.getpid(), coefficients, op_counts, events
 
 
 #: Bucket bounds for the per-worker occupancy histogram (blocks decoded
@@ -328,84 +246,40 @@ def _record_occupancy(worker_blocks: dict) -> None:
 class SpecStream:
     """The pool executor: Tier-1 chunks stream out while Tier-2 parses.
 
-    Built from the static facts only — the tile buffers and every code
-    block's output size, both known from geometry before a single packet
-    header is read — so the shared arenas exist up front.
     :meth:`submit_tile` ships one tile's chunks to the pool the moment
     its codeword spans are parsed; :meth:`drain_tile` blocks only on
-    that tile's chunks.  The caller parses tile *i+1* (and gathers and
-    reconstructs tile *i*) while earlier submissions are still decoding
-    in the workers.
+    that tile's chunks and places their coefficients at the tile-local
+    offsets.  The caller parses tile *i+1* (and gathers and reconstructs
+    tile *i*) while earlier submissions are still decoding in the
+    workers.
 
-    Use :func:`open_stream`.  A tile holding a block too deep for the
-    int32 arena is decoded in-process when drained; a broken pool keeps
-    the completed chunks and re-decodes the missing ones in-process.
+    Use :func:`open_stream`.  A broken pool keeps the completed chunks
+    and re-decodes the missing ones in-process.
     """
 
-    def __init__(self, sources: Sequence[bytes], sizes: Sequence[int],
-                 binding: StageBinding, pool: ProcessPoolExecutor, *,
+    def __init__(self, sources: Sequence[bytes], binding: StageBinding,
+                 pool: ProcessPoolExecutor, *,
                  schedule: Optional[dict] = None, fates=None):
         self._binding = binding
         self._fates = fates
         self._pool = pool
         self._sources = list(sources)
-        self._source_bases: list[int] = []
-        total_in = 0
-        for source in self._sources:
-            self._source_bases.append(total_in)
-            total_in += len(source)
-        self._offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self._offsets[1:])
-        total_out = int(self._offsets[-1])
-        with telemetry.software_span("shm", "arena-build", "parallel"):
-            self._in_arena = SharedArena(total_in)
-            position = 0
-            for source in self._sources:
-                self._in_arena.buf[position:position + len(source)] = source
-                position += len(source)
-            try:
-                self._out_arena = SharedArena(total_out * 4)
-            except BaseException:
-                self._in_arena.destroy()
-                raise
-        telemetry.count(
-            "jpeg2000.parallel.bytes_shared", total_in + total_out * 4
-        )
         self._tiles: dict = {}
-        self._ops: list = [0] * len(sizes)
         self._broken = False
-        self._too_deep = False
         self._blocks_by_pid: dict = {}
         flight = telemetry.flight_recorder()
         self._observing = flight is not None
         if flight is not None:
             if schedule is not None:
                 flight.set_context("schedule", schedule)
-            flight.set_context("arena", {
-                "input": {"name": self._in_arena.name, "bytes": total_in},
-                "output": {"name": self._out_arena.name,
-                           "bytes": total_out * 4},
-            })
             flight.reset_chunks()
-            telemetry.log_event(
-                "parallel.stream_open",
-                tiles=len(self._sources), blocks=len(sizes),
-                bytes_shared=total_in + total_out * 4,
-            )
+            telemetry.log_event("parallel.stream_open", tiles=len(self._sources))
 
-    def submit_tile(self, source_index: int, specs: Sequence[BlockSpec],
-                    first: int) -> None:
+    def submit_tile(self, source_index: int, specs: Sequence[BlockSpec]) -> None:
         """Chunk and submit one parsed tile's blocks to the pool."""
-        if any(spec.num_bitplanes > _MAX_ARENA_BITPLANES for spec in specs):
-            if not self._too_deep:
-                self._too_deep = True
-                _rewrite(self._fates, "arena-int32-unsafe",
-                         "a block's bit planes exceed the int32 arena; "
-                         "decoding its tile in-process")
-            self._tiles[source_index] = (None, None, list(specs), first)
-            return
         ex = self._binding.executor
-        base = self._source_bases[source_index]
+        source = self._sources[source_index]
+        specs = list(specs)
         chunks = plan_chunks([spec.cost for spec in specs], ex.workers,
                              ex.chunk_size)
         futures = []
@@ -416,22 +290,19 @@ class SpecStream:
                 tile=source_index, chunks=len(chunks), blocks=len(specs),
             )
         with telemetry.software_span(
-            "shm", "submit", "parallel", tile=source_index, chunks=len(chunks)
+            "pool", "submit", "parallel", tile=source_index, chunks=len(chunks)
         ):
             for chunk in chunks:
                 if self._broken:
                     # Chunks without a future are re-decoded in-process
                     # by drain_tile.
                     break
-                blocks = tuple(
-                    (int(self._offsets[first + local]),
-                     specs[local].rebased(base))
-                    for local in chunk
-                )
-                payload = (
-                    self._in_arena.name, self._out_arena.name,
-                    self._binding.impl, blocks, self._observing,
-                )
+                blocks = []
+                position = 0
+                for local in chunk:
+                    blocks.append(_spec_block(specs[local], source, position))
+                    position += specs[local].size
+                payload = (self._binding.impl, blocks, self._observing)
                 if telemetry.enabled():
                     telemetry.count(
                         "jpeg2000.parallel.bytes_pickled",
@@ -447,16 +318,11 @@ class SpecStream:
                         f"tile{source_index}/chunk{len(futures) - 1}",
                         "submitted",
                     )
-        self._tiles[source_index] = (
-            futures,
-            [[first + local for local in chunk] for chunk in chunks],
-            list(specs),
-            first,
-        )
+        self._tiles[source_index] = (futures, chunks, specs)
 
     def _mark_broken(self) -> None:
         self._broken = True
-        _close_pool()
+        shutdown_pool()
         telemetry.count("jpeg2000.parallel.broken_pools")
         _rewrite(self._fates, "broken-pool-resume",
                  "worker pool broke mid-stream; completed chunks kept, "
@@ -467,130 +333,111 @@ class SpecStream:
         if flight is not None:
             flight.dump("broken-pool")
 
-    def _decode_here(self, source_index: int, specs: list, first: int,
-                     ids: Iterable[int], flat) -> None:
-        """Decode blocks *ids* of one tile in-process into its *flat*."""
-        source = self._sources[source_index]
-        start = int(self._offsets[first])
-        batch = [
-            _spec_block(specs[block - first], source,
-                        int(self._offsets[block]) - start)
-            for block in ids
-        ]
-        for block, ops in zip(ids, decode_batch(batch, flat, self._binding.impl)):
-            self._ops[block] = ops
+    def _result(self, futures: list, index: int):
+        """Chunk *index*'s worker result, or ``None`` when it was lost."""
+        # A broken pool at submit time leaves trailing chunks with no
+        # future; they go straight to the resume path.
+        if index >= len(futures):
+            return None
+        future = futures[index]
+        if self._broken:
+            if future.done() and not future.cancelled():
+                try:
+                    return future.result()
+                except Exception:  # lost with the pool: re-decoded here
+                    return None
+            return None
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            self._mark_broken()
+            return None
 
     def drain_tile(self, source_index: int):
         """Wait for one tile's chunks; returns (flat, offsets, ops) with
         offsets local to the tile (``scatter_entropy(..., first=0)``)."""
-        futures, chunk_ids, specs, first = self._tiles.pop(source_index)
-        count = len(specs)
-        start = int(self._offsets[first])
-        end = int(self._offsets[first + count])
-        offsets = self._offsets[first:first + count + 1] - start
-        if futures is None:  # too deep for the int32 arena
-            flat = np.empty(end - start, dtype=np.int64)
-            self._decode_here(source_index, specs, first,
-                              range(first, first + count), flat)
-            return flat, offsets, self._ops[first:first + count]
+        futures, chunks, specs = self._tiles.pop(source_index)
+        offsets = _prefix_offsets(specs)
+        flat = np.empty(
+            int(offsets[-1]),
+            dtype=_coefficient_dtype(spec.num_bitplanes for spec in specs),
+        )
+        ops = [0] * len(specs)
         failed: list = []
         flight = telemetry.flight_recorder()
         with telemetry.software_span(
-            "shm", "drain", "parallel", tile=source_index, chunks=len(futures)
+            "pool", "drain", "parallel", tile=source_index, chunks=len(futures)
         ):
-            for index, ids in enumerate(chunk_ids):
-                # A broken pool at submit time leaves trailing chunks
-                # with no future; they go straight to the resume path.
-                future = futures[index] if index < len(futures) else None
-                result = None
-                if future is None:
-                    pass
-                elif self._broken:
-                    if future.done() and not future.cancelled():
-                        try:
-                            result = future.result()
-                        except BaseException:
-                            result = None
-                else:
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        self._mark_broken()
+            for index, chunk in enumerate(chunks):
+                result = self._result(futures, index)
+                state = "lost"
                 if result is None:
-                    failed.append(ids)
-                    if flight is not None:
-                        flight.chunk_state(
-                            f"tile{source_index}/chunk{index}", "lost"
-                        )
+                    failed.append(chunk)
                 else:
-                    pid, op_counts, events = result
+                    state = "resumed" if self._broken else "done"
+                    pid, coefficients, chunk_ops, events = result
                     telemetry.merge_worker_events(events)
-                    if flight is not None:
-                        flight.chunk_state(
-                            f"tile{source_index}/chunk{index}",
-                            "resumed" if self._broken else "done",
-                        )
                     self._blocks_by_pid[pid] = (
-                        self._blocks_by_pid.get(pid, 0) + len(ids)
+                        self._blocks_by_pid.get(pid, 0) + len(chunk)
                     )
-                    for block, ops in zip(ids, op_counts):
-                        self._ops[block] = ops
-        flat = np.frombuffer(
-            self._out_arena.buf, dtype=np.int32,
-            count=end - start, offset=start * 4,
-        ).copy()
+                    position = 0
+                    for local, count in zip(chunk, chunk_ops):
+                        start, size = int(offsets[local]), specs[local].size
+                        flat[start:start + size] = (
+                            coefficients[position:position + size]
+                        )
+                        position += size
+                        ops[local] = count
+                if flight is not None:
+                    flight.chunk_state(
+                        f"tile{source_index}/chunk{index}", state
+                    )
         if failed:
             telemetry.count("jpeg2000.parallel.chunks_resumed",
-                            len(chunk_ids) - len(failed))
+                            len(chunks) - len(failed))
             telemetry.count("jpeg2000.parallel.chunks_redecoded", len(failed))
             if self._observing:
                 telemetry.log_event(
                     "parallel.resumed", tile=source_index,
-                    resumed=len(chunk_ids) - len(failed),
-                    redecoded=len(failed),
+                    resumed=len(chunks) - len(failed), redecoded=len(failed),
                 )
-            for ids in failed:
-                self._decode_here(source_index, specs, first, ids, flat)
-        return flat, offsets, self._ops[first:first + count]
+            source = self._sources[source_index]
+            lost = [local for chunk in failed for local in chunk]
+            batch = [
+                _spec_block(specs[local], source, int(offsets[local]))
+                for local in lost
+            ]
+            for local, count in zip(
+                lost, decode_batch(batch, flat, self._binding.impl)
+            ):
+                ops[local] = count
+        return flat, offsets, ops
 
     def close(self) -> None:
-        """Destroy the arenas (idempotent) and record pool occupancy."""
+        """Record pool occupancy (idempotent); the pool stays cached."""
         _record_occupancy(self._blocks_by_pid)
         self._blocks_by_pid = {}
-        self._in_arena.destroy()
-        self._out_arena.destroy()
-
-
-def _degrade(fates, schedule: Optional[dict], workers: int, rule: str,
-             reason: str) -> None:
-    """Warn that the pool request runs in-process and record why."""
-    requested = workers if schedule is None else schedule.get(
-        "requested_workers", workers
-    )
-    _warn_degraded(requested, 1, reason)
-    _rewrite(fates, rule, f"{reason}; decoding in-process")
 
 
 def open_stream(
-    sources: Sequence[bytes], sizes: Sequence[int], binding: StageBinding, *,
+    sources: Sequence[bytes], binding: StageBinding, *,
     schedule: Optional[dict] = None, fates=None,
 ) -> Optional[SpecStream]:
     """A :class:`SpecStream` for the pool *binding* over *sources*.
 
-    ``None`` when no worker pool or no shared-memory arena can be had
-    here — after recording that one rewrite on *fates* — and the caller
-    then decodes inline.
+    ``None`` when no worker pool can be had here — after warning and
+    recording that one rewrite on *fates* — and the caller then decodes
+    inline.
     """
     ex = binding.executor
     pool = _get_pool(ex.workers, ex.start_method)
-    if pool is None:
-        _degrade(fates, schedule, ex.workers, "pool-unavailable",
-                 "worker pool unavailable")
-        return None
-    try:
-        return SpecStream(sources, sizes, binding, pool,
+    if pool is not None:
+        return SpecStream(sources, binding, pool,
                           schedule=schedule, fates=fates)
-    except (OSError, PermissionError, ValueError):
-        _degrade(fates, schedule, ex.workers, "arena-unavailable",
-                 "shared-memory arenas unavailable")
-        return None
+    reason = "worker pool unavailable"
+    requested = ex.workers if schedule is None else schedule.get(
+        "requested_workers", ex.workers
+    )
+    _warn_degraded(requested, 1, reason)
+    _rewrite(fates, "pool-unavailable", f"{reason}; decoding in-process")
+    return None

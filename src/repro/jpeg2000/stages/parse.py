@@ -4,8 +4,8 @@ Turns one tile's codestream bytes into *work descriptions*: the
 per-component band layout (Tier-2 protocol state) and every code
 block's :class:`~repro.jpeg2000.options.BlockSpec` — geometry plus
 ``(start, end)`` codeword segment spans left in place in the tile
-buffer, so the entropy stage can resolve them zero-copy from a shared
-arena.  Also owns the QCD-segment interpretation (step sizes, M_b
+buffer, which the entropy stage joins into each block's codeword.  Also
+owns the QCD-segment interpretation (step sizes, M_b
 bounds) that the parse and reconstruct stages both consult.
 
 Pure functions of the coding parameters and tile bytes: no executors,
@@ -44,8 +44,9 @@ def entropy_specs(
     and *specs* is the tile's :class:`~repro.jpeg2000.options.BlockSpec`
     list in scatter order.  The packet bodies are left in place — the
     specs carry ``(start, end)`` segment spans into *data*
-    (``decode_packet(..., materialise=False)``), so the tile buffer can
-    be placed into a shared-memory arena without per-block copies.
+    (``decode_packet(..., materialise=False)``), and the entropy stage
+    joins each block's codeword from them only when it decodes or ships
+    the block (:func:`repro.jpeg2000.stages.entropy.run_specs`).
     Tier-1 itself runs in :mod:`repro.jpeg2000.stages.entropy`.
     """
     shapes = band_shapes(tile_width, tile_height, params.num_levels)
@@ -131,27 +132,6 @@ def entropy_specs(
                     tuple(block.segments),
                 ))
     return per_component_bands, specs
-
-
-def block_sizes(
-    params: CodingParameters, tile_width: int, tile_height: int
-) -> list:
-    """Every code block's sample count in scatter order.
-
-    Pure geometry — no packet is parsed — so the streaming decode
-    path can size and lay out its shared output arena before Tier-2
-    has read a single bit.  Matches the spec order of
-    :func:`entropy_specs` exactly.
-    """
-    shapes = band_shapes(tile_width, tile_height, params.num_levels)
-    sizes = []
-    for _ in range(params.num_components):
-        for shape in shapes:
-            for geo in codeblock_grid(
-                shape.width, shape.height, params.codeblock_size
-            ):
-                sizes.append(geo.width * geo.height)
-    return sizes
 
 
 def qcd_delta(params: CodingParameters, resolution: int, orientation: str) -> float:

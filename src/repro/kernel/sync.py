@@ -21,10 +21,6 @@ class Mutex:
         self._locked_by: object = None
         self._waiters: deque[Event] = deque()
 
-    @property
-    def locked(self) -> bool:
-        return self._locked_by is not None
-
     def lock(self, owner: object = None):
         """Blocking acquire; ``yield from mutex.lock(owner)``.
 

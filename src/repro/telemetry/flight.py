@@ -2,8 +2,8 @@
 
 A :class:`FlightRecorder` keeps a ring buffer of the most recent
 telemetry events plus a small *context* map that subsystems keep
-current — the parallel decode schedule, the shared-memory arena layout,
-per-chunk states.  It costs a deque append per event while armed and
+current — the decode plan and stage fates, the parallel decode
+schedule, per-chunk states.  It costs a deque append per event while armed and
 nothing when disabled, and it never grows: ``capacity`` bounds the
 event history.
 
@@ -11,7 +11,7 @@ When something goes wrong — an unhandled exception (install the hook
 with :func:`install_excepthook`), a :class:`ParallelDegradedWarning`,
 a ``BrokenProcessPool`` — :meth:`FlightRecorder.dump` writes a crash
 report under ``.repro/crash/`` containing the run id, the reason, the
-context (schedule, arena layout, chunk states) and the last *N* events,
+context (plan, schedule, chunk states) and the last *N* events,
 so a degraded worker pool in a long-lived service is diagnosable after
 the fact instead of vanishing into a warning line.
 
@@ -76,7 +76,7 @@ class FlightRecorder:
         self.events.append(record)
 
     def set_context(self, key: str, value) -> None:
-        """Publish one piece of live context (schedule, arena layout...)."""
+        """Publish one piece of live context (plan, schedule...)."""
         self.context[key] = value
 
     def chunk_state(self, chunk_id, state: str) -> None:

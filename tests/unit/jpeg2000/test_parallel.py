@@ -24,11 +24,7 @@ from repro.jpeg2000.options import (
 )
 from repro.jpeg2000.plan import STAGE_ENTROPY, compile_plan, schedule_info
 from repro.jpeg2000.stages import entropy
-from repro.jpeg2000.stages.entropy import (
-    SharedArena,
-    plan_chunks,
-    shutdown_pool,
-)
+from repro.jpeg2000.stages.entropy import plan_chunks, shutdown_pool
 from repro.jpeg2000.t1 import CodeBlockEncoder
 
 
@@ -50,15 +46,12 @@ def run_stream(sources, specs, options, fates=None):
         for source_index in range(len(sources))
     ]
     stream = entropy.open_stream(
-        sources, [spec.size for _, spec in specs], _binding(options),
-        schedule=_schedule(options), fates=fates,
+        sources, _binding(options), schedule=_schedule(options), fates=fates,
     )
     assert stream is not None
     try:
-        first = 0
         for source_index, tile in enumerate(tiles):
-            stream.submit_tile(source_index, tile, first)
-            first += len(tile)
+            stream.submit_tile(source_index, tile)
         drained = [stream.drain_tile(index) for index in range(len(tiles))]
     finally:
         stream.close()
@@ -174,7 +167,7 @@ class TestDecodeBlocks:
             assert ops[index] > 0
 
     def test_pool_matches_sequential(self):
-        """Several tiles share the arenas: each one's spans are rebased."""
+        """Several tiles stream through one pool, each in its own chunks."""
         source_a, specs_a, _ = _spec_workload(range(5))
         source_b, specs_b, _ = _spec_workload(range(10, 14))
         specs = specs_a + [(1, spec) for _, spec in specs_b]
@@ -200,7 +193,7 @@ class TestDecodeBlocks:
         fates = _FateLog()
         with pytest.warns(ParallelDegradedWarning):
             stream = entropy.open_stream(
-                [b""], [], _binding(DecodeOptions(workers=4, oversubscribe=True)),
+                [b""], _binding(DecodeOptions(workers=4, oversubscribe=True)),
                 fates=fates,
             )
         assert stream is None
@@ -283,29 +276,6 @@ class TestBlockSpec:
         assert spec.size == 4
         assert spec.cost == 5
 
-    def test_rebased_shifts_spans(self):
-        spec = BlockSpec(2, 2, "HH", 3, None, ((1, 3),))
-        assert spec.rebased(10).segments == ((11, 13),)
-        assert spec.rebased(0) is spec
-
-
-class TestSharedArena:
-    def test_registry_and_sweep(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        arena = SharedArena(64)
-        assert arena.name in entropy._live_arenas
-        arena.buf[:4] = b"abcd"
-        assert bytes(arena.buf[:4]) == b"abcd"
-        shutdown_pool()
-        assert arena.name not in entropy._live_arenas
-
-    def test_destroy_is_idempotent(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        arena = SharedArena(16)
-        arena.destroy()
-        arena.destroy()
-        assert arena.name not in entropy._live_arenas
-
 
 class TestDecodeBlocksSpec:
     @pytest.mark.parametrize("kernel", [KERNEL_NATIVE, KERNEL_REFERENCE])
@@ -319,7 +289,6 @@ class TestDecodeBlocksSpec:
             assert ops[index] > 0
 
     def test_shm_parallel_matches_sequential(self):
-        pytest.importorskip("multiprocessing.shared_memory")
         source, specs, _ = _spec_workload(range(9))
         seq_flat, _, seq_ops = entropy.run_specs([source], specs, KERNEL_NATIVE)
         par_flat, par_ops = run_stream([source], specs, POOL)
@@ -344,13 +313,6 @@ class TestDecodeBlocksSpec:
         assert len(flat) == 0
         assert offsets.tolist() == [0]
         assert ops == []
-
-    def test_no_shm_segments_leak(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        source, specs, _ = _spec_workload(range(5))
-        run_stream([source], specs, POOL)
-        assert entropy._live_arenas == {}
-        shutdown_pool()
 
 
 class _FateLog:
@@ -436,15 +398,39 @@ def _no_pool(monkeypatch):
     )
 
 
-def _no_arena(monkeypatch):
-    def refuse(size):
-        raise OSError("no shared memory here")
+def _pool_decode(monkeypatch, cause=None):
+    """Decode a 4-tile image under :data:`POOL` after applying *cause*.
 
-    monkeypatch.setattr(entropy, "SharedArena", refuse)
-
-
-def _deep_blocks(monkeypatch):
-    monkeypatch.setattr(entropy, "_MAX_ARENA_BITPLANES", 2)
+    Returns the reference-options decoder, the pooled decoder, and both
+    images.
+    """
+    params = CodingParameters(
+        width=32, height=32, num_components=3, tile_width=16,
+        tile_height=16, num_levels=2, lossless=True,
+    )
+    data = encode_image(synthetic_image(32, 32, 3, seed=5), params)
+    reference = Jpeg2000Decoder(
+        data, options=DecodeOptions(kernel="reference", tier2="reference")
+    )
+    expected = reference.decode()
+    shutdown_pool()  # a fresh fork inherits whatever *cause* patches
+    if cause is not None:
+        cause(monkeypatch)
+    decoder = Jpeg2000Decoder(data, options=POOL)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParallelDegradedWarning)
+            image = decoder.decode()
+    finally:
+        shutdown_pool()
+    for ours, theirs in zip(image.components, expected.components):
+        assert ours.tobytes() == theirs.tobytes()
+    assert decoder.ops.counts == reference.ops.counts
+    return [
+        rewrite["rule"]
+        for fate in decoder.fates.fates.values()
+        for rewrite in fate["rewrites"]
+    ], decoder.fates.health()
 
 
 class TestDegradation:
@@ -452,45 +438,30 @@ class TestDegradation:
 
     @pytest.mark.parametrize("cause, rule", [
         (_no_pool, "pool-unavailable"),
-        (_no_arena, "arena-unavailable"),
-        (_deep_blocks, "arena-int32-unsafe"),
-    ], ids=["no-pool", "no-arena", "deep-block"])
+    ], ids=["no-pool"])
     def test_one_cause_records_one_rewrite(self, monkeypatch, cause, rule):
-        params = CodingParameters(
-            width=32, height=32, num_components=3, tile_width=16,
-            tile_height=16, num_levels=2, lossless=True,
-        )
-        data = encode_image(synthetic_image(32, 32, 3, seed=5), params)
-        reference = Jpeg2000Decoder(
-            data, options=DecodeOptions(kernel="reference", tier2="reference")
-        )
-        expected = reference.decode()
-        cause(monkeypatch)
-        decoder = Jpeg2000Decoder(data, options=POOL)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ParallelDegradedWarning)
-                image = decoder.decode()
-        finally:
-            shutdown_pool()
-        for ours, theirs in zip(image.components, expected.components):
-            assert ours.tobytes() == theirs.tobytes()
-        assert decoder.ops.counts == reference.ops.counts
-        rules = [
-            rewrite["rule"]
-            for fate in decoder.fates.fates.values()
-            for rewrite in fate["rewrites"]
-        ]
+        rules, health = _pool_decode(monkeypatch, cause)
         assert rules == [rule]
-        assert decoder.fates.health()["degraded"]
-        assert entropy._live_arenas == {}
+        assert health["degraded"]
+
+
+class TestDeepBlocks:
+    def test_deep_blocks_decode_in_the_pool(self, monkeypatch):
+        """Blocks deeper than the native kernel's bit-plane bound travel
+        to the workers like any other: the chunk comes back as int64
+        coefficients from the reference kernel, and nothing degrades."""
+        def deep_blocks(monkeypatch):
+            monkeypatch.setattr(entropy, "MAX_BITPLANES", 2)
+
+        rules, health = _pool_decode(monkeypatch, deep_blocks)
+        assert rules == []
+        assert health["degraded"] is False
 
 
 class TestParallelObservability:
     """Worker events ride back with results and merge deterministically."""
 
     def test_shm_transport_carries_worker_events(self, tmp_path):
-        pytest.importorskip("multiprocessing.shared_memory")
         source, specs, _ = _spec_workload(range(6))
         try:
             with telemetry.session(events=tmp_path / "e.jsonl") as run:
@@ -510,27 +481,21 @@ class TestParallelObservability:
         assert {record["run_id"] for record in log.events} == {log.run_id}
 
     def test_workers_send_no_events_when_log_disabled(self):
-        pytest.importorskip("multiprocessing.shared_memory")
         source, specs, expected = _spec_workload(range(4))
-        source_arena = SharedArena(len(source))
-        source_arena.buf[:len(source)] = source
-        out_arena = SharedArena(sum(spec.size for _, spec in specs) * 4)
-        blocks = tuple(
-            (64 * index, spec) for index, (_, spec) in enumerate(specs)
+        blocks = [
+            entropy._spec_block(spec, source, 64 * index)
+            for index, (_, spec) in enumerate(specs)
+        ]
+        pid, coefficients, ops, events = entropy._decode_chunk(
+            (KERNEL_NATIVE, blocks, False)
         )
-        try:
-            pid, ops, events = entropy._decode_chunk((
-                source_arena.name, out_arena.name, KERNEL_NATIVE, blocks,
-                False,
-            ))
-            out = np.frombuffer(out_arena.buf, dtype=np.int32).tolist()
-        finally:
-            source_arena.destroy()
-            out_arena.destroy()
         assert events is None
         assert pid == os.getpid()
         assert len(ops) == len(specs)
-        assert out == [value for coeffs in expected for value in coeffs]
+        assert coefficients.dtype == np.int32
+        assert coefficients.tolist() == [
+            value for coeffs in expected for value in coeffs
+        ]
 
     def test_degraded_counter_is_reason_labelled(self, monkeypatch, tmp_path):
         monkeypatch.setattr(host, "host_cpus", lambda: 1)
@@ -577,4 +542,4 @@ class TestCrashReport:
         assert "submitted" in fates
         assert fates <= {"submitted", "done"}
         assert report["context"]["schedule"]["effective_workers"] == 2
-        assert report["context"]["arena"]["input"]["bytes"] == len(source)
+        assert all(chunk.startswith("tile0/") for chunk in report["chunks"])
