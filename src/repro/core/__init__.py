@@ -9,8 +9,8 @@ serialisation machinery that later feeds the VTA channels.
 
 from .arbiter import (
     ArbitrationPolicy,
+    ClientHandle,
     Fcfs,
-    LeastRecentlyServed,
     Request,
     RoundRobin,
     StaticPriority,
@@ -28,7 +28,7 @@ from .serialisation import (
     register_payload_type,
     serialise_call,
 )
-from .shared import ClientHandle, MethodSpec, SharedObject, SharedObjectStats, osss_method
+from .shared import MethodSpec, SharedObject, SharedObjectStats, osss_method
 from .task import FunctionTask, SoftwareTask
 from .timing import CycleBudget, RetViolation, eet, ret
 
@@ -44,7 +44,6 @@ __all__ = [
     "FunctionTask",
     "Guard",
     "IntN",
-    "LeastRecentlyServed",
     "MethodSpec",
     "OsssArray",
     "OsssInterface",

@@ -1,14 +1,37 @@
-"""Arbitration policies for concurrent Shared Object access.
+"""Arbitration: pluggable policies and the grant engine they drive.
 
 OSSS lets the designer choose the scheduler a Shared Object (or a bus) uses
-to resolve concurrent requests.  A policy sees the *eligible* requests
-(guard already satisfied) and picks one.  All policies are deterministic so
-simulations are reproducible.
+to resolve concurrent requests.  A policy sees the *eligible* requests and
+picks one.  All policies are deterministic so simulations are reproducible.
+
+:class:`GrantEngine` is the one resource-arbitration scheme both
+:class:`~repro.core.shared.SharedObject` and
+:class:`~repro.vta.channel_base.OsssChannel` build on: many clients, one
+grant at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
+
+from ..kernel import Event, Simulator
+
+
+class ClientHandle:
+    """Identity of one connected client (a bound port or a bus master)."""
+
+    __slots__ = ("client_id", "name", "priority", "_grant_event")
+
+    def __init__(self, client_id: int, name: str, priority: int):
+        self.client_id = client_id
+        self.name = name
+        self.priority = priority
+        #: Grant event a channel reuses across transports (fast mode only).
+        self._grant_event: Optional[Event] = None
+
+    def __repr__(self) -> str:
+        return f"ClientHandle({self.client_id}, {self.name!r})"
 
 
 class Request:
@@ -27,13 +50,13 @@ class Request:
 
 
 class ArbitrationPolicy:
-    """Base class: subclasses implement :meth:`select`."""
+    """Base class: subclasses implement :meth:`select`.
+
+    :meth:`select` must be a pure function of its arguments: the fast
+    grant path skips it when a single request is eligible.
+    """
 
     name = "base"
-    #: True when :meth:`select` keeps no internal state between calls.
-    #: Stateless policies may be bypassed for trivially-decided grants
-    #: (a single eligible request); stateful ones must see every grant.
-    stateless = True
 
     def select(self, eligible: Sequence[Request], last_client: Optional[int]) -> Request:
         raise NotImplementedError
@@ -83,21 +106,101 @@ class Fcfs(ArbitrationPolicy):
         return min(eligible, key=lambda r: (r.arrival_fs, r.seq))
 
 
-class LeastRecentlyServed(ArbitrationPolicy):
-    """Fair policy favouring the client served longest ago."""
+class GrantEngine:
+    """Many clients, one grant at a time, picked by a policy.
 
-    name = "least_recently_served"
-    stateless = False
+    Pending entries are :class:`Request` subclasses, so the policy ranks
+    them directly.  Subclasses decide which pending requests are
+    eligible (:meth:`_eligible`) and how the chosen one is woken
+    (:meth:`_grant`); the holder calls :meth:`_release` when done.
 
-    def __init__(self):
-        self._last_service: dict[int, int] = {}
-        self._tick = 0
+    Two decision schemes give identical grants and timestamps:
 
-    def select(self, eligible: Sequence[Request], last_client: Optional[int]) -> Request:
-        chosen = min(
-            eligible,
-            key=lambda r: (self._last_service.get(r.client_id, -1), r.seq),
-        )
-        self._tick += 1
-        self._last_service[chosen.client_id] = self._tick
-        return chosen
+    * reference — an always-on ``<name>.arbiter`` process wakes one delta
+      after every state change and grants by a delta notification;
+    * fast — requests and releases schedule one end-of-delta decision
+      callback (:meth:`_schedule_decision`), so all requests posted in one
+      evaluate phase still compete; the ``<name>.arbiter`` process only
+      forwards external ``_state_changed`` notifications.
+    """
+
+    def __init__(self, sim: Simulator, name: str, policy: ArbitrationPolicy):
+        self.sim = sim
+        self.policy = policy
+        self._pending: list = []
+        self._busy = False
+        self._last_client: Optional[int] = None
+        self._state_changed = Event(sim, f"{name}.state_changed")
+        self._seq = itertools.count()
+        self._fast = bool(getattr(sim, "fast", False))
+        self._decision_pending = False
+        if self._fast:
+            sim.spawn(self._external_wakeup_loop(), name=f"{name}.arbiter")
+        else:
+            sim.spawn(self._arbiter_loop(), name=f"{name}.arbiter")
+
+    def _enqueue(self, request: Request) -> None:
+        self._pending.append(request)
+        if self._fast:
+            self._schedule_decision()
+        else:
+            self._state_changed.notify(delta=True)
+
+    def _release(self) -> None:
+        """The grant holder is done; the next decision may grant again."""
+        self._busy = False
+        if self._fast:
+            if self._pending:
+                self._schedule_decision()
+        else:
+            self._state_changed.notify(delta=True)
+
+    def _eligible(self) -> list:
+        return self._pending
+
+    def _grant(self, chosen: Request, contended: bool) -> None:
+        raise NotImplementedError
+
+    def _arbiter_loop(self):
+        while True:
+            granted = self._try_grant()
+            if not granted:
+                yield self._state_changed
+
+    def _external_wakeup_loop(self):
+        while True:
+            yield self._state_changed
+            self._schedule_decision()
+
+    def _schedule_decision(self) -> None:
+        """Fast mode: decide at the end of the current delta cycle.
+
+        All requests registered during this evaluate phase compete in one
+        decision, mirroring what the reference arbiter process sees when a
+        ``_state_changed`` notification wakes it one delta later.
+        """
+        if not self._decision_pending:
+            self._decision_pending = True
+            self.sim._schedule_delta_call(self._decide)
+
+    def _decide(self) -> None:
+        self._decision_pending = False
+        self._try_grant()
+
+    def _try_grant(self) -> bool:
+        if self._busy or not self._pending:
+            return False
+        eligible = self._eligible()
+        if not eligible:
+            return False
+        contended = len(eligible) > 1
+        if contended or not self._fast:
+            chosen = self.policy.select(eligible, self._last_client)
+        else:
+            # Every policy picks the only eligible request.
+            chosen = eligible[0]
+        self._pending.remove(chosen)
+        self._busy = True
+        self._last_client = chosen.client_id
+        self._grant(chosen, contended)
+        return True

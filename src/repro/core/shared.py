@@ -22,11 +22,10 @@ use further blocking calls).
 from __future__ import annotations
 
 import inspect
-import itertools
 from typing import Callable, Optional, Union
 
 from ..kernel import Event, Module, SimTime, Simulator, ZERO_TIME
-from .arbiter import ArbitrationPolicy, Request, RoundRobin
+from .arbiter import ArbitrationPolicy, ClientHandle, GrantEngine, Request, RoundRobin
 from .guards import ALWAYS, Guard
 
 #: An EET annotation: fixed duration, or computed from the call arguments.
@@ -53,51 +52,26 @@ def osss_method(guard: Optional[Guard] = None, eet: EetSpec = None):
     return mark
 
 
-class ClientHandle:
-    """Identity of one registered client (one bound port)."""
-
-    __slots__ = ("client_id", "name", "priority")
-
-    def __init__(self, client_id: int, name: str, priority: int):
-        self.client_id = client_id
-        self.name = name
-        self.priority = priority
-
-    def __repr__(self) -> str:
-        return f"ClientHandle({self.client_id}, {self.name!r})"
-
-
-class _PendingCall:
+class _PendingCall(Request):
     """A call waiting for (or holding) the grant."""
 
-    __slots__ = (
-        "client",
-        "method",
-        "args",
-        "kwargs",
-        "granted",
-        "is_granted",
-        "client_id",
-        "priority",
-        "arrival_fs",
-        "seq",
-    )
+    __slots__ = ("client", "method", "args", "kwargs", "granted", "is_granted")
 
     def __init__(self, sim: Simulator, client: ClientHandle, method: str, args, kwargs, seq: int):
+        # The policy fields, set inline: this runs once per call.
+        self.client_id = client.client_id
+        self.priority = client.priority
+        self.arrival_fs = sim._now_fs
+        self.seq = seq
         self.client = client
         self.method = method
         self.args = args
         self.kwargs = kwargs
         self.granted = Event(sim, f"grant.{client.name}.{method}")
         self.is_granted = False
-        # The arbitration-request interface, so policies rank calls directly.
-        self.client_id = client.client_id
-        self.priority = client.priority
-        self.arrival_fs = sim._now_fs
-        self.seq = seq
 
 
-class SharedObject(Module):
+class SharedObject(Module, GrantEngine):
     """A passive, arbitrated, guarded method-call server."""
 
     def __init__(
@@ -110,9 +84,8 @@ class SharedObject(Module):
         grant_overhead: SimTime = ZERO_TIME,
         per_client_overhead: SimTime = ZERO_TIME,
     ):
-        super().__init__(sim, name, parent)
+        Module.__init__(self, sim, name, parent)
         self.behaviour = behaviour
-        self.policy = policy or RoundRobin()
         #: Fixed simulated-time cost charged on every grant.
         self.grant_overhead = grant_overhead
         #: Additional per-registered-client cost per grant: models the
@@ -120,26 +93,12 @@ class SharedObject(Module):
         self.per_client_overhead = per_client_overhead
         self._methods = self._collect_methods(behaviour)
         self._clients: list[ClientHandle] = []
-        self._pending: list[_PendingCall] = []
-        self._busy = False
-        self._last_client: Optional[int] = None
-        self._state_changed = Event(sim, f"{name}.state_changed")
-        self._seq = itertools.count()
         # Statistics used by the case study's exploration reports.
         self.stats = SharedObjectStats()
-        #: Fast mode replaces the always-on arbiter process with grant
-        #: decisions scheduled as end-of-delta callbacks (one per delta).
-        self._fast = bool(getattr(sim, "fast", False))
-        self._decision_pending = False
-        if self._fast:
-            # Request/finish schedule decisions directly, but guard state
-            # can also change outside the call protocol (a behaviour or
-            # test poking ``_state_changed``); a parked watcher routes
-            # those external notifications into the decision scheme.  It
-            # never wakes otherwise, so it costs nothing in steady state.
-            sim.spawn(self._external_wakeup_loop(), name=f"{self.name}.arbiter")
-        else:
-            sim.spawn(self._arbiter_loop(), name=f"{self.name}.arbiter")
+        # Guard state can also change outside the call protocol (a
+        # behaviour or test poking ``_state_changed``); the engine's
+        # arbiter process routes those notifications into a decision.
+        GrantEngine.__init__(self, sim, self.name, policy or RoundRobin())
 
     # -- construction -----------------------------------------------------------
 
@@ -182,12 +141,8 @@ class SharedObject(Module):
         if method not in self._methods:
             raise AttributeError(f"shared object {self.name!r} has no method {method!r}")
         call = _PendingCall(self.sim, client, method, args, kwargs, next(self._seq))
-        self._pending.append(call)
         self.stats.requests += 1
-        if self._fast:
-            self._schedule_decision()
-        else:
-            self._state_changed.notify(delta=True)
+        self._enqueue(call)
         return call
 
     def finish_call(self, call: _PendingCall):
@@ -195,13 +150,7 @@ class SharedObject(Module):
         try:
             result = yield from self._execute(call)
         finally:
-            self._busy = False
-            self._last_client = call.client.client_id
-            if self._fast:
-                if self._pending:
-                    self._schedule_decision()
-            else:
-                self._state_changed.notify(delta=True)
+            self._release()
         return result
 
     def invoke(self, client: ClientHandle, method: str, *args, **kwargs):
@@ -261,36 +210,8 @@ class SharedObject(Module):
 
     # -- arbitration ---------------------------------------------------------------
 
-    def _arbiter_loop(self):
-        while True:
-            granted = self._try_grant()
-            if not granted:
-                yield self._state_changed
-
-    def _external_wakeup_loop(self):
-        while True:
-            yield self._state_changed
-            self._schedule_decision()
-
-    def _schedule_decision(self) -> None:
-        """Fast mode: arbitrate at the end of the current delta cycle.
-
-        All requests registered during this evaluate phase compete in one
-        decision, mirroring what the reference arbiter process sees when a
-        ``_state_changed`` notification wakes it one delta later; the grant
-        reaches the client in the same delta cycle on both paths.
-        """
-        if not self._decision_pending:
-            self._decision_pending = True
-            self.sim._schedule_delta_call(self._decide)
-
-    def _decide(self) -> None:
-        self._decision_pending = False
-        self._try_grant()
-
-    def _try_grant(self) -> bool:
-        if self._busy or not self._pending:
-            return False
+    def _eligible(self) -> list:
+        """Pending calls whose guard holds; an empty answer counts as blocked."""
         eligible = [
             call for call in self._pending
             if self._methods[call.method][1].guard.holds(
@@ -303,37 +224,18 @@ class SharedObject(Module):
             if tel is not None:
                 tel.metrics.count("so.guard_blocked")
                 tel.metrics.count(f"so.guard_blocked.{self.basename}")
-            return False
-        if not self._fast:
-            # Reference path, kept verbatim for differential testing.
-            requests = {
-                id(call): Request(call.client.client_id, call.client.priority, call.arrival_fs, call.seq)
-                for call in eligible
-            }
-            chosen_request = self.policy.select(list(requests.values()), self._last_client)
-            chosen = next(call for call in eligible if requests[id(call)] is chosen_request)
-            self._pending.remove(chosen)
-            if len(requests) > 1:
-                self.stats.contended_grants += 1
-        elif len(eligible) == 1 and self.policy.stateless:
-            # Any stateless policy picks the only eligible call.
-            chosen = eligible[0]
-            self._pending.remove(chosen)
-        else:
-            # _PendingCall exposes the Request interface directly.
-            chosen = self.policy.select(eligible, self._last_client)
-            self._pending.remove(chosen)
-            if len(eligible) > 1:
-                self.stats.contended_grants += 1
-        self._busy = True
-        chosen.is_granted = True
+        return eligible
+
+    def _grant(self, call: _PendingCall, contended: bool) -> None:
+        if contended:
+            self.stats.contended_grants += 1
+        call.is_granted = True
         if self._fast:
             # End-of-delta decision: fire now, the client wakes next
-            # evaluate phase at the same timestamp (see channel arbiter).
-            chosen.granted.notify()
+            # evaluate phase at the same timestamp.
+            call.granted.notify()
         else:
-            chosen.granted.notify(delta=True)
-        return True
+            call.granted.notify(delta=True)
 
     # -- introspection ---------------------------------------------------------------
 

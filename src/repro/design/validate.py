@@ -259,6 +259,21 @@ def _check_links(spec, say) -> None:
                 rule="links.unknown-transport",
                 path=path,
             )
+        if link.chunk_words is not None and link.chunk_words < 1:
+            say(
+                f"{where}: chunk_words={link.chunk_words}; an RMI chunk "
+                "carries at least one word (None keeps the transactor "
+                "default)",
+                rule="links.chunk-words-not-positive",
+                path=f"{path}.chunk_words",
+            )
+        if link.poll_cycles is not None and link.poll_cycles < 1:
+            say(
+                f"{where}: poll_cycles={link.poll_cycles}; polls must be at "
+                "least one bus cycle apart (None disables polling)",
+                rule="links.poll-cycles-not-positive",
+                path=f"{path}.poll_cycles",
+            )
     # Connectivity closure: each opened port has exactly one link.
     links_by_port: dict = {}
     for link in spec.mapping.links:

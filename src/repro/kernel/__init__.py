@@ -21,7 +21,7 @@ from .scheduler import (
 from .signal import Clock, ResetSignal, Signal
 from .sync import Barrier, Mutex, Semaphore
 from .time import ZERO_TIME, SimTime, fs, ms, ns, ps, sec, us
-from .tracing import SimProfiler, Trace
+from .tracing import SimProfiler
 
 __all__ = [
     "AllOf",
@@ -43,7 +43,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "Trace",
     "ZERO_TIME",
     "default_fast",
     "fs",

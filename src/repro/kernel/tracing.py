@@ -1,11 +1,7 @@
-"""Value-change tracing and simulation profiling.
+"""Simulation profiling.
 
-The tracer records ``(time, name, value)`` tuples and can render them as a
-simple VCD-style text dump or return per-probe waveforms for assertions in
-tests (e.g. checking bus-grant sequences).
-
-:class:`SimProfiler` is the companion for *wall-clock* analysis: attached
-to a :class:`Simulator` it attributes host time and step counts to each
+:class:`SimProfiler` does *wall-clock* analysis: attached to a
+:class:`Simulator` it attributes host time and step counts to each
 process, which is how the kernel fast paths in this package were found.
 """
 
@@ -15,128 +11,6 @@ from typing import Optional
 
 from .process import Process
 from .scheduler import Simulator
-from .signal import Signal
-from .time import SimTime
-
-
-class Trace:
-    """Collects timestamped value changes from signals and manual probes."""
-
-    def __init__(self, sim: Simulator, name: str = "trace"):
-        self.sim = sim
-        self.name = name
-        self.records: list[tuple[SimTime, str, object]] = []
-        self._watched: list[tuple[Signal, str]] = []
-
-    def record(self, probe: str, value: object) -> None:
-        """Manually record a value change for *probe* at the current time."""
-        self.records.append((self.sim.now, probe, value))
-
-    def watch(self, signal: Signal, name: Optional[str] = None) -> None:
-        """Attach to a signal: every change is recorded automatically."""
-        probe = name or signal.name
-        self._watched.append((signal, probe))
-        self.records.append((self.sim.now, probe, signal.read()))
-        self.sim.spawn(self._follow(signal, probe), name=f"{self.name}.watch.{probe}")
-
-    def _follow(self, signal: Signal, probe: str):
-        while True:
-            yield signal.changed
-            self.records.append((self.sim.now, probe, signal.read()))
-
-    def waveform(self, probe: str) -> list[tuple[SimTime, object]]:
-        """The recorded ``(time, value)`` history of one probe."""
-        return [(t, v) for (t, name, v) in self.records if name == probe]
-
-    def value_at(self, probe: str, when: SimTime) -> object:
-        """Most recent value of *probe* at or before *when*."""
-        value = None
-        seen = False
-        for t, v in self.waveform(probe):
-            if t <= when:
-                value, seen = v, True
-            else:
-                break
-        if not seen:
-            raise KeyError(f"no value recorded for {probe!r} at or before {when}")
-        return value
-
-    def dump(self) -> str:
-        """Render all records as aligned text, one change per line."""
-        lines = [f"# trace {self.name}: {len(self.records)} changes"]
-        for t, probe, value in self.records:
-            lines.append(f"{str(t):>12}  {probe:<32} {value!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_vcd(self, timescale: str = "1ps") -> str:
-        """Render the probes as a VCD (value change dump) file.
-
-        Probe types come from the first recorded value: bools become
-        1-bit ``wire`` variables (``0``/``1`` scalar changes), other
-        numerics become ``real`` variables, and strings become VCD
-        ``string`` variables (``s<value>`` changes, as emitted by
-        SystemC/GTKWave).  Later records of a different type for the
-        same probe are skipped.  ``timescale`` must be one of the
-        VCD-legal steps (1fs..1s).
-        """
-        scale_fs = {
-            "1fs": 1, "1ps": 10**3, "1ns": 10**6,
-            "1us": 10**9, "1ms": 10**12, "1s": 10**15,
-        }
-        if timescale not in scale_fs:
-            raise ValueError(f"unsupported timescale {timescale!r}")
-        divisor = scale_fs[timescale]
-
-        def kind_of(value) -> Optional[str]:
-            if isinstance(value, bool):
-                return "wire"
-            if isinstance(value, (int, float)):
-                return "real"
-            if isinstance(value, str):
-                return "string"
-            return None
-
-        kinds: dict[str, str] = {}
-        usable = []
-        for t, probe, value in self.records:
-            kind = kind_of(value)
-            if kind is None:
-                continue
-            if kinds.setdefault(probe, kind) != kind:
-                continue
-            usable.append((t, probe, value))
-        probes = sorted(kinds)
-        # VCD identifier codes: printable ASCII starting at '!'.
-        codes = {probe: chr(33 + index) for index, probe in enumerate(probes)}
-        var_width = {"wire": "wire 1", "real": "real 64", "string": "string 1"}
-        lines = [
-            f"$comment trace {self.name} $end",
-            f"$timescale {timescale} $end",
-            f"$scope module {self.name} $end",
-        ]
-        for probe in probes:
-            safe = probe.replace(" ", "_")
-            lines.append(
-                f"$var {var_width[kinds[probe]]} {codes[probe]} {safe} $end"
-            )
-        lines += ["$upscope $end", "$enddefinitions $end"]
-        current_time = None
-        for t, probe, value in sorted(usable, key=lambda r: r[0].femtoseconds):
-            ticks = t.femtoseconds // divisor
-            if ticks != current_time:
-                lines.append(f"#{ticks}")
-                current_time = ticks
-            code = codes[probe]
-            kind = kinds[probe]
-            if kind == "wire":
-                # Scalar change: no space between value and identifier.
-                lines.append(f"{1 if value else 0}{code}")
-            elif kind == "string":
-                safe_value = str(value).replace(" ", "_")
-                lines.append(f"s{safe_value} {code}")
-            else:
-                lines.append(f"r{float(value):g} {code}")
-        return "\n".join(lines) + "\n"
 
 
 class _ProcStats:

@@ -9,7 +9,7 @@ OSSS Channels (:class:`OpbBus` or :class:`P2PChannel`) spoken through
 model the data-locality cost the paper highlights.
 """
 
-from .channel_base import ChannelStats, MasterHandle, OsssChannel
+from .channel_base import ChannelStats, OsssChannel
 from .hardware_block import HardwareBlock
 from .memory import BlockRam, MemoryBackedArray, MemoryCapacityError
 from .memory_controller import DdrMemoryController
@@ -28,7 +28,6 @@ __all__ = [
     "FpgaDevice",
     "HEADER_WORDS",
     "HardwareBlock",
-    "MasterHandle",
     "MemoryBackedArray",
     "MemoryCapacityError",
     "ObjectSocket",

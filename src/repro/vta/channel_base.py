@@ -12,27 +12,10 @@ Concrete channels: :class:`~repro.vta.opb.OpbBus` (shared, arbitrated) and
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
-from ..kernel import Event, SimTime, Simulator, ZERO_TIME
-from ..core.arbiter import ArbitrationPolicy, Fcfs, Request
-
-
-class MasterHandle:
-    """Identity of one connected initiator."""
-
-    __slots__ = ("master_id", "name", "priority", "_grant_event")
-
-    def __init__(self, master_id: int, name: str, priority: int):
-        self.master_id = master_id
-        self.name = name
-        self.priority = priority
-        #: Cached grant event, reused across transports (fast mode only).
-        self._grant_event: Optional[Event] = None
-
-    def __repr__(self) -> str:
-        return f"MasterHandle({self.master_id}, {self.name!r})"
+from ..kernel import Event, SimTime, Simulator
+from ..core.arbiter import ArbitrationPolicy, ClientHandle, Fcfs, GrantEngine, Request
 
 
 class ChannelStats:
@@ -68,42 +51,32 @@ class ChannelStats:
         return f"ChannelStats(transactions={self.transactions}, words={self.words})"
 
 
-class _TransportRequest:
-    """A queued transfer; carries the arbitration-request interface
-    (``client_id``/``priority``/``arrival_fs``/``seq``) so policies can
-    rank it directly without a translation layer."""
+class _TransportRequest(Request):
+    """A queued transfer.  Fast mode also records its burst size and
+    grant timestamp, so the grant decision can schedule the completion
+    wake analytically."""
 
-    __slots__ = (
-        "master",
-        "granted",
-        "client_id",
-        "priority",
-        "arrival_fs",
-        "seq",
-        "words",
-        "grant_fs",
-    )
+    __slots__ = ("granted", "words", "grant_fs")
 
-    def __init__(self, sim: Simulator, master: MasterHandle, seq: int,
-                 granted: Optional[Event] = None):
-        self.master = master
-        self.granted = granted or Event(sim, f"bus_grant.{master.name}")
-        self.client_id = master.master_id
+    def __init__(self, sim: Simulator, master: ClientHandle, seq: int,
+                 granted: Optional[Event] = None, words: int = 0):
+        # The policy fields, set inline: this runs once per transaction.
+        self.client_id = master.client_id
         self.priority = master.priority
         self.arrival_fs = sim._now_fs
         self.seq = seq
-        #: Fast mode: burst size and grant timestamp, so the grant decision
-        #: can schedule the completion wake analytically.
-        self.words = 0
+        self.granted = granted or Event(sim, f"bus_grant.{master.name}")
+        self.words = words
         self.grant_fs = 0
 
 
-class OsssChannel:
+class OsssChannel(GrantEngine):
     """Base class implementing a single shared transport medium.
 
-    Subclasses set the protocol cost parameters; the arbitration and
-    occupancy machinery lives here.  A point-to-point channel is simply a
-    channel that refuses more than the fixed number of masters.
+    Subclasses set the protocol cost parameters; occupancy timing lives
+    here and arbitration in :class:`~repro.core.arbiter.GrantEngine`.  A
+    point-to-point channel is simply a channel that refuses more than the
+    fixed number of masters.
     """
 
     def __init__(
@@ -119,51 +92,33 @@ class OsssChannel:
         max_masters: Optional[int] = None,
         full_duplex: bool = False,
     ):
-        self.sim = sim
         self.name = name
         self.word_bits = word_bits
         self.cycle = cycle
         self.arbitration_cycles = arbitration_cycles
         self.setup_cycles = setup_cycles
         self.cycles_per_word = cycles_per_word
-        self.policy = policy or Fcfs()
         self.max_masters = max_masters
         #: Full-duplex media (dedicated wire pairs) carry concurrent
         #: transfers without mutual exclusion; a shared bus serialises.
         self.full_duplex = full_duplex
-        self.masters: list[MasterHandle] = []
+        self.masters: list[ClientHandle] = []
         self.stats = ChannelStats()
-        self._busy = False
-        self._last_master: Optional[int] = None
-        self._pending: list[_TransportRequest] = []
-        self._state_changed = Event(sim, f"{name}.state_changed")
-        self._seq = itertools.count()
-        #: Fast mode replaces the always-on arbiter process with grant
-        #: decisions scheduled as end-of-delta callbacks; requests posted
-        #: within one evaluate phase still compete before anyone is granted.
-        self._fast = bool(getattr(sim, "fast", False))
-        self._decision_pending = False
         #: words -> (occupancy, occupancy+arbitration).  Protocol parameters
         #: are fixed before traffic starts, so transfer times are pure in the
         #: word count and transactions of a given size repeat constantly.
         self._time_cache: dict[int, tuple[SimTime, SimTime]] = {}
         self._arb_fs = cycle.femtoseconds * arbitration_cycles
-        if self._fast:
-            # Transport schedules decisions directly; the parked watcher
-            # only exists so an *external* ``_state_changed`` notification
-            # (not part of the transport protocol) still triggers one.
-            sim.spawn(self._external_wakeup_loop(), name=f"{name}.arbiter")
-        else:
-            sim.spawn(self._arbiter_loop(), name=f"{name}.arbiter")
+        GrantEngine.__init__(self, sim, name, policy or Fcfs())
 
     # -- connection -------------------------------------------------------------
 
-    def connect_master(self, name: str, priority: int = 0) -> MasterHandle:
+    def connect_master(self, name: str, priority: int = 0) -> ClientHandle:
         if self.max_masters is not None and len(self.masters) >= self.max_masters:
             raise RuntimeError(
                 f"channel {self.name!r} accepts at most {self.max_masters} masters"
             )
-        master = MasterHandle(len(self.masters), name, priority)
+        master = ClientHandle(len(self.masters), name, priority)
         self.masters.append(master)
         return master
 
@@ -183,26 +138,68 @@ class OsssChannel:
             entry = self._time_cache[words] = (occupancy, total)
         return entry
 
-    def transport(self, master: MasterHandle, words: int):
-        """Blocking transfer of *words* channel words; runs in caller process."""
+    def transport(self, master: ClientHandle, words: int,
+                  chunk_words: Optional[int] = None):
+        """Blocking transfer of *words* channel words, as a generator the
+        caller's process runs (``yield from channel.transport(...)``).
+
+        With *chunk_words* set, a larger payload is split into transactions
+        of at most that many words, so a bulk transfer does not monopolise
+        a shared channel.
+        """
         if words < 0:
             raise ValueError("word count must be non-negative")
-        if self.full_duplex:
-            occupancy = self._times(words)[0]
-            if occupancy._fs:
-                yield occupancy
-            self.stats.transactions += 1
-            self.stats.words += words
-            self.stats.busy_fs += occupancy._fs
-            tel = self.sim.telemetry
-            if tel is not None:
-                end_fs = self.sim._now_fs
-                tel.complete(
-                    "bus", self.name, master.name,
-                    end_fs - occupancy._fs, end_fs,
-                    {"master": master.name, "words": words, "wait_fs": 0},
-                )
-            return
+        chunked = chunk_words is not None and words > chunk_words
+        if chunked and chunk_words < 1:
+            raise ValueError("chunk size must be positive")
+        if self.full_duplex and (self._fast or not chunked):
+            # Full-duplex media never arbitrate, so the chunks of one
+            # payload are back-to-back occupancy waits with no observable
+            # intermediate state (no grant, no contention, nothing reads
+            # the stream mid-burst).  Fast-forward the whole burst in a
+            # single timed wait; totals — timestamps, transactions, words,
+            # busy_fs — are identical to chunk-by-chunk transport.
+            return self._occupy(master, words, chunk_words if chunked else words)
+        if chunked:
+            return self._chunks(master, words, chunk_words)
+        return self._transact(master, words)
+
+    def _chunks(self, master: ClientHandle, words: int, chunk_words: int):
+        n_full, rem = divmod(words, chunk_words)
+        for _ in range(n_full):
+            yield from self.transport(master, chunk_words)
+        if rem:
+            yield from self.transport(master, rem)
+
+    def _occupy(self, master: ClientHandle, words: int, chunk_words: int):
+        """Full duplex: hold the medium for *words* words, no arbitration."""
+        n_full, rem = divmod(words, chunk_words) if chunk_words else (1, 0)
+        total_fs = n_full * self._times(chunk_words)[0]._fs
+        if rem:
+            total_fs += self._times(rem)[0]._fs
+        if total_fs:
+            yield SimTime.intern(total_fs)
+        chunks = n_full + (1 if rem else 0)
+        stats = self.stats
+        stats.transactions += chunks
+        stats.words += words
+        stats.busy_fs += total_fs
+        tel = self.sim.telemetry
+        if tel is not None:
+            # One span per fast-forwarded burst; its duration equals the
+            # summed chunk occupancy, so per-channel span totals still
+            # match ``ChannelStats.busy_fs`` exactly.
+            end_fs = self.sim._now_fs
+            attrs = {"master": master.name, "words": words}
+            if chunks > 1:
+                attrs["chunks"] = chunks
+            attrs["wait_fs"] = 0
+            tel.complete("bus", self.name, master.name,
+                         end_fs - total_fs, end_fs, attrs)
+
+    def _transact(self, master: ClientHandle, words: int):
+        """One arbitrated transaction of *words* words."""
+        sim = self.sim
         if self._fast:
             # Every request — even one finding the medium idle — waits for
             # the end-of-delta grant decision: a competing master stepping
@@ -216,118 +213,48 @@ class OsssChannel:
             # statistics are identical to the reference chain; contention
             # still bites because later requests queue on ``_pending``
             # until the release below.
-            sim = self.sim
             # Reuse the master's grant event unless it is still in use
             # (a master handle shared by concurrent processes).
             granted = master._grant_event
             if granted is None or granted._waiting:
                 granted = Event(sim, f"bus_grant.{master.name}")
                 master._grant_event = granted
-            request = _TransportRequest(sim, master, next(self._seq), granted)
-            request.words = words
-            self._pending.append(request)
-            self._schedule_decision()
+            request = _TransportRequest(sim, master, next(self._seq), granted, words)
+            self._enqueue(request)
             wait_start_fs = sim._now_fs
-            yield request.granted  # fires at completion, not at grant
-            now_fs = sim._now_fs
+            yield granted  # fires at completion, not at grant
             grant_fs = request.grant_fs
-            stats = self.stats
-            stats.wait_fs += grant_fs - wait_start_fs
-            stats.transactions += 1
-            stats.words += words
-            stats.busy_fs += now_fs - grant_fs
-            self._busy = False
-            if self._pending:
-                self._schedule_decision()
-            tel = sim.telemetry
-            if tel is not None:
-                # Span = the granted occupancy (grant → completion), so the
-                # per-channel span durations sum exactly to ``busy_fs``.
-                tel.complete(
-                    "bus", self.name, master.name, grant_fs, now_fs,
-                    {"master": master.name, "words": words,
-                     "wait_fs": grant_fs - wait_start_fs},
-                )
-            return
-        # Reference path, kept verbatim for differential testing.
-        request = _TransportRequest(self.sim, master, next(self._seq))
-        self._pending.append(request)
-        self._state_changed.notify(delta=True)
-        wait_start_fs = self.sim._now_fs
-        yield request.granted
-        grant_fs = self.sim._now_fs
-        self.stats.wait_fs += grant_fs - wait_start_fs
-        occupancy = self.transfer_time(words)
-        arbitration_fs = self.cycle.femtoseconds * self.arbitration_cycles
-        total = SimTime.intern(arbitration_fs + occupancy.femtoseconds)
-        if total:
-            yield total
-        self.stats.transactions += 1
-        self.stats.words += words
-        self.stats.busy_fs += total.femtoseconds
-        self._busy = False
-        self._state_changed.notify(delta=True)
-        tel = self.sim.telemetry
+            self.stats.wait_fs += grant_fs - wait_start_fs
+        else:
+            # Reference path, kept verbatim for differential testing.
+            request = _TransportRequest(sim, master, next(self._seq))
+            self._enqueue(request)
+            wait_start_fs = sim._now_fs
+            yield request.granted
+            grant_fs = sim._now_fs
+            self.stats.wait_fs += grant_fs - wait_start_fs
+            total = self._times(words)[1]
+            if total:
+                yield total
+        now_fs = sim._now_fs
+        stats = self.stats
+        stats.transactions += 1
+        stats.words += words
+        stats.busy_fs += now_fs - grant_fs
+        self._release()
+        tel = sim.telemetry
         if tel is not None:
+            # Span = the granted occupancy (grant → completion), so the
+            # per-channel span durations sum exactly to ``busy_fs``.
             tel.complete(
-                "bus", self.name, master.name, grant_fs, self.sim._now_fs,
+                "bus", self.name, master.name, grant_fs, now_fs,
                 {"master": master.name, "words": words,
                  "wait_fs": grant_fs - wait_start_fs},
             )
 
     # -- arbitration ---------------------------------------------------------------
 
-    def _arbiter_loop(self):
-        while True:
-            granted = self._try_grant()
-            if not granted:
-                yield self._state_changed
-
-    def _external_wakeup_loop(self):
-        while True:
-            yield self._state_changed
-            self._schedule_decision()
-
-    def _schedule_decision(self) -> None:
-        """Fast mode: decide grants at the end of the current delta cycle.
-
-        Deferring to the delta-notification phase means every request posted
-        during this evaluate phase competes in the same decision, exactly as
-        they would all be visible to the reference arbiter process woken by
-        ``_state_changed``.
-        """
-        if not self._decision_pending:
-            self._decision_pending = True
-            self.sim._schedule_delta_call(self._decide)
-
-    def _decide(self) -> None:
-        self._decision_pending = False
-        self._try_grant()
-
-    def _try_grant(self) -> bool:
-        if self._busy or not self._pending:
-            return False
-        pending = self._pending
-        if not self._fast:
-            # Reference path, kept verbatim for differential testing: build
-            # explicit arbitration requests and map the choice back.
-            requests = {
-                id(req): Request(req.master.master_id, req.master.priority, req.arrival_fs, req.seq)
-                for req in pending
-            }
-            chosen_request = self.policy.select(list(requests.values()), self._last_master)
-            chosen = next(req for req in pending if requests[id(req)] is chosen_request)
-            pending.remove(chosen)
-        elif len(pending) == 1 and self.policy.stateless:
-            # Any stateless policy picks the only eligible request.
-            chosen = pending[0]
-            pending.clear()
-        else:
-            # _TransportRequest exposes the Request interface directly.
-            chosen = self.policy.select(pending, self._last_master)
-            pending.remove(chosen)
-        self._busy = True
-        self._last_master = chosen.master.master_id
+    def _grant(self, request: _TransportRequest, contended: bool) -> None:
         if self._fast:
             # Decisions run at the end of the delta cycle, where the
             # reference arbiter's grant becomes visible too.  Rather than
@@ -336,11 +263,10 @@ class OsssChannel:
             # completion time* — zero total degenerates to a delta
             # notification, waking the master in the next delta at the
             # same timestamp, exactly like the reference grant.
-            chosen.grant_fs = self.sim._now_fs
-            chosen.granted.notify(self._times(chosen.words)[1])
+            request.grant_fs = self.sim._now_fs
+            request.granted.notify(self._times(request.words)[1])
         else:
-            chosen.granted.notify(delta=True)
-        return True
+            request.granted.notify(delta=True)
 
     # -- reporting -----------------------------------------------------------------
 

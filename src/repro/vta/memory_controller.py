@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..kernel import SimTime, Simulator
-from ..core.arbiter import ArbitrationPolicy, Fcfs
-from .channel_base import MasterHandle, OsssChannel
+from ..core.arbiter import ArbitrationPolicy, ClientHandle, Fcfs
+from .channel_base import OsssChannel
 
 
 class DdrMemoryController(OsssChannel):
@@ -45,10 +45,10 @@ class DdrMemoryController(OsssChannel):
             policy=policy or Fcfs(),
         )
 
-    def read_burst(self, master: MasterHandle, words: int):
+    def read_burst(self, master: ClientHandle, words: int):
         """Blocking burst read of *words* words."""
         yield from self.transport(master, words)
 
-    def write_burst(self, master: MasterHandle, words: int):
+    def write_burst(self, master: ClientHandle, words: int):
         """Blocking burst write of *words* words."""
         yield from self.transport(master, words)

@@ -25,9 +25,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .. import telemetry as _telemetry
+from ..core.arbiter import ClientHandle
 from ..core.serialisation import SerialisedPayload, serialise_call
 from ..kernel import AnyOf, SimTime, Timeout
-from .channel_base import MasterHandle, OsssChannel
+from .channel_base import OsssChannel
 from .object_socket import ObjectSocket
 
 #: Words of protocol header per direction (method id / status + client id).
@@ -60,7 +61,7 @@ class RmiClient:
         self.poll_interval = poll_interval
         self.poll_words = poll_words
         self.polls = 0
-        self._master: Optional[MasterHandle] = None
+        self._master: Optional[ClientHandle] = None
         self._remote_client = None
         self.calls = 0
         self.words_sent = 0
@@ -85,14 +86,14 @@ class RmiClient:
         begin_fs = sim._now_fs
         request = serialise_call(args, kwargs, self.channel.word_bits)
         request_words = HEADER_WORDS + request.words
-        yield from self._transfer(request_words)
+        yield from self.channel.transport(self._master, request_words, self.chunk_words)
         if self.poll_interval is None:
             result = yield from self.socket.execute(client, method, *args, **kwargs)
         else:
             result = yield from self._execute_polled(client, method, args, kwargs)
         response = SerialisedPayload(result, self.channel.word_bits)
         response_words = HEADER_WORDS + response.words
-        yield from self._transfer(response_words)
+        yield from self.channel.transport(self._master, response_words, self.chunk_words)
         self.calls += 1
         self.words_sent += request_words
         self.words_received += response_words
@@ -150,66 +151,6 @@ class RmiClient:
                 interval_fs = min(interval_fs * 2, max_interval_fs)
         result = yield from self.socket.finish_call(call)
         return result
-
-    def _transfer(self, words: int):
-        """Move *words* over the channel, split into bus-sized transactions."""
-        channel = self.channel
-        if channel.full_duplex and channel.sim.fast:
-            # Full-duplex media never arbitrate, so the chunks of one
-            # payload are back-to-back occupancy waits with no observable
-            # intermediate state (no grant, no contention, nothing reads
-            # the stream mid-burst).  Fast-forward the whole burst in a
-            # single timed wait; totals — timestamps, transactions, words,
-            # busy_fs — are identical to chunk-by-chunk transport.
-            stats = channel.stats
-            chunk_limit = self.chunk_words
-            if chunk_limit is None or words <= chunk_limit:
-                occupancy = channel._times(words)[0]
-                if occupancy._fs:
-                    yield occupancy
-                stats.transactions += 1
-                stats.words += words
-                stats.busy_fs += occupancy._fs
-                tel = channel.sim.telemetry
-                if tel is not None:
-                    end_fs = channel.sim._now_fs
-                    tel.complete(
-                        "bus", channel.name, self._master.name,
-                        end_fs - occupancy._fs, end_fs,
-                        {"master": self._master.name, "words": words,
-                         "wait_fs": 0},
-                    )
-                return
-            n_full, rem = divmod(words, chunk_limit)
-            total_fs = n_full * channel._times(chunk_limit)[0]._fs
-            if rem:
-                total_fs += channel._times(rem)[0]._fs
-            if total_fs:
-                yield SimTime.intern(total_fs)
-            stats.transactions += n_full + (1 if rem else 0)
-            stats.words += words
-            stats.busy_fs += total_fs
-            tel = channel.sim.telemetry
-            if tel is not None:
-                # One span for the whole fast-forwarded burst; its duration
-                # equals the summed chunk occupancy, so per-channel span
-                # totals still match ``ChannelStats.busy_fs`` exactly.
-                end_fs = channel.sim._now_fs
-                tel.complete(
-                    "bus", channel.name, self._master.name,
-                    end_fs - total_fs, end_fs,
-                    {"master": self._master.name, "words": words,
-                     "chunks": n_full + (1 if rem else 0), "wait_fs": 0},
-                )
-            return
-        if self.chunk_words is None or words <= self.chunk_words:
-            yield from channel.transport(self._master, words)
-            return
-        remaining = words
-        while remaining > 0:
-            chunk = min(remaining, self.chunk_words)
-            yield from channel.transport(self._master, chunk)
-            remaining -= chunk
 
     def __repr__(self) -> str:
         return f"RmiClient({self.name!r} -> {self.socket.name!r} via {self.channel.name!r})"

@@ -1,8 +1,6 @@
 """Arbitration policy laws."""
 
-import pytest
-
-from repro.core import Fcfs, LeastRecentlyServed, Request, RoundRobin, StaticPriority
+from repro.core import Fcfs, Request, RoundRobin, StaticPriority
 
 
 def req(client, priority=0, arrival=0, seq=None):
@@ -69,16 +67,3 @@ class TestFcfs:
         )
         assert chosen.client_id == 1
 
-
-class TestLeastRecentlyServed:
-    def test_unserved_clients_first(self):
-        policy = LeastRecentlyServed()
-        first = policy.select([req(0), req(1)], None)
-        second = policy.select([req(0), req(1)], None)
-        assert {first.client_id, second.client_id} == {0, 1}
-
-    def test_recent_grantee_deprioritised(self):
-        policy = LeastRecentlyServed()
-        policy.select([req(0)], None)  # serve 0
-        chosen = policy.select([req(0), req(1)], None)
-        assert chosen.client_id == 1

@@ -227,6 +227,80 @@ class TestArbitration:
         assert so.stats.contended_grants >= 1
 
 
+class Gate:
+    """Guarded work behind a gate a controller closes and reopens."""
+
+    def __init__(self):
+        self.open = True
+        self.served = []
+
+    @osss_method(guard=guarded(lambda self: self.open), eet=ns(10))
+    def work(self, who):
+        self.served.append(who)
+
+    @osss_method(eet=ns(2))
+    def close(self):
+        self.open = False
+
+    @osss_method(eet=ns(2))
+    def reopen(self):
+        self.open = True
+
+
+class TestGrantSchemeEquivalence:
+    """The fast end-of-delta grant decisions reproduce the reference
+    arbiter process: same grants in the same order at the same times."""
+
+    @staticmethod
+    def _run(fast):
+        sim = Simulator(fast=fast)
+        gate = Gate()
+        so = SharedObject(sim, "gate", gate)
+        done = []
+
+        def worker(name, start_ns):
+            def body(task):
+                yield ns(start_ns)
+                for _ in range(3):
+                    yield from task.p.call("work", name)
+                    done.append((name, sim.now.femtoseconds))
+                    yield ns(3)
+
+            return body
+
+        def controller(task):
+            yield ns(15)
+            yield from task.p.call("close")
+            done.append(("closed", sim.now.femtoseconds))
+            yield ns(40)
+            yield from task.p.call("reopen")
+            done.append(("reopened", sim.now.femtoseconds))
+
+        for index, start in enumerate((0, 0, 5)):
+            make_task(sim, so, f"w{index}", worker(f"w{index}", start)).start()
+        make_task(sim, so, "ctl", controller).start()
+        sim.run()
+        stats = so.stats
+        return gate.served, done, (
+            stats.requests, stats.grants, stats.contended_grants,
+            stats.guard_blocked, stats.busy_fs,
+        )
+
+    def test_round_robin_with_a_closing_guard(self):
+        fast = self._run(fast=True)
+        assert fast == self._run(fast=False)
+        served, done, (requests, grants, contended, blocked, _) = fast
+        assert served == ["w0", "w1", "w2"] * 3
+        assert requests == grants == 11
+        assert contended > 0 and blocked > 0
+        # Nobody is served while the gate is closed.
+        times = dict(done)
+        assert not [
+            name for name, at in done
+            if name.startswith("w") and times["closed"] < at <= times["reopened"]
+        ]
+
+
 class TestGeneratorMethods:
     def test_method_may_consume_time_itself(self, sim):
         class Slow:

@@ -176,6 +176,32 @@ class TestMachineReadableCodes:
         issues = {e.rule for e in validate_spec(_with_mapping(spec, links=links))}
         assert "channels.poll-required" in issues
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_chunk_words_must_be_positive(self, value):
+        spec = catalog.with_chunk_words(catalog.get("6a"), value)
+        issues = [
+            e for e in validate_spec(spec)
+            if e.rule == "links.chunk-words-not-positive"
+        ]
+        assert len(issues) == sum(
+            link.transport == "rmi" for link in spec.mapping.links
+        )
+        assert "mapping.links[sw0.so].chunk_words" in {e.path for e in issues}
+        assert validate_spec(catalog.with_chunk_words(catalog.get("6a"), 1)) == []
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_poll_cycles_must_be_positive(self, value):
+        spec = catalog.get("6a")
+        links = tuple(
+            replace(link, poll_cycles=value) if link.client == "sw0" else link
+            for link in spec.mapping.links
+        )
+        errors = validate_spec(_with_mapping(spec, links=links))
+        assert [(e.rule, e.path) for e in errors] == [
+            ("links.poll-cycles-not-positive",
+             "mapping.links[sw0.so].poll_cycles"),
+        ]
+
     def test_over_capacity_memory_code(self):
         spec = catalog.get("6b")
         memory = replace(spec.memories[0], depth_words=1000)

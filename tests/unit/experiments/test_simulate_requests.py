@@ -9,6 +9,7 @@ lacks fails with a message naming both.
 
 import pytest
 
+from repro.design import SpecValidationError
 from repro.design.elaborate import ElaboratedModel
 from repro.experiments import KIND_SIMULATE, RunRequest, cache_key, registry
 from repro.experiments.execute import execute_request
@@ -63,6 +64,14 @@ def test_every_simulate_cell_elaborates_the_spec_its_key_hashes(monkeypatch):
 def test_plb_rewrite_is_part_of_the_key():
     plain = cache_key(_sim("6a")).spec_hash
     assert cache_key(_sim("6a", so_bus="plb")).spec_hash != plain
+
+
+def test_zero_rmi_chunk_fails_at_elaboration():
+    with pytest.raises(SpecValidationError) as excinfo:
+        execute_request(_sim("6a", rmi_chunk_words=0))
+    assert {e.rule for e in excinfo.value.errors} == {
+        "links.chunk-words-not-positive"
+    }
 
 
 def test_unknown_option_name_is_rejected_when_the_request_is_built():

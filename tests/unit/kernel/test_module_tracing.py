@@ -1,8 +1,8 @@
-"""Module hierarchy and value-change tracing."""
+"""Module hierarchy."""
 
 import pytest
 
-from repro.kernel import Module, Signal, Simulator, Trace, ns
+from repro.kernel import Module, Simulator, ns
 
 
 @pytest.fixture
@@ -55,145 +55,3 @@ class TestModuleHierarchy:
         sim.run()
         assert proc.finished
 
-
-class TestTrace:
-    def test_manual_record_and_waveform(self, sim):
-        trace = Trace(sim)
-
-        def body():
-            trace.record("x", 1)
-            yield ns(5)
-            trace.record("x", 2)
-
-        sim.spawn(body(), "p")
-        sim.run()
-        assert trace.waveform("x") == [(ns(0), 1), (ns(5), 2)]
-
-    def test_watch_signal(self, sim):
-        sig = Signal(sim, initial=0, name="sig")
-        trace = Trace(sim)
-        trace.watch(sig)
-
-        def driver():
-            sig.write(3)
-            yield ns(2)
-            sig.write(7)
-            yield ns(2)
-
-        sim.spawn(driver(), "d")
-        sim.run()
-        values = [value for _, value in trace.waveform("sig")]
-        assert values == [0, 3, 7]
-
-    def test_value_at(self, sim):
-        trace = Trace(sim)
-
-        def body():
-            trace.record("v", "a")
-            yield ns(10)
-            trace.record("v", "b")
-
-        sim.spawn(body(), "p")
-        sim.run()
-        assert trace.value_at("v", ns(5)) == "a"
-        assert trace.value_at("v", ns(10)) == "b"
-
-    def test_value_at_before_first_record(self, sim):
-        trace = Trace(sim)
-
-        def body():
-            yield ns(10)
-            trace.record("v", 1)
-
-        sim.spawn(body(), "p")
-        sim.run()
-        with pytest.raises(KeyError):
-            trace.value_at("v", ns(1))
-
-    def test_dump_contains_records(self, sim):
-        trace = Trace(sim, name="t")
-        trace.record("probe", 42)
-        text = trace.dump()
-        assert "probe" in text and "42" in text
-
-
-class TestVcdExport:
-    def test_vcd_structure(self, sim):
-        trace = Trace(sim, name="wave")
-
-        def body():
-            trace.record("counter", 1)
-            yield ns(5)
-            trace.record("counter", 2)
-            trace.record("level", 0.5)
-
-        sim.spawn(body(), "p")
-        sim.run()
-        vcd = trace.to_vcd(timescale="1ns")
-        assert "$timescale 1ns $end" in vcd
-        assert "$var real 64" in vcd
-        assert "counter" in vcd and "level" in vcd
-        assert "#0" in vcd and "#5" in vcd
-        assert vcd.count("r1 ") == 1 and vcd.count("r2 ") == 1
-
-    def test_vcd_skips_untraceable_values(self, sim):
-        trace = Trace(sim)
-        trace.record("blob", object())
-        trace.record("value", 7)
-        vcd = trace.to_vcd()
-        assert "blob" not in vcd
-        assert "value" in vcd
-
-    def test_vcd_bool_probe_is_one_bit_wire(self, sim):
-        trace = Trace(sim)
-
-        def body():
-            trace.record("busy", False)
-            yield ns(3)
-            trace.record("busy", True)
-            yield ns(3)
-            trace.record("busy", False)
-
-        sim.spawn(body(), "p")
-        sim.run()
-        vcd = trace.to_vcd(timescale="1ns")
-        assert "$var wire 1 ! busy $end" in vcd
-        lines = vcd.splitlines()
-        # Scalar changes: value glued to the identifier, no 'r' prefix.
-        assert lines[lines.index("#0") + 1] == "0!"
-        assert lines[lines.index("#3") + 1] == "1!"
-        assert lines[lines.index("#6") + 1] == "0!"
-        assert "r" + "0" not in [l[:2] for l in lines]
-
-    def test_vcd_string_probe(self, sim):
-        trace = Trace(sim)
-
-        def body():
-            trace.record("state", "IDLE")
-            yield ns(2)
-            trace.record("state", "DECODE TILE")
-
-        sim.spawn(body(), "p")
-        sim.run()
-        vcd = trace.to_vcd(timescale="1ns")
-        assert "$var string 1 ! state $end" in vcd
-        assert "sIDLE !" in vcd
-        assert "sDECODE_TILE !" in vcd
-
-    def test_vcd_mixed_probe_types_share_dump(self, sim):
-        trace = Trace(sim)
-        trace.record("busy", True)
-        trace.record("level", 0.5)
-        trace.record("state", "RUN")
-        vcd = trace.to_vcd()
-        assert "$var wire 1" in vcd
-        assert "$var real 64" in vcd
-        assert "$var string 1" in vcd
-        # Type is pinned by the first record; mismatching later records drop.
-        trace.record("busy", "oops")
-        vcd2 = trace.to_vcd()
-        assert "soops" not in vcd2
-
-    def test_vcd_timescale_validated(self, sim):
-        with pytest.raises(ValueError):
-            Trace(sim).to_vcd(timescale="2ns")

@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.core import StaticPriority
+from repro import telemetry
+from repro.core import FunctionTask, SharedObject, StaticPriority, osss_method
+from repro.core.serialisation import Serialisable
 from repro.kernel import Simulator, ns
-from repro.vta import DdrMemoryController, OpbBus, OsssChannel, P2PChannel
+from repro.vta import (
+    DdrMemoryController,
+    ObjectSocket,
+    OpbBus,
+    OsssChannel,
+    P2PChannel,
+    RmiClient,
+)
 
 
 @pytest.fixture
@@ -193,6 +202,18 @@ class TestStatistics:
         with pytest.raises(Exception, match="non-negative"):
             sim.run()
 
+    @pytest.mark.parametrize("chunk_words", [0, -4])
+    def test_non_positive_chunk_rejected(self, sim, chunk_words):
+        bus = OpbBus(sim, CYCLE)
+        handle = bus.connect_master("m")
+
+        def body():
+            yield from bus.transport(handle, 10, chunk_words)
+
+        sim.spawn(body(), "m")
+        with pytest.raises(Exception, match="chunk size must be positive"):
+            sim.run()
+
 
 class TestBurstFastForwardEquivalence:
     """Fast-mode burst fast-forwarding must reproduce the reference arbiter.
@@ -246,3 +267,52 @@ class TestBurstFastForwardEquivalence:
             self._run_traffic(fast=True, **kwargs)
             == self._run_traffic(fast=False, **kwargs)
         )
+
+    @staticmethod
+    def _run_chunked_rmi(fast):
+        """Two 30-word echo calls over a full-duplex P2P link in 8-word
+        chunks; returns the observables and the summed bus spans."""
+        with telemetry.session(spans=True) as run:
+            sim = Simulator(fast=fast)
+            link = P2PChannel(sim, CYCLE)
+            so = SharedObject(sim, "so", _Echo())
+            client = RmiClient(link, ObjectSocket(so), chunk_words=8)
+            task = FunctionTask(sim, "caller", lambda t: iter(()))
+            port = task.port("p")
+            port.bind(client)
+            finish = []
+
+            def body():
+                for _ in range(2):
+                    yield from port.call("echo", _Words(30))
+                    finish.append(sim.now.femtoseconds)
+
+            sim.spawn(body(), "c")
+            sim.run()
+        stats = link.stats
+        observed = (finish, stats.transactions, stats.words, stats.busy_fs,
+                    stats.wait_fs)
+        return observed, run.recorder.busy_fs("bus", link.name)
+
+    def test_chunked_full_duplex_rmi_matches_reference(self):
+        fast, fast_spans_fs = self._run_chunked_rmi(fast=True)
+        reference, reference_spans_fs = self._run_chunked_rmi(fast=False)
+        assert fast == reference
+        _, transactions, words, busy_fs, _ = fast
+        # 31 words each way per call: 4 chunks (8+8+8+7), 2 calls, 2 ways.
+        assert (transactions, words) == (16, 124)
+        assert fast_spans_fs == reference_spans_fs == busy_fs
+
+
+class _Words(Serialisable):
+    def __init__(self, words):
+        self.words = words
+
+    def payload_bits(self):
+        return self.words * 32
+
+
+class _Echo:
+    @osss_method()
+    def echo(self, payload):
+        return payload
