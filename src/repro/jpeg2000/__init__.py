@@ -40,7 +40,6 @@ from .plan import (
 )
 from .stages.entropy import shutdown_pool
 from .image import Image, TileGrid, synthetic_image
-from .transcode import TranscodeError, drop_layers
 from .pipeline import (
     ALL_STAGES,
     STAGE_ARITH,
@@ -79,10 +78,8 @@ __all__ = [
     "TileGrid",
     "TilePart",
     "TileStages",
-    "TranscodeError",
     "compile_plan",
     "decode_codestream",
-    "drop_layers",
     "encode_image",
     "parse_codestream",
     "shutdown_pool",

@@ -355,6 +355,8 @@ def _parse_cod(cursor: _Cursor, params: CodingParameters) -> None:
 
 
 def _parse_qcd_body(body: bytes, params: CodingParameters) -> None:
+    if not body:
+        raise CodestreamError("QCD segment ends before its Sqcd byte")
     sqcd = body[0]
     style = sqcd & 0x1F
     params.guard_bits = sqcd >> 5

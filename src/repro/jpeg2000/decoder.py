@@ -103,14 +103,12 @@ class TileStages:
             max_resolution=self.max_resolution,
         )
 
-    def scatter_entropy(
-        self, layout: list, flat, offsets, ops: list, first: int = 0
-    ) -> list:
+    def scatter_entropy(self, layout: list, flat, offsets, ops: list) -> list:
         """Scatter an entropy-stage result into band planes; see
         :func:`repro.jpeg2000.stages.reconstruct.scatter_entropy`."""
         return reconstruct_stage.scatter_entropy(
             self.params, self.tile_width, self.tile_height,
-            layout, flat, offsets, ops, self.ops, first,
+            layout, flat, offsets, ops, self.ops,
         )
 
     def entropy_decode(self) -> list:
@@ -121,8 +119,7 @@ class TileStages:
         """
         layout, specs = self.entropy_specs()
         flat, offsets, ops = entropy_stage.run_specs(
-            [self.data], [(0, spec) for spec in specs],
-            self.plan.stage(STAGE_ENTROPY).impl,
+            self.data, specs, self.plan.stage(STAGE_ENTROPY).impl
         )
         return self.scatter_entropy(layout, flat, offsets, ops)
 

@@ -1,23 +1,28 @@
-"""The decode-plan driver: one executor for every schedule.
+"""The decode-plan driver: one tile loop for every executor.
 
 Executes a compiled :class:`~repro.jpeg2000.plan.DecodePlan`
 over a list of per-tile ``TileStages`` drivers.  The driver — not the
-stage modules — owns the schedule choice, the runtime degradation, and
+stage modules — owns the schedule, the runtime degradation, and
 the :class:`StageFates` record of what actually ran.  The stage modules
 only ever see their own slice of the plan.
 
-Two schedules, dispatched from the plan's entropy executor:
+One schedule, like the paper's tile-by-tile decoder: tiles finish in
+order, each through Tier-2 parse → Tier-1 entropy → gather →
+reconstruction, and a tile's coefficients and band planes are freed
+before the next tile decodes, so the transient memory tracks one tile
+rather than the image.  The entropy executor decides only where a
+tile's coefficients come from:
 
-``_run_sequential``
-    Inline: every tile's Tier-2 parse first, then one entropy call over
-    all blocks of the image (a single kernel batch), then the
-    cross-tile vectorised reconstruction.
-``_run_pooled``
-    Pool: each tile's chunks ship the moment its packet headers are
-    read, and finished tiles gather and reconstruct on the main process
-    while later tiles are still decoding in the workers.
+inline
+    an in-process :func:`~repro.jpeg2000.stages.entropy.run_specs`
+    call over the tile's blocks, right after the tile parses;
+pool
+    :meth:`~repro.jpeg2000.stages.entropy.SpecStream.drain_tile`: every
+    tile's chunks ship to the workers the moment its packet headers are
+    read, before the first drain, so later tiles decode in the workers
+    while earlier ones are gathered and reconstructed here.
 
-A pool plan that gets no pool runs the sequential schedule instead.
+A pool plan that gets no pool runs the same loop inline.
 That degradation and a broken-pool resume are each recorded as one
 rewrite on the fate map, which the flight recorder embeds (with the
 compiled plan) in every crash report.
@@ -119,87 +124,55 @@ def run_tiles(
         fates = StageFates(plan)
     fates.publish()
     binding = plan.stage(STAGE_ENTROPY)
+    stream = None
     if binding.executor.kind == EXECUTOR_POOL:
-        planes = _run_pooled(binding, stages_list, schedule, fates)
-        if planes is not None:
-            return planes
-    return _run_sequential(binding.impl, stages_list, fates)
-
-
-def _run_sequential(kernel, stages_list, fates) -> dict:
-    """Parse and decode every tile in one batch (see module doc)."""
-    layouts: list = []
-    firsts: list = []
-    sources: list = []
-    spec_pairs: list = []
-    fates.begin(STAGE_PARSE)
-    with telemetry.software_span("stage", "t2_parse", "decode"):
-        for stages in stages_list:
-            layout, specs = stages.entropy_specs()
-            layouts.append(layout)
-            firsts.append(len(spec_pairs))
-            source_index = len(sources)
-            sources.append(stages.data)
-            spec_pairs.extend((source_index, spec) for spec in specs)
-    fates.done(STAGE_PARSE)
-    fates.begin(STAGE_ENTROPY)
-    with telemetry.software_span("sw", STAGE_ARITH, "decode"):
-        with telemetry.software_span("stage", "t1_decode", "decode"):
-            flat, offsets, ops = entropy_stage.run_specs(
-                sources, spec_pairs, kernel
-            )
-    with telemetry.software_span("stage", "gather", "decode"):
-        bands_by_tile = [
-            stages.scatter_entropy(
-                layouts[index], flat, offsets, ops, firsts[index]
-            )
-            for index, stages in enumerate(stages_list)
-        ]
-    fates.done(STAGE_ENTROPY)
-    fates.begin(STAGE_RECONSTRUCT)
-    planes = reconstruct_stage.finish_tiles(stages_list, bands_by_tile)
-    fates.done(STAGE_RECONSTRUCT)
-    return planes
-
-
-def _run_pooled(binding, stages_list, schedule, fates) -> Optional[dict]:
-    """Stream Tier-1 chunks to the pool as each tile's spans parse.
-
-    Every tile's chunks ship the moment its packet headers are read;
-    tiles then drain in submission order, and each finished tile's
-    gather + reconstruction runs on the main process while the
-    remaining tiles' entropy chunks are still decoding in the workers.
-    Returns ``None`` when no pool can be had (the caller decodes
-    inline).
-    """
-    stream = entropy_stage.open_stream(
-        [stages.data for stages in stages_list], binding,
-        schedule=schedule, fates=fates,
-    )
-    if stream is None:
-        return None
-    fates.begin(STAGE_PARSE)
-    fates.begin(STAGE_ENTROPY)
-    planes: dict[int, list] = {}
+        stream = entropy_stage.open_stream(
+            [stages.data for stages in stages_list], binding,
+            schedule=schedule, fates=fates,
+        )
+    stages_run = (STAGE_PARSE, STAGE_ENTROPY, STAGE_RECONSTRUCT)
+    for stage in stages_run:
+        fates.begin(stage)
+    planes: dict = {}
+    layouts: dict = {}
     try:
-        with telemetry.software_span("stage", "t2_parse", "decode"):
-            layouts = []
-            for source_index, stages in enumerate(stages_list):
-                layout, specs = stages.entropy_specs()
-                layouts.append(layout)
-                stream.submit_tile(source_index, specs)
-        fates.done(STAGE_PARSE)
-        fates.begin(STAGE_RECONSTRUCT)
-        for source_index, stages in enumerate(stages_list):
-            with telemetry.software_span("stage", "t1_decode", "decode"):
-                flat, offsets, ops = stream.drain_tile(source_index)
-            with telemetry.software_span("stage", "gather", "decode"):
-                bands = stages.scatter_entropy(
-                    layouts[source_index], flat, offsets, ops
-                )
-            planes.update(reconstruct_stage.finish_tiles([stages], [bands]))
-        fates.done(STAGE_ENTROPY)
-        fates.done(STAGE_RECONSTRUCT)
+        if stream is not None:
+            # Every tile ships before the first drain, so the workers
+            # decode ahead while finished tiles reconstruct here.
+            for index, stages in enumerate(stages_list):
+                layouts[index], specs = _parse(stages)
+                stream.submit_tile(index, specs)
+            fates.done(STAGE_PARSE)
+        for index, stages in enumerate(stages_list):
+            planes[stages.tile_index] = reconstruct_stage.finish_tiles(
+                stages, _tile_bands(stages, index, binding.impl, stream, layouts)
+            )
     finally:
-        stream.close()
+        if stream is not None:
+            stream.close()
+    for stage in stages_run:
+        fates.done(stage)
     return planes
+
+
+def _parse(stages) -> tuple:
+    with telemetry.software_span("stage", "t2_parse", "decode"):
+        return stages.entropy_specs()
+
+
+def _tile_bands(stages, index, kernel, stream, layouts) -> list:
+    """One tile's entropy-decoded band planes; its flat coefficients
+    are freed on return."""
+    if stream is None:
+        layout, specs = _parse(stages)
+        with telemetry.software_span("sw", STAGE_ARITH, "decode"):
+            with telemetry.software_span("stage", "t1_decode", "decode"):
+                flat, offsets, ops = entropy_stage.run_specs(
+                    stages.data, specs, kernel
+                )
+    else:
+        layout = layouts.pop(index)
+        with telemetry.software_span("stage", "t1_decode", "decode"):
+            flat, offsets, ops = stream.drain_tile(index)
+    with telemetry.software_span("stage", "gather", "decode"):
+        return stages.scatter_entropy(layout, flat, offsets, ops)

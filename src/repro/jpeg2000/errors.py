@@ -7,16 +7,16 @@ without importing each other.
 
 Every error a malformed codestream raises belongs to one family,
 :class:`DecodeError`: ``CodestreamError`` (marker syntax),
-``PacketError`` (Tier-2 packets), :class:`DecodingError` and
-``TranscodeError``.  Each keeps its ``ValueError``/``RuntimeError`` base
-as well, so an ``except`` written against that base still catches it.
+``PacketError`` (Tier-2 packets) and :class:`DecodingError`.  Each
+keeps its ``ValueError``/``RuntimeError`` base as well, so an
+``except`` written against that base still catches it.
 """
 
 from __future__ import annotations
 
 
 class DecodeError(Exception):
-    """A codestream that cannot be parsed, decoded or transcoded."""
+    """A codestream that cannot be parsed or decoded."""
 
 
 class DecodingError(DecodeError, RuntimeError):

@@ -11,7 +11,8 @@ One module per :mod:`~repro.jpeg2000.plan` stage seam:
     broken-pool resume machinery.
 :mod:`~repro.jpeg2000.stages.reconstruct`
     Gather, inverse quantisation, inverse DWT, inverse colour transform,
-    DC shift — per tile and vectorised across tiles.
+    DC shift — stage by stage, or fused and batched over one tile's
+    components.
 :mod:`~repro.jpeg2000.stages.assemble`
     The tile mosaic (full-size and resolution-truncated).
 

@@ -11,8 +11,9 @@ Two executors exist; the driver picks one from the entropy
 :class:`~repro.jpeg2000.plan.StageBinding` of a compiled
 :class:`~repro.jpeg2000.plan.DecodePlan`:
 
-* **inline** (:func:`run_specs`): every block of the image in one
-  :func:`decode_batch` call on the calling process;
+* **inline** (:func:`run_specs`): one tile's blocks in one
+  :func:`decode_batch` call on the calling process, as the driver
+  reaches the tile;
 * **pool** (:func:`open_stream` → :class:`SpecStream`): each tile's
   blocks ship to the workers in size-aware chunks the moment its packet
   headers are parsed.  Like an RMI call, a chunk carries its data with
@@ -111,32 +112,32 @@ def _spec_block(spec: BlockSpec, source, offset: int) -> tuple:
     )
 
 
-def _prefix_offsets(specs: Sequence[BlockSpec]):
-    """Each block's start in a flat row-major array; the last entry is
-    the total sample count."""
+def _flat_for(specs: Sequence[BlockSpec]):
+    """``(flat, offsets)`` for *specs*: an uninitialised coefficient
+    array and each block's start in it, row-major (a NumPy prefix-sum
+    over block sizes; the last entry is the total sample count)."""
     offsets = np.zeros(len(specs) + 1, dtype=np.int64)
     np.cumsum([spec.size for spec in specs], out=offsets[1:])
-    return offsets
-
-
-def run_specs(sources: Sequence[bytes], specs: Sequence[tuple], kernel: str):
-    """Decode segment-described blocks in-process: the inline executor.
-
-    ``sources`` are the tile-part buffers; ``specs`` is a sequence of
-    ``(source_index, BlockSpec)`` in scatter order.  Returns
-    ``(flat, offsets, ops)`` where ``flat`` holds every block's
-    coefficients row-major at ``offsets[i]`` (a NumPy prefix-sum over
-    block sizes) and ``ops[i]`` is block *i*'s basic-op count.
-    """
-    offsets = _prefix_offsets([spec for _, spec in specs])
-    batch = [
-        _spec_block(spec, sources[source_index], int(start))
-        for (source_index, spec), start in zip(specs, offsets)
-    ]
     flat = np.empty(
         int(offsets[-1]),
-        dtype=_coefficient_dtype(spec.num_bitplanes for _, spec in specs),
+        dtype=_coefficient_dtype(spec.num_bitplanes for spec in specs),
     )
+    return flat, offsets
+
+
+def run_specs(source: bytes, specs: Sequence[BlockSpec], kernel: str):
+    """Decode one tile's blocks in-process: the inline executor.
+
+    *source* is the tile-part buffer the specs' codeword segments point
+    into.  Returns ``(flat, offsets, ops)`` where ``flat`` holds every
+    block's coefficients row-major at ``offsets[i]`` and ``ops[i]`` is
+    block *i*'s basic-op count.
+    """
+    flat, offsets = _flat_for(specs)
+    batch = [
+        _spec_block(spec, source, int(start))
+        for spec, start in zip(specs, offsets)
+    ]
     return flat, offsets, decode_batch(batch, flat, kernel)
 
 
@@ -354,14 +355,10 @@ class SpecStream:
             return None
 
     def drain_tile(self, source_index: int):
-        """Wait for one tile's chunks; returns (flat, offsets, ops) with
-        offsets local to the tile (``scatter_entropy(..., first=0)``)."""
+        """Wait for one tile's chunks; returns ``(flat, offsets, ops)``
+        as :func:`run_specs` does for the tile."""
         futures, chunks, specs = self._tiles.pop(source_index)
-        offsets = _prefix_offsets(specs)
-        flat = np.empty(
-            int(offsets[-1]),
-            dtype=_coefficient_dtype(spec.num_bitplanes for spec in specs),
-        )
+        flat, offsets = _flat_for(specs)
         ops = [0] * len(specs)
         failed: list = []
         flight = telemetry.flight_recorder()

@@ -104,8 +104,8 @@ def test_decode_spans_cover_inline_and_pooled_decodes(perfbench_modules):
         ]
         for stage in ("parse", "entropy", "reconstruct"):
             assert f"jpeg2000.{stage}" in names, (decode, stage)
-    # Inline: one run_specs call.  Pooled: open_stream, one submit_tile
-    # and one drain_tile per tile, and close.
+    # Inline: one run_specs call per tile.  Pooled: open_stream, one
+    # submit_tile and one drain_tile per tile, and close.
     entropy_spans = {
         decode: sum(
             tracer.spans[index].name == "jpeg2000.entropy"
@@ -113,4 +113,4 @@ def test_decode_spans_cover_inline_and_pooled_decodes(perfbench_modules):
         )
         for decode in ("inline", "pooled")
     }
-    assert entropy_spans == {"inline": 1, "pooled": 2 + 2 * tiles}
+    assert entropy_spans == {"inline": tiles, "pooled": 2 + 2 * tiles}

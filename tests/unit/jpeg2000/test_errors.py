@@ -8,15 +8,21 @@ from repro.jpeg2000 import (
     DecodeError,
     DecodingError,
     Jpeg2000Decoder,
-    TranscodeError,
     decode_codestream,
-    drop_layers,
     encode_image,
     parse_codestream,
     synthetic_image,
     write_codestream,
 )
-from repro.jpeg2000.codestream import PROGRESSION_RLCP, TilePart
+from repro.jpeg2000.codestream import (
+    EOC,
+    PROGRESSION_RLCP,
+    QCD,
+    SOC,
+    TilePart,
+    write_cod,
+    write_siz,
+)
 from repro.jpeg2000.t2 import PacketError
 
 
@@ -31,6 +37,16 @@ def _stream(**overrides):
 
 def _unsupported_marker():
     parse_codestream(b"\xff\x4f\xff\xff")
+
+
+def _empty_qcd():
+    # Lqcd = 2: the segment ends before its Sqcd byte.
+    params = CodingParameters(width=32, height=32, num_components=1)
+    parse_codestream(
+        SOC.to_bytes(2, "big") + write_siz(params) + write_cod(params)
+        + QCD.to_bytes(2, "big") + (2).to_bytes(2, "big")
+        + EOC.to_bytes(2, "big")
+    )
 
 
 def _truncated_packet_body():
@@ -48,15 +64,11 @@ def _layer_truncation_of_rlcp():
     Jpeg2000Decoder(stream, max_layers=1).decode()
 
 
-def _drop_every_layer():
-    drop_layers(_stream(num_layers=2), 0)
-
-
 @pytest.mark.parametrize("expected, malformed", [
     (CodestreamError, _unsupported_marker),
+    (CodestreamError, _empty_qcd),
     (PacketError, _truncated_packet_body),
     (DecodingError, _layer_truncation_of_rlcp),
-    (TranscodeError, _drop_every_layer),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_malformed_input_raises_a_decode_error(expected, malformed):
     try:

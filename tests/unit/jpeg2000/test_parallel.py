@@ -38,13 +38,10 @@ def _schedule(options):
     return schedule_info(options, compile_plan(options))
 
 
-def run_stream(sources, specs, options, fates=None):
-    """Segment-described blocks through the pool executor, one tile per
-    source; returns ``(flat, ops)`` over every block in *specs* order."""
-    tiles = [
-        [spec for index, spec in specs if index == source_index]
-        for source_index in range(len(sources))
-    ]
+def run_stream(sources, tiles, options, fates=None):
+    """Segment-described blocks through the pool executor: ``tiles[i]``
+    holds the specs of ``sources[i]``; returns ``(flat, ops)`` over every
+    block, tile by tile."""
     stream = entropy.open_stream(
         sources, _binding(options), schedule=_schedule(options), fates=fates,
     )
@@ -90,10 +87,10 @@ def _spec_workload(seeds):
     for data, width, height, orientation, num_bitplanes, num_passes in tasks:
         start = len(source)
         source += data
-        specs.append((0, BlockSpec(
+        specs.append(BlockSpec(
             width, height, orientation, num_bitplanes, num_passes,
             ((start, start + len(data)),),
-        )))
+        ))
     return bytes(source), specs, list(expected)
 
 
@@ -153,13 +150,13 @@ class TestDecodeBlocks:
             task, coeffs = _encode_block(seed, width, height)
             start = len(source)
             source += task[0]
-            specs.append((0, BlockSpec(
+            specs.append(BlockSpec(
                 width, height, task[3], task[4], task[5],
                 ((start, len(source)),),
-            )))
+            ))
             expected.append(coeffs)
         flat, offsets, ops = entropy.run_specs(
-            [bytes(source)], specs, KERNEL_NATIVE
+            bytes(source), specs, KERNEL_NATIVE
         )
         assert offsets.tolist() == [0, 32, 96, 160, 164, 292]
         for index, coeffs in enumerate(expected):
@@ -170,17 +167,21 @@ class TestDecodeBlocks:
         """Several tiles stream through one pool, each in its own chunks."""
         source_a, specs_a, _ = _spec_workload(range(5))
         source_b, specs_b, _ = _spec_workload(range(10, 14))
-        specs = specs_a + [(1, spec) for _, spec in specs_b]
-        sequential, _, seq_ops = entropy.run_specs(
-            [source_a, source_b], specs, KERNEL_NATIVE
+        inline = [
+            entropy.run_specs(source, specs, KERNEL_NATIVE)
+            for source, specs in ((source_a, specs_a), (source_b, specs_b))
+        ]
+        pooled, pool_ops = run_stream(
+            [source_a, source_b], [specs_a, specs_b], POOL
         )
-        pooled, pool_ops = run_stream([source_a, source_b], specs, POOL)
         shutdown_pool()
-        assert np.array_equal(sequential, pooled)
-        assert seq_ops == pool_ops
+        assert np.array_equal(
+            np.concatenate([flat for flat, _, _ in inline]), pooled
+        )
+        assert [count for _, _, ops in inline for count in ops] == pool_ops
 
     def test_empty_task_list(self):
-        flat, ops = run_stream([b""], [], POOL)
+        flat, ops = run_stream([b""], [[]], POOL)
         shutdown_pool()
         assert len(flat) == 0
         assert ops == []
@@ -281,7 +282,7 @@ class TestDecodeBlocksSpec:
     @pytest.mark.parametrize("kernel", [KERNEL_NATIVE, KERNEL_REFERENCE])
     def test_sequential_kernels_agree(self, kernel):
         source, specs, expected = _spec_workload(range(6))
-        flat, offsets, ops = entropy.run_specs([source], specs, kernel)
+        flat, offsets, ops = entropy.run_specs(source, specs, kernel)
         assert len(ops) == len(specs)
         for index, coeffs in enumerate(expected):
             start, end = int(offsets[index]), int(offsets[index + 1])
@@ -290,26 +291,24 @@ class TestDecodeBlocksSpec:
 
     def test_shm_parallel_matches_sequential(self):
         source, specs, _ = _spec_workload(range(9))
-        seq_flat, _, seq_ops = entropy.run_specs([source], specs, KERNEL_NATIVE)
-        par_flat, par_ops = run_stream([source], specs, POOL)
+        seq_flat, _, seq_ops = entropy.run_specs(source, specs, KERNEL_NATIVE)
+        par_flat, par_ops = run_stream([source], [specs], POOL)
         assert np.array_equal(seq_flat, par_flat)
         assert seq_ops == par_ops
         shutdown_pool()
 
     def test_multiple_sources(self):
-        source_a, specs_a, expected_a = _spec_workload(range(3))
-        source_b, specs_b, expected_b = _spec_workload(range(10, 13))
-        specs = [(0, spec) for _, spec in specs_a] + [(1, spec) for _, spec in specs_b]
-        flat, offsets, ops = entropy.run_specs(
-            [source_a, source_b], specs, KERNEL_NATIVE
-        )
-        expected = expected_a + expected_b
-        for index, coeffs in enumerate(expected):
-            start, end = int(offsets[index]), int(offsets[index + 1])
-            assert flat[start:end].tolist() == coeffs
+        """Each tile decodes from its own buffer, at tile-local offsets."""
+        for seeds in (range(3), range(10, 13)):
+            source, specs, expected = _spec_workload(seeds)
+            flat, offsets, ops = entropy.run_specs(source, specs, KERNEL_NATIVE)
+            assert offsets[0] == 0
+            for index, coeffs in enumerate(expected):
+                start, end = int(offsets[index]), int(offsets[index + 1])
+                assert flat[start:end].tolist() == coeffs
 
     def test_empty_spec_list(self):
-        flat, offsets, ops = entropy.run_specs([b""], [], KERNEL_NATIVE)
+        flat, offsets, ops = entropy.run_specs(b"", [], KERNEL_NATIVE)
         assert len(flat) == 0
         assert offsets.tolist() == [0]
         assert ops == []
@@ -371,12 +370,12 @@ class TestBrokenPoolResume:
         if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only test
             pytest.skip("fork start method unavailable")
         source, specs, expected = _spec_workload(range(6))
-        bomb_data = specs[-1][1].codeword(source)
+        bomb_data = specs[-1].codeword(source)
         _arm_bomb(monkeypatch, str(tmp_path / "chunk-done"), bomb_data)
         fates = _FateLog()
         try:
             with telemetry.session(spans=True) as run:
-                flat, ops = run_stream([source], specs, FORK_POOL, fates)
+                flat, ops = run_stream([source], [specs], FORK_POOL, fates)
         finally:
             shutdown_pool()
         assert flat.tolist() == [value for coeffs in expected for value in coeffs]
@@ -465,7 +464,7 @@ class TestParallelObservability:
         source, specs, _ = _spec_workload(range(6))
         try:
             with telemetry.session(events=tmp_path / "e.jsonl") as run:
-                run_stream([source], specs, POOL)
+                run_stream([source], [specs], POOL)
         finally:
             shutdown_pool()
         log = run.log
@@ -484,7 +483,7 @@ class TestParallelObservability:
         source, specs, expected = _spec_workload(range(4))
         blocks = [
             entropy._spec_block(spec, source, 64 * index)
-            for index, (_, spec) in enumerate(specs)
+            for index, spec in enumerate(specs)
         ]
         pid, coefficients, ops, events = entropy._decode_chunk(
             (KERNEL_NATIVE, blocks, False)
@@ -522,12 +521,12 @@ class TestCrashReport:
         if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only test
             pytest.skip("fork start method unavailable")
         source, specs, expected = _spec_workload(range(6))
-        bomb_data = specs[-1][1].codeword(source)
+        bomb_data = specs[-1].codeword(source)
         _arm_bomb(monkeypatch, str(tmp_path / "chunk-done"), bomb_data)
         monkeypatch.setenv("REPRO_CRASH_DIR", str(tmp_path))
         try:
             with telemetry.session(events=tmp_path / "events.jsonl"):
-                flat, _ = run_stream([source], specs, FORK_POOL)
+                flat, _ = run_stream([source], [specs], FORK_POOL)
         finally:
             shutdown_pool()
         assert flat.tolist() == [value for coeffs in expected for value in coeffs]
