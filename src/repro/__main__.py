@@ -233,7 +233,8 @@ def _run_decode(args):
         wavelet = "lossy (9/7)" if args.lossy else "lossless (5/3)"
         print(f"# decode - {size}x{size} {wavelet}, "
               f"kernel={schedule['kernel']}, tier2={schedule['tier2']}, "
-              f"workers={schedule['effective_workers']}")
+              f"workers={schedule['effective_workers']}, "
+              f"threads={schedule['threads']}")
         print(f"wall time: {elapsed:.3f} s")
         _print_shares(payload.get("stage_shares", {}))
     return run, payload

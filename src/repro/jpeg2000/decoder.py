@@ -118,8 +118,9 @@ class TileStages:
         driver (:func:`repro.jpeg2000.driver.run_tiles`).
         """
         layout, specs = self.entropy_specs()
+        binding = self.plan.stage(STAGE_ENTROPY)
         flat, offsets, ops = entropy_stage.run_specs(
-            self.data, specs, self.plan.stage(STAGE_ENTROPY).impl
+            self.data, specs, binding.impl, threads=binding.executor.threads
         )
         return self.scatter_entropy(layout, flat, offsets, ops)
 

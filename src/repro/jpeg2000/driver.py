@@ -15,7 +15,8 @@ tile's coefficients come from:
 
 inline
     an in-process :func:`~repro.jpeg2000.stages.entropy.run_specs`
-    call over the tile's blocks, right after the tile parses;
+    call over the tile's blocks, right after the tile parses, its native
+    batch split over the executor's threads;
 pool
     :meth:`~repro.jpeg2000.stages.entropy.SpecStream.drain_tile`: every
     tile's chunks ship to the workers the moment its packet headers are
@@ -145,7 +146,7 @@ def run_tiles(
             fates.done(STAGE_PARSE)
         for index, stages in enumerate(stages_list):
             planes[stages.tile_index] = reconstruct_stage.finish_tiles(
-                stages, _tile_bands(stages, index, binding.impl, stream, layouts)
+                stages, _tile_bands(stages, index, binding, stream, layouts)
             )
     finally:
         if stream is not None:
@@ -160,7 +161,7 @@ def _parse(stages) -> tuple:
         return stages.entropy_specs()
 
 
-def _tile_bands(stages, index, kernel, stream, layouts) -> list:
+def _tile_bands(stages, index, binding, stream, layouts) -> list:
     """One tile's entropy-decoded band planes; its flat coefficients
     are freed on return."""
     if stream is None:
@@ -168,7 +169,8 @@ def _tile_bands(stages, index, kernel, stream, layouts) -> list:
         with telemetry.software_span("sw", STAGE_ARITH, "decode"):
             with telemetry.software_span("stage", "t1_decode", "decode"):
                 flat, offsets, ops = entropy_stage.run_specs(
-                    stages.data, specs, kernel
+                    stages.data, specs, binding.impl,
+                    threads=binding.executor.threads,
                 )
     else:
         layout = layouts.pop(index)

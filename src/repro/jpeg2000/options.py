@@ -84,7 +84,8 @@ class DecodeOptions:
 
     ``workers``
         Worker processes for block decoding.  0 or 1 decodes
-        sequentially in-process; ``None`` picks one per host CPU
+        in-process, the native kernel's batches split over one thread
+        per host CPU; ``None`` picks one worker per host CPU
         (:func:`repro.host.host_cpus`).
     ``chunk_size``
         Upper bound on blocks per unit of work shipped to a worker;
@@ -153,7 +154,7 @@ class DecodeOptions:
         }
 
 
-#: Default options: sequential, native kernel.
+#: Default options: in-process, native kernel on one thread per host CPU.
 DEFAULT_OPTIONS = DecodeOptions()
 
 

@@ -11,8 +11,8 @@ record of the four pipeline stages
 
     ``parse → entropy → reconstruct → assemble``
 
-each bound to an implementation id and an executor (inline, or a worker
-pool with start method and chunking).  The driver executes that plan;
+each bound to an implementation id and an executor (inline with a
+thread count, or a worker pool with start method and chunking).  The driver executes that plan;
 ledgers, crash reports and the benchmark record its digest.
 
 Compilation is total: requests are validated where the user writes
@@ -56,16 +56,19 @@ class ExecutorSpec:
     """How one stage's work is executed.
 
     ``kind="inline"`` runs on the calling process (the canonical form
-    carries no pool configuration).  ``kind="pool"`` fans out to a
-    process pool: ``workers`` processes created with ``start_method``,
-    each tile's blocks streamed to the workers as pickled chunks of at
-    most ``chunk_size`` blocks while later tiles are still parsing.
+    carries no pool configuration), splitting each native kernel batch
+    over ``threads`` threads of that process.  ``kind="pool"`` fans out
+    to a process pool: ``workers`` single-threaded processes created
+    with ``start_method``, each tile's blocks streamed to the workers as
+    pickled chunks of at most ``chunk_size`` blocks while later tiles
+    are still parsing.
     """
 
     kind: str = EXECUTOR_INLINE
     workers: int = 0
     chunk_size: int = 0
     start_method: Optional[str] = None
+    threads: int = 1
 
     def as_dict(self) -> dict:
         return {
@@ -73,18 +76,19 @@ class ExecutorSpec:
             "workers": self.workers,
             "chunk_size": self.chunk_size,
             "start_method": self.start_method,
+            "threads": self.threads,
         }
 
     def describe(self) -> str:
         if self.kind == EXECUTOR_INLINE:
-            return "inline"
+            return f"inline threads={self.threads}"
         return (
             f"pool workers={self.workers} chunk={self.chunk_size} "
             f"start={self.start_method or 'default'}"
         )
 
 
-#: The canonical inline executor.
+#: The canonical inline executor (one thread).
 INLINE = ExecutorSpec()
 
 
@@ -185,6 +189,10 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
     planner, which is pure.  A ``native`` kernel request on a host
     without the native kernel binds ``reference`` and records that
     rewrite on the plan.
+
+    An inline entropy executor runs the native kernel on one thread per
+    host CPU (the kernel call releases the GIL); under the reference
+    kernel, which holds the GIL, it runs on one.
     """
     env = env if env is not None else PlanEnvironment.detect()
     impl = options.kernel
@@ -210,7 +218,8 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
         )
         entropy = StageBinding(STAGE_ENTROPY, impl, executor)
     else:
-        entropy = StageBinding(STAGE_ENTROPY, impl)
+        threads = env.cpu_count if impl == KERNEL_NATIVE else 1
+        entropy = StageBinding(STAGE_ENTROPY, impl, ExecutorSpec(threads=threads))
     return DecodePlan((
         parse,
         entropy,
@@ -225,7 +234,8 @@ def schedule_info(options: DecodeOptions, plan: DecodePlan) -> dict:
     The worker counts are read off *plan*, the compiled form of
     *options*: ``effective_workers`` is the pool size, or at most 1 when
     the entropy stage runs inline, and a request for more than one
-    worker that compiled inline is ``degraded``.
+    worker that compiled inline is ``degraded``.  ``threads`` is the
+    entropy executor's thread count (1 in a pool's workers).
     """
     executor = plan.stage(STAGE_ENTROPY).executor
     # An inline executor carries workers=0; a pool at least 2.  A
@@ -239,6 +249,7 @@ def schedule_info(options: DecodeOptions, plan: DecodePlan) -> dict:
         "requested_workers": requested,
         "effective_workers": effective,
         "degraded": requested > 1 and executor.kind == EXECUTOR_INLINE,
+        "threads": executor.threads,
         "chunk_size": options.chunk_size,
         "kernel": options.kernel,
         "tier2": options.tier2,

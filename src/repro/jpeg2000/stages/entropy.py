@@ -13,7 +13,10 @@ Two executors exist; the driver picks one from the entropy
 
 * **inline** (:func:`run_specs`): one tile's blocks in one
   :func:`decode_batch` call on the calling process, as the driver
-  reaches the tile;
+  reaches the tile; the native batch is split over the executor's
+  ``threads`` (one per host CPU under the native kernel), whose kernel
+  calls release the GIL and whose helper threads are joined before the
+  call returns;
 * **pool** (:func:`open_stream` → :class:`SpecStream`): each tile's
   blocks ship to the workers in size-aware chunks the moment its packet
   headers are parsed.  Like an RMI call, a chunk carries its data with
@@ -23,7 +26,9 @@ Two executors exist; the driver picks one from the entropy
 Every executor — inline, pool chunk, broken-pool resume — decodes
 through :func:`decode_batch`, which hands whole chunks to the native C
 kernel (:func:`repro.jpeg2000.t1_native.decode_codeblock_batch`) in one
-call.
+call.  Only the inline executor passes a thread count: pool workers and
+the resume path decode on one thread, so a pool never runs workers ×
+threads.
 
 Runtime degradations go straight to in-process decoding and are
 reported to the caller's stage-fate recorder (the ``fates`` parameter,
@@ -62,13 +67,15 @@ def _rewrite(fates, rule: str, detail: str) -> None:
         fates.rewrite(STAGE_ENTROPY, rule, detail)
 
 
-def decode_batch(batch: Sequence[tuple], out, kernel: str) -> list:
+def decode_batch(batch: Sequence[tuple], out, kernel: str,
+                 threads: int = 1) -> list:
     """Decode *batch* into the flat array *out*; returns per-block ops.
 
     Each block is ``(data, width, height, orientation, num_bitplanes,
     num_passes, out_offset)``.  Under the native kernel every block with
-    at most 30 bit planes goes to C in one call; deeper blocks, and all
-    blocks under the reference kernel, go through the reference
+    at most 30 bit planes goes to C in one batch, split over *threads*
+    threads; deeper blocks, and all blocks under the reference kernel,
+    go through the reference
     :class:`~repro.jpeg2000.t1.CodeBlockDecoder`, whose coefficients
     need an int64 *out* when a block is that deep (callers size it with
     :func:`_coefficient_dtype`).
@@ -88,7 +95,8 @@ def decode_batch(batch: Sequence[tuple], out, kernel: str) -> list:
     if native:
         blocks = [batch[index] for index in native]
         target = out if out.dtype == np.int32 else np.zeros(len(out), np.int32)
-        for index, count in zip(native, decode_codeblock_batch(blocks, target)[1]):
+        _, counts = decode_codeblock_batch(blocks, target, threads=threads)
+        for index, count in zip(native, counts):
             ops[index] = count
         if target is not out:
             for block in blocks:
@@ -125,20 +133,22 @@ def _flat_for(specs: Sequence[BlockSpec]):
     return flat, offsets
 
 
-def run_specs(source: bytes, specs: Sequence[BlockSpec], kernel: str):
+def run_specs(source: bytes, specs: Sequence[BlockSpec], kernel: str,
+              threads: int = 1):
     """Decode one tile's blocks in-process: the inline executor.
 
     *source* is the tile-part buffer the specs' codeword segments point
-    into.  Returns ``(flat, offsets, ops)`` where ``flat`` holds every
-    block's coefficients row-major at ``offsets[i]`` and ``ops[i]`` is
-    block *i*'s basic-op count.
+    into; *threads* is the inline executor's thread count.  Returns
+    ``(flat, offsets, ops)`` where ``flat`` holds every block's
+    coefficients row-major at ``offsets[i]`` and ``ops[i]`` is block
+    *i*'s basic-op count.
     """
     flat, offsets = _flat_for(specs)
     batch = [
         _spec_block(spec, source, int(start))
         for spec, start in zip(specs, offsets)
     ]
-    return flat, offsets, decode_batch(batch, flat, kernel)
+    return flat, offsets, decode_batch(batch, flat, kernel, threads)
 
 
 def plan_chunks(costs: Sequence[int], workers: int, chunk_size: int) -> list:

@@ -27,11 +27,31 @@
 /* (w + 2) * (h + 2) with w * h <= MAX_AREA and w, h <= MAX_SIDE. */
 #define MAX_PADDED ((MAX_SIDE + 2) * (MAX_AREA / MAX_SIDE + 2))
 
-/* Per-sample coding state, one byte per padded sample. */
-#define SIG 1u  /* significant */
-#define VIS 2u  /* coded in this plane's significance pass */
-#define REF 4u  /* refined at least once */
-#define NEG 8u  /* sign: negative */
+/*
+ * Per-sample coding state: one flag word per padded sample.  The low
+ * byte says which of the eight neighbours are significant (it indexes
+ * the zero-coding table directly), the next nibble holds the signs of
+ * the four orthogonal ones, and the sample's own state sits above.  A
+ * sample turning significant writes itself into its neighbours' words
+ * (set_significant), so no coding decision ever reads a neighbour.
+ */
+#define SIG_N  0x001u
+#define SIG_S  0x002u
+#define SIG_W  0x004u
+#define SIG_E  0x008u
+#define SIG_NW 0x010u
+#define SIG_NE 0x020u
+#define SIG_SW 0x040u
+#define SIG_SE 0x080u
+#define NEG_N  0x100u
+#define NEG_S  0x200u
+#define NEG_W  0x400u
+#define NEG_E  0x800u
+#define NEIGHBOURS 0xFFu  /* any neighbour significant */
+#define SIG 0x1000u  /* significant */
+#define VIS 0x2000u  /* coded in this plane's significance pass */
+#define REF 0x4000u  /* refined at least once */
+#define NEG 0x8000u  /* sign: negative */
 
 #define CTX_RUN 17
 #define CTX_UNI 18
@@ -339,19 +359,58 @@ static int zc_hh(int h, int v, int d)
     return hv == 1 ? 1 : 0;
 }
 
-/* Zero-coding context by (h, v, d) -> h + 3 v + 9 d, per orientation
- * 0..3 = LL, HL, LH, HH. */
-static void build_zc(uint8_t zc[4][45])
+static inline int has(uint32_t flags, uint32_t bit)
 {
-    for (int h = 0; h < 3; h++)
-        for (int v = 0; v < 3; v++)
-            for (int d = 0; d < 5; d++) {
-                int at = h + 3 * v + 9 * d;
-                zc[0][at] = (uint8_t)zc_lh(h, v, d);
-                zc[1][at] = (uint8_t)zc_lh(v, h, d);  /* HL swaps H and V */
-                zc[2][at] = (uint8_t)zc_lh(h, v, d);
-                zc[3][at] = (uint8_t)zc_hh(h, v, d);
-            }
+    return (flags & bit) != 0;
+}
+
+/* Contribution of one orthogonal neighbour to the sign context. */
+static inline int contribution(uint32_t flags, uint32_t sig, uint32_t neg)
+{
+    if (!(flags & sig))
+        return 0;
+    return (flags & neg) ? -1 : 1;
+}
+
+static inline int clip(int value)
+{
+    return value < -1 ? -1 : (value > 1 ? 1 : value);
+}
+
+/* The sign table's index: orthogonal significance in the low nibble,
+ * orthogonal signs in the high one. */
+static inline unsigned sign_index(uint32_t flags)
+{
+    return (flags & 0x0Fu) | ((flags >> 4) & 0xF0u);
+}
+
+/* Context tables over the flag word: zero coding per orientation
+ * (0..3 = LL, HL, LH, HH), indexed by the neighbour byte; sign coding
+ * as ctx << 1 | xor, indexed by sign_index. */
+typedef struct {
+    uint8_t zc[4][256];
+    uint8_t sc[256];
+} Tables;
+
+static void build_tables(Tables *t)
+{
+    for (uint32_t n = 0; n < 256; n++) {
+        int h = has(n, SIG_W) + has(n, SIG_E);
+        int v = has(n, SIG_N) + has(n, SIG_S);
+        int d = has(n, SIG_NW) + has(n, SIG_NE) + has(n, SIG_SW)
+              + has(n, SIG_SE);
+        t->zc[0][n] = (uint8_t)zc_lh(h, v, d);
+        t->zc[1][n] = (uint8_t)zc_lh(v, h, d);  /* HL swaps H and V */
+        t->zc[2][n] = (uint8_t)zc_lh(h, v, d);
+        t->zc[3][n] = (uint8_t)zc_hh(h, v, d);
+        uint32_t flags = (n & 0x0Fu) | ((n & 0xF0u) << 4);
+        int hc = clip(contribution(flags, SIG_W, NEG_W)
+                      + contribution(flags, SIG_E, NEG_E));
+        int vc = clip(contribution(flags, SIG_N, NEG_N)
+                      + contribution(flags, SIG_S, NEG_S));
+        int at = (hc + 1) * 3 + (vc + 1);
+        t->sc[n] = (uint8_t)(SC_CTX[at] << 1 | SC_XOR[at]);
+    }
 }
 
 /* -- one code block: shared state and context modelling ------------------ */
@@ -360,137 +419,134 @@ typedef struct {
     Mq mq;
     MqEnc enc;
     int w, h, stride;
-    const uint8_t *zc;
-    uint8_t state[MAX_PADDED];
+    const uint8_t *zc;  /* the block orientation's zero-coding table */
+    const uint8_t *sc;  /* sign contexts, ctx << 1 | xor */
+    uint32_t flags[MAX_PADDED];
     uint32_t magnitude[MAX_PADDED];
 } Block;
 
-/* Significant-neighbour counts packed as h + 3 v + 9 d; the padding
- * ring is never significant, so edges need no tests. */
-static inline int neighbours(const Block *b, int p)
+/* Sample p turns significant: its own word gains SIG (and NEG), and
+ * each neighbour's word records it.  The padding ring is written but
+ * never coded, so edges need no tests. */
+static inline void set_significant(uint32_t *f, int p, int stride,
+                                   int negative)
 {
-    const uint8_t *s = b->state;
-    int n = b->stride;
-    int h = (s[p - 1] & SIG) + (s[p + 1] & SIG);
-    int v = (s[p - n] & SIG) + (s[p + n] & SIG);
-    int d = (s[p - n - 1] & SIG) + (s[p - n + 1] & SIG)
-          + (s[p + n - 1] & SIG) + (s[p + n + 1] & SIG);
-    return h + 3 * v + 9 * d;
+    f[p - stride - 1] |= SIG_SE;
+    f[p - stride] |= SIG_S | (negative ? NEG_S : 0);
+    f[p - stride + 1] |= SIG_SW;
+    f[p - 1] |= SIG_E | (negative ? NEG_E : 0);
+    f[p] |= SIG | (negative ? NEG : 0);
+    f[p + 1] |= SIG_W | (negative ? NEG_W : 0);
+    f[p + stride - 1] |= SIG_NE;
+    f[p + stride] |= SIG_N | (negative ? NEG_N : 0);
+    f[p + stride + 1] |= SIG_NW;
 }
 
-static inline int contribution(uint8_t s)
+/* Run mode: four samples, none significant or visited, with no
+ * significant neighbour. */
+static inline int run_mode(const uint32_t *f, int p, int stride)
 {
-    if (!(s & SIG))
-        return 0;
-    return (s & NEG) ? -1 : 1;
-}
-
-static inline int clip(int value)
-{
-    return value < -1 ? -1 : (value > 1 ? 1 : value);
-}
-
-/* Row of SC_CTX / SC_XOR from the clipped neighbour sign contributions. */
-static inline int sign_slot(const Block *b, int p)
-{
-    const uint8_t *s = b->state;
-    int n = b->stride;
-    int hc = clip(contribution(s[p - 1]) + contribution(s[p + 1]));
-    int vc = clip(contribution(s[p - n]) + contribution(s[p + n]));
-    return (hc + 1) * 3 + (vc + 1);
-}
-
-static int run_mode_eligible(const Block *b, int top, int x)
-{
-    for (int k = 0; k < 4; k++) {
-        int p = (top + k + 1) * b->stride + x + 1;
-        if ((b->state[p] & (SIG | VIS)) || neighbours(b, p))
-            return 0;
-    }
-    return 1;
+    return !((f[p] | f[p + stride] | f[p + 2 * stride] | f[p + 3 * stride])
+             & (SIG | VIS | NEIGHBOURS));
 }
 
 /* -- decoding one code block (t1.py CodeBlockDecoder) ---------------------- */
 
-static inline void decode_sign(Block *b, int p)
+/* Each pass decodes through a local copy of the MQ state, which no
+ * store to the block's arrays can alias. */
+
+static inline int decode_sign(Mq *mq, const uint8_t *sc, uint32_t flags)
 {
-    int at = sign_slot(b, p);
-    if (mq_decode(&b->mq, SC_CTX[at]) ^ SC_XOR[at])
-        b->state[p] |= NEG;
+    unsigned slot = sc[sign_index(flags)];
+    return mq_decode(mq, slot >> 1) ^ (slot & 1);
 }
 
 static void significance_pass(Block *b, uint32_t bit_value)
 {
+    Mq mq = b->mq;
+    uint32_t *f = b->flags;
+    int stride = b->stride;
     for (int top = 0; top < b->h; top += 4) {
         int rows = b->h - top < 4 ? b->h - top : 4;
         for (int x = 0; x < b->w; x++) {
-            for (int y = top; y < top + rows; y++) {
-                int p = (y + 1) * b->stride + x + 1;
-                if (b->state[p] & SIG)
+            int p = (top + 1) * stride + x + 1;
+            for (int k = 0; k < rows; k++, p += stride) {
+                uint32_t flags = f[p];
+                if ((flags & SIG) || !(flags & NEIGHBOURS))
                     continue;
-                int packed = neighbours(b, p);
-                if (packed == 0)
-                    continue;
-                int bit = mq_decode(&b->mq, b->zc[packed]);
-                b->state[p] |= VIS;
-                if (bit) {
-                    b->state[p] |= SIG;
+                if (mq_decode(&mq, b->zc[flags & NEIGHBOURS])) {
                     b->magnitude[p] |= bit_value;
-                    decode_sign(b, p);
+                    set_significant(f, p, stride,
+                                    decode_sign(&mq, b->sc, flags));
                 }
+                f[p] |= VIS;
             }
         }
     }
+    b->mq = mq;
 }
 
 static void refinement_pass(Block *b, uint32_t bit_value)
 {
+    Mq mq = b->mq;
+    uint32_t *f = b->flags;
+    int stride = b->stride;
     for (int top = 0; top < b->h; top += 4) {
         int rows = b->h - top < 4 ? b->h - top : 4;
         for (int x = 0; x < b->w; x++) {
-            for (int y = top; y < top + rows; y++) {
-                int p = (y + 1) * b->stride + x + 1;
-                if ((b->state[p] & (SIG | VIS)) != SIG)
+            int p = (top + 1) * stride + x + 1;
+            for (int k = 0; k < rows; k++, p += stride) {
+                uint32_t flags = f[p];
+                if ((flags & (SIG | VIS)) != SIG)
                     continue;
-                int ctx = (b->state[p] & REF) ? 16
-                        : 14 + (neighbours(b, p) != 0);
-                if (mq_decode(&b->mq, ctx))
+                int ctx = (flags & REF) ? 16
+                        : 14 + ((flags & NEIGHBOURS) != 0);
+                if (mq_decode(&mq, ctx))
                     b->magnitude[p] |= bit_value;
-                b->state[p] |= REF;
+                f[p] = flags | REF;
             }
         }
     }
+    b->mq = mq;
 }
 
+/* The cleanup pass also clears each sample's VIS for the next plane. */
 static void cleanup_pass(Block *b, uint32_t bit_value)
 {
+    Mq mq = b->mq;
+    uint32_t *f = b->flags;
+    int stride = b->stride;
     for (int top = 0; top < b->h; top += 4) {
         int rows = b->h - top < 4 ? b->h - top : 4;
         for (int x = 0; x < b->w; x++) {
-            int start = 0;
-            if (rows == 4 && run_mode_eligible(b, top, x)) {
-                if (!mq_decode(&b->mq, CTX_RUN))
+            int p = (top + 1) * stride + x + 1;
+            int k = 0;
+            if (rows == 4 && run_mode(f, p, stride)) {
+                if (!mq_decode(&mq, CTX_RUN))
                     continue;
-                int first = mq_decode(&b->mq, CTX_UNI) << 1;
-                first |= mq_decode(&b->mq, CTX_UNI);
-                int p = (top + first + 1) * b->stride + x + 1;
-                b->state[p] |= SIG;
+                k = mq_decode(&mq, CTX_UNI) << 1;
+                k |= mq_decode(&mq, CTX_UNI);
+                p += k * stride;
                 b->magnitude[p] |= bit_value;
-                decode_sign(b, p);
-                start = first + 1;
+                set_significant(f, p, stride, decode_sign(&mq, b->sc, f[p]));
+                k++;
+                p += stride;
             }
-            for (int k = start; k < rows; k++) {
-                int p = (top + k + 1) * b->stride + x + 1;
-                if (b->state[p] & (SIG | VIS))
+            for (; k < rows; k++, p += stride) {
+                uint32_t flags = f[p];
+                if (flags & (SIG | VIS)) {
+                    f[p] = flags & ~VIS;
                     continue;
-                if (mq_decode(&b->mq, b->zc[neighbours(b, p)])) {
-                    b->state[p] |= SIG;
+                }
+                if (mq_decode(&mq, b->zc[flags & NEIGHBOURS])) {
                     b->magnitude[p] |= bit_value;
-                    decode_sign(b, p);
+                    set_significant(f, p, stride,
+                                    decode_sign(&mq, b->sc, flags));
                 }
             }
         }
     }
+    b->mq = mq;
 }
 
 static int64_t decode_block(Block *b, const uint8_t *data, int64_t length,
@@ -502,7 +558,7 @@ static int64_t decode_block(Block *b, const uint8_t *data, int64_t length,
         return 0;
     }
     int padded = b->stride * (b->h + 2);
-    memset(b->state, 0, (size_t)padded);
+    memset(b->flags, 0, (size_t)padded * sizeof *b->flags);
     memset(b->magnitude, 0, (size_t)padded * sizeof *b->magnitude);
     mq_init(&b->mq, data, length);
     int64_t passes = 0;
@@ -521,14 +577,12 @@ static int64_t decode_block(Block *b, const uint8_t *data, int64_t length,
             break;
         cleanup_pass(b, bit_value);
         passes++;
-        for (int p = 0; p < padded; p++)
-            b->state[p] &= (uint8_t)~VIS;
     }
     for (int y = 0; y < b->h; y++) {
         for (int x = 0; x < b->w; x++) {
             int p = (y + 1) * b->stride + x + 1;
             int32_t value = (int32_t)b->magnitude[p];
-            out[y * b->w + x] = (b->state[p] & NEG) ? -value : value;
+            out[y * b->w + x] = (b->flags[p] & NEG) ? -value : value;
         }
     }
     return b->mq.ops;
@@ -536,31 +590,31 @@ static int64_t decode_block(Block *b, const uint8_t *data, int64_t length,
 
 /* -- encoding one code block (t1.py CodeBlockEncoder) ---------------------- */
 
-static inline void encode_sign(Block *b, int p)
+static inline void encode_sign(Block *b, uint32_t flags)
 {
-    int at = sign_slot(b, p);
-    mq_encode(&b->enc, ((b->state[p] & NEG) != 0) ^ SC_XOR[at], SC_CTX[at]);
+    unsigned slot = b->sc[sign_index(flags)];
+    mq_encode(&b->enc, ((flags & NEG) != 0) ^ (slot & 1), slot >> 1);
 }
 
 static void encode_significance_pass(Block *b, uint32_t bit_mask)
 {
+    uint32_t *f = b->flags;
+    int stride = b->stride;
     for (int top = 0; top < b->h; top += 4) {
         int rows = b->h - top < 4 ? b->h - top : 4;
         for (int x = 0; x < b->w; x++) {
-            for (int y = top; y < top + rows; y++) {
-                int p = (y + 1) * b->stride + x + 1;
-                if (b->state[p] & SIG)
-                    continue;
-                int packed = neighbours(b, p);
-                if (packed == 0)
+            int p = (top + 1) * stride + x + 1;
+            for (int k = 0; k < rows; k++, p += stride) {
+                uint32_t flags = f[p];
+                if ((flags & SIG) || !(flags & NEIGHBOURS))
                     continue;
                 int bit = (b->magnitude[p] & bit_mask) != 0;
-                mq_encode(&b->enc, bit, b->zc[packed]);
-                b->state[p] |= VIS;
+                mq_encode(&b->enc, bit, b->zc[flags & NEIGHBOURS]);
                 if (bit) {
-                    b->state[p] |= SIG;
-                    encode_sign(b, p);
+                    encode_sign(b, flags);
+                    set_significant(f, p, stride, (flags & NEG) != 0);
                 }
+                f[p] |= VIS;
             }
         }
     }
@@ -568,54 +622,63 @@ static void encode_significance_pass(Block *b, uint32_t bit_mask)
 
 static void encode_refinement_pass(Block *b, uint32_t bit_mask)
 {
+    uint32_t *f = b->flags;
+    int stride = b->stride;
     for (int top = 0; top < b->h; top += 4) {
         int rows = b->h - top < 4 ? b->h - top : 4;
         for (int x = 0; x < b->w; x++) {
-            for (int y = top; y < top + rows; y++) {
-                int p = (y + 1) * b->stride + x + 1;
-                if ((b->state[p] & (SIG | VIS)) != SIG)
+            int p = (top + 1) * stride + x + 1;
+            for (int k = 0; k < rows; k++, p += stride) {
+                uint32_t flags = f[p];
+                if ((flags & (SIG | VIS)) != SIG)
                     continue;
-                int ctx = (b->state[p] & REF) ? 16
-                        : 14 + (neighbours(b, p) != 0);
+                int ctx = (flags & REF) ? 16
+                        : 14 + ((flags & NEIGHBOURS) != 0);
                 mq_encode(&b->enc, (b->magnitude[p] & bit_mask) != 0, ctx);
-                b->state[p] |= REF;
+                f[p] = flags | REF;
             }
         }
     }
 }
 
+/* The cleanup pass also clears each sample's VIS for the next plane. */
 static void encode_cleanup_pass(Block *b, uint32_t bit_mask)
 {
+    uint32_t *f = b->flags;
+    int stride = b->stride;
     for (int top = 0; top < b->h; top += 4) {
         int rows = b->h - top < 4 ? b->h - top : 4;
         for (int x = 0; x < b->w; x++) {
-            int start = 0;
-            if (rows == 4 && run_mode_eligible(b, top, x)) {
-                int first = 0;
-                while (first < 4 && !(b->magnitude[(top + first + 1) * b->stride
-                                                   + x + 1] & bit_mask))
-                    first++;
-                if (first == 4) {
+            int p = (top + 1) * stride + x + 1;
+            int k = 0;
+            if (rows == 4 && run_mode(f, p, stride)) {
+                while (k < 4 && !(b->magnitude[p] & bit_mask)) {
+                    k++;
+                    p += stride;
+                }
+                if (k == 4) {
                     mq_encode(&b->enc, 0, CTX_RUN);
                     continue;
                 }
                 mq_encode(&b->enc, 1, CTX_RUN);
-                mq_encode(&b->enc, (first >> 1) & 1, CTX_UNI);
-                mq_encode(&b->enc, first & 1, CTX_UNI);
-                int p = (top + first + 1) * b->stride + x + 1;
-                b->state[p] |= SIG;
-                encode_sign(b, p);
-                start = first + 1;
+                mq_encode(&b->enc, (k >> 1) & 1, CTX_UNI);
+                mq_encode(&b->enc, k & 1, CTX_UNI);
+                encode_sign(b, f[p]);
+                set_significant(f, p, stride, (f[p] & NEG) != 0);
+                k++;
+                p += stride;
             }
-            for (int k = start; k < rows; k++) {
-                int p = (top + k + 1) * b->stride + x + 1;
-                if (b->state[p] & (SIG | VIS))
+            for (; k < rows; k++, p += stride) {
+                uint32_t flags = f[p];
+                if (flags & (SIG | VIS)) {
+                    f[p] = flags & ~VIS;
                     continue;
+                }
                 int bit = (b->magnitude[p] & bit_mask) != 0;
-                mq_encode(&b->enc, bit, b->zc[neighbours(b, p)]);
+                mq_encode(&b->enc, bit, b->zc[flags & NEIGHBOURS]);
                 if (bit) {
-                    b->state[p] |= SIG;
-                    encode_sign(b, p);
+                    encode_sign(b, flags);
+                    set_significant(f, p, stride, (flags & NEG) != 0);
                 }
             }
         }
@@ -635,7 +698,7 @@ static int load_block(Block *b, const int32_t *in)
     int padded = b->stride * (b->h + 2);
     uint32_t highest = 0;
     int planes = 0;
-    memset(b->state, 0, (size_t)padded);
+    memset(b->flags, 0, (size_t)padded * sizeof *b->flags);
     memset(b->magnitude, 0, (size_t)padded * sizeof *b->magnitude);
     for (int y = 0; y < b->h; y++) {
         for (int x = 0; x < b->w; x++) {
@@ -644,7 +707,7 @@ static int load_block(Block *b, const int32_t *in)
             uint32_t magnitude = value < 0 ? 0u - (uint32_t)value
                                            : (uint32_t)value;
             if (value < 0)
-                b->state[p] = NEG;
+                b->flags[p] = NEG;
             b->magnitude[p] = magnitude;
             highest |= magnitude;
         }
@@ -671,7 +734,6 @@ static int64_t encode_block(Block *b, int planes, uint8_t *out,
         return 0;
     if (capacity < 1)
         return -1;
-    int padded = b->stride * (b->h + 2);
     mq_enc_init(&b->enc, out, capacity);
     for (int plane = planes - 1; plane >= 0; plane--) {
         uint32_t bit_mask = 1u << plane;
@@ -685,8 +747,6 @@ static int64_t encode_block(Block *b, int planes, uint8_t *out,
         }
         encode_cleanup_pass(b, bit_mask);
         lengths[passes++] = b->enc.length - 1 + 5;
-        for (int p = 0; p < padded; p++)
-            b->state[p] &= (uint8_t)~VIS;
         if (b->enc.full)
             return -1;
     }
@@ -719,6 +779,10 @@ enum { M_DATA, M_LENGTH, M_WIDTH, M_HEIGHT, M_ORIENT, M_PLANES, M_PASSES,
  * int32 array of ``out_length`` samples).  Coefficients land row-major
  * at that offset; ``ops[i]`` receives block i's basic-op count.
  *
+ * The call touches only its own rows of ``meta``/``ops``, its blocks'
+ * slices of ``out`` and its own scratch, so concurrent calls on
+ * disjoint rows whose blocks do not overlap in ``out`` are safe.
+ *
  * Returns 0, i + 1 when block i fails the geometry backstop (blocks
  * before it are already decoded), or -1 when scratch allocation fails.
  */
@@ -726,12 +790,13 @@ int64_t t1_decode_batch(int64_t count, const uint8_t *data,
                         int64_t data_length, const int64_t *meta,
                         int32_t *out, int64_t out_length, int64_t *ops)
 {
-    Block *block = malloc(sizeof *block);  /* ~30 kB: off the stack */
-    uint8_t zc[4][45];
+    Block *block = malloc(sizeof *block);  /* ~50 kB: off the stack */
+    Tables tables;
     int64_t status = 0;
     if (block == NULL)
         return -1;
-    build_zc(zc);
+    build_tables(&tables);
+    block->sc = tables.sc;
     for (int64_t i = 0; i < count; i++) {
         const int64_t *row = meta + i * M_FIELDS;
         int64_t start = row[M_DATA], length = row[M_LENGTH];
@@ -749,7 +814,7 @@ int64_t t1_decode_batch(int64_t count, const uint8_t *data,
         block->w = (int)w;
         block->h = (int)h;
         block->stride = (int)w + 2;
-        block->zc = zc[orientation];
+        block->zc = tables.zc[orientation];
         ops[i] = decode_block(block, data + start, length, (int)planes,
                               row[M_PASSES], out + offset);
     }
@@ -784,12 +849,13 @@ int64_t t1_encode_batch(int64_t count, const int32_t *coefficients,
                         int64_t *results, int64_t *done)
 {
     Block *block = malloc(sizeof *block);
-    uint8_t zc[4][45];
+    Tables tables;
     int64_t status = 0, position = 0;
     *done = 0;
     if (block == NULL)
         return -1;
-    build_zc(zc);
+    build_tables(&tables);
+    block->sc = tables.sc;
     for (int64_t i = 0; i < count; i++) {
         const int64_t *row = meta + i * E_FIELDS;
         int64_t *result = results + i * R_FIELDS;
@@ -805,7 +871,7 @@ int64_t t1_encode_batch(int64_t count, const int32_t *coefficients,
         block->w = (int)w;
         block->h = (int)h;
         block->stride = (int)w + 2;
-        block->zc = zc[orientation];
+        block->zc = tables.zc[orientation];
         int planes = load_block(block, coefficients + offset);
         if (planes > MAX_BITPLANES) {
             status = T1_REJECT;

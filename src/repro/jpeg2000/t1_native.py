@@ -18,6 +18,10 @@ library.  The library is loaded once per process through ``ctypes``;
 when no compiler is found or the build fails, :func:`available` is
 false: the planner binds the reference decoder and the encoder codes
 every block with the reference coder instead.
+
+``ctypes`` releases the GIL around each kernel call, so
+:func:`decode_codeblock_batch` can split one batch over several threads
+of the calling process.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import threading
 import uuid
 from functools import lru_cache
 from pathlib import Path
@@ -163,7 +168,28 @@ def _orientation_code(width: int, height: int, orientation: str) -> int:
     return code
 
 
-def decode_codeblock_batch(blocks: Sequence[BatchBlock], out=None):
+def _runs(costs, threads: int) -> list:
+    """``[first, last)`` row ranges cutting a batch into at most
+    *threads* contiguous runs of about equal total cost.
+
+    A row goes to the run its cost's midpoint falls in, so a cut lands
+    on the row boundary nearest each equal share; runs left empty by one
+    dominant row are dropped.
+    """
+    count = len(costs)
+    if threads <= 1 or count <= 1:
+        return [(0, count)]
+    threads = min(threads, count)
+    ends = np.cumsum(costs)
+    shares = ends[-1] * np.arange(1, threads) / threads
+    cuts = np.searchsorted(ends - np.asarray(costs) / 2, shares).tolist()
+    bounds = [0, *cuts, count]
+    return [(first, last) for first, last in zip(bounds, bounds[1:])
+            if last > first]
+
+
+def decode_codeblock_batch(blocks: Sequence[BatchBlock], out=None,
+                           threads: int = 1):
     """Decode a chunk of code blocks through the native kernel.
 
     Each block is ``(data, width, height, orientation, num_bitplanes,
@@ -176,6 +202,13 @@ def decode_codeblock_batch(blocks: Sequence[BatchBlock], out=None):
     Geometry is validated before any pointer reaches C: ``ValueError``
     for a side outside [1, 1024], more than 4096 samples, an unknown
     orientation, more than 30 bit planes, or a block overrunning *out*.
+
+    With *threads* above 1 the blocks are cut into that many contiguous
+    runs of about equal codeword bytes, each decoded by one kernel call
+    (which releases the GIL) on its own thread: one on the calling
+    thread, the others on helper threads started after validation and
+    joined before this returns.  Blocks must not overlap in *out*; the
+    result is identical for every thread count.
     """
     library, reason = _load()
     if library is None:
@@ -214,14 +247,32 @@ def decode_codeblock_batch(blocks: Sequence[BatchBlock], out=None):
         )
     ops = np.zeros(count, dtype=np.int64)
     payload = b"".join(codewords)
-    status = library.t1_decode_batch(
-        count, payload, len(payload), meta.ctypes.data, out.ctypes.data,
-        len(out), ops.ctypes.data,
-    )
-    if status == -1:
-        raise MemoryError("native Tier-1 kernel could not allocate scratch")
-    if status:
-        raise ValueError(f"native kernel rejected block {status - 1}")
+    runs = _runs(meta[:, 1] + 1, threads)
+    statuses = [0] * len(runs)
+
+    def decode(run: int) -> None:
+        first, last = runs[run]
+        statuses[run] = library.t1_decode_batch(
+            last - first, payload, len(payload),
+            meta.ctypes.data + first * meta.strides[0], out.ctypes.data,
+            len(out), ops.ctypes.data + first * ops.strides[0],
+        )
+
+    started = []
+    try:
+        for run in range(1, len(runs)):
+            helper = threading.Thread(target=decode, args=(run,))
+            helper.start()
+            started.append(helper)
+        decode(0)
+    finally:
+        for helper in started:
+            helper.join()
+    for (first, _), status in zip(runs, statuses):
+        if status == -1:
+            raise MemoryError("native Tier-1 kernel could not allocate scratch")
+        if status:
+            raise ValueError(f"native kernel rejected block {first + status - 1}")
     return out, ops.tolist()
 
 

@@ -9,15 +9,20 @@ keep:
   bit, with identical basic-op counts;
 * **no leaks** — no worker process survives ``shutdown_pool()``,
   including after a simulated worker crash mid-decode (the broken-pool
-  resume path).
+  resume path), and no helper thread of the threaded inline executor
+  survives its decode, so a later fork never copies a multi-threaded
+  process.
 """
 
 import multiprocessing
 import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from repro import host
 from repro.jpeg2000 import (
     CodingParameters,
     DecodeOptions,
@@ -103,13 +108,13 @@ def test_worker_crash_leaves_no_segments_and_correct_output(
     real = entropy.decode_codeblock_batch
     state = {"killed": False}
 
-    def crashing_batch(batch, out=None):
+    def crashing_batch(batch, out=None, **options):
         if os.getpid() != parent_pid and not state["killed"]:
             # Fork copies `state` into each worker: the first chunk a
             # worker picks up crashes it; anything else succeeds.
             state["killed"] = True
             os._exit(1)
-        return real(batch, out)
+        return real(batch, out, **options)
 
     monkeypatch.setattr(entropy, "decode_codeblock_batch", crashing_batch)
     crashed_image, crashed_ops = _decode(
@@ -123,3 +128,41 @@ def test_worker_crash_leaves_no_segments_and_correct_output(
     assert crashed_ops.counts == seq_ops.counts
     shutdown_pool()
     assert multiprocessing.active_children() == []
+
+
+def test_no_thread_outlives_an_inline_decode(codestream, monkeypatch):
+    """The inline executor's helper threads are joined inside each
+    kernel call, so none is alive once ``decode()`` returns."""
+    monkeypatch.setattr(host, "host_cpus", lambda: 4)
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    before = threading.active_count()
+    decoder = Jpeg2000Decoder(codestream)
+    assert decoder.plan.stage("entropy").executor.threads == 4
+    decoder.decode()
+    assert started, "the inline decode started no helper thread"
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+def test_fork_pool_after_threaded_inline_decode(codestream, monkeypatch):
+    """A fork-started pool right after a threaded inline decode forks a
+    single-threaded process: no fork-with-threads warning, same output."""
+    if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only
+        pytest.skip("fork start method unavailable")
+    monkeypatch.setattr(host, "host_cpus", lambda: 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        inline, inline_ops = _decode(codestream, DecodeOptions())
+        pooled, pooled_ops = _decode(codestream, DecodeOptions(
+            workers=2, chunk_size=4, oversubscribe=True, start_method="fork",
+        ))
+    for ours, theirs in zip(pooled.components, inline.components):
+        assert np.array_equal(ours, theirs)
+    assert pooled_ops.counts == inline_ops.counts

@@ -6,7 +6,8 @@ native/reference kernels, fast/reference Tier-2 — asked for as a
 identical basic-operation counts as the reference options (reference
 Tier-1 kernel, bit-by-bit Tier-2 parser) on the same 4-tile workload,
 in both case-study modes (lossless 5/3 and lossy 9/7).  Pool entries run
-under every start method of ``START_METHODS``.
+under every start method of ``START_METHODS``; the default inline plan
+runs under 1, 2 and 4 Tier-1 threads.
 
 When an entry fails the identity check its compiled plan's canonical
 JSON is dumped to ``$PLAN_MATRIX_DUMP_DIR`` (CI uploads it as an
@@ -21,6 +22,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro import host
 from repro.jpeg2000 import (
     CodingParameters,
     DecodeOptions,
@@ -124,3 +126,19 @@ def test_every_valid_plan_is_byte_identical(label, workload):
             if dumped is not None:
                 print(f"failing plan dumped to {dumped}")
             raise
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_inline_native_is_byte_identical_at_every_thread_count(
+    cpus, workload, monkeypatch
+):
+    """The default plan's inline executor runs one Tier-1 thread per
+    host CPU; every count decodes the reference image and op counts."""
+    monkeypatch.setattr(host, "host_cpus", lambda: cpus)
+    data, reference, reference_ops = workload
+    decoder = Jpeg2000Decoder(data)
+    assert decoder.plan.stage(STAGE_ENTROPY).executor.threads == cpus
+    image = decoder.decode()
+    for ours, theirs in zip(image.components, reference.components):
+        assert np.array_equal(ours, theirs)
+    assert decoder.ops.counts == reference_ops.counts

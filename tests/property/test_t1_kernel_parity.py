@@ -7,12 +7,17 @@ identical coefficients AND identical basic-operation counts (the Fig. 1
 silently skew the paper reproduction).  Truncated pass counts, odd
 shapes, garbage codewords and over-deep blocks are all compared
 differentially against :class:`~repro.jpeg2000.t1.CodeBlockDecoder`.
+A batch split over several threads must decode exactly like one call,
+and must reject a bad block before any helper thread starts.
 """
+
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.jpeg2000 import t1_native
 from repro.jpeg2000.options import KERNEL_NATIVE
 from repro.jpeg2000.stages.entropy import decode_batch
 from repro.jpeg2000.t1 import CodeBlockDecoder, CodeBlockEncoder
@@ -212,3 +217,99 @@ def test_deep_blocks_route_to_the_reference_kernel(bitplanes, side):
     assert out[:16].tolist() == shallow_coeffs
     assert out[16:].tolist() == coeffs
     assert ops == [_reference(block)[1] for block in batch]
+
+
+@st.composite
+def zero_plane_blocks(draw):
+    """Blocks with no coded bit plane: all-zero output, no ops."""
+    width = draw(st.integers(min_value=1, max_value=16))
+    height = draw(st.integers(min_value=1, max_value=16))
+    data = draw(st.binary(max_size=8))
+    return data, width, height, draw(ORIENTATIONS), 0, None
+
+
+@given(st.lists(
+    st.one_of(coded_blocks(), garbage_blocks(), zero_plane_blocks()),
+    min_size=1, max_size=7,
+))
+@settings(max_examples=80, deadline=None)
+def test_thread_split_matches_the_single_call(blocks):
+    """Splitting a batch over 1..4 threads (more threads than blocks
+    included) decodes every block exactly like one call: coefficients,
+    untouched gaps and per-block op counts."""
+    canary = -0x5A5A5A5
+    batch, end = _batch([block[:6] for block in blocks], gap=2)
+    single = np.full(end, canary, dtype=np.int32)
+    _, single_ops = decode_codeblock_batch(batch, single)
+    for threads in range(1, 5):
+        out = np.full(end, canary, dtype=np.int32)
+        returned, ops = decode_codeblock_batch(batch, out, threads=threads)
+        assert returned is out
+        assert out.tolist() == single.tolist(), threads
+        assert ops == single_ops, threads
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5000), max_size=40),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_thread_runs_cover_the_batch_in_order(costs, threads):
+    runs = t1_native._runs(np.array(costs, dtype=np.int64), threads)
+    assert 1 <= len(runs) <= max(1, min(threads, len(costs)))
+    assert runs[0][0] == 0 and runs[-1][1] == len(costs)
+    for (_, last), (first, _) in zip(runs, runs[1:]):
+        assert last == first
+    assert all(last > first for first, last in runs) or costs == []
+
+
+class _ThreadSpy:
+    """Counts helper threads started through ``threading.Thread``."""
+
+    def __init__(self, monkeypatch):
+        self.started = 0
+        original = threading.Thread.start
+
+        def start(thread):
+            self.started += 1
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+
+
+def _two_blocks():
+    coded = CodeBlockEncoder(list(range(-8, 8)), 4, 4, "LL").encode()
+    block = (coded.data, 4, 4, "LL", coded.num_bitplanes, None)
+    return [block + (0,), block + (16,)]
+
+
+def test_split_starts_helper_threads(monkeypatch):
+    spy = _ThreadSpy(monkeypatch)
+    before = threading.active_count()
+    out, _ = decode_codeblock_batch(_two_blocks(), threads=4)
+    assert spy.started == 1  # two blocks: one helper, one calling thread
+    assert out.tolist() == list(range(-8, 8)) * 2
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("bad,out", [
+    ((b"", 0, 4, "LL", 1, None, 0), None),
+    ((b"", 2048, 2, "LL", 1, None, 0), None),
+    ((b"", 4, 4, "XX", 1, None, 0), None),
+    ((b"", 4, 4, "LL", 31, None, 0), None),
+    ((b"", 4, 4, "LL", 1, None, -1), None),
+    (None, np.zeros(20, np.int32)),
+], ids=["zero-side", "too-wide", "orientation", "too-deep", "offset",
+        "overrun"])
+def test_geometry_errors_precede_helper_threads(monkeypatch, bad, out):
+    spy = _ThreadSpy(monkeypatch)
+    blocks = _two_blocks() + ([bad] if bad else [])
+    with pytest.raises(ValueError):
+        decode_codeblock_batch(blocks, out, threads=4)
+    assert spy.started == 0
+
+
+def test_unavailable_kernel_precedes_helper_threads(monkeypatch):
+    spy = _ThreadSpy(monkeypatch)
+    monkeypatch.setattr(t1_native, "_load", lambda: (None, "no compiler"))
+    with pytest.raises(t1_native.NativeUnavailable, match="no compiler"):
+        decode_codeblock_batch(_two_blocks(), threads=4)
+    assert spy.started == 0

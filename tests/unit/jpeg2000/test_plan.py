@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.jpeg2000 import t1_native
 from repro.jpeg2000.options import DecodeOptions
 from repro.jpeg2000.plan import (
     EXECUTOR_INLINE,
@@ -24,8 +23,10 @@ from repro.jpeg2000.plan import (
     STAGE_ORDER,
     STAGE_PARSE,
     DecodePlan,
+    ExecutorSpec,
     PlanEnvironment,
     compile_plan,
+    schedule_info,
 )
 
 #: A host that can run everything (so the tests exercise the planner,
@@ -36,25 +37,26 @@ SMALL_HOST = PlanEnvironment(cpu_count=1, native_available=True)
 #: A host that cannot build the native Tier-1 kernel (no C compiler).
 NO_NATIVE_HOST = PlanEnvironment(cpu_count=8)
 
-#: ``python -m repro plan decode`` on a host with the native kernel.
-DEFAULT_DIGEST = (
-    "a7581495625de344fa2c27c9858b3bd7de680484962239d5a76f3329868084ee"
-)
+#: ``python -m repro plan decode`` on a host with the native kernel, by
+#: CPU count (the default plan's inline entropy executor runs one
+#: thread per CPU).
+DEFAULT_DIGEST = {
+    1: "3f52ea7451b04669eb21d53b00077c00de3aff2a264e80524cc549fa4bc6f4ac",
+    2: "f69657e416a72edef2c4d867c56792b73bfed1d2af9f7999505242d60e966f43",
+}
 #: README's ``plan decode --workers 4 --cpus 8`` example.
 README_DIGEST = (
-    "68fc9e3a761bda9a2348e9c2f738475a44cfd2f0835947afcfe97d6dc6af0690"
+    "824b53d411dd180dbb8b0f0481363e0b314caf17c4b806b954884eca21f535e3"
 )
 
 
 class TestPinnedIdentity:
     """Plan digests are ledger and benchmark keys: they never drift."""
 
-    @pytest.mark.skipif(
-        not t1_native.available(),
-        reason="without a C compiler the default plan binds reference",
-    )
     def test_default_plan_digest(self):
-        assert compile_plan().digest() == DEFAULT_DIGEST
+        for cpus, digest in DEFAULT_DIGEST.items():
+            env = PlanEnvironment(cpu_count=cpus, native_available=True)
+            assert compile_plan(env=env).digest() == digest, cpus
 
     def test_readme_example_digest(self):
         plan = compile_plan(DecodeOptions(workers=4), BIG_HOST)
@@ -87,9 +89,9 @@ class TestCompileTotality:
     #: sha256 over the space-joined digests of the cross product, in
     #: ``itertools.product`` order, per host.
     CROSS_PRODUCT_DIGESTS = {
-        "big": "96aaceea8c8f6386a469d52e4f099ede31e12365fc9750baf079085ce40f8392",
-        "small": "f39935e45823c047d52195c97f59107b2cef50f11bf1a996fa736ab349d50441",
-        "no-native": "da8b986b34447c7118fce0ce3d4b9bb2bf4e12f7ab556a894c29cb46f178c0f7",
+        "big": "230790d839d9b146401c4b444cac7d32930f04f0613d63fe605f833b853cb54e",
+        "small": "15d3720cf61b79749401e73d30bc9cbaf059f3c5752faacc70ec1bea6cbd7170",
+        "no-native": "0d23a616ca8b91d38ad86a65747c50a0530510f3870dfff53a987ae9aa06bb3b",
     }
 
     def _cross_product(self):
@@ -110,12 +112,15 @@ class TestCompileTotality:
                 if binding.stage == STAGE_ENTROPY:
                     continue
                 assert binding.executor == INLINE, (options, binding)
-            ex = plan.stage(STAGE_ENTROPY).executor
+            entropy = plan.stage(STAGE_ENTROPY)
+            ex = entropy.executor
             if ex.kind == EXECUTOR_INLINE:
-                assert ex == INLINE, options
+                threads = env.cpu_count if entropy.impl == "native" else 1
+                assert ex == ExecutorSpec(threads=threads), options
             else:
                 assert ex.kind == EXECUTOR_POOL, options
                 assert ex.workers >= 2 and ex.chunk_size >= 1, options
+                assert ex.threads == 1, options
 
     @pytest.mark.parametrize("host", sorted(CROSS_PRODUCT_DIGESTS))
     def test_cross_product_digests_are_pinned(self, host):
@@ -132,7 +137,30 @@ class TestCompileTotality:
 
     def test_sequential_options_bind_inline_entropy(self):
         plan = compile_plan(DecodeOptions(workers=0), BIG_HOST)
-        assert plan.stage(STAGE_ENTROPY).executor == INLINE
+        assert plan.stage(STAGE_ENTROPY).executor == ExecutorSpec(
+            threads=BIG_HOST.cpu_count
+        )
+
+    def test_inline_threads_are_reported(self):
+        options = DecodeOptions(workers=0)
+        plan = compile_plan(options, BIG_HOST)
+        assert "entropy      impl=native      inline threads=8" in (
+            plan.describe()
+        )
+        assert schedule_info(options, plan)["threads"] == 8
+
+    @pytest.mark.parametrize("options,env", [
+        (DecodeOptions(kernel="reference"), BIG_HOST),
+        (DecodeOptions(), NO_NATIVE_HOST),
+        (DecodeOptions(workers=4), BIG_HOST),
+        (DecodeOptions(), SMALL_HOST),
+    ], ids=["reference-kernel", "no-native", "pool", "one-cpu"])
+    def test_single_threaded_entropy(self, options, env):
+        # The reference kernel holds the GIL, and pool workers each
+        # decode on one thread, so a pool never runs workers x threads.
+        plan = compile_plan(options, env)
+        assert plan.stage(STAGE_ENTROPY).executor.threads == 1
+        assert schedule_info(options, plan)["threads"] == 1
 
     def test_parallel_options_bind_pool_entropy(self):
         plan = compile_plan(DecodeOptions(workers=4), BIG_HOST)
