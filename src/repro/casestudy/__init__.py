@@ -8,40 +8,28 @@ reconstruction itself lives in the experiment registry
 (``python -m repro sweep table1``).
 """
 
-from ..design import DecodingReport
-from .explorer import ALL_VERSIONS, ROW_LABELS, run_version
-from .profiles import (
-    ARITH_MS_PER_TILE,
-    CYCLES_PER_OP,
-    PAPER_SHARES_LOSSLESS,
-    PAPER_SHARES_LOSSY,
-    PROFILE_LOSSLESS,
-    PROFILE_LOSSY,
-    StageTimes,
-    measured_shares,
-    measured_stage_times,
-    profile_for,
-    stage_times_from_shares,
-)
-from .workload import Workload, functional_workload, paper_workload
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_VERSIONS",
-    "ARITH_MS_PER_TILE",
-    "CYCLES_PER_OP",
-    "DecodingReport",
-    "PAPER_SHARES_LOSSLESS",
-    "PAPER_SHARES_LOSSY",
-    "PROFILE_LOSSLESS",
-    "PROFILE_LOSSY",
-    "ROW_LABELS",
-    "StageTimes",
-    "Workload",
-    "functional_workload",
-    "measured_shares",
-    "measured_stage_times",
-    "paper_workload",
-    "profile_for",
-    "run_version",
-    "stage_times_from_shares",
-]
+_EXPORTS = {
+    "ALL_VERSIONS": ".explorer",
+    "ARITH_MS_PER_TILE": ".profiles",
+    "CYCLES_PER_OP": ".profiles",
+    "DecodingReport": "..design.elaborate",
+    "PAPER_SHARES_LOSSLESS": ".profiles",
+    "PAPER_SHARES_LOSSY": ".profiles",
+    "PROFILE_LOSSLESS": ".profiles",
+    "PROFILE_LOSSY": ".profiles",
+    "ROW_LABELS": "..design.catalog",
+    "StageTimes": ".profiles",
+    "Workload": ".workload",
+    "functional_workload": ".workload",
+    "measured_shares": ".profiles",
+    "measured_stage_times": ".profiles",
+    "paper_workload": ".workload",
+    "profile_for": ".profiles",
+    "run_version": ".explorer",
+    "stage_times_from_shares": ".profiles",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,9 +18,6 @@ from .workload import Workload, paper_workload
 #: All catalog version identifiers, in Table 1 row order.
 ALL_VERSIONS = tuple(catalog.names())
 
-#: Table 1 row labels (paper wording), from the registered specs.
-ROW_LABELS = {name: catalog.get(name).label for name in catalog.names()}
-
 
 def run_version(
     version: Union[str, DesignSpec],

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kernel import SimTime, ms, us
+from ..kernel.time import SimTime, ms, us
 from ..jpeg2000.pipeline import (
     ALL_STAGES,
     STAGE_ARITH,

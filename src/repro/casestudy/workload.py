@@ -11,11 +11,12 @@ refinement step preserves function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..jpeg2000 import CodingParameters, Jpeg2000Decoder, encode_image, synthetic_image
-from ..jpeg2000.image import Image
 from .profiles import HW_COPROCESSOR_SPEEDUP, StageTimes, profile_for
+
+if TYPE_CHECKING:
+    from ..jpeg2000 import Image, Jpeg2000Decoder
 
 #: Paper workload geometry: 512x512 RGB in 128x128 tiles = 16 tiles.
 PAPER_TILE_SIZE = 128
@@ -91,6 +92,8 @@ def functional_workload(
     proportion; the payload is a real codestream decoded for real inside
     the models.
     """
+    from ..jpeg2000 import CodingParameters, Jpeg2000Decoder, encode_image, synthetic_image
+
     image = synthetic_image(image_size, image_size, PAPER_COMPONENTS, seed=seed)
     params = CodingParameters(
         width=image_size,

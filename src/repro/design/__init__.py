@@ -17,55 +17,33 @@ synthesis hand-off, closing the loop the paper calls seamless refinement.
 """
 
 from . import catalog
-from .elaborate import DecodingReport, ElaboratedModel, elaborate_design
-from .spec import (
-    BufferSpec,
-    ChannelSpec,
-    DatapathSpec,
-    DesignSpec,
-    ExternalMemorySpec,
-    HardwareModuleSpec,
-    LinkSpec,
-    MappingSpec,
-    MemoryPlacementSpec,
-    MemorySpec,
-    ProcessorSpec,
-    SharedObjectSpec,
-    SynthesisBlockSpec,
-    TaskSpec,
-    spec_from_dict,
-)
-from .topology import model_topology
-from .validate import (
-    SpecValidationError,
-    ValidationIssue,
-    check_spec,
-    validate_spec,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BufferSpec",
-    "ChannelSpec",
-    "DatapathSpec",
-    "DecodingReport",
-    "DesignSpec",
-    "ElaboratedModel",
-    "ExternalMemorySpec",
-    "HardwareModuleSpec",
-    "LinkSpec",
-    "MappingSpec",
-    "MemoryPlacementSpec",
-    "MemorySpec",
-    "ProcessorSpec",
-    "SharedObjectSpec",
-    "SpecValidationError",
-    "SynthesisBlockSpec",
-    "TaskSpec",
-    "ValidationIssue",
-    "catalog",
-    "check_spec",
-    "elaborate_design",
-    "model_topology",
-    "spec_from_dict",
-    "validate_spec",
-]
+_EXPORTS = {
+    "BufferSpec": ".spec",
+    "ChannelSpec": ".spec",
+    "DatapathSpec": ".spec",
+    "DecodingReport": ".elaborate",
+    "DesignSpec": ".spec",
+    "ElaboratedModel": ".elaborate",
+    "ExternalMemorySpec": ".spec",
+    "HardwareModuleSpec": ".spec",
+    "LinkSpec": ".spec",
+    "MappingSpec": ".spec",
+    "MemoryPlacementSpec": ".spec",
+    "MemorySpec": ".spec",
+    "ProcessorSpec": ".spec",
+    "SharedObjectSpec": ".spec",
+    "SpecValidationError": ".validate",
+    "SynthesisBlockSpec": ".spec",
+    "TaskSpec": ".spec",
+    "ValidationIssue": ".validate",
+    "check_spec": ".validate",
+    "elaborate_design": ".elaborate",
+    "model_topology": ".topology",
+    "spec_from_dict": ".spec",
+    "validate_spec": ".validate",
+}
+
+__all__ = sorted([*_EXPORTS, "catalog"])
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

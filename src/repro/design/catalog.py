@@ -37,7 +37,7 @@ from .spec import (
 ROW_ORDER = ("1", "2", "3", "4", "5", "6a", "6b", "7a", "7b")
 
 #: Table 1 row labels (paper wording).
-LABELS = {
+ROW_LABELS = {
     "1": "SW only",
     "2": "HW/SW not parallel",
     "3": "HW/SW parallel (3 IDWT modules)",
@@ -187,7 +187,7 @@ def with_plb_bus(spec: DesignSpec) -> DesignSpec:
 def _sw_only_spec() -> DesignSpec:
     return DesignSpec(
         name="1",
-        label=LABELS["1"],
+        label=ROW_LABELS["1"],
         tasks=(TaskSpec("sw", "decode_all_stages"),),
     )
 
@@ -237,7 +237,7 @@ def _coprocessor_spec(name: str, num_tasks: int) -> DesignSpec:
     )
     return DesignSpec(
         name=name,
-        label=LABELS[name],
+        label=ROW_LABELS[name],
         tasks=tasks,
         shared_objects=(_store_so(capacity=None),),
         mapping=MappingSpec(layer="application", links=links),
@@ -254,7 +254,7 @@ def _pipeline_application_spec(name: str, num_tasks: int) -> DesignSpec:
         links.append(LinkSpec(task.name, "so", "hwsw_so", transport="direct"))
     return DesignSpec(
         name=name,
-        label=LABELS[name],
+        label=ROW_LABELS[name],
         tasks=tasks,
         shared_objects=(_store_so(capacity=4 * num_tasks), _params_so()),
         modules=_pipeline_modules(),
@@ -398,7 +398,7 @@ def scaled_vta_spec(num_tasks: int, idwt_links_p2p: bool) -> DesignSpec:
     suffix = "b" if idwt_links_p2p else "a"
     return _vta_spec(
         f"7{suffix}-n{num_tasks}",
-        f"{LABELS['7' + suffix]} [{num_tasks} cpus]",
+        f"{ROW_LABELS['7' + suffix]} [{num_tasks} cpus]",
         num_tasks,
         idwt_links_p2p,
     )
@@ -410,8 +410,8 @@ _BUILDERS = {
     "3": lambda: _pipeline_application_spec("3", num_tasks=1),
     "4": lambda: _coprocessor_spec("4", num_tasks=4),
     "5": lambda: _pipeline_application_spec("5", num_tasks=4),
-    "6a": lambda: _vta_spec("6a", LABELS["6a"], 1, idwt_links_p2p=False),
-    "6b": lambda: _vta_spec("6b", LABELS["6b"], 1, idwt_links_p2p=True),
-    "7a": lambda: _vta_spec("7a", LABELS["7a"], 4, idwt_links_p2p=False),
-    "7b": lambda: _vta_spec("7b", LABELS["7b"], 4, idwt_links_p2p=True),
+    "6a": lambda: _vta_spec("6a", ROW_LABELS["6a"], 1, idwt_links_p2p=False),
+    "6b": lambda: _vta_spec("6b", ROW_LABELS["6b"], 1, idwt_links_p2p=True),
+    "7a": lambda: _vta_spec("7a", ROW_LABELS["7a"], 4, idwt_links_p2p=False),
+    "7b": lambda: _vta_spec("7b", ROW_LABELS["7b"], 4, idwt_links_p2p=True),
 }

@@ -150,7 +150,7 @@ def _table1_app_requests() -> tuple:
 
 
 def _table1_app_tables(payloads) -> dict:
-    from ..casestudy import ROW_LABELS
+    from ..design.catalog import ROW_LABELS
 
     table = Table(
         [
@@ -209,7 +209,7 @@ def _table1_vta_requests() -> tuple:
 
 
 def _table1_vta_tables(payloads) -> dict:
-    from ..casestudy import ROW_LABELS
+    from ..design.catalog import ROW_LABELS
 
     table = Table(
         [

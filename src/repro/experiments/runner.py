@@ -22,8 +22,6 @@ exception is not a pool failure: it propagates after one execution.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterable, List, Mapping, Optional
 
@@ -185,6 +183,10 @@ def _map_in_pool(requests: List[RunRequest], workers: int) -> Optional[list]:
     ``None`` when the pool cannot be created or sustained (restricted
     hosts without semaphores or fork, a dying worker).  A cell's own
     exception propagates."""
+    # Imported here: a warm batch never reaches this branch.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
     except (ImportError, NotImplementedError, OSError):

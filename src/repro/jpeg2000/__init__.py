@@ -14,75 +14,44 @@ implementation and an executor.  Every error a malformed codestream
 raises is a :class:`DecodeError`.
 """
 
-from .codestream import (
-    CodestreamError,
-    CodingParameters,
-    TilePart,
-    parse_codestream,
-    write_codestream,
-)
-from .decoder import DecodingError, Jpeg2000Decoder, TileStages, decode_codestream
-from .errors import DecodeError
-from .encoder import EncodingError, Jpeg2000Encoder, encode_image
-from .options import (
-    KERNEL_NATIVE,
-    KERNEL_REFERENCE,
-    BlockSpec,
-    DecodeOptions,
-    ParallelDegradedWarning,
-)
-from .plan import (
-    DecodePlan,
-    ExecutorSpec,
-    PlanEnvironment,
-    StageBinding,
-    compile_plan,
-)
-from .stages.entropy import shutdown_pool
-from .image import Image, TileGrid, synthetic_image
-from .pipeline import (
-    ALL_STAGES,
-    STAGE_ARITH,
-    STAGE_DC,
-    STAGE_ICT,
-    STAGE_IDWT,
-    STAGE_IQ,
-    StageOps,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_STAGES",
-    "BlockSpec",
-    "CodestreamError",
-    "CodingParameters",
-    "DecodeError",
-    "DecodeOptions",
-    "DecodePlan",
-    "DecodingError",
-    "EncodingError",
-    "ExecutorSpec",
-    "Image",
-    "Jpeg2000Decoder",
-    "Jpeg2000Encoder",
-    "KERNEL_NATIVE",
-    "KERNEL_REFERENCE",
-    "ParallelDegradedWarning",
-    "PlanEnvironment",
-    "STAGE_ARITH",
-    "STAGE_DC",
-    "STAGE_ICT",
-    "STAGE_IDWT",
-    "STAGE_IQ",
-    "StageBinding",
-    "StageOps",
-    "TileGrid",
-    "TilePart",
-    "TileStages",
-    "compile_plan",
-    "decode_codestream",
-    "encode_image",
-    "parse_codestream",
-    "shutdown_pool",
-    "synthetic_image",
-    "write_codestream",
-]
+_EXPORTS = {
+    "ALL_STAGES": ".pipeline",
+    "BlockSpec": ".options",
+    "CodestreamError": ".codestream",
+    "CodingParameters": ".codestream",
+    "DecodeError": ".errors",
+    "DecodeOptions": ".options",
+    "DecodePlan": ".plan",
+    "DecodingError": ".decoder",
+    "EncodingError": ".encoder",
+    "ExecutorSpec": ".plan",
+    "Image": ".image",
+    "Jpeg2000Decoder": ".decoder",
+    "Jpeg2000Encoder": ".encoder",
+    "KERNEL_NATIVE": ".options",
+    "KERNEL_REFERENCE": ".options",
+    "ParallelDegradedWarning": ".options",
+    "PlanEnvironment": ".plan",
+    "STAGE_ARITH": ".pipeline",
+    "STAGE_DC": ".pipeline",
+    "STAGE_ICT": ".pipeline",
+    "STAGE_IDWT": ".pipeline",
+    "STAGE_IQ": ".pipeline",
+    "StageBinding": ".plan",
+    "StageOps": ".pipeline",
+    "TileGrid": ".image",
+    "TilePart": ".codestream",
+    "TileStages": ".decoder",
+    "compile_plan": ".plan",
+    "decode_codestream": ".decoder",
+    "encode_image": ".encoder",
+    "parse_codestream": ".codestream",
+    "shutdown_pool": ".stages.entropy",
+    "synthetic_image": ".image",
+    "write_codestream": ".codestream",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,50 +7,39 @@ semantics (:class:`Signal`), clocks, FIFOs and synchronisation primitives,
 all coordinated by :class:`Simulator`.
 """
 
-from .event import Event
-from .fifo import Fifo
-from .module import Module
-from .process import AllOf, AnyOf, Process, ProcessState, Timeout, join
-from .scheduler import (
-    ProcessError,
-    SimulationError,
-    Simulator,
-    default_fast,
-    set_default_fast,
-)
-from .signal import Clock, ResetSignal, Signal
-from .sync import Barrier, Mutex, Semaphore
-from .time import ZERO_TIME, SimTime, fs, ms, ns, ps, sec, us
-from .tracing import SimProfiler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Barrier",
-    "Clock",
-    "Event",
-    "Fifo",
-    "Module",
-    "Mutex",
-    "Process",
-    "ProcessError",
-    "ProcessState",
-    "ResetSignal",
-    "Semaphore",
-    "Signal",
-    "SimProfiler",
-    "SimTime",
-    "SimulationError",
-    "Simulator",
-    "Timeout",
-    "ZERO_TIME",
-    "default_fast",
-    "fs",
-    "join",
-    "ms",
-    "ns",
-    "ps",
-    "sec",
-    "set_default_fast",
-    "us",
-]
+_EXPORTS = {
+    "AllOf": ".process",
+    "AnyOf": ".process",
+    "Barrier": ".sync",
+    "Clock": ".signal",
+    "Event": ".event",
+    "Fifo": ".fifo",
+    "Module": ".module",
+    "Mutex": ".sync",
+    "Process": ".process",
+    "ProcessError": ".scheduler",
+    "ProcessState": ".process",
+    "ResetSignal": ".signal",
+    "Semaphore": ".sync",
+    "Signal": ".signal",
+    "SimProfiler": ".tracing",
+    "SimTime": ".time",
+    "SimulationError": ".scheduler",
+    "Simulator": ".scheduler",
+    "Timeout": ".process",
+    "ZERO_TIME": ".time",
+    "default_fast": ".scheduler",
+    "fs": ".time",
+    "join": ".process",
+    "ms": ".time",
+    "ns": ".time",
+    "ps": ".time",
+    "sec": ".time",
+    "set_default_fast": ".scheduler",
+    "us": ".time",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,6 +12,13 @@ class TestCatalog:
         assert catalog.get("6b").label == "HW/SW SO connected to bus & P2P"
         assert catalog.get("7b").label == "SW par., HW/SW SO on bus & P2P"
 
+    def test_row_labels_are_the_specs_labels(self):
+        from repro.casestudy import ROW_LABELS
+
+        assert ROW_LABELS is catalog.ROW_LABELS
+        assert ROW_LABELS == {name: catalog.get(name).label
+                              for name in catalog.names()}
+
     def test_layers(self):
         for name in ("1", "2", "3", "4", "5"):
             assert catalog.get(name).mapping.layer == "application"

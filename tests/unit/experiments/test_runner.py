@@ -6,6 +6,7 @@ kinds so the whole engine path (key -> cache -> execute -> normalise ->
 store) runs in well under a second.
 """
 
+import concurrent.futures
 import functools
 import multiprocessing
 import sys
@@ -127,7 +128,7 @@ class TestWorkerCount:
 
     def test_single_cpu_host_never_constructs_a_pool(self, monkeypatch):
         monkeypatch.setattr(host, "host_cpus", lambda: 1)
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
         runner = Runner(cache=None)
         runner.run([SYNTH_53, SYNTH_97])
         assert runner.last_stats["executed"] == 2
@@ -135,7 +136,7 @@ class TestWorkerCount:
 
     def test_warm_batch_never_constructs_a_pool(self, tmp_path, monkeypatch):
         Runner(jobs=1, cache=ResultCache(tmp_path)).run([SYNTH_53, SYNTH_97])
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
         warm = Runner(jobs=2, cache=ResultCache(tmp_path))
         assert all(result.cached for result in warm.run([SYNTH_53, SYNTH_97]))
         assert warm.last_stats["jobs"] == 1
