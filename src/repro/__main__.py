@@ -316,12 +316,18 @@ def _cmd_sweep(args) -> int:
     with telemetry.session("sweep", ",".join(args.experiments),
                            events=args.events) as run:
         start = time.perf_counter()
-        for outcome in runner.sweep(experiments):
-            for table in outcome.tables().values():
-                print(table.render())
+        tables = [
+            table.render()
+            for outcome in runner.sweep(experiments)
+            for table in outcome.tables().values()
+        ]
         stats = _runner_stats(runner)
         run.fields.update(wall_seconds=time.perf_counter() - start,
                           batch=stats)
+    # Printed once the session has closed: a reader that goes away early
+    # ends the command, not the recorded run.
+    for table in tables:
+        print(table)
     print("# " + ", ".join(f"{key}={value}" for key, value in sorted(stats.items())))
     return 0
 

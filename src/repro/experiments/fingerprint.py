@@ -91,32 +91,48 @@ def code_fingerprint(
     """
     if root is None:
         return _cached_fingerprint(tuple(subsystems))
-    return _fingerprint(tuple(subsystems), Path(root))
+    root = Path(root)
+    return _fingerprint(tuple(subsystems), lambda name: _sources(name, root))
 
 
 @lru_cache(maxsize=32)
 def _cached_fingerprint(subsystems: tuple) -> str:
-    # Sources do not change underneath a running process; hashing the
-    # ~200 package files once per subsystem set keeps cache-key
-    # computation off the sweep's critical path.
-    return _fingerprint(subsystems, package_root())
+    # Sources do not change underneath a running process: every
+    # fingerprint of the package (the cache keys' combined one and the
+    # ledger's per-subsystem ones) hashes the same per-process read.
+    return _fingerprint(subsystems, _package_sources)
 
 
-def _fingerprint(subsystems: tuple, root: Path) -> str:
+@lru_cache(maxsize=None)
+def _package_sources(name: str) -> tuple:
+    """:func:`_sources` of the installed package, read once per process."""
+    return _sources(name, package_root())
+
+
+def _sources(name: str, root: Path) -> tuple:
+    """``(relative path, bytes)`` of every source of subsystem *name*, or
+    of the one extra file *name*, under *root*."""
+    base = root / name
+    if name in EXTRA_FILES:
+        paths = [base] if base.is_file() else []
+    elif base.is_dir():
+        paths = [path for pattern in SOURCE_PATTERNS
+                 for path in base.rglob(pattern)]
+    else:
+        paths = []
+    return tuple(
+        (str(path.relative_to(root)), path.read_bytes()) for path in paths
+    )
+
+
+def _fingerprint(subsystems: tuple, sources) -> str:
     digest = hashlib.sha256()
-    paths = []
-    for subsystem in subsystems:
-        base = root / subsystem
-        if base.is_dir():
-            for pattern in SOURCE_PATTERNS:
-                paths.extend(base.rglob(pattern))
-    for extra in EXTRA_FILES:
-        candidate = root / extra
-        if candidate.is_file():
-            paths.append(candidate)
-    for path in sorted(paths, key=lambda p: str(p.relative_to(root))):
-        digest.update(str(path.relative_to(root)).encode("utf-8"))
+    entries = [
+        entry for name in subsystems + EXTRA_FILES for entry in sources(name)
+    ]
+    for relative, data in sorted(entries, key=lambda entry: entry[0]):
+        digest.update(relative.encode("utf-8"))
         digest.update(b"\x00")
-        digest.update(path.read_bytes())
+        digest.update(data)
         digest.update(b"\x01")
     return digest.hexdigest()

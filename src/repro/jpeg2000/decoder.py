@@ -48,6 +48,7 @@ from .plan import (
     STAGE_ASSEMBLE,
     STAGE_ENTROPY,
     STAGE_PARSE,
+    RECONSTRUCT_VECTORISED,
     DecodePlan,
     compile_plan,
     schedule_info,
@@ -103,12 +104,14 @@ class TileStages:
             max_resolution=self.max_resolution,
         )
 
-    def scatter_entropy(self, layout: list, flat, offsets, ops: list) -> list:
-        """Scatter an entropy-stage result into band planes; see
+    def scatter_entropy(self, layout: list, flat, offsets, ops: list,
+                        impl: str = RECONSTRUCT_VECTORISED):
+        """Scatter an entropy-stage result into band planes (or, for the
+        ``native`` reconstruct, leave it flat); see
         :func:`repro.jpeg2000.stages.reconstruct.scatter_entropy`."""
         return reconstruct_stage.scatter_entropy(
             self.params, self.tile_width, self.tile_height,
-            layout, flat, offsets, ops, self.ops,
+            layout, flat, offsets, ops, self.ops, impl,
         )
 
     def entropy_decode(self) -> list:

@@ -146,7 +146,8 @@ def run_tiles(
             fates.done(STAGE_PARSE)
         for index, stages in enumerate(stages_list):
             planes[stages.tile_index] = reconstruct_stage.finish_tiles(
-                stages, _tile_bands(stages, index, binding, stream, layouts)
+                stages, _tile_bands(stages, index, binding, stream, layouts,
+                                    plan.stage(STAGE_RECONSTRUCT).impl)
             )
     finally:
         if stream is not None:
@@ -161,9 +162,9 @@ def _parse(stages) -> tuple:
         return stages.entropy_specs()
 
 
-def _tile_bands(stages, index, binding, stream, layouts) -> list:
-    """One tile's entropy-decoded band planes; its flat coefficients
-    are freed on return."""
+def _tile_bands(stages, index, binding, stream, layouts, reconstruct):
+    """One tile's entropy result, gathered as the *reconstruct* binding
+    wants it (band planes, or left flat for the native kernel)."""
     if stream is None:
         layout, specs = _parse(stages)
         with telemetry.software_span("sw", STAGE_ARITH, "decode"):
@@ -177,4 +178,5 @@ def _tile_bands(stages, index, binding, stream, layouts) -> list:
         with telemetry.software_span("stage", "t1_decode", "decode"):
             flat, offsets, ops = stream.drain_tile(index)
     with telemetry.software_span("stage", "gather", "decode"):
-        return stages.scatter_entropy(layout, flat, offsets, ops)
+        return stages.scatter_entropy(layout, flat, offsets, ops,
+                                      impl=reconstruct)

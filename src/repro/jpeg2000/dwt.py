@@ -192,41 +192,38 @@ def _forward_2d(tile: np.ndarray, mode: str) -> dict[str, np.ndarray]:
     return {"LL": ll, "HL": hl, "LH": lh, "HH": hh}
 
 
+def tally_level(ops: DwtOpCounts, mode: str, samples: int) -> None:
+    """Count one inverse level producing *samples* samples into *ops*.
+
+    The one op model of the inverse DWT: :func:`_inverse_2d` and the
+    native reconstruct kernel both count through it.
+    """
+    ops.samples += samples
+    if mode == MODE_LOSSLESS:
+        # 2 lifting steps x (1 add-pair + 1 shift + 1 add) per sample, 2 dims
+        ops.add_ops += samples * 8
+    else:
+        # 4 lifting steps x (2 adds + 1 mul) per sample + scaling, 2 dims
+        ops.add_ops += samples * 16
+        ops.mul_ops += samples * 10
+
+
 def _inverse_2d(quads: dict[str, np.ndarray], mode: str,
                 ops: "DwtOpCounts | None" = None) -> np.ndarray:
     """Invert one decomposition level from its quadrants (vectorised).
 
-    Quadrants may be 2-D ``(h, w)`` or 3-D ``(h, w, batch)`` — a stack
-    of same-shape tiles inverted in one lifting pass per step (see
-    :func:`inverse_batch`).  ``swapaxes(0, 1)`` (not ``.T``, which would
-    reverse the batch axis too) exchanges rows and columns; the lifting
-    arithmetic is elementwise, so batching never changes a value.
+    The column pass runs first (every column at once), then the row
+    pass on the transposed result.
     """
     idwt = idwt53_1d if mode == MODE_LOSSLESS else idwt97_1d
     ll, hl, lh, hh = quads["LL"], quads["HL"], quads["LH"], quads["HH"]
-    low_h, low_w = ll.shape[0], ll.shape[1]
-    height = low_h + lh.shape[0]
-    width = low_w + hl.shape[1]
     rows_low = idwt(ll, lh)
     rows_high = idwt(hl, hh)
-    out = np.swapaxes(
-        idwt(
-            np.ascontiguousarray(np.swapaxes(rows_low, 0, 1)),
-            np.ascontiguousarray(np.swapaxes(rows_high, 0, 1)),
-        ),
-        0, 1,
-    )
+    out = idwt(
+        np.ascontiguousarray(rows_low.T), np.ascontiguousarray(rows_high.T),
+    ).T
     if ops is not None:
-        batch = ll.shape[2] if ll.ndim == 3 else 1
-        samples = height * width * batch
-        ops.samples += samples
-        if mode == MODE_LOSSLESS:
-            # 2 lifting steps x (1 add-pair + 1 shift + 1 add) per sample, 2 dims
-            ops.add_ops += samples * 8
-        else:
-            # 4 lifting steps x (2 adds + 1 mul) per sample + scaling, 2 dims
-            ops.add_ops += samples * 16
-            ops.mul_ops += samples * 10
+        tally_level(ops, mode, out.shape[0] * out.shape[1])
     return out
 
 
@@ -284,68 +281,3 @@ def inverse(subbands: Subbands, ops: "DwtOpCounts | None" = None) -> np.ndarray:
         merged["LL"] = current
         current = _inverse_2d(merged, subbands.mode, ops)
     return current
-
-
-def inverse_batch(
-    subbands_list: list, counts_list: "list[DwtOpCounts] | None" = None
-) -> list:
-    """Inverse DWT of many decompositions, batched by shape signature.
-
-    Decompositions with identical signatures (mode, level count, and
-    per-band shapes — e.g. the interior tiles of a tile grid, one entry
-    per tile component) are stacked along a trailing batch axis and
-    inverted with one lifting pass per step per resolution level; the
-    rest invert individually.  Results and per-item op counts are
-    exactly those of per-item :func:`inverse` calls — the lifting is
-    elementwise, so the batch axis is inert.
-
-    ``counts_list``, when given, must be parallel to *subbands_list*;
-    each entry receives its decomposition's op counts via ``merge``.
-    """
-    results: list = [None] * len(subbands_list)
-    groups: dict[tuple, list[int]] = {}
-    for index, subbands in enumerate(subbands_list):
-        signature = (
-            subbands.mode,
-            tuple(
-                (res, orientation, array.shape)
-                for res, orientation, array in subbands.iter_bands()
-            ),
-        )
-        groups.setdefault(signature, []).append(index)
-    for members in groups.values():
-        if len(members) == 1:
-            index = members[0]
-            counts = DwtOpCounts()
-            results[index] = inverse(subbands_list[index], counts)
-            if counts_list is not None:
-                counts_list[index].merge(counts)
-            continue
-        first = subbands_list[members[0]]
-        stacked = Subbands(
-            np.stack([subbands_list[i].ll for i in members], axis=-1),
-            [
-                {
-                    orientation: np.stack(
-                        [subbands_list[i].levels[li][orientation] for i in members],
-                        axis=-1,
-                    )
-                    for orientation in ("HL", "LH", "HH")
-                }
-                for li in range(first.num_levels)
-            ],
-            first.mode,
-        )
-        counts = DwtOpCounts()
-        merged = inverse(stacked, counts)
-        batch = len(members)
-        for slot, index in enumerate(members):
-            results[index] = np.ascontiguousarray(merged[..., slot])
-            if counts_list is not None:
-                # Same shapes, so the batched tally divides exactly.
-                counts_list[index].merge(DwtOpCounts(
-                    counts.add_ops // batch,
-                    counts.mul_ops // batch,
-                    counts.samples // batch,
-                ))
-    return results

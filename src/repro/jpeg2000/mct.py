@@ -82,10 +82,11 @@ def dc_shift_inverse(samples: np.ndarray, bit_depth: int) -> np.ndarray:
 #
 # The two-stage path above exists as the readable Fig. 1 reference; the
 # fused kernels below combine the inverse colour transform with the DC
-# shift in one pass per plane.  They are value-identical by construction:
-# the RCT path stays in int64 end to end (the reference's float64 round
-# trip is exact below 2^53, so skipping it changes nothing), and the ICT
-# path performs the identical float64 operations in the identical order.
+# shift in one pass per plane, each step in place on the one array per
+# plane it allocates.  They are value-identical by construction: the RCT
+# path stays in int64 end to end (the reference's float64 round trip is
+# exact below 2^53, so skipping it changes nothing), and the ICT path
+# performs the identical float64 operations in the identical order.
 
 
 def rct_dc_inverse(y: np.ndarray, u: np.ndarray, v: np.ndarray, bit_depth: int):
@@ -93,24 +94,22 @@ def rct_dc_inverse(y: np.ndarray, u: np.ndarray, v: np.ndarray, bit_depth: int):
     y = np.asarray(y, dtype=np.int64)
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    g = y - ((u + v) >> 2)
+    g = u + v
+    g >>= 2
+    np.subtract(y, g, out=g)
     r = v + g
     b = u + g
-    offset = 1 << (bit_depth - 1)
-    top = (1 << bit_depth) - 1
-    return (
-        np.clip(r + offset, 0, top),
-        np.clip(g + offset, 0, top),
-        np.clip(b + offset, 0, top),
-    )
+    for plane in (r, g, b):
+        plane += 1 << (bit_depth - 1)
+        np.clip(plane, 0, (1 << bit_depth) - 1, out=plane)
+    return r, g, b
 
 
 def ict_dc_inverse(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, bit_depth: int):
     """Fused inverse ICT + DC level shift (9/7 path)."""
-    stack = np.stack([y, cb, cr]).astype(np.float64)
-    offset = 1 << (bit_depth - 1)
-    top = (1 << bit_depth) - 1
-    return tuple(
-        np.clip(np.rint(plane + offset), 0, top).astype(np.int64)
-        for plane in np.tensordot(_ICT_INVERSE, stack, axes=1)
-    )
+    stack = np.stack([y, cb, cr]).astype(np.float64, copy=False)
+    planes = np.tensordot(_ICT_INVERSE, stack, axes=1)
+    planes += 1 << (bit_depth - 1)
+    np.rint(planes, out=planes)
+    np.clip(planes, 0, (1 << bit_depth) - 1, out=planes)
+    return tuple(planes.astype(np.int64))

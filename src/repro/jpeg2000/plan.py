@@ -19,8 +19,9 @@ Compilation is total: requests are validated where the user writes
 them (``DecodeOptions.__post_init__``), and every valid request compiles
 to a runnable plan.  Requests the host cannot honour are rewritten and
 the rewrite recorded (:attr:`DecodePlan.rewrites`): a ``native`` kernel
-request on a host that cannot build the native kernel binds
-``reference``.  :meth:`DecodePlan.describe` shows the records and the
+request on a host that cannot build the native kernels binds
+``reference`` for the entropy stage and ``vectorised`` for the
+reconstruct stage.  :meth:`DecodePlan.describe` shows the records and the
 driver seeds them into its fate map, where the runtime degradations (no
 pool, a broken pool) join them.
 """
@@ -46,8 +47,14 @@ STAGE_ORDER = (STAGE_PARSE, STAGE_ENTROPY, STAGE_RECONSTRUCT, STAGE_ASSEMBLE)
 EXECUTOR_INLINE = "inline"
 EXECUTOR_POOL = "pool"
 
-#: Reconstruction / assembly implementation ids (one each).
+#: Reconstruction implementation ids: the native kernel (one C call per
+#: tile for the gather, inverse quantisation and inverse DWT), and the
+#: vectorised NumPy stages it must match sample for sample — the
+#: executable specification, bound under the reference kernel and on
+#: hosts without a compiler.
+RECONSTRUCT_NATIVE = "native"
 RECONSTRUCT_VECTORISED = "vectorised"
+#: The assembly implementation id.
 ASSEMBLE_MOSAIC = "mosaic"
 
 
@@ -188,7 +195,9 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
     (``ParallelDegradedWarning``, from :func:`schedule_info`), not the
     planner, which is pure.  A ``native`` kernel request on a host
     without the native kernel binds ``reference`` and records that
-    rewrite on the plan.
+    rewrite on the plan, as does the reconstruct stage, which binds the
+    native kernel exactly when the entropy stage does and the
+    vectorised NumPy stages otherwise.
 
     An inline entropy executor runs the native kernel on one thread per
     host CPU (the kernel call releases the GIL); under the reference
@@ -203,7 +212,11 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
             STAGE_ENTROPY, "native-unavailable",
             "the native Tier-1 kernel cannot be built on this host; "
             "binding the reference kernel",
-        ),)
+        ), (
+            STAGE_RECONSTRUCT, "native-unavailable",
+            "the native reconstruct kernel cannot be built on this host; "
+            "binding the vectorised stages",
+        ))
     requested = (
         env.cpu_count if options.workers is None else options.workers
     )
@@ -223,7 +236,10 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
     return DecodePlan((
         parse,
         entropy,
-        StageBinding(STAGE_RECONSTRUCT, RECONSTRUCT_VECTORISED),
+        StageBinding(STAGE_RECONSTRUCT, (
+            RECONSTRUCT_NATIVE if impl == KERNEL_NATIVE
+            else RECONSTRUCT_VECTORISED
+        )),
         StageBinding(STAGE_ASSEMBLE, ASSEMBLE_MOSAIC),
     ), rewrites)
 

@@ -1,5 +1,6 @@
 /*
- * Native EBCOT Tier-1 coder (ITU-T T.800, Annexes C and D), both ways.
+ * Native EBCOT Tier-1 coder (ITU-T T.800, Annexes C and D), both ways,
+ * and the reconstruct kernel that follows the decoder (Annexes E, F).
  *
  * A direct port of the executable specification -- t1.py's
  * CodeBlockDecoder driving mq.py's MqDecoder, and CodeBlockEncoder
@@ -9,12 +10,14 @@
  * renormalisation shift, so the Fig. 1 / Table 1 cycle models read the
  * same numbers whichever kernel coded a block.
  *
- * Entry points: t1_decode_batch and t1_encode_batch.  The Python
- * wrapper (t1_native.py) validates every block's geometry before the
- * call; the checks here are a backstop that stops the batch instead of
- * touching memory.  Reads past a codeword's end yield 0xFF (spec C.2.2)
- * and never leave the codeword; writes never leave the block's slice of
- * the decoder's output or the encoder's caller-sized byte buffer.
+ * Entry points: t1_decode_batch, t1_encode_batch and reconstruct_tile
+ * (gather, inverse quantisation and inverse DWT of one tile, at the end
+ * of this file).  The Python wrapper (t1_native.py) validates every
+ * block's geometry before the call; the checks here are a backstop that
+ * stops the batch instead of touching memory.  Reads past a codeword's
+ * end yield 0xFF (spec C.2.2) and never leave the codeword; writes never
+ * leave the block's slice of the decoder's output or the encoder's
+ * caller-sized byte buffer.
  */
 
 #include <stdint.h>
@@ -889,4 +892,324 @@ int64_t t1_encode_batch(int64_t count, const int32_t *coefficients,
     }
     free(block);
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/*
+ * Reconstruct: gather, inverse quantisation and inverse DWT of one tile
+ * (T.800 Annexes E and F), a port of stages/reconstruct.py's
+ * scatter_entropy and dequantise and of dwt.py's inverse.  Every sample
+ * sees the specification's operations in the specification's order --
+ * the vertical pass before the horizontal one, b + c * (l + r),
+ * x * KAPPA and x * (1 / KAPPA), mid-point dequantisation -- and the
+ * library is built with -ffp-contract=off, so no multiply-add is fused
+ * and the float64 samples are bit-identical to NumPy's.  The 5/3
+ * lifting wraps on overflow, like NumPy's int64.
+ *
+ * Each component's samples sit in the Mallat layout of its output
+ * plane: a level's LL in the top-left corner of that level's region,
+ * HL to its right, LH below it, HH diagonally.  Inverting a level turns
+ * its region into the next level's LL.
+ */
+
+/* GCC's -O2 cost model vectorises only loops that need no scalar
+ * epilogue; the lifting and gather loops run over any row length.
+ * Vector lanes do the same IEEE operations, so values do not change. */
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize ("vect-cost-model=dynamic")
+#endif
+
+/* Fields of one row of the block table and of the level table. */
+enum { B_INDEX, B_Y, B_X, B_HEIGHT, B_WIDTH, B_FIELDS };
+enum { L_HEIGHT, L_WIDTH, L_FIELDS };
+
+/* Lifting constants, in the order the inverse 9/7 applies them. */
+enum { C_DELTA, C_GAMMA, C_BETA, C_ALPHA, C_KAPPA, C_INV_KAPPA };
+
+static inline int64_t wrap_add(int64_t a, int64_t b)
+{
+    return (int64_t)((uint64_t)a + (uint64_t)b);
+}
+
+static inline int64_t wrap_sub(int64_t a, int64_t b)
+{
+    return (int64_t)((uint64_t)a - (uint64_t)b);
+}
+
+/* 5/3 even sample: low - floor((d[i-1] + d[i] + 2) / 4). */
+static inline int64_t even53(int64_t low, int64_t left, int64_t right)
+{
+    return wrap_sub(low, wrap_add(wrap_add(left, right), 2) >> 2);
+}
+
+/* 5/3 odd sample: high + floor((s[i] + s[i+1]) / 2). */
+static inline int64_t odd53(int64_t high, int64_t left, int64_t right)
+{
+    return wrap_add(high, wrap_add(left, right) >> 1);
+}
+
+/* quant.dequantise of one index: sign * ((|q| + 0.5) * delta), which is
+ * 0 for q = 0.  np.abs wraps at INT64_MIN, whose magnitude then reads
+ * as negative and is not reconstructed: -1 * 0.0. */
+static inline double dequantise(int64_t q, double delta)
+{
+    if (q == INT64_MIN)
+        return -0.0;
+    int64_t negative = q >> 63;  /* branch-free |q| */
+    double magnitude = (double)((q ^ negative) - negative);
+    return (double)((q > 0) - (q < 0)) * ((magnitude + 0.5) * delta);
+}
+
+static inline int64_t clamp_index(int64_t i, int64_t count)
+{
+    return i < 0 ? 0 : (i >= count ? count - 1 : i);
+}
+
+/* Vertical 5/3 synthesis of rows [0, h) x [0, w) of `plane`, h > 1:
+ * every column at once, one row at a time, from a packed copy. */
+static void columns53(int64_t *plane, int64_t stride, int64_t h, int64_t w,
+                      int64_t *restrict copy)
+{
+    int64_t ne = (h + 1) / 2, no = h - ne;
+    const int64_t *high = copy + ne * w;
+    for (int64_t r = 0; r < h; r++)
+        memcpy(copy + r * w, plane + r * stride, w * sizeof *copy);
+    for (int64_t i = 0; i < ne; i++) {
+        const int64_t *low = copy + i * w;
+        const int64_t *left = high + clamp_index(i - 1, no) * w;
+        const int64_t *right = high + clamp_index(i, no) * w;
+        int64_t *even = plane + 2 * i * stride;
+        for (int64_t k = 0; k < w; k++)
+            even[k] = even53(low[k], left[k], right[k]);
+    }
+    for (int64_t i = 0; i < no; i++) {
+        const int64_t *d = high + i * w;
+        const int64_t *left = plane + 2 * i * stride;
+        const int64_t *right = plane + 2 * clamp_index(i + 1, ne) * stride;
+        int64_t *odd = plane + (2 * i + 1) * stride;
+        for (int64_t k = 0; k < w; k++)
+            odd[k] = odd53(d[k], left[k], right[k]);
+    }
+}
+
+/* Horizontal 5/3 synthesis of one row of w > 1 samples.  `line` holds
+ * w + 4 samples: each band between two reflection slots. */
+static void row53(int64_t *row, int64_t w, int64_t *line)
+{
+    int64_t ne = (w + 1) / 2, no = w - ne;
+    int64_t *even = line + 1, *odd = line + ne + 3;
+    memcpy(even, row, ne * sizeof *row);
+    memcpy(odd, row + ne, no * sizeof *row);
+    odd[-1] = odd[0];
+    odd[no] = odd[no - 1];
+    for (int64_t i = 0; i < ne; i++)
+        even[i] = even53(even[i], odd[i - 1], odd[i]);
+    even[ne] = even[ne - 1];
+    for (int64_t i = 0; i < no; i++)
+        odd[i] = odd53(odd[i], even[i], even[i + 1]);
+    for (int64_t i = 0; i < no; i++) {
+        row[2 * i] = even[i];
+        row[2 * i + 1] = odd[i];
+    }
+    if (ne > no)
+        row[w - 1] = even[ne - 1];
+}
+
+/* One vertical 9/7 lifting step over `count` rows of `w` samples:
+ * b[i] = b[i] + c * (a[i + shift] + a[i + shift + 1]), each neighbour
+ * reflected into the `source_count` rows of the other band. */
+static void lift_rows(double *restrict target, int64_t count,
+                      const double *restrict source, int64_t source_count,
+                      int64_t w, int64_t shift, double c)
+{
+    for (int64_t i = 0; i < count; i++) {
+        const double *left = source + clamp_index(i + shift, source_count) * w;
+        const double *right =
+            source + clamp_index(i + shift + 1, source_count) * w;
+        double *b = target + i * w;
+        for (int64_t k = 0; k < w; k++)
+            b[k] = b[k] + c * (left[k] + right[k]);
+    }
+}
+
+/* Vertical 9/7 synthesis, as columns53. */
+static void columns97(double *plane, int64_t stride, int64_t h, int64_t w,
+                      double *restrict copy, const double *k)
+{
+    int64_t ne = (h + 1) / 2, no = h - ne;
+    double *even = copy, *odd = copy + ne * w;
+    for (int64_t r = 0; r < h; r++) {
+        const double *in = plane + r * stride;
+        double *out = copy + r * w;
+        double scale = r < ne ? k[C_KAPPA] : k[C_INV_KAPPA];
+        for (int64_t c = 0; c < w; c++)
+            out[c] = in[c] * scale;
+    }
+    lift_rows(even, ne, odd, no, w, -1, k[C_DELTA]);
+    lift_rows(odd, no, even, ne, w, 0, k[C_GAMMA]);
+    lift_rows(even, ne, odd, no, w, -1, k[C_BETA]);
+    lift_rows(odd, no, even, ne, w, 0, k[C_ALPHA]);
+    for (int64_t r = 0; r < h; r++)
+        memcpy(plane + r * stride, (r & 1 ? odd : even) + r / 2 * w,
+               w * sizeof *plane);
+}
+
+/* One horizontal 9/7 lifting step: b[i] = b[i] + c * (a[i + shift] +
+ * a[i + shift + 1]) for i < count, over bands padded by reflection. */
+static void lift_line(double *restrict b, int64_t count,
+                      const double *restrict a, int64_t shift, double c)
+{
+    for (int64_t i = 0; i < count; i++)
+        b[i] = b[i] + c * (a[i + shift] + a[i + shift + 1]);
+}
+
+/* Horizontal 9/7 synthesis of one row, as row53. */
+static void row97(double *row, int64_t w, double *line, const double *k)
+{
+    int64_t ne = (w + 1) / 2, no = w - ne;
+    double *even = line + 1, *odd = line + ne + 3;
+    for (int64_t i = 0; i < ne; i++)
+        even[i] = row[i] * k[C_KAPPA];
+    for (int64_t i = 0; i < no; i++)
+        odd[i] = row[ne + i] * k[C_INV_KAPPA];
+    for (int step = 0; step < 4; step += 2) {
+        odd[-1] = odd[0];
+        odd[no] = odd[no - 1];
+        lift_line(even, ne, odd, -1, k[C_DELTA + step]);
+        even[ne] = even[ne - 1];
+        lift_line(odd, no, even, 0, k[C_GAMMA + step]);
+    }
+    for (int64_t i = 0; i < no; i++) {
+        row[2 * i] = even[i];
+        row[2 * i + 1] = odd[i];
+    }
+    if (ne > no)
+        row[w - 1] = even[ne - 1];
+}
+
+/* Columns per strip of the vertical pass: its packed copy is h rows of
+ * at most STRIP samples, so the scratch stays small and cache-resident. */
+#define STRIP 32
+
+/* Inverse DWT of one level: rows [0, h) x [0, w) of `plane` (row
+ * stride `stride`, int64 for 5/3, float64 when `lifting` is given),
+ * the vertical pass before the horizontal one as in dwt._inverse_2d.
+ * `scratch` holds max(h * STRIP, w + 4) samples. */
+static void idwt_level(void *plane, int64_t stride, int64_t h, int64_t w,
+                       void *scratch, const double *lifting)
+{
+    for (int64_t x = 0; h > 1 && x < w; x += STRIP) {
+        int64_t strip = w - x < STRIP ? w - x : STRIP;
+        if (lifting == NULL)
+            columns53((int64_t *)plane + x, stride, h, strip, scratch);
+        else
+            columns97((double *)plane + x, stride, h, strip, scratch, lifting);
+    }
+    for (int64_t r = 0; w > 1 && r < h; r++) {
+        if (lifting == NULL)
+            row53((int64_t *)plane + r * stride, w, scratch);
+        else
+            row97((double *)plane + r * stride, w, scratch, lifting);
+    }
+}
+
+/* Gather one block of `bh` rows of `bw` into a plane of row stride
+ * `stride`, as int64 (5/3) or dequantised float64 (9/7). */
+#define GATHER(source_type, target, convert)                              \
+    do {                                                                  \
+        const source_type *in = (const source_type *)flat + start;        \
+        for (int64_t y = 0; y < bh; y++, in += bw)                        \
+            for (int64_t x = 0; x < bw; x++)                              \
+                target[origin + y * stride + x] = convert(in[x]);         \
+    } while (0)
+#define AS_INT(q) ((int64_t)(q))
+#define AS_REAL(q) dequantise((q), delta)
+
+static void gather_block(const void *flat, int flat_wide, int64_t start,
+                         int64_t bh, int64_t bw, int64_t origin,
+                         int64_t stride, const double *deltas, double delta,
+                         int64_t *ints, double *reals)
+{
+    if (deltas == NULL && flat_wide)
+        GATHER(int64_t, ints, AS_INT);
+    else if (deltas == NULL)
+        GATHER(int32_t, ints, AS_INT);
+    else if (flat_wide)
+        GATHER(int64_t, reals, AS_REAL);
+    else
+        GATHER(int32_t, reals, AS_REAL);
+}
+
+/*
+ * Reconstruct the `components` planes of one tile, each `height` rows
+ * of `width` samples, into `out` (int64 for 5/3, float64 for 9/7).
+ *
+ * `flat` holds the Tier-1 output (int32, or int64 when `flat_wide`),
+ * `flat_length` samples; block j of component c starts at
+ * ``offsets[c * blocks_per_component + j]``.  Row i of `blocks` puts
+ * block B_INDEX = j of every component at (B_Y, B_X) of its plane,
+ * B_HEIGHT rows of B_WIDTH; blocks not listed (resolutions beyond the
+ * reconstructed one) are skipped.  When `deltas` is not NULL the tile
+ * is 9/7 and row i's samples are dequantised with step ``deltas[i]``.
+ * `levels` lists each inverse level's region (L_HEIGHT x L_WIDTH at the
+ * plane's origin), coarsest first; `lifting` holds the signed 9/7
+ * lifting constants (C_*).
+ *
+ * Returns 0, i + 1 when block row i fails the geometry backstop, -2
+ * when a level overruns the plane (nothing is written in either case),
+ * or -1 when scratch allocation fails.
+ */
+int64_t reconstruct_tile(int64_t components, int64_t height, int64_t width,
+                         const void *flat, int64_t flat_wide,
+                         int64_t flat_length, const int64_t *offsets,
+                         int64_t blocks_per_component, const int64_t *blocks,
+                         int64_t block_count, const int64_t *levels,
+                         int64_t level_count, const double *deltas,
+                         const double *lifting, void *out)
+{
+    int64_t plane_size = height * width;
+    for (int64_t i = 0; i < block_count; i++) {
+        const int64_t *row = blocks + i * B_FIELDS;
+        if (row[B_INDEX] < 0 || row[B_INDEX] >= blocks_per_component
+                || row[B_Y] < 0 || row[B_X] < 0 || row[B_HEIGHT] < 1
+                || row[B_WIDTH] < 1 || row[B_HEIGHT] > height - row[B_Y]
+                || row[B_WIDTH] > width - row[B_X])
+            return i + 1;
+        for (int64_t c = 0; c < components; c++) {
+            int64_t start = offsets[c * blocks_per_component + row[B_INDEX]];
+            if (start < 0
+                    || start > flat_length - row[B_HEIGHT] * row[B_WIDTH])
+                return i + 1;
+        }
+    }
+    for (int64_t i = 0; i < level_count; i++) {
+        const int64_t *row = levels + i * L_FIELDS;
+        if (row[L_HEIGHT] < 1 || row[L_HEIGHT] > height || row[L_WIDTH] < 1
+                || row[L_WIDTH] > width)
+            return -2;
+    }
+    int64_t strip = height * STRIP;
+    void *scratch = malloc((strip > width + 4 ? strip : width + 4) * 8);
+    if (scratch == NULL)
+        return -1;
+    for (int64_t c = 0; c < components; c++) {
+        int64_t *ints = (int64_t *)out + c * plane_size;
+        double *reals = (double *)out + c * plane_size;
+        for (int64_t i = 0; i < block_count; i++) {
+            const int64_t *row = blocks + i * B_FIELDS;
+            gather_block(flat, flat_wide != 0,
+                         offsets[c * blocks_per_component + row[B_INDEX]],
+                         row[B_HEIGHT], row[B_WIDTH],
+                         row[B_Y] * width + row[B_X], width, deltas,
+                         deltas != NULL ? deltas[i] : 0.0, ints, reals);
+        }
+        for (int64_t i = 0; i < level_count; i++) {
+            const int64_t *row = levels + i * L_FIELDS;
+            idwt_level(deltas != NULL ? (void *)reals : (void *)ints, width,
+                       row[L_HEIGHT], row[L_WIDTH], scratch,
+                       deltas != NULL ? lifting : NULL);
+        }
+    }
+    free(scratch);
+    return 0;
 }

@@ -1,4 +1,4 @@
-"""The native Tier-1 kernel: build, load, and call ``t1_native.c``.
+"""The native kernels: build, load, and call ``t1_native.c``.
 
 The C source is a direct port of the reference Tier-1 coder in both
 directions — :class:`~repro.jpeg2000.t1.CodeBlockDecoder` over
@@ -6,18 +6,23 @@ directions — :class:`~repro.jpeg2000.t1.CodeBlockDecoder` over
 :class:`~repro.jpeg2000.t1.CodeBlockEncoder` over
 :class:`~repro.jpeg2000.mq.MqEncoder` for encoding — the entropy stage
 refined one implementation level down, bit-for-bit and op-count
-identical to the specification coder.
+identical to the specification coder.  The same library carries the
+reconstruct kernel (:func:`reconstruct_tile`): the gather, inverse
+quantisation and inverse DWT of one tile, sample-for-sample identical
+to the vectorised NumPy stages it refines.
 
 On first use in a process the source is compiled with the host C
-compiler (portable ``-O2``, no ``-march=native``) into the experiment
+compiler (portable ``-O2``, no ``-march=native``, and
+``-ffp-contract=off`` so no multiply-add is fused) into the experiment
 cache root — ``$REPRO_CACHE_DIR`` when set, else ``./.repro_cache`` —
 as ``native/<sha256 of source + compiler + flags + machine>.so``.  The
 compiler writes a temporary name that is ``os.replace``-d into place,
 so processes racing on an empty directory each end with a complete
 library.  The library is loaded once per process through ``ctypes``;
 when no compiler is found or the build fails, :func:`available` is
-false: the planner binds the reference decoder and the encoder codes
-every block with the reference coder instead.
+false: the planner binds the reference decoder and the vectorised
+reconstruct, and the encoder codes every block with the reference
+coder instead.
 
 ``ctypes`` releases the GIL around each kernel call, so
 :func:`decode_codeblock_batch` can split one batch over several threads
@@ -41,10 +46,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import dwt
 from .t1 import CodeBlockResult
 
 SOURCE = Path(__file__).with_name("t1_native.c")
-FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: Geometry the kernel accepts (T.800 caps code blocks at 4096 samples,
 #: neither side above 1024).  Blocks with more bit planes than
@@ -64,6 +70,17 @@ _FIELDS = 8
 #: ``results`` out (start, length, passes, planes, ops, pass lengths).
 _ENCODE_FIELDS = 4
 _RESULT_FIELDS = 5 + 3 * MAX_BITPLANES - 2
+
+#: The inverse 9/7 lifting constants in the order ``reconstruct_tile``
+#: applies them, signed as :func:`~repro.jpeg2000.dwt.idwt97_1d` uses
+#: them, then its two scale factors.
+_LIFTING = np.array([
+    -dwt.DELTA, -dwt.GAMMA, -dwt.BETA, -dwt.ALPHA, dwt.KAPPA, 1.0 / dwt.KAPPA,
+])
+
+#: Columns of ``reconstruct_tile``'s block and level tables.
+BLOCK_FIELDS = 5
+LEVEL_FIELDS = 2
 
 #: ``t1_encode_batch`` statuses.
 _FULL = 1
@@ -145,11 +162,19 @@ def _load():
         ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
     )
+    function = library.reconstruct_tile
+    function.restype = ctypes.c_int64
+    function.argtypes = (
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    )
     return library, None
 
 
 def available() -> bool:
-    """True when the native kernel is built and loaded in this process."""
+    """True when the native kernels are built and loaded in this process."""
     return _load()[0] is not None
 
 
@@ -360,3 +385,80 @@ def encode_codeblock_batch(blocks: Sequence[tuple]) -> list:
             room = max(2 * room, _worst_case(int(samples[first]),
                                              int(depths[first])))
     return coded
+
+
+def _table(array, columns: int, name: str):
+    if (not isinstance(array, np.ndarray) or array.dtype != np.int64
+            or array.ndim != 2 or array.shape[1] != columns
+            or not array.flags.c_contiguous):
+        raise ValueError(f"{name} must be a contiguous int64 table of "
+                         f"{columns} columns")
+
+
+def reconstruct_tile(flat, offsets, blocks_per_component: int, blocks,
+                     levels, shape: tuple, deltas=None):
+    """Gather, dequantise and inverse-DWT one tile in one native call.
+
+    *flat* is the tile's Tier-1 output (contiguous 1-D int32, or int64
+    for deep blocks) and *offsets* each block's start in it (int64, in
+    scatter order: component-major, *blocks_per_component* blocks per
+    component).  *shape* is ``(components, height, width)`` of the
+    planes returned.  Each int64 row ``(index, y, x, height, width)`` of
+    *blocks* puts block *index* of every component at ``(y, x)`` of its
+    plane, where each subband sits in the Mallat layout (a level's LL
+    top left, HL right of it, LH below, HH diagonally); blocks left out
+    are not gathered.  Each row ``(height, width)`` of *levels* is one
+    inverse DWT level's region, coarsest first.  *deltas* (float64, one
+    per block row) makes the tile 9/7 and dequantises each row with its
+    step; ``None`` means 5/3.
+
+    Returns the ``(components, height, width)`` planes — int64 for 5/3,
+    float64 for 9/7 — identical to what
+    :func:`repro.jpeg2000.stages.reconstruct.dequantise` and
+    :func:`repro.jpeg2000.dwt.inverse` produce.  Dtypes and table shapes
+    are checked here and every block's and level's bounds in the
+    kernel, before it writes: ``ValueError`` when any is wrong.
+    """
+    library, reason = _load()
+    if library is None:
+        raise NativeUnavailable(reason)
+    components, height, width = shape
+    if (not isinstance(flat, np.ndarray) or flat.ndim != 1
+            or flat.dtype not in (np.int32, np.int64)
+            or not flat.flags.c_contiguous):
+        raise ValueError("flat must be a contiguous 1-D int32 or int64 array")
+    if (not isinstance(offsets, np.ndarray) or offsets.dtype != np.int64
+            or offsets.ndim != 1 or not offsets.flags.c_contiguous
+            or len(offsets) < components * blocks_per_component):
+        raise ValueError(
+            f"offsets must be a contiguous int64 array of at least "
+            f"{components * blocks_per_component} entries"
+        )
+    _table(blocks, BLOCK_FIELDS, "blocks")
+    _table(levels, LEVEL_FIELDS, "levels")
+    if min(shape) < 1:
+        raise ValueError(f"tile planes {shape} must not be empty")
+    if deltas is None:
+        out = np.empty(shape, dtype=np.int64)
+    else:
+        deltas = np.ascontiguousarray(deltas, dtype=np.float64)
+        if deltas.shape != (len(blocks),):
+            raise ValueError("deltas must hold one step per block row")
+        out = np.empty(shape, dtype=np.float64)
+    status = library.reconstruct_tile(
+        components, height, width, flat.ctypes.data,
+        int(flat.dtype == np.int64), len(flat), offsets.ctypes.data,
+        blocks_per_component, blocks.ctypes.data, len(blocks),
+        levels.ctypes.data, len(levels),
+        None if deltas is None else deltas.ctypes.data,
+        _LIFTING.ctypes.data, out.ctypes.data,
+    )
+    if status == -1:
+        raise MemoryError(
+            "native reconstruct kernel could not allocate scratch"
+        )
+    if status == -2:
+        raise ValueError(f"an inverse DWT level overruns the {shape} planes")
+    if status:
+        raise ValueError(f"native reconstruct rejected block row {status - 1}")
+    return out

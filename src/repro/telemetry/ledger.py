@@ -59,7 +59,8 @@ def subsystem_fingerprints(kind: str = "simulate") -> dict:
 
     One hash per subsystem (rather than the cache's single combined
     digest) so a ledger diff can name *which* layer changed between two
-    runs.  Hashes are cached per process by the fingerprint module.
+    runs.  The fingerprint module reads each source once per process,
+    for these hashes and the cache keys' combined one alike.
     """
     from ..experiments.fingerprint import code_fingerprint, subsystems_for_kind
 

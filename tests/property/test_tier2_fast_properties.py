@@ -1,18 +1,15 @@
-"""Differential property tests for the fast Tier-2 / reconstruction paths.
+"""Differential property tests for the fast Tier-2 paths.
 
-The optimised word-at-a-time :class:`FastBitReader`, the array-backed
-:class:`FlatTagTree`, and the batched inverse DWT are all required to be
-*observationally identical* to their readable reference counterparts —
-same bits, same positions, same exception timing, same samples.  These
-tests drive reference and fast implementations in lockstep over random
-(and adversarially 0xFF-stuffed) inputs and assert they never diverge.
+The optimised word-at-a-time :class:`FastBitReader` and the array-backed
+:class:`FlatTagTree` are required to be *observationally identical* to
+their readable reference counterparts — same bits, same positions, same
+exception timing.  These tests drive reference and fast implementations
+in lockstep over random (and adversarially 0xFF-stuffed) inputs and
+assert they never diverge.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
-from repro.jpeg2000 import dwt
 from repro.jpeg2000.bitio import BitReader, BitWriter, FastBitReader, ff_positions
 from repro.jpeg2000.tagtree import FlatTagTree, TagTree
 
@@ -159,53 +156,3 @@ def test_flat_tag_tree_matches_reference(dims, data, drawn):
         assert fast_reader.position == reference_reader.position
         if actual:  # leaf resolved below threshold -> value is defined
             assert flat_tree.value_of(x, y) == reference_tree.value_of(x, y)
-
-
-# -- batched inverse DWT ------------------------------------------------------
-
-_tiles = arrays(
-    dtype=np.int64,
-    shape=st.tuples(
-        st.integers(min_value=1, max_value=24),
-        st.integers(min_value=1, max_value=24),
-    ),
-    elements=st.integers(min_value=-255, max_value=255),
-)
-
-
-@given(
-    st.lists(_tiles, min_size=1, max_size=5),
-    st.sampled_from(["5/3", "9/7"]),
-    st.integers(min_value=0, max_value=3),
-)
-@settings(max_examples=100, deadline=None)
-def test_inverse_batch_matches_per_tile_inverse(tiles, mode, levels):
-    # Mixed shapes are deliberate: equal-shape tiles batch together,
-    # stragglers invert individually — both must equal the per-tile
-    # reference path bit for bit (the lifting is elementwise, so the
-    # batch axis must not change a single float operation).
-    subbands_list = [dwt.forward(tile, mode, levels) for tile in tiles]
-    expected = [
-        dwt.inverse(dwt.forward(tile, mode, levels)) for tile in tiles
-    ]
-    counts_list = [dwt.DwtOpCounts() for _ in tiles]
-    results = dwt.inverse_batch(subbands_list, counts_list)
-    reference_counts = []
-    for tile in tiles:
-        counts = dwt.DwtOpCounts()
-        dwt.inverse(dwt.forward(tile, mode, levels), counts)
-        reference_counts.append(counts)
-    for result, reference, batch_counts, single_counts in zip(
-        results, expected, counts_list, reference_counts
-    ):
-        assert result.dtype == reference.dtype
-        assert np.array_equal(result, reference)
-        assert (
-            batch_counts.add_ops,
-            batch_counts.mul_ops,
-            batch_counts.samples,
-        ) == (
-            single_counts.add_ops,
-            single_counts.mul_ops,
-            single_counts.samples,
-        )

@@ -6,8 +6,11 @@ one byte of a fingerprinted source file, must change the content address
 re-run, never returned.
 """
 
+import collections
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.experiments import (
 )
 from repro.experiments import fingerprint as fp
 from repro.experiments.cache import CACHE_SCHEMA
+from repro.telemetry import ledger
 
 
 def _sim_request(**options):
@@ -135,6 +139,71 @@ class TestCacheKey:
     def test_synthesise_kind_hashes_fossy_sources(self):
         assert "fossy" in fp.subsystems_for_kind(KIND_SYNTHESISE)
         assert "fossy" not in fp.subsystems_for_kind(KIND_SIMULATE)
+
+
+
+def _reference_fingerprint(subsystems, root):
+    """The fingerprint as first specified: rglob, sort by relative path,
+    hash path + bytes, reading every file afresh."""
+    digest = hashlib.sha256()
+    paths = [
+        path for subsystem in subsystems if (root / subsystem).is_dir()
+        for pattern in fp.SOURCE_PATTERNS
+        for path in (root / subsystem).rglob(pattern)
+    ]
+    paths += [root / extra for extra in fp.EXTRA_FILES
+              if (root / extra).is_file()]
+    for path in sorted(paths, key=lambda p: str(p.relative_to(root))):
+        digest.update(str(path.relative_to(root)).encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x01")
+    return digest.hexdigest()
+
+
+class TestOneReadPerProcess:
+    """The ledger's per-subsystem fingerprints and the cache keys'
+    combined one share one read of each package source."""
+
+    @pytest.fixture
+    def fresh(self):
+        fp._cached_fingerprint.cache_clear()
+        fp._package_sources.cache_clear()
+        yield
+        fp._cached_fingerprint.cache_clear()
+        fp._package_sources.cache_clear()
+
+    def test_values_are_unchanged(self, fresh):
+        root = fp.package_root()
+        synthesise = fp.subsystems_for_kind(KIND_SYNTHESISE)
+        for subsystems in [fp.DEFAULT_SUBSYSTEMS, synthesise] + [
+            (subsystem,) for subsystem in synthesise
+        ]:
+            assert fp.code_fingerprint(subsystems) == (
+                _reference_fingerprint(subsystems, root)
+            ), subsystems
+
+    def test_each_source_is_read_once(self, fresh, monkeypatch):
+        reads = collections.Counter()
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            reads[str(path)] += 1
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        ledger.subsystem_fingerprints(KIND_SYNTHESISE)
+        ledger.subsystem_fingerprints(KIND_SIMULATE)
+        for kind in (KIND_SIMULATE, KIND_SYNTHESISE):
+            fp.code_fingerprint(fp.subsystems_for_kind(kind))
+        root = fp.package_root()
+        sources = {
+            str(path) for subsystem in fp.subsystems_for_kind(KIND_SYNTHESISE)
+            for pattern in fp.SOURCE_PATTERNS
+            for path in (root / subsystem).rglob(pattern)
+        } | {str(root / extra) for extra in fp.EXTRA_FILES}
+        assert set(reads) == sources
+        assert set(reads.values()) == {1}
 
 
 class TestResultCache:

@@ -22,6 +22,7 @@ from repro.jpeg2000.plan import (
     STAGE_ENTROPY,
     STAGE_ORDER,
     STAGE_PARSE,
+    STAGE_RECONSTRUCT,
     DecodePlan,
     ExecutorSpec,
     PlanEnvironment,
@@ -41,12 +42,12 @@ NO_NATIVE_HOST = PlanEnvironment(cpu_count=8)
 #: CPU count (the default plan's inline entropy executor runs one
 #: thread per CPU).
 DEFAULT_DIGEST = {
-    1: "3f52ea7451b04669eb21d53b00077c00de3aff2a264e80524cc549fa4bc6f4ac",
-    2: "f69657e416a72edef2c4d867c56792b73bfed1d2af9f7999505242d60e966f43",
+    1: "d2556a05198c88caf468829373249a70277edaf83a35011efd862e52cd80705f",
+    2: "f0f6f6f1a0b1920e71787189569c361c32fcb3cf588c3ffd745ca1012d88772e",
 }
 #: README's ``plan decode --workers 4 --cpus 8`` example.
 README_DIGEST = (
-    "824b53d411dd180dbb8b0f0481363e0b314caf17c4b806b954884eca21f535e3"
+    "1b7a8c9ad3062045fc34a3a91ff9669fee45b2dcbcb91f134092d2e5627834c9"
 )
 
 
@@ -89,8 +90,8 @@ class TestCompileTotality:
     #: sha256 over the space-joined digests of the cross product, in
     #: ``itertools.product`` order, per host.
     CROSS_PRODUCT_DIGESTS = {
-        "big": "230790d839d9b146401c4b444cac7d32930f04f0613d63fe605f833b853cb54e",
-        "small": "15d3720cf61b79749401e73d30bc9cbaf059f3c5752faacc70ec1bea6cbd7170",
+        "big": "7d7834fc711821d57c1fe739981fd3df3448a06160c0cc890e9e88af62660083",
+        "small": "eda72ac3682c7bda7e6e4252aebc52238f783a821df4a7ac408333cfea966f55",
         "no-native": "0d23a616ca8b91d38ad86a65747c50a0530510f3870dfff53a987ae9aa06bb3b",
     }
 
@@ -144,7 +145,7 @@ class TestCompileTotality:
     def test_inline_threads_are_reported(self):
         options = DecodeOptions(workers=0)
         plan = compile_plan(options, BIG_HOST)
-        assert "entropy      impl=native      inline threads=8" in (
+        assert "entropy      impl=native  inline threads=8" in (
             plan.describe()
         )
         assert schedule_info(options, plan)["threads"] == 8
@@ -189,9 +190,24 @@ class TestCompileTotality:
     def test_no_native_kernel_compiles_to_reference(self, workers):
         plan = compile_plan(DecodeOptions(workers=workers), NO_NATIVE_HOST)
         assert plan.stage(STAGE_ENTROPY).impl == "reference"
-        ((stage, rule, _),) = plan.rewrites
-        assert (stage, rule) == (STAGE_ENTROPY, "native-unavailable")
+        assert plan.stage(STAGE_RECONSTRUCT).impl == "vectorised"
+        assert [(stage, rule) for stage, rule, _ in plan.rewrites] == [
+            (STAGE_ENTROPY, "native-unavailable"),
+            (STAGE_RECONSTRUCT, "native-unavailable"),
+        ]
         assert "rewrite entropy: [native-unavailable]" in plan.describe()
+        assert "rewrite reconstruct: [native-unavailable]" in plan.describe()
+
+    @pytest.mark.parametrize("options,impl", [
+        (DecodeOptions(), "native"),
+        (DecodeOptions(workers=4), "native"),
+        (DecodeOptions(kernel="reference"), "vectorised"),
+    ], ids=["default", "pool", "reference-kernel"])
+    def test_reconstruct_binding_follows_the_kernel(self, options, impl):
+        plan = compile_plan(options, BIG_HOST)
+        assert plan.stage(STAGE_RECONSTRUCT).impl == impl
+        assert plan.stage(STAGE_RECONSTRUCT).executor == INLINE
+        assert plan.rewrites == ()
 
     def test_native_rewrite_is_provenance_not_identity(self):
         rewritten = compile_plan(DecodeOptions(), NO_NATIVE_HOST)
@@ -204,9 +220,10 @@ class TestCompileTotality:
         from repro.jpeg2000.driver import StageFates
 
         fates = StageFates(compile_plan(DecodeOptions(), NO_NATIVE_HOST))
-        assert [r["rule"] for r in fates.fates[STAGE_ENTROPY]["rewrites"]] == [
-            "native-unavailable"
-        ]
+        for stage in (STAGE_ENTROPY, STAGE_RECONSTRUCT):
+            assert [r["rule"] for r in fates.fates[stage]["rewrites"]] == [
+                "native-unavailable"
+            ]
 
     def test_tier2_choice_lands_on_parse_stage(self):
         plan = compile_plan(DecodeOptions(tier2="reference"), BIG_HOST)

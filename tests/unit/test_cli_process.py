@@ -73,3 +73,28 @@ def test_closed_pipe_exits_without_traceback(argv):
     proc.stderr.close()
     assert proc.wait() == 1
     assert stderr == ""
+
+
+def test_closed_pipe_after_a_sweep_leaves_no_crash_report(tmp_path):
+    """``sweep`` prints once its telemetry session has closed, so a
+    reader that closes early ends the command (status 1, nothing on
+    stderr) without turning the recorded run into a crash."""
+    ledger = tmp_path / "ledger.jsonl"
+    crash_dir = tmp_path / "crash"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep", "table2", "loc",
+         "--jobs", "1"],
+        env=_env(REPRO_CACHE_DIR=str(tmp_path / "cache"),
+                 REPRO_LEDGER_PATH=str(ledger),
+                 REPRO_CRASH_DIR=str(crash_dir)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert stderr == ""
+    assert not crash_dir.exists() or not any(crash_dir.iterdir())
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["kind"] == "sweep"
+    assert not record.get("crash_reports")
