@@ -7,7 +7,7 @@ Subpackages:
 * :mod:`repro.core` — the OSSS Application Layer (Shared Objects, Software
   Tasks, guarded method calls, EET timing);
 * :mod:`repro.vta` — Virtual Target Architecture building blocks
-  (processors, OPB/P2P channels, RMI, block RAM);
+  (processors, OPB/P2P channels, RMI, the ML401 platform);
 * :mod:`repro.jpeg2000` — a complete JPEG 2000 codec (the functional
   payload and profiling subject);
 * :mod:`repro.casestudy` — the nine design versions of Table 1 and the

@@ -3,8 +3,10 @@
 This is the paper's primary contribution, part 1: a synthesisable system
 description vocabulary on top of the simulation kernel — hardware modules,
 single-process Software Tasks, passive Shared Objects with guarded and
-arbitrated method-based communication, EET/RET timing annotations, and the
-serialisation machinery that later feeds the VTA channels.
+arbitrated method-based communication, EET timing annotations, and the
+serialisation machinery that later feeds the VTA channels.  Data stays
+plain Python values; bit widths enter only through the serialisation
+(:func:`payload_bits`) and FOSSY's synthesis IR.
 """
 
 from .arbiter import (
@@ -15,9 +17,8 @@ from .arbiter import (
     RoundRobin,
     StaticPriority,
 )
-from .datatypes import AccessCounter, IntN, OsssArray, UIntN
 from .guards import ALWAYS, Guard, guarded, guarded_args
-from .interfaces import BindingError, OsssInterface, Port
+from .interfaces import BindingError, Port
 from .module import OsssModule
 from .serialisation import (
     DEFAULT_SCALAR_BITS,
@@ -30,11 +31,10 @@ from .serialisation import (
 )
 from .shared import MethodSpec, SharedObject, SharedObjectStats, osss_method
 from .task import FunctionTask, SoftwareTask
-from .timing import CycleBudget, RetViolation, eet, ret
+from .timing import CycleBudget, eet
 
 __all__ = [
     "ALWAYS",
-    "AccessCounter",
     "ArbitrationPolicy",
     "BindingError",
     "ClientHandle",
@@ -43,14 +43,10 @@ __all__ = [
     "Fcfs",
     "FunctionTask",
     "Guard",
-    "IntN",
     "MethodSpec",
-    "OsssArray",
-    "OsssInterface",
     "OsssModule",
     "Port",
     "Request",
-    "RetViolation",
     "RoundRobin",
     "Serialisable",
     "SerialisationError",
@@ -59,13 +55,11 @@ __all__ = [
     "SharedObjectStats",
     "SoftwareTask",
     "StaticPriority",
-    "UIntN",
     "eet",
     "guarded",
     "guarded_args",
     "osss_method",
     "payload_bits",
     "register_payload_type",
-    "ret",
     "serialise_call",
 ]

@@ -1,8 +1,8 @@
-"""Ports and method interfaces: directed, blocking communication links.
+"""Ports: directed, blocking communication links.
 
 On the Application Layer a communication link connects a client's *port* to
-a provider's *interface* (port-to-interface binding).  The port is the only
-thing behavioural code touches:
+a provider (port-to-interface binding).  The port is the only thing
+behavioural code touches:
 
 ``result = yield from port.call("method", args...)``
 
@@ -14,43 +14,18 @@ method calls never change.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from ..kernel import Module
 
 
-class OsssInterface:
-    """A declared set of callable methods (the binding contract)."""
-
-    def __init__(self, name: str, methods: Sequence[str]):
-        if not methods:
-            raise ValueError("an interface must declare at least one method")
-        self.name = name
-        self.methods = frozenset(methods)
-
-    def __contains__(self, method: str) -> bool:
-        return method in self.methods
-
-    def __repr__(self) -> str:
-        return f"OsssInterface({self.name!r}, methods={sorted(self.methods)})"
-
-
 class BindingError(RuntimeError):
-    """Port used before binding, bound twice, or called outside its contract."""
+    """Port used before binding, or bound twice."""
 
 
 class Port:
     """A client-side access point for blocking method calls."""
 
-    def __init__(
-        self,
-        owner: Module,
-        interface: Optional[OsssInterface] = None,
-        name: str = "port",
-        priority: int = 0,
-    ):
+    def __init__(self, owner: Module, name: str = "port", priority: int = 0):
         self.owner = owner
-        self.interface = interface
         self.basename = name
         self.priority = priority
         self._provider = None
@@ -68,13 +43,6 @@ class Port:
         """Bind to a provider (Shared Object or channel client transactor)."""
         if self._provider is not None:
             raise BindingError(f"port {self.name!r} is already bound")
-        if self.interface is not None:
-            missing = self.interface.methods - set(provider.provided_methods())
-            if missing:
-                raise BindingError(
-                    f"provider {provider!r} does not implement {sorted(missing)} "
-                    f"required by interface {self.interface.name!r}"
-                )
         self._provider = provider
         self._client = provider.connect_client(self)
 
@@ -82,10 +50,6 @@ class Port:
         """Blocking method call; use as ``yield from port.call(...)``."""
         if self._provider is None:
             raise BindingError(f"port {self.name!r} used before binding")
-        if self.interface is not None and method not in self.interface:
-            raise BindingError(
-                f"method {method!r} is not part of interface {self.interface.name!r}"
-            )
         return self._provider.invoke(self._client, method, *args, **kwargs)
 
     def __repr__(self) -> str:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..kernel import Module, Process, SimTime, Simulator
-from .interfaces import OsssInterface, Port
+from ..kernel import Module, SimTime, Simulator
+from .interfaces import Port
 from .timing import eet
 
 
@@ -22,19 +22,12 @@ class OsssModule(Module):
     computation time, later refined to cycle counts on the VTA layer.
     """
 
-    def __init__(self, sim: Simulator, name: str, parent: Optional[Module] = None):
-        super().__init__(sim, name, parent)
+    def __init__(self, sim: Simulator, name: str):
+        super().__init__(sim, name)
         self.ports: list[Port] = []
-        #: Set by VTA mapping: the hardware block wrapping this module.
-        self.mapped_block = None
 
-    def port(
-        self,
-        name: str = "port",
-        interface: Optional[OsssInterface] = None,
-        priority: int = 0,
-    ) -> Port:
-        port = Port(self, interface=interface, name=name, priority=priority)
+    def port(self, name: str = "port", priority: int = 0) -> Port:
+        port = Port(self, name=name, priority=priority)
         self.ports.append(port)
         return port
 

@@ -80,11 +80,10 @@ class SharedObject(Module, GrantEngine):
         name: str,
         behaviour: object,
         policy: Optional[ArbitrationPolicy] = None,
-        parent: Optional[Module] = None,
         grant_overhead: SimTime = ZERO_TIME,
         per_client_overhead: SimTime = ZERO_TIME,
     ):
-        Module.__init__(self, sim, name, parent)
+        Module.__init__(self, sim, name)
         self.behaviour = behaviour
         #: Fixed simulated-time cost charged on every grant.
         self.grant_overhead = grant_overhead
@@ -115,9 +114,6 @@ class SharedObject(Module, GrantEngine):
                 "mark them with @osss_method()"
             )
         return methods
-
-    def provided_methods(self):
-        return self._methods.keys()
 
     # -- provider protocol (used by Port) ------------------------------------------
 
@@ -191,7 +187,7 @@ class SharedObject(Module, GrantEngine):
             tel.metrics.observe("so.grant_wait_fs", wait_fs)
             tel.complete(
                 "so",
-                f"{self.basename}.{call.method}",
+                f"{self.name}.{call.method}",
                 call.client.name,
                 entry_fs,
                 self.sim._now_fs,
@@ -223,7 +219,7 @@ class SharedObject(Module, GrantEngine):
             tel = self.sim.telemetry
             if tel is not None:
                 tel.metrics.count("so.guard_blocked")
-                tel.metrics.count(f"so.guard_blocked.{self.basename}")
+                tel.metrics.count(f"so.guard_blocked.{self.name}")
         return eligible
 
     def _grant(self, call: _PendingCall, contended: bool) -> None:

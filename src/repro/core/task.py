@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..kernel import Module, Process, SimTime, Simulator
-from .interfaces import OsssInterface, Port
+from .interfaces import Port
 from .timing import eet
 
 
@@ -24,8 +24,8 @@ class SoftwareTask(Module):
     used with ``yield from port.call(...)``.
     """
 
-    def __init__(self, sim: Simulator, name: str, parent: Optional[Module] = None):
-        super().__init__(sim, name, parent)
+    def __init__(self, sim: Simulator, name: str):
+        super().__init__(sim, name)
         self.ports: list[Port] = []
         self._process: Optional[Process] = None
         #: Set by VTA mapping: the processor this task was assigned to.
@@ -34,13 +34,8 @@ class SoftwareTask(Module):
         #: slowdown of time-sharing one CPU among several tasks.
         self.eet_scale = 1.0
 
-    def port(
-        self,
-        name: str = "port",
-        interface: Optional[OsssInterface] = None,
-        priority: int = 0,
-    ) -> Port:
-        port = Port(self, interface=interface, name=name, priority=priority)
+    def port(self, name: str = "port", priority: int = 0) -> Port:
+        port = Port(self, name=name, priority=priority)
         self.ports.append(port)
         return port
 
@@ -84,9 +79,8 @@ class FunctionTask(SoftwareTask):
     small tasks of the case-study models.
     """
 
-    def __init__(self, sim: Simulator, name: str, body_fn: Callable, *args,
-                 parent: Optional[Module] = None):
-        super().__init__(sim, name, parent)
+    def __init__(self, sim: Simulator, name: str, body_fn: Callable, *args):
+        super().__init__(sim, name)
         self._body_fn = body_fn
         self._args = args
 

@@ -1,30 +1,16 @@
-"""OSSS timing annotations: EET and RET blocks.
+"""OSSS timing annotations: EET blocks and cycle budgets.
 
 The paper back-annotates profiled execution times into the model with
 ``OSSS_EET(sc_time(180, SC_MS)) { ... }`` blocks.  Here the same concept is
 a generator helper: the enclosed behaviour executes functionally in zero
 simulated time and the block then consumes the annotated duration.
-
-``RET`` (Required Execution Time) is the companion *assertion*: the enclosed
-block — which may itself contain EETs and blocking communication — must not
-take longer than the bound, otherwise :class:`RetViolation` is raised.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..kernel import SimTime, Simulator
-
-
-class RetViolation(AssertionError):
-    """A Required-Execution-Time bound was exceeded."""
-
-    def __init__(self, label: str, bound: SimTime, actual: SimTime):
-        super().__init__(f"RET {label!r} violated: required <= {bound}, took {actual}")
-        self.label = label
-        self.bound = bound
-        self.actual = actual
+from ..kernel import SimTime
 
 
 def eet(duration: SimTime, body: Optional[Callable[[], object]] = None):
@@ -36,21 +22,6 @@ def eet(duration: SimTime, body: Optional[Callable[[], object]] = None):
     """
     result = body() if body is not None else None
     yield duration
-    return result
-
-
-def ret(sim: Simulator, bound: SimTime, body_gen, label: str = "ret"):
-    """Required Execution Time block around a blocking sub-behaviour.
-
-    ``result = yield from ret(sim, t, sub_behaviour(), "deadline")`` forwards
-    the enclosed generator and raises :class:`RetViolation` if it consumed
-    more than *t* of simulated time.
-    """
-    start = sim.now
-    result = yield from body_gen
-    elapsed = sim.now - start
-    if elapsed > bound:
-        raise RetViolation(label, bound, elapsed)
     return result
 
 

@@ -323,9 +323,9 @@ class ElaboratedModel:
     def _map_task(self, task) -> None:
         if not self.spec.is_vta:
             return
-        self.processors[self._cpu_index[task.basename]].add_sw_task(task)
+        self.processors[self._cpu_index[task.name]].add_sw_task(task)
         if self.ddr is not None:
-            self._ddr_masters[task.basename] = self.ddr.connect_master(
+            self._ddr_masters[task.name] = self.ddr.connect_master(
                 f"ddr[{task.name}]"
             )
 
@@ -403,7 +403,7 @@ class ElaboratedModel:
         words = int(
             self.workload.num_components * self.workload.words_per_component * ratio
         )
-        return ddr.read_burst(self._ddr_masters[task.basename], words)
+        return ddr.read_burst(self._ddr_masters[task.name], words)
 
     def _store_decoded_tile(self, task, tile_index: int):
         """Write one decoded tile back (external memory on the VTA)."""
@@ -411,7 +411,7 @@ class ElaboratedModel:
         if ddr is None:
             return iter(())
         words = self.workload.num_components * self.workload.words_per_component
-        return ddr.write_burst(self._ddr_masters[task.basename], words)
+        return ddr.write_burst(self._ddr_masters[task.name], words)
 
     # -- shared stage helpers --------------------------------------------------
 

@@ -44,12 +44,12 @@ def _binding_entry(port) -> dict:
             rmi=provider.name,
             channel=channel.name,
             channel_kind=type(channel).__name__,
-            target=provider.socket.shared_object.basename,
+            target=provider.socket.shared_object.name,
             chunk_words=provider.chunk_words,
             polling=provider.poll_interval is not None,
         )
     else:  # direct Application-Layer binding to the Shared Object
-        entry.update(binding="direct", target=provider.basename)
+        entry.update(binding="direct", target=provider.name)
     return entry
 
 
@@ -58,7 +58,7 @@ def model_topology(model) -> dict:
     topology: dict = {
         "version": model.version,
         "tasks": [
-            {"name": task.basename, "bindings": [_binding_entry(p) for p in task.ports]}
+            {"name": task.name, "bindings": [_binding_entry(p) for p in task.ports]}
             for task in model.tasks
         ],
         "shared_objects": {},
@@ -67,7 +67,7 @@ def model_topology(model) -> dict:
     for attr in ("shared_object", "params_so"):
         shared = getattr(model, attr, None)
         if shared is not None:
-            topology["shared_objects"][shared.basename] = _so_entry(shared)
+            topology["shared_objects"][shared.name] = _so_entry(shared)
     modules = []
     control = getattr(model, "control", None)
     if control is not None:
@@ -75,7 +75,7 @@ def model_topology(model) -> dict:
     modules.extend(getattr(model, "filters", ()))
     for module in modules:
         entry = {
-            "name": module.basename,
+            "name": module.name,
             "kind": type(module).__name__,
             "bindings": [_binding_entry(p) for p in module.ports],
         }
@@ -88,7 +88,7 @@ def model_topology(model) -> dict:
         topology["opb_masters"] = [master.name for master in opb.masters]
         topology["p2p_count"] = model._p2p_count
         topology["processors"] = [
-            {"name": cpu.name, "tasks": [task.basename for task in cpu.tasks]}
+            {"name": cpu.name, "tasks": [task.name for task in cpu.tasks]}
             for cpu in model.processors
         ]
         topology["ddr_masters"] = sorted(model._ddr_masters)

@@ -87,6 +87,8 @@ GATES_PER_LUT = 12
 GATES_PER_FF = 8
 GATES_PER_BRAM = 32768
 GATES_PER_DSP = 2500
+#: Bits in one Virtex-4 RAMB16 block-RAM primitive.
+RAMB16_BITS = 18 * 1024
 
 
 @dataclass
@@ -178,12 +180,10 @@ def _dsp_count(ops: dict) -> int:
 
 
 def _bram_count(memories) -> int:
-    from ..vta.memory import BlockRam
-
     total = 0
     for mem in memories:
         bits = mem.width * mem.depth
-        total += max(1, math.ceil(bits / BlockRam.PRIMITIVE_BITS))
+        total += max(1, math.ceil(bits / RAMB16_BITS))
     return total
 
 

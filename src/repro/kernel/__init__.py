@@ -2,28 +2,22 @@
 
 The kernel provides the substrate every OSSS model runs on: simulated time
 (:class:`SimTime`), events with immediate/delta/timed notification
-(:class:`Event`), generator-coroutine processes, evaluate/update signal
-semantics (:class:`Signal`), clocks, FIFOs and synchronisation primitives,
-all coordinated by :class:`Simulator`.
+(:class:`Event`), generator-coroutine processes and bounded FIFOs, all
+coordinated by :class:`Simulator`.  The models talk through transactions
+(events, FIFOs, Shared-Object calls), so there are no pin-level signals
+or clocks.
 """
 
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "AllOf": ".process",
     "AnyOf": ".process",
-    "Barrier": ".sync",
-    "Clock": ".signal",
     "Event": ".event",
     "Fifo": ".fifo",
     "Module": ".module",
-    "Mutex": ".sync",
     "Process": ".process",
     "ProcessError": ".scheduler",
     "ProcessState": ".process",
-    "ResetSignal": ".signal",
-    "Semaphore": ".sync",
-    "Signal": ".signal",
     "SimProfiler": ".tracing",
     "SimTime": ".time",
     "SimulationError": ".scheduler",

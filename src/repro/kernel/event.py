@@ -5,7 +5,7 @@ An :class:`Event` can be *notified* in three ways, mirroring SystemC:
 * ``notify()`` — **immediate**: waiting processes become runnable within the
   current evaluate phase.
 * ``notify(delta=True)`` — **delta**: waiting processes run in the next
-  delta cycle (after the update phase).
+  delta cycle (after the current evaluate phase).
 * ``notify(SimTime(...))`` — **timed**: waiting processes run when the
   simulator reaches the given time offset.
 

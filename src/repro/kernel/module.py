@@ -1,9 +1,10 @@
-"""Hierarchical modules: structure and process registration.
+"""Modules: named owners of processes.
 
-A :class:`Module` is a named node in the design hierarchy that owns
-processes, events and child modules, mirroring ``sc_module``.  The OSSS
-layer builds its Module / SoftwareTask / SharedObject concepts on top of
-this class.
+A :class:`Module` is a named component that owns processes and events,
+mirroring ``sc_module``.  The OSSS layer builds its Module / SoftwareTask /
+SharedObject concepts on top of this class.  Designs are flat: the
+elaborator names every component itself, so there is no parent/child
+hierarchy.
 """
 
 from __future__ import annotations
@@ -16,50 +17,14 @@ from .scheduler import Simulator
 
 
 class Module:
-    """A named hierarchy node owning processes and child modules."""
+    """A named component owning processes."""
 
-    def __init__(self, sim: Simulator, name: str, parent: Optional["Module"] = None):
+    def __init__(self, sim: Simulator, name: str):
         if not name or "." in name:
             raise ValueError(f"module name must be a non-empty dot-free string, got {name!r}")
         self.sim = sim
-        self.basename = name
-        self.parent = parent
-        self.children: list[Module] = []
+        self.name = name
         self.processes: list[Process] = []
-        if parent is not None:
-            parent._add_child(self)
-
-    # -- hierarchy -------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        """Full hierarchical name, e.g. ``top.decoder.idwt``."""
-        if self.parent is None:
-            return self.basename
-        return f"{self.parent.name}.{self.basename}"
-
-    def _add_child(self, child: "Module") -> None:
-        if any(existing.basename == child.basename for existing in self.children):
-            raise ValueError(f"duplicate child module name {child.basename!r} in {self.name!r}")
-        self.children.append(child)
-
-    def find(self, path: str) -> "Module":
-        """Look up a descendant by dot-separated relative path."""
-        node = self
-        for part in path.split("."):
-            for child in node.children:
-                if child.basename == part:
-                    node = child
-                    break
-            else:
-                raise KeyError(f"no module {path!r} under {self.name!r}")
-        return node
-
-    def walk(self):
-        """Yield this module and every descendant, depth first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
     # -- processes and events ----------------------------------------------------
 

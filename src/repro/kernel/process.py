@@ -6,7 +6,8 @@ request* and is resumed by the scheduler when the request is satisfied:
 * ``yield SimTime(10, "ns")`` — wait for a duration;
 * ``yield event`` — wait for a single event;
 * ``yield AnyOf(e1, e2, ...)`` — wait until any of the events fires;
-* ``yield AllOf(e1, e2, ...)`` — wait until all of the events have fired.
+* ``yield Timeout(event, delay)`` — wait for *event* or *delay*, whichever
+  comes first.
 
 Sub-behaviours compose with ``yield from``, which is the idiom used for all
 blocking library calls (e.g. Shared Object method calls in the OSSS layer).
@@ -35,17 +36,6 @@ class AnyOf:
     def __init__(self, *events: Event):
         if not events:
             raise ValueError("AnyOf requires at least one event")
-        self.events = tuple(events)
-
-
-class AllOf:
-    """Wait request satisfied once all of the given events have fired."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, *events: Event):
-        if not events:
-            raise ValueError("AllOf requires at least one event")
         self.events = tuple(events)
 
 
@@ -81,18 +71,14 @@ class Process:
         "body",
         "state",
         "_waiting_on",
-        "_pending_all",
         "_timeout_event",
         "_timed_handle",
         "result",
         "exception",
         "done_event",
-        "_factory",
-        "restarts",
     )
 
-    def __init__(self, sim: "Simulator", body: ProcessBody, name: str,
-                 factory=None):
+    def __init__(self, sim: "Simulator", body: ProcessBody, name: str):
         if not hasattr(body, "send"):
             raise TypeError(
                 f"process body for {name!r} must be a generator; "
@@ -103,7 +89,6 @@ class Process:
         self.body = body
         self.state = ProcessState.READY
         self._waiting_on: tuple[Event, ...] = ()
-        self._pending_all: set[Event] = set()
         self._timeout_event: Optional[Event] = None
         #: Fast-path timed wait: the heap/delta entry that will wake us.
         self._timed_handle = None
@@ -111,9 +96,6 @@ class Process:
         self.exception: Optional[BaseException] = None
         #: Fires (delta) when the process terminates; used for joins.
         self.done_event = Event(sim, f"{name}.done")
-        #: When set, :meth:`restart` can rebuild the body (reset support).
-        self._factory = factory
-        self.restarts = 0
 
     # -- scheduler interface ---------------------------------------------------
 
@@ -197,15 +179,9 @@ class Process:
             for event in request.events:
                 event._subscribe(self)
             return
-        if isinstance(request, AllOf):
-            self._pending_all = set(request.events)
-            self._waiting_on = request.events
-            for event in request.events:
-                event._subscribe(self)
-            return
         raise TypeError(
             f"process {self.name!r} yielded {request!r}; expected a SimTime, "
-            "an Event, AnyOf(...), or AllOf(...)"
+            "an Event, AnyOf(...), or Timeout(...)"
         )
 
     def _wake(self, fired: Event) -> None:
@@ -216,15 +192,10 @@ class Process:
             # delta): the process is already runnable — waking it again
             # would step it twice in the same delta cycle.
             return
-        if self._pending_all:
-            self._pending_all.discard(fired)
-            if self._pending_all:
-                return  # keep waiting for the remaining events
         for event in self._waiting_on:
             if event is not fired:
                 event._unsubscribe(self)
         self._waiting_on = ()
-        self._pending_all = set()
         self._timeout_event = None
         self._cancel_timed_wait()  # Timeout waits also park a timed entry
         self.state = ProcessState.READY
@@ -233,7 +204,7 @@ class Process:
     def _wake_from_timer(self) -> None:
         """Called by the scheduler for fast-path timed/zero-delay waits."""
         if self.state is not ProcessState.WAITING:
-            return  # killed or restarted while the entry was in flight
+            return  # stale entry: the process already woke another way
         self._timed_handle = None
         if self._waiting_on:
             # A Timeout wait expired: drop the event subscription too.
@@ -247,44 +218,6 @@ class Process:
         if self._timed_handle is not None:
             self._timed_handle.cancelled = True
             self._timed_handle = None
-
-    def kill(self) -> None:
-        """Terminate the process without running it further."""
-        if self.state in (ProcessState.FINISHED, ProcessState.FAILED):
-            return
-        for event in self._waiting_on:
-            event._unsubscribe(self)
-        self._waiting_on = ()
-        self._pending_all = set()
-        self._cancel_timed_wait()
-        self.body.close()
-        self.state = ProcessState.FINISHED
-        self._notify_done()
-        self.sim._process_finished(self)
-
-    def restart(self) -> None:
-        """Reset semantics: abandon the current body and run from the top.
-
-        Requires the process to have been spawned from a factory
-        (:meth:`Simulator.spawn_resettable`); the restarted body becomes
-        runnable in the current delta cycle.
-        """
-        if self._factory is None:
-            raise RuntimeError(
-                f"process {self.name!r} was not spawned resettable"
-            )
-        for event in self._waiting_on:
-            event._unsubscribe(self)
-        self._waiting_on = ()
-        self._pending_all = set()
-        self._timeout_event = None
-        self._cancel_timed_wait()
-        self.body.close()
-        self.body = self._factory()
-        self.restarts += 1
-        if self.state is not ProcessState.READY:
-            self.state = ProcessState.READY
-            self.sim._make_runnable(self)
 
     @property
     def finished(self) -> bool:

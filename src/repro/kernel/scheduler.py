@@ -1,13 +1,15 @@
-"""The discrete-event simulator: evaluate / update / notify phases.
+"""The discrete-event simulator: evaluate / notify phases.
 
-The scheduling algorithm follows the SystemC reference semantics:
+The scheduling algorithm follows the SystemC reference semantics, less the
+update phase: the kernel has no primitive channels with deferred writes
+(``sc_signal``), because the models communicate through events, FIFOs and
+Shared-Object calls only.
 
 1. **Evaluate** — run every runnable process until it suspends.  Immediate
    notifications issued here make processes runnable within the same phase.
-2. **Update** — apply pending primitive-channel updates (signals).
-3. **Delta notification** — fire events notified with a delta delay; if any
+2. **Delta notification** — fire events notified with a delta delay; if any
    process became runnable, start a new delta cycle at the same time.
-4. **Timed notification** — otherwise advance simulated time to the earliest
+3. **Timed notification** — otherwise advance simulated time to the earliest
    pending timed notification and fire it.
 
 Simulation ends when no runnable process and no pending notification remain,
@@ -172,7 +174,6 @@ class Simulator:
         self._runnable: deque[Process] = deque()
         self._delta_queue: list = []
         self._timed_queue: list = []
-        self._update_queue: list[Callable[[], None]] = []
         self._seq = itertools.count()
         self.processes: list[Process] = []
         self.delta_count = 0
@@ -216,17 +217,6 @@ class Simulator:
         self._runnable.append(proc)
         return proc
 
-    def spawn_resettable(self, factory, name: str = "process") -> Process:
-        """Spawn from a zero-argument generator factory; supports restart().
-
-        This is the kernel hook behind reset semantics: asserting a reset
-        re-creates the body from the factory and runs it from the top.
-        """
-        proc = Process(self, factory(), name, factory=factory)
-        self.processes.append(proc)
-        self._runnable.append(proc)
-        return proc
-
     def run(self, until: Optional[SimTime] = None) -> SimTime:
         """Run until quiescence or *until* (inclusive); returns final time."""
         if self._running:
@@ -241,7 +231,7 @@ class Simulator:
             )
         try:
             while True:
-                self._evaluate_and_update()
+                self._run_deltas()
                 if self.failure is not None:
                     raise self.failure
                 next_at = self._peek_timed()
@@ -274,14 +264,14 @@ class Simulator:
 
     # -- scheduler internals ---------------------------------------------------
 
-    def _evaluate_and_update(self) -> None:
+    def _run_deltas(self) -> None:
         """One or more delta cycles at the current time point."""
         if self.profiler is not None or self.telemetry is not None:
-            self._evaluate_and_update_instrumented()
+            self._run_deltas_instrumented()
             return
         runnable = self._runnable
         ready = ProcessState.READY
-        while runnable or self._delta_queue or self._update_queue:
+        while runnable or self._delta_queue:
             self.delta_count += 1
             # Evaluate phase.
             while runnable:
@@ -290,11 +280,6 @@ class Simulator:
                     proc._step()
                     if self.failure is not None:
                         return
-            # Update phase.
-            if self._update_queue:
-                updates, self._update_queue = self._update_queue, []
-                for update in updates:
-                    update()
             # Delta-notification phase.
             if self._delta_queue:
                 deltas, self._delta_queue = self._delta_queue, []
@@ -302,10 +287,10 @@ class Simulator:
                     if not entry.cancelled:
                         entry.fire()
 
-    def _evaluate_and_update_instrumented(self) -> None:
+    def _run_deltas_instrumented(self) -> None:
         """The evaluate loop with profiler timing and/or telemetry counts.
 
-        Kept separate from :meth:`_evaluate_and_update` so a disabled run
+        Kept separate from :meth:`_run_deltas` so a disabled run
         executes the bare loop with no per-step bookkeeping at all; the
         step/delta totals flush into the metrics registry once per time
         point, keeping the enabled overhead to one local int add per step.
@@ -315,7 +300,7 @@ class Simulator:
         steps = 0
         deltas_run = 0
         try:
-            while runnable or self._delta_queue or self._update_queue:
+            while runnable or self._delta_queue:
                 self.delta_count += 1
                 deltas_run += 1
                 # Evaluate phase.
@@ -340,11 +325,6 @@ class Simulator:
                             steps += 1
                             if self.failure is not None:
                                 return
-                # Update phase.
-                if self._update_queue:
-                    updates, self._update_queue = self._update_queue, []
-                    for update in updates:
-                        update()
                 # Delta-notification phase.
                 if self._delta_queue:
                     deltas, self._delta_queue = self._delta_queue, []
@@ -387,7 +367,7 @@ class Simulator:
         if fired:
             tel.metrics.count("kernel.timer_pops", fired)
 
-    # -- hooks used by Event / Process / primitive channels ---------------------
+    # -- hooks used by Event / Process / channels ------------------------------
 
     def _trigger_now(self, event: Event) -> None:
         event._fire()
@@ -428,9 +408,6 @@ class Simulator:
 
     def _make_runnable(self, proc: Process) -> None:
         self._runnable.append(proc)
-
-    def _request_update(self, update: Callable[[], None]) -> None:
-        self._update_queue.append(update)
 
     def _process_finished(self, proc: Process) -> None:
         pass  # nothing to clean up; kept as an extension point

@@ -2,16 +2,17 @@
 
 The paper's contribution, part 2: the architecture library the refinement
 maps Application-Layer models onto.  Software tasks map N-to-1 onto
-:class:`SoftwareProcessor`, modules 1-to-1 onto :class:`HardwareBlock`,
-Shared Objects get an :class:`ObjectSocket`, and communication links become
-OSSS Channels (:class:`OpbBus` or :class:`P2PChannel`) spoken through
-:class:`RmiClient` transactors.  Explicit memories (:class:`BlockRam`)
-model the data-locality cost the paper highlights.
+:class:`SoftwareProcessor`, modules stay 1-to-1 dedicated hardware, Shared
+Objects get an :class:`ObjectSocket`, and communication links become OSSS
+Channels (:class:`OpbBus` or :class:`P2PChannel`) spoken through
+:class:`RmiClient` transactors.  The block-RAM cost of explicit memory
+insertion, the data-locality cost the paper highlights, comes from the
+store's per-word timing (``design.catalog.RAM_SECONDS_PER_WORD``, which
+the elaborator passes on as ``ram_seconds_per_word``), not from a memory
+model.
 """
 
 from .channel_base import ChannelStats, OsssChannel
-from .hardware_block import HardwareBlock
-from .memory import BlockRam, MemoryBackedArray, MemoryCapacityError
 from .memory_controller import DdrMemoryController
 from .object_socket import ObjectSocket
 from .opb import OpbBus
@@ -22,14 +23,10 @@ from .processor import SoftwareProcessor
 from .rmi import HEADER_WORDS, RmiClient
 
 __all__ = [
-    "BlockRam",
     "ChannelStats",
     "DdrMemoryController",
     "FpgaDevice",
     "HEADER_WORDS",
-    "HardwareBlock",
-    "MemoryBackedArray",
-    "MemoryCapacityError",
     "ObjectSocket",
     "OpbBus",
     "OsssChannel",

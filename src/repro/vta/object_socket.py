@@ -34,9 +34,6 @@ class ObjectSocket:
     def sim(self) -> Simulator:
         return self.shared_object.sim
 
-    def provided_methods(self):
-        return self.shared_object.provided_methods()
-
     def connect_remote(self, port):
         return self.shared_object.connect_client(port)
 

@@ -9,9 +9,9 @@ take their clocking from it, and FOSSY's platform-file generator reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..kernel import Clock, SimTime, Simulator
+from ..kernel import SimTime
 from ..core.timing import CycleBudget
 
 
@@ -58,9 +58,6 @@ class TargetPlatform:
     @property
     def clock_period(self) -> SimTime:
         return self.budget.cycle
-
-    def make_clock(self, sim: Simulator, name: str = "sys_clk") -> Clock:
-        return Clock(sim, self.clock_period, name=name)
 
 
 def ml401(frequency_hz: float = 100e6) -> TargetPlatform:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from ..kernel import Event, Module, SimTime, Simulator, ZERO_TIME
+from ..kernel import Event, Module, SimTime, Simulator
 from ..core.task import SoftwareTask
 from ..core.timing import CycleBudget
 
@@ -26,12 +26,11 @@ class SoftwareProcessor(Module):
         sim: Simulator,
         name: str,
         budget: CycleBudget,
-        parent: Optional[Module] = None,
         time_slice: Optional[SimTime] = None,
         context_switch: Optional[SimTime] = None,
         kind: str = "ppc405",
     ):
-        super().__init__(sim, name, parent)
+        super().__init__(sim, name)
         self.budget = budget
         self.kind = kind
         #: Preemption quantum for time-sharing (default 1 ms at 100 MHz).

@@ -69,9 +69,6 @@ class RmiClient:
 
     # -- provider protocol ---------------------------------------------------------
 
-    def provided_methods(self):
-        return self.socket.provided_methods()
-
     def connect_client(self, port):
         self._master = self.channel.connect_master(f"{self.name}[{port.name}]", port.priority)
         self._remote_client = self.socket.connect_remote(port)

@@ -13,9 +13,7 @@ from repro.core.serialisation import SerialisationError, payload_bits
 from repro.design import catalog, elaborate_design
 from repro.fossy import Call, Design, InlineError, Procedure, inline_design
 from repro.jpeg2000 import CodestreamError, parse_codestream
-from repro.kernel import ProcessError, Simulator, ms
-from repro.vta import BlockRam, MemoryCapacityError
-from repro.core import OsssArray
+from repro.kernel import ProcessError, Simulator
 
 
 class TestDeadlockDetection:
@@ -74,12 +72,6 @@ class TestErrorPropagation:
 
 
 class TestResourceExhaustion:
-    def test_block_ram_capacity(self):
-        sim = Simulator()
-        ram = BlockRam(sim, ms(0.00001), address_bits=4)
-        with pytest.raises(MemoryCapacityError):
-            ram.back_array(OsssArray(100, 18))
-
     def test_corrupt_codestream_rejected(self):
         with pytest.raises(CodestreamError):
             parse_codestream(b"\xff\x4f\xff\xff")

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FunctionTask, RoundRobin, SharedObject, StaticPriority, osss_method
-from repro.kernel import Fifo, Mutex, SimTime, Simulator
+from repro.kernel import Fifo, SimTime, Simulator
 
 
 @st.composite
@@ -17,33 +17,6 @@ def random_schedules(draw):
         )
         for _ in range(clients)
     ]
-
-
-@given(random_schedules())
-@settings(max_examples=60, deadline=None)
-def test_mutex_never_overlaps_critical_sections(schedule):
-    sim = Simulator()
-    mutex = Mutex(sim)
-    intervals = []
-
-    def worker(delay_fs, hold_fs):
-        def body():
-            yield SimTime.from_fs(delay_fs)
-            token = yield from mutex.lock()
-            start = sim.now.femtoseconds
-            yield SimTime.from_fs(hold_fs)
-            intervals.append((start, sim.now.femtoseconds))
-            mutex.unlock(token)
-
-        return body
-
-    for index, (delay, hold) in enumerate(schedule):
-        sim.spawn(worker(delay, hold)(), f"w{index}")
-    sim.run()
-    assert len(intervals) == len(schedule)
-    ordered = sorted(intervals)
-    for (_, end), (start, _) in zip(ordered, ordered[1:]):
-        assert start >= end  # strictly serialised
 
 
 @given(random_schedules())

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Fcfs, Request, RoundRobin, StaticPriority
 from repro.core.serialisation import payload_bits, serialise_call
-from repro.kernel import Signal, SimTime, Simulator, Timeout
+from repro.kernel import SimTime, Simulator, Timeout
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=40))
@@ -119,14 +119,13 @@ def test_serialise_call_word_count_consistent(args, word_bits):
 # -- fast substrate vs reference scheduler -------------------------------------
 #
 # The fast scheduler (timed-heap wakes without throwaway events, lazy
-# notification, batched clock edges) must be *observably identical* to the
-# reference scheduler.  Random programs over processes, events, signals and
-# timeouts are executed under both and every observable — the full wake
-# trace (which process ran which step at which time, in which order), every
-# signal value observed mid-run, the final signal values, and the final
-# simulation time — must agree.
+# notification) must be *observably identical* to the reference scheduler.
+# Random programs over processes, events and timeouts are executed under
+# both and every observable — the full wake trace (which process ran which
+# step at which time, in which order) and the final simulation time — must
+# agree.
 
-_EVENTS, _SIGNALS = 4, 3
+_EVENTS = 4
 
 _kernel_ops = st.one_of(
     st.tuples(st.just("wait"), st.integers(0, 50)),
@@ -142,12 +141,6 @@ _kernel_ops = st.one_of(
         st.integers(0, _EVENTS - 1),
         st.integers(0, 50),
     ),
-    st.tuples(
-        st.just("write"),
-        st.integers(0, _SIGNALS - 1),
-        st.integers(0, 9),
-    ),
-    st.tuples(st.just("observe"), st.integers(0, _SIGNALS - 1)),
 )
 
 _kernel_programs = st.lists(
@@ -158,7 +151,6 @@ _kernel_programs = st.lists(
 def _execute_program(programs, fast: bool):
     sim = Simulator(fast=fast)
     events = [sim.event(f"e{index}") for index in range(_EVENTS)]
-    signals = [Signal(sim, 0, f"s{index}") for index in range(_SIGNALS)]
     trace = []
 
     def make(pid, ops):
@@ -173,12 +165,8 @@ def _execute_program(programs, fast: bool):
                     yield Timeout(events[op[1]], SimTime.from_fs(op[2]))
                 elif kind == "notify_delta":
                     events[op[1]].notify(delta=True)
-                elif kind == "notify_timed":
-                    events[op[1]].notify(SimTime.from_fs(op[2]))
-                elif kind == "write":
-                    signals[op[1]].write(op[2])
                 else:
-                    trace.append(("obs", pid, step, op[1], signals[op[1]].read()))
+                    events[op[1]].notify(SimTime.from_fs(op[2]))
                 trace.append((pid, step, sim.now.femtoseconds))
 
         return body
@@ -186,7 +174,7 @@ def _execute_program(programs, fast: bool):
     for pid, ops in enumerate(programs):
         sim.spawn(make(pid, ops)(), f"p{pid}")
     final = sim.run()
-    return trace, [signal.read() for signal in signals], final.femtoseconds
+    return trace, final.femtoseconds
 
 
 @given(_kernel_programs)

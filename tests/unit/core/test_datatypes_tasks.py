@@ -1,73 +1,14 @@
-"""osss_array, sized integers, and software-task mechanics."""
+"""Software-task mechanics."""
 
 import pytest
 
-from repro.core import (
-    AccessCounter,
-    FunctionTask,
-    IntN,
-    OsssArray,
-    SoftwareTask,
-    UIntN,
-)
+from repro.core import FunctionTask, SoftwareTask
 from repro.kernel import Simulator, ms, ns
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestSizedIntegers:
-    def test_uint_wraps_modulo(self):
-        assert UIntN(300, 8) == 44
-        assert UIntN(255, 8) == 255
-
-    def test_uint_width_validation(self):
-        with pytest.raises(ValueError):
-            UIntN(1, 0)
-
-    def test_int_two_complement_wrap(self):
-        assert IntN(130, 8) == -126
-        assert IntN(-129, 8) == 127
-        assert IntN(-1, 8) == -1
-
-    def test_payload_bits_match_width(self):
-        assert UIntN(3, 12).payload_bits() == 12
-        assert IntN(-3, 16).payload_bits() == 16
-
-
-class TestOsssArray:
-    def test_read_write(self):
-        array = OsssArray(8, element_bits=16)
-        array[3] = 42
-        assert array[3] == 42
-        assert len(array) == 8
-
-    def test_payload_bits(self):
-        assert OsssArray(261, element_bits=18).payload_bits() == 261 * 18
-
-    def test_load_bulk(self):
-        array = OsssArray(4, element_bits=8)
-        array.load([1, 2, 3], offset=1)
-        assert list(array) == [0, 1, 2, 3]
-
-    def test_storage_policy_counts_accesses(self):
-        array = OsssArray(4, element_bits=8)
-        counter = AccessCounter()
-        array.storage_policy = counter
-        array[0] = 1
-        _ = array[0]
-        _ = array[1]
-        assert counter.writes == 1
-        assert counter.reads == 2
-        assert counter.total == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OsssArray(0, 8)
-        with pytest.raises(ValueError):
-            OsssArray(4, 0)
 
 
 class TestSoftwareTask:

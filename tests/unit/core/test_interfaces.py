@@ -1,8 +1,8 @@
-"""Port-to-interface binding rules."""
+"""Port binding rules."""
 
 import pytest
 
-from repro.core import BindingError, FunctionTask, OsssInterface, SharedObject, osss_method
+from repro.core import BindingError, FunctionTask, SharedObject, osss_method
 from repro.kernel import Simulator
 
 
@@ -15,17 +15,6 @@ class Adder:
     @osss_method()
     def add(self, a, b):
         return a + b
-
-
-class TestInterfaces:
-    def test_interface_requires_methods(self):
-        with pytest.raises(ValueError):
-            OsssInterface("empty", [])
-
-    def test_contains(self):
-        iface = OsssInterface("math", ["add", "sub"])
-        assert "add" in iface
-        assert "mul" not in iface
 
 
 class TestBinding:
@@ -42,42 +31,6 @@ class TestBinding:
         port.bind(so)
         with pytest.raises(BindingError, match="already bound"):
             port.bind(so)
-
-    def test_interface_mismatch_rejected_at_bind(self, sim):
-        so = SharedObject(sim, "adder", Adder())
-        iface = OsssInterface("math", ["add", "sub"])
-        task = FunctionTask(sim, "t", lambda task: iter(()))
-        port = task.port("p", interface=iface)
-        with pytest.raises(BindingError, match="sub"):
-            port.bind(so)
-
-    def test_interface_restricts_callable_methods(self, sim):
-        class Rich(Adder):
-            @osss_method()
-            def sub(self, a, b):
-                return a - b
-
-            @osss_method()
-            def secret(self):
-                return "hidden"
-
-        so = SharedObject(sim, "rich", Rich())
-        iface = OsssInterface("math", ["add", "sub"])
-        results = []
-
-        def body(task):
-            value = yield from task.p.call("add", 2, 3)
-            results.append(value)
-
-        task = FunctionTask(sim, "t", body)
-        port = task.port("p", interface=iface)
-        port.bind(so)
-        task.p = port
-        task.start()
-        sim.run()
-        assert results == [5]
-        with pytest.raises(BindingError, match="not part of interface"):
-            port.call("secret")
 
     def test_port_names_include_owner(self, sim):
         task = FunctionTask(sim, "dec", lambda task: iter(()))

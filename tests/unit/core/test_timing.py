@@ -1,8 +1,8 @@
-"""EET / RET annotations and the cycle budget."""
+"""EET annotations and the cycle budget."""
 
 import pytest
 
-from repro.core import CycleBudget, RetViolation, eet, ret
+from repro.core import CycleBudget, eet
 from repro.kernel import Simulator, ms, ns, us
 
 
@@ -33,48 +33,6 @@ class TestEet:
         sim.spawn(body(), "p")
         sim.run()
         assert results == [42]
-
-
-class TestRet:
-    def test_within_bound_passes(self, sim):
-        results = []
-
-        def inner():
-            yield ns(50)
-            return "ok"
-
-        def body():
-            value = yield from ret(sim, ns(100), inner(), "deadline")
-            results.append(value)
-
-        sim.spawn(body(), "p")
-        sim.run()
-        assert results == ["ok"]
-
-    def test_violation_raises(self, sim):
-        def inner():
-            yield ns(200)
-
-        def body():
-            yield from ret(sim, ns(100), inner(), "deadline")
-
-        sim.spawn(body(), "p")
-        with pytest.raises(Exception, match="deadline"):
-            sim.run()
-
-    def test_violation_reports_times(self, sim):
-        def inner():
-            yield us(3)
-
-        def body():
-            yield from ret(sim, us(1), inner(), "hard")
-
-        sim.spawn(body(), "p")
-        with pytest.raises(Exception) as info:
-            sim.run()
-        assert isinstance(info.value.cause, RetViolation)
-        assert info.value.cause.bound == us(1)
-        assert info.value.cause.actual == us(3)
 
 
 class TestCycleBudget:

@@ -193,27 +193,3 @@ class TestSimProfiler:
         sim.run()
         assert "worker" in profiler.report()
 
-
-class TestBatchedClock:
-    @pytest.mark.parametrize("period_fs", [10, 7])  # even and odd periods
-    def test_edge_timestamps_match_reference_driver(self, period_fs):
-        def edge_trace(fast: bool):
-            sim = Simulator(fast=fast)
-            from repro.kernel import Clock
-
-            clock = Clock(sim, SimTime.from_fs(period_fs), "clk")
-            clock.start()
-            edges = []
-
-            def monitor():
-                for _ in range(6):
-                    yield clock.posedge
-                    edges.append(("pos", sim.now.femtoseconds))
-                    yield clock.negedge
-                    edges.append(("neg", sim.now.femtoseconds))
-
-            sim.spawn(monitor(), "monitor")
-            sim.run(until=SimTime.from_fs(period_fs * 8))
-            return edges
-
-        assert edge_trace(fast=True) == edge_trace(fast=False)

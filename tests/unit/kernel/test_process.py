@@ -3,7 +3,6 @@
 import pytest
 
 from repro.kernel import (
-    AllOf,
     AnyOf,
     ProcessError,
     ProcessState,
@@ -61,27 +60,9 @@ class TestWaits:
         sim.run()
         assert wakes == ["first"]
 
-    def test_all_of_waits_for_every_event(self, sim):
-        e1, e2 = sim.event("e1"), sim.event("e2")
-        woken = []
-
-        def waiter():
-            yield AllOf(e1, e2)
-            woken.append(sim.now)
-
-        sim.spawn(waiter(), "w")
-        e1.notify(ns(2))
-        e2.notify(ns(6))
-        sim.run()
-        assert woken == [ns(6)]
-
     def test_empty_anyof_rejected(self):
         with pytest.raises(ValueError):
             AnyOf()
-
-    def test_empty_allof_rejected(self):
-        with pytest.raises(ValueError):
-            AllOf()
 
     def test_invalid_yield_raises(self, sim):
         def body():
@@ -166,25 +147,6 @@ class TestTermination:
         sim.spawn(joiner(), "join")
         sim.run()
         assert marks == [True]
-
-    def test_kill_stops_process(self, sim):
-        marks = []
-
-        def body():
-            yield ns(10)
-            marks.append("ran")  # must never happen
-
-        proc = sim.spawn(body(), "p")
-
-        def killer():
-            yield ns(1)
-            proc.kill()
-
-        sim.spawn(killer(), "k")
-        sim.run()
-        assert marks == []
-        assert proc.finished
-
 
 class TestFailure:
     def test_exception_aborts_run(self, sim):

@@ -1,10 +1,10 @@
-"""Software processors (N-to-1 mapping) and block-RAM models."""
+"""Software processors (N-to-1 mapping) and the target platform."""
 
 import pytest
 
-from repro.core import CycleBudget, FunctionTask, OsssArray
+from repro.core import CycleBudget, FunctionTask
 from repro.kernel import Simulator, ms, ns, us
-from repro.vta import BlockRam, MemoryCapacityError, SoftwareProcessor, ml401
+from repro.vta import SoftwareProcessor, ml401
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ class TestSoftwareProcessor:
 
         def body(task):
             yield from task.eet(ms(4))
-            marks[task.basename] = sim.now
+            marks[task.name] = sim.now
 
         for name in ("a", "b"):
             task = FunctionTask(sim, name, body)
@@ -53,7 +53,7 @@ class TestSoftwareProcessor:
 
         def body(task):
             yield from task.eet(ms(4))
-            finish[task.basename] = sim.now
+            finish[task.name] = sim.now
 
         for name in ("a", "b"):
             cpu = SoftwareProcessor(sim, f"cpu_{name}", BUDGET)
@@ -99,107 +99,12 @@ class TestSoftwareProcessor:
         assert cpu.utilisation(sim.now) == pytest.approx(0.5, rel=0.01)
 
 
-class TestBlockRam:
-    def test_access_timing(self, sim):
-        ram = BlockRam(sim, ns(10), data_bits=32, address_bits=8)
-        marks = []
-
-        def body():
-            yield from ram.write(5, 123)
-            value = yield from ram.read(5)
-            marks.append((value, sim.now))
-
-        sim.spawn(body(), "p")
-        sim.run()
-        assert marks == [(123, ns(20))]
-
-    def test_unwritten_reads_zero(self, sim):
-        ram = BlockRam(sim, ns(10), address_bits=4)
-        values = []
-
-        def body():
-            value = yield from ram.read(3)
-            values.append(value)
-
-        sim.spawn(body(), "p")
-        sim.run()
-        assert values == [0]
-
-    def test_port_contention_serialises(self, sim):
-        ram = BlockRam(sim, ns(10), address_bits=8, ports=1)
-        finish = []
-
-        def body(addr):
-            yield from ram.write(addr, addr)
-            finish.append(sim.now)
-
-        sim.spawn(body(1), "a")
-        sim.spawn(body(2), "b")
-        sim.run()
-        assert finish == [ns(10), ns(20)]
-
-    def test_dual_port_parallel_access(self, sim):
-        ram = BlockRam(sim, ns(10), address_bits=8, ports=2)
-        finish = []
-
-        def body(addr, port):
-            yield from ram.write(addr, addr, port=port)
-            finish.append(sim.now)
-
-        sim.spawn(body(1, 0), "a")
-        sim.spawn(body(2, 1), "b")
-        sim.run()
-        assert finish == [ns(10), ns(10)]
-
-    def test_out_of_range_address(self, sim):
-        ram = BlockRam(sim, ns(10), address_bits=4)
-
-        def body():
-            yield from ram.read(16)
-
-        sim.spawn(body(), "p")
-        with pytest.raises(Exception, match="outside"):
-            sim.run()
-
-    def test_primitive_count(self, sim):
-        ram = BlockRam(sim, ns(10), data_bits=18, address_bits=10)
-        # 18 Kib exactly fills one RAMB16 primitive.
-        assert ram.primitives == 1
-        big = BlockRam(sim, ns(10), data_bits=32, address_bits=14)
-        assert big.primitives == 29  # 512 Kib / 18 Kib
-
-    def test_backed_array_accumulates_debt(self, sim):
-        ram = BlockRam(sim, ns(10), address_bits=10)
-        array = OsssArray(16, element_bits=18)
-        backed = ram.back_array(array)
-        array[0] = 1
-        _ = array[0]
-        _ = array[5]
-        assert backed.pending_accesses == 3
-        assert backed.settle() == ns(30)
-        assert backed.pending_accesses == 0
-
-    def test_backed_array_capacity_checked(self, sim):
-        ram = BlockRam(sim, ns(10), address_bits=3)  # depth 8
-        array = OsssArray(16, element_bits=18)
-        with pytest.raises(MemoryCapacityError):
-            ram.back_array(array)
-
-    def test_invalid_port_count(self, sim):
-        with pytest.raises(ValueError):
-            BlockRam(sim, ns(10), ports=3)
-
-
 class TestPlatform:
     def test_ml401_defaults(self):
         platform = ml401()
         assert platform.device.part == "xc4vlx25"
         assert platform.frequency_hz == 100e6
         assert platform.clock_period == ns(10)
-
-    def test_clock_factory(self, sim):
-        clock = ml401().make_clock(sim)
-        assert clock.period == ns(10)
 
     def test_utilisation_helper(self):
         device = ml401().device
