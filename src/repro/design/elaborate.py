@@ -82,6 +82,7 @@ class ElaboratedModel:
         self._behaviour = spec.tasks[0].behaviour
         self._shared: dict = {}
         self._modules: dict = {}
+        self._rmi_clients: list = []
         tel = self.sim.telemetry
         if tel is not None:
             # Spec-derived labels make traces comparable across mappings.
@@ -306,19 +307,19 @@ class ElaboratedModel:
             rmi_name = f"rmi_params_{role}"
         else:
             rmi_name = f"rmi_store_{role}_{port.name}"
-        port.bind(
-            RmiClient(
-                channel,
-                self._sockets[link.target],
-                name=rmi_name,
-                chunk_words=link.chunk_words,
-                poll_interval=(
-                    self.platform.budget.cycles(link.poll_cycles)
-                    if link.poll_cycles is not None
-                    else None
-                ),
-            )
+        client = RmiClient(
+            channel,
+            self._sockets[link.target],
+            name=rmi_name,
+            chunk_words=link.chunk_words,
+            poll_interval=(
+                self.platform.budget.cycles(link.poll_cycles)
+                if link.poll_cycles is not None
+                else None
+            ),
         )
+        self._rmi_clients.append(client)
+        port.bind(client)
 
     def _map_task(self, task) -> None:
         if not self.spec.is_vta:
@@ -374,6 +375,7 @@ class ElaboratedModel:
             stats["opb"] = self.opb.stats
             stats["ddr"] = self.ddr.stats
             stats["cpu_busy_ms"] = [cpu.busy_fs / 1e12 for cpu in self.processors]
+            stats["polls"] = sum(client.polls for client in self._rmi_clients)
         return stats
 
     def _assemble_image(self):

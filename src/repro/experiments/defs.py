@@ -243,7 +243,9 @@ def _table1_vta_tables(payloads) -> dict:
     )
     for version in _vta_versions():
         details = payloads[f"sim:{version}:lossless"]["details"]
-        traffic.add_row(*channel_traffic_row(version, details["opb"]))
+        traffic.add_row(
+            *channel_traffic_row(version, details["opb"], details["polls"])
+        )
     return {"table1_vta_layer": table, "table1_vta_bus_traffic": traffic}
 
 
