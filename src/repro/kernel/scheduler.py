@@ -32,6 +32,9 @@ overridable with the ``REPRO_KERNEL_FAST`` environment variable or
   phase (:meth:`Simulator._schedule_delta_call`), which lets bus arbiters
   and Shared-Object schedulers run as end-of-delta callbacks instead of
   always-on processes.
+* :meth:`Simulator.quiet_until` tells the running process how long
+  nothing else can act, so a component can settle work it provably does
+  alone in one step (the RMI status-poll fast-forward).
 
 Both representations produce identical simulated timestamps and delta
 counts for the visible behaviour; the reference (slow) mode is kept alive
@@ -180,6 +183,8 @@ class Simulator:
         #: Raised process errors abort the run; kept for post-mortem access.
         self.failure: Optional[ProcessError] = None
         self._running = False
+        #: The active ``run(until=...)`` limit [fs], or ``None``.
+        self._limit_fs: Optional[int] = None
         #: Enables the kernel fast paths (direct timed process wakes and
         #: delta callbacks).  Components such as the VTA channels consult
         #: this flag to pick their own fast/reference scheduling.
@@ -222,7 +227,9 @@ class Simulator:
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
-        limit_fs = until.femtoseconds if until is not None else None
+        limit_fs = self._limit_fs = (
+            until.femtoseconds if until is not None else None
+        )
         observing = _telemetry.flight_recorder() is not None
         if observing:
             _telemetry.log_event(
@@ -261,6 +268,23 @@ class Simulator:
     def run_for(self, duration: SimTime) -> SimTime:
         """Run for at most *duration* beyond the current time."""
         return self.run(until=self.now + duration)
+
+    def quiet_until(self) -> Optional[int]:
+        """The instant [fs] before which only the running process can act.
+
+        With nothing else runnable and no delta notification pending, the
+        next activity is the earliest pending timed entry or the
+        ``run(until=...)`` limit, whichever is sooner.  Returns the
+        current time when anything else is runnable or delta-pending, and
+        ``None`` when neither a timed entry nor a limit bounds the window.
+        """
+        if self._runnable or self._delta_queue:
+            return self._now_fs
+        next_at = self._peek_timed()
+        limit_fs = self._limit_fs
+        if next_at is None or limit_fs is None:
+            return limit_fs if next_at is None else next_at
+        return min(next_at, limit_fs)
 
     # -- scheduler internals ---------------------------------------------------
 

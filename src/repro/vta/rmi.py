@@ -128,11 +128,24 @@ class RmiClient:
                 yield Timeout(call.granted, SimTime.intern(interval_fs))
                 if call.is_granted:
                     break
-                # Status-register read: a real transaction on the channel.
-                yield from self.channel.transport(self._master, self.poll_words)
-                self.polls += 1
-                _telemetry.count("rmi.polls")
-                interval_fs = min(interval_fs * 2, max_interval_fs)
+                # Polls that provably run alone (nothing else can act
+                # before they complete, so the guard cannot open) are
+                # settled in one step; the client sleeps until the last
+                # one completes.  Every poll still counts on the channel.
+                polls, end_fs = self.channel.settle_alone(
+                    self._master, self.poll_words,
+                    _backoff(interval_fs, max_interval_fs),
+                )
+                if polls:
+                    yield SimTime.from_fs(end_fs - sim._now_fs)
+                else:
+                    # Status-register read: a real transaction on the channel.
+                    yield from self.channel.transport(self._master, self.poll_words)
+                    polls = 1
+                self.polls += polls
+                _telemetry.count("rmi.polls", polls)
+                for _ in range(polls):
+                    interval_fs = min(interval_fs * 2, max_interval_fs)
         else:
             # Reference path, kept verbatim for differential testing.
             while not call.is_granted:
@@ -151,3 +164,10 @@ class RmiClient:
 
     def __repr__(self) -> str:
         return f"RmiClient({self.name!r} -> {self.socket.name!r} via {self.channel.name!r})"
+
+
+def _backoff(interval_fs: int, max_interval_fs: int):
+    """The poll intervals that follow *interval_fs*: doubling, capped."""
+    while True:
+        interval_fs = min(interval_fs * 2, max_interval_fs)
+        yield interval_fs

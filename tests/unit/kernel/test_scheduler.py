@@ -134,6 +134,67 @@ class TestDeltaCycles:
         assert run_once() == run_once()
 
 
+class TestQuietUntil:
+    """The window in which only the running process can act."""
+
+    def test_next_timed_entry_bounds_the_window(self, sim):
+        seen = []
+
+        def quiet():
+            yield ns(5)
+            seen.append(sim.quiet_until())
+
+        def later():
+            yield ns(40)
+
+        sim.spawn(quiet(), "quiet")
+        sim.spawn(later(), "later")
+        sim.run()
+        assert seen == [ns(40).femtoseconds]
+
+    def test_another_runnable_process_closes_the_window(self, sim):
+        seen = []
+
+        def first():
+            yield ns(5)
+            seen.append(sim.quiet_until())
+
+        def second():
+            yield ns(5)
+
+        sim.spawn(first(), "first")
+        sim.spawn(second(), "second")
+        sim.run()
+        assert seen == [ns(5).femtoseconds]
+
+    def test_pending_delta_notification_closes_the_window(self, sim):
+        seen = []
+        event = sim.event("e")
+
+        def body():
+            yield ns(5)
+            event.notify(delta=True)
+            seen.append(sim.quiet_until())
+
+        sim.spawn(body(), "p")
+        sim.run()
+        assert seen == [ns(5).femtoseconds]
+
+    def test_run_limit_bounds_the_window(self, sim):
+        seen = []
+
+        def body():
+            yield ns(5)
+            seen.append(sim.quiet_until())
+            yield ns(100)
+            seen.append(sim.quiet_until())
+
+        sim.spawn(body(), "p")
+        sim.run(until=ns(50))
+        sim.run()
+        assert seen == [ns(50).femtoseconds, None]
+
+
 class TestReentrancy:
     def test_nested_run_rejected(self, sim):
         def body():

@@ -1,9 +1,21 @@
 """RMI transactors: transfer accounting, chunking, grant polling."""
 
+import random
+
 import pytest
 
-from repro.core import FunctionTask, SharedObject, guarded, osss_method
+from repro import telemetry
+from repro.casestudy.workload import paper_workload
+from repro.core import (
+    FunctionTask,
+    RoundRobin,
+    SharedObject,
+    StaticPriority,
+    guarded,
+    osss_method,
+)
 from repro.core.serialisation import Serialisable
+from repro.design import catalog, elaborate_design
 from repro.kernel import Simulator, ns, us
 from repro.vta import ObjectSocket, OpbBus, P2PChannel, RmiClient
 
@@ -198,6 +210,126 @@ class TestPolling:
         sim.run()
         # Without backoff ~5000 polls; with doubling up to 64x far fewer.
         assert client.polls < 150
+
+
+class TestPollFastForwardEquivalence:
+    """Fast-forwarded status polls must reproduce the reference scheduler.
+
+    The fast substrate settles every poll that provably runs alone in one
+    step; ``Simulator(fast=False)`` runs each one as a real transaction
+    through the arbiter process.  Every observable must agree: call
+    timestamps, channel statistics, poll counts, the ``rmi.polls``
+    counter and the bus spans.
+    """
+
+    @staticmethod
+    def _run(fast, waiters=1, opener_ns=300_000, dma_gaps_ns=(),
+             policy=None, until_ns=None):
+        with telemetry.session(spans=True) as run:
+            sim = Simulator(fast=fast)
+            bus = OpbBus(sim, CYCLE, policy=policy)
+            so = SharedObject(sim, "gate", TestPolling.Gate())
+            socket = ObjectSocket(so)
+            calls = []
+
+            def bind(name, body, **rmi_kwargs):
+                client = RmiClient(bus, socket, name=f"rmi_{name}", **rmi_kwargs)
+                task = FunctionTask(sim, name, body)
+                task.p = task.port("p")
+                task.p.bind(client)
+                task.start()
+                return client
+
+            def waiter(task):
+                value = yield from task.p.call("enter")
+                calls.append((task.name, value, sim.now.femtoseconds))
+
+            def opener(task):
+                yield ns(opener_ns)
+                yield from task.p.call("unlock")
+                calls.append((task.name, None, sim.now.femtoseconds))
+
+            clients = [
+                bind(f"w{index}", waiter, poll_interval=ns(200 + 130 * index))
+                for index in range(waiters)
+            ]
+            master = bus.connect_master("dma", priority=1)
+            bind("opener", opener)
+
+            def dma():
+                for gap_ns in dma_gaps_ns:
+                    yield ns(gap_ns)
+                    yield from bus.transport(master, 5)
+                    calls.append(("dma", None, sim.now.femtoseconds))
+
+            sim.spawn(dma(), "dma")
+            snapshots = []
+            if until_ns is not None:
+                sim.run(until=ns(until_ns))
+                snapshots.append((sim.now.femtoseconds, bus.stats.as_dict(),
+                                  [client.polls for client in clients]))
+            sim.run()
+        recorder = run.recorder
+        bus_spans = sorted(
+            (span.begin_fs, span.end_fs, span.track, span.attrs["words"])
+            for span in recorder.category_spans("bus")
+        )
+        return (
+            sorted(calls),
+            snapshots,
+            bus.stats.as_dict(),
+            [client.polls for client in clients],
+            recorder.metrics.counter("rmi.polls"),
+            recorder.busy_fs("bus", bus.name),
+            bus_spans,
+        )
+
+    def _assert_equivalent(self, **scenario):
+        fast = self._run(fast=True, **scenario)
+        assert fast == self._run(fast=False, **scenario)
+        assert sum(fast[3]) > 10  # the scenario really polls
+
+    def test_timed_opener_releases_one_blocked_client(self):
+        self._assert_equivalent()
+
+    def test_two_polling_clients_stop_at_each_others_timers(self):
+        self._assert_equivalent(waiters=2)
+
+    def test_third_master_transacts_mid_window(self):
+        self._assert_equivalent(
+            waiters=2, dma_gaps_ns=(1_000, 4_555, 35_000, 5, 250_000),
+        )
+
+    def test_run_limit_inside_a_window_then_resume(self):
+        self._assert_equivalent(waiters=2, until_ns=37_001)
+        self._assert_equivalent(until_ns=150_000)
+
+    @pytest.mark.parametrize("policy", [StaticPriority, RoundRobin])
+    def test_opb_policies(self, policy):
+        # The DMA's second request (1.13 us + 298.87 us) collides with the
+        # opener's at 300 us; round robin then ranks them from the last
+        # client served, which the settled polls must have set.
+        self._assert_equivalent(
+            waiters=2, dma_gaps_ns=(1_000, 298_870), policy=policy(),
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_dma_traffic(self, seed):
+        # Cycle-aligned gaps make DMA requests coincide with poll issues
+        # and completions.
+        rng = random.Random(seed)
+        self._assert_equivalent(
+            waiters=2,
+            dma_gaps_ns=[10 * rng.randrange(1, 1_500) for _ in range(40)],
+            policy=rng.choice([None, StaticPriority(), RoundRobin()]),
+        )
+
+    def test_fast_forward_engages_on_the_6a_cell(self):
+        # 127,569 delta cycles when every poll wakes its client twice.
+        model = elaborate_design(catalog.get("6a"), paper_workload(True))
+        model.run()
+        assert model.detail_stats()["polls"] == 46_235
+        assert model.sim.delta_count < 60_000
 
 
 class TestSeamlessness:
