@@ -103,14 +103,6 @@ class Fsmd:
             result[state.name] = ops
         return result
 
-    def total_operations(self) -> dict:
-        """(op kind, width) -> total count over all states."""
-        totals: dict[tuple[str, int], int] = {}
-        for ops in self.operations_per_state().values():
-            for key, count in ops.items():
-                totals[key] = totals.get(key, 0) + count
-        return totals
-
     def register_bits(self) -> int:
         return sum(reg.width for reg in self.registers)
 

@@ -57,12 +57,6 @@ class BitWriter:
         for shift in range(count - 1, -1, -1):
             self.put_bit((value >> shift) & 1)
 
-    def put_comma_code(self, value: int) -> None:
-        """Unary 'comma code': *value* ones followed by a zero."""
-        for _ in range(value):
-            self.put_bit(1)
-        self.put_bit(0)
-
     def flush(self) -> bytes:
         """Pad the final byte with zeros and return the packed header."""
         if self._used > 0:

@@ -99,8 +99,3 @@ def max_bitplanes(dynamic_range_bits: int, orientation: str, step: StepSize) -> 
     (all-zero) leading planes per code block against this bound.
     """
     return guard_bits() + step.exponent - 1
-
-
-def reversible_exponent(dynamic_range_bits: int, orientation: str) -> int:
-    """The ranging exponent signalled for reversible (5/3) subbands."""
-    return dynamic_range_bits + ORIENTATION_GAIN_LOG2[orientation]

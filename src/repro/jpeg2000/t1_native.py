@@ -16,9 +16,11 @@ compiler (portable ``-O2``, no ``-march=native``, and
 ``-ffp-contract=off`` so no multiply-add is fused) into the experiment
 cache root — ``$REPRO_CACHE_DIR`` when set, else ``./.repro_cache`` —
 as ``native/<sha256 of source + compiler + flags + machine>.so``.  The
-compiler writes a temporary name that is ``os.replace``-d into place,
-so processes racing on an empty directory each end with a complete
-library.  The library is loaded once per process through ``ctypes``;
+build runs under an exclusive ``flock`` on the ``native`` directory, so
+of the processes racing on an empty cache the first compiles and the
+others wait and load its library; the compiler writes a temporary name
+that is ``os.replace``-d into place, so no reader sees a partial file.
+The library is loaded once per process through ``ctypes``;
 when no compiler is found or the build fails, :func:`available` is
 false: the planner binds the reference decoder and the vectorised
 reconstruct, and the encoder codes every block with the reference
@@ -32,6 +34,7 @@ of the calling process.
 from __future__ import annotations
 
 import ctypes
+import fcntl
 import hashlib
 import os
 import platform
@@ -121,7 +124,6 @@ def library_path(compiler: str) -> Path:
 
 
 def _build(compiler: str, target: Path) -> None:
-    target.parent.mkdir(parents=True, exist_ok=True)
     temporary = target.with_name(f".{target.stem}-{uuid.uuid4().hex}.tmp")
     try:
         result = subprocess.run(
@@ -146,7 +148,14 @@ def _load():
     try:
         target = library_path(compiler)
         if not target.is_file():
-            _build(compiler, target)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            lock = os.open(target.parent, os.O_RDONLY)
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                if not target.is_file():  # nobody built it while we waited
+                    _build(compiler, target)
+            finally:
+                os.close(lock)
         library = ctypes.CDLL(str(target))
     except (OSError, subprocess.SubprocessError, NativeUnavailable) as exc:
         return None, f"{type(exc).__name__}: {exc}"

@@ -14,7 +14,7 @@ over a handful of bounds — no allocation, no sorting.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 #: Default histogram bounds: femtosecond decades from 1 ns to 10 ms.
 #: Latency observations in a 100 MHz system land squarely inside.
@@ -131,9 +131,6 @@ class MetricsRegistry:
 
     def gauge_set(self, name: str, value: float) -> None:
         self._gauges[name] = value
-
-    def gauge(self, name: str) -> Optional[float]:
-        return self._gauges.get(name)
 
     # -- histograms ---------------------------------------------------------
 

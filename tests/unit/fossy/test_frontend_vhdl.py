@@ -104,10 +104,10 @@ class TestElaboration:
 
     def test_operation_census(self):
         fsmd = elaborate(loop_design())
-        totals = fsmd.total_operations()
-        assert totals[("addsub", 16)] >= 1  # the accumulator
-        assert totals[("addsub", 8)] >= 1  # the loop counter
-        assert totals[("compare", 1)] >= 1  # the loop bound
+        census = set().union(*fsmd.operations_per_state().values())
+        assert ("addsub", 16) in census  # the accumulator
+        assert ("addsub", 8) in census  # the loop counter
+        assert ("compare", 1) in census  # the loop bound
 
 
 class TestVhdlEmission:

@@ -29,7 +29,7 @@ class TestBitWriter:
 
     def test_comma_code(self):
         writer = BitWriter()
-        writer.put_comma_code(3)
+        writer.put_bits(0b1110, 4)  # three ones, then the closing zero
         reader = BitReader(writer.flush())
         assert reader.get_comma_code() == 3
 

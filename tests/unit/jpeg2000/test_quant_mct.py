@@ -120,8 +120,3 @@ class TestBounds:
     def test_max_bitplanes_formula(self):
         step = quant.StepSize(exponent=10, mantissa=0)
         assert quant.max_bitplanes(8, "LL", step) == quant.guard_bits() + 10 - 1
-
-    def test_reversible_exponent_includes_gain(self):
-        assert quant.reversible_exponent(8, "LL") == 8
-        assert quant.reversible_exponent(8, "HL") == 9
-        assert quant.reversible_exponent(8, "HH") == 10

@@ -295,10 +295,16 @@ class TestBuild:
             t1_native._load.cache_clear()
 
     def test_two_processes_build_into_one_empty_directory(self, tmp_path):
-        """Racing first uses each end with a working library, one .so and
-        no temporary files left behind."""
-        if t1_native._compiler() is None:
+        """Racing first uses each end with a working library, one .so,
+        one compile and no temporary files left behind."""
+        compiler = t1_native._compiler()
+        if compiler is None:
             pytest.skip("no C compiler on this host")
+        # A compiler wrapper that logs each invocation.
+        log = tmp_path / "compiles.log"
+        wrapper = tmp_path / "cc-logged"
+        wrapper.write_text(f'#!/bin/sh\necho x >> "{log}"\nexec "{compiler}" "$@"\n')
+        wrapper.chmod(0o755)
         coeffs = [(-1) ** i * (i % 9) for i in range(64)]
         encoded = CodeBlockEncoder(coeffs, 8, 8, "LH").encode()
         script = (
@@ -308,7 +314,7 @@ class TestBuild:
             f"8, 8, 'LH', {encoded.num_bitplanes}, None, 0)])\n"
             f"assert out.tolist() == {coeffs!r}\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(SRC),
+        env = {**os.environ, "PYTHONPATH": str(SRC), "CC": str(wrapper),
                "REPRO_CACHE_DIR": str(tmp_path)}
         procs = [
             subprocess.Popen([sys.executable, "-c", script], env=env,
@@ -320,3 +326,4 @@ class TestBuild:
             assert proc.returncode == 0, stderr.decode()
         built = sorted(p.name for p in (tmp_path / "native").iterdir())
         assert len(built) == 1 and built[0].endswith(".so")
+        assert log.read_text().splitlines() == ["x"]

@@ -28,10 +28,7 @@ class TestGauges:
         registry = MetricsRegistry()
         registry.gauge_set("depth", 7)
         registry.gauge_set("depth", 3)
-        assert registry.gauge("depth") == 3
-
-    def test_unknown_gauge_is_none(self):
-        assert MetricsRegistry().gauge("missing") is None
+        assert registry.as_dict()["gauges"] == {"depth": 3}
 
 
 class TestHistograms:
