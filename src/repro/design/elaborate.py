@@ -24,8 +24,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..core import FunctionTask, RoundRobin, SharedObject
 from ..kernel import Simulator, join, us
 from .spec import DesignSpec, MODULE_KINDS
@@ -381,18 +379,16 @@ class ElaboratedModel:
     def _assemble_image(self):
         if not self.workload.functional or not self.results:
             return None
-        from ..jpeg2000.image import Image, TileGrid
+        from ..jpeg2000.image import TileGrid
+        from ..jpeg2000.stages.assemble import assemble_full
 
         params = self.workload.decoder.parameters
         grid = TileGrid(params.width, params.height, params.tile_width, params.tile_height)
-        components = [
-            np.zeros((params.height, params.width), dtype=np.int64)
-            for _ in range(params.num_components)
-        ]
+        image, windows = assemble_full(grid, params)
         for tile_index, planes in self.results.items():
-            for component, plane in zip(components, planes):
-                grid.insert(component, tile_index, plane)
-        return Image(components=components, bit_depth=params.bit_depth)
+            for window, plane in zip(windows[tile_index], planes):
+                window[...] = plane
+        return image
 
     # -- external-memory hooks (no-ops at the Application Layer) ---------------
 

@@ -150,13 +150,6 @@ class TileStages:
     def dc_shift(self, planes: list) -> list:
         return reconstruct_stage.dc_shift(self.params, planes, self.ops)
 
-    # -- fused stages 4+5 ---------------------------------------------------------------
-
-    def finish_mct_dc(self, planes: list) -> list:
-        """Fused inverse colour transform + DC shift, one pass per plane;
-        see :func:`repro.jpeg2000.stages.reconstruct.finish_mct_dc`."""
-        return reconstruct_stage.finish_mct_dc(self.params, planes, self.ops)
-
     # -- all stages ------------------------------------------------------------------------
 
     def _staged(self, stage, fn, *args):
@@ -250,25 +243,6 @@ class Jpeg2000Decoder:
             tile_index=tile_index,
         )
 
-    def _tile_planes(self, grid: TileGrid) -> dict:
-        """Execute the plan over every tile; tile index → sample planes."""
-        stages_list = [
-            self.tile_stages(tile_index) for tile_index in range(grid.num_tiles)
-        ]
-        if self.schedule["degraded"]:
-            _warn_degraded(
-                self.schedule["requested_workers"],
-                self.schedule["effective_workers"],
-                "clamped to the host CPU count",
-            )
-        self.fates = plan_driver.StageFates(self.plan)
-        planes = plan_driver.run_tiles(
-            self.plan, stages_list, schedule=self.schedule, fates=self.fates,
-        )
-        for stages in stages_list:
-            self.ops.merge(stages.ops)
-        return planes
-
     def decode(self) -> Image:
         params = self.parameters
         grid = TileGrid(params.width, params.height, params.tile_width, params.tile_height)
@@ -298,15 +272,32 @@ class Jpeg2000Decoder:
         return self._decode_image(grid)
 
     def _decode_image(self, grid: TileGrid) -> Image:
+        """Allocate the frame, then execute the plan over every tile,
+        each writing its samples into its window of the frame."""
         params = self.parameters
+        stages_list = [
+            self.tile_stages(tile_index) for tile_index in range(grid.num_tiles)
+        ]
+        if self.schedule["degraded"]:
+            _warn_degraded(
+                self.schedule["requested_workers"],
+                self.schedule["effective_workers"],
+                "clamped to the host CPU count",
+            )
+        self.fates = plan_driver.StageFates(self.plan)
+        self.fates.begin(STAGE_ASSEMBLE)
         if self.max_resolution is None:
-            tile_planes = self._tile_planes(grid)
-            self.fates.begin(STAGE_ASSEMBLE)
-            image = assemble_stage.assemble_full(grid, params, tile_planes)
+            image, windows = assemble_stage.assemble_full(grid, params)
         else:
-            tile_planes = self._tile_planes(grid)
-            self.fates.begin(STAGE_ASSEMBLE)
-            image = assemble_stage.assemble_reduced(grid, params, tile_planes)
+            image, windows = assemble_stage.assemble_reduced(
+                grid, params, self.max_resolution
+            )
+        plan_driver.run_tiles(
+            self.plan, stages_list, windows,
+            schedule=self.schedule, fates=self.fates,
+        )
+        for stages in stages_list:
+            self.ops.merge(stages.ops)
         self.fates.done(STAGE_ASSEMBLE)
         return image
 

@@ -9,7 +9,8 @@ only ever see their own slice of the plan.
 One schedule, like the paper's tile-by-tile decoder: tiles finish in
 order, each through Tier-2 parse → Tier-1 entropy → gather →
 reconstruction, and a tile's coefficients and band planes are freed
-before the next tile decodes, so the transient memory tracks one tile
+before the next tile decodes, its samples written straight into its
+window of the output frame, so the transient memory tracks one tile
 rather than the image.  The entropy executor decides only where a
 tile's coefficients come from:
 
@@ -18,10 +19,11 @@ inline
     call over the tile's blocks, right after the tile parses, its native
     batch split over the executor's threads;
 pool
-    :meth:`~repro.jpeg2000.stages.entropy.SpecStream.drain_tile`: every
+    :meth:`~repro.jpeg2000.stages.entropy.SpecStream.drain_tile`: a
     tile's chunks ship to the workers the moment its packet headers are
-    read, before the first drain, so later tiles decode in the workers
-    while earlier ones are gathered and reconstructed here.
+    read, one tile ahead of the drain, so the next tile decodes in the
+    workers while this one is gathered and reconstructed here, and at
+    most two tiles' coefficients are in flight.
 
 A pool plan that gets no pool runs the same loop inline.
 That degradation and a broken-pool resume are each recorded as one
@@ -30,8 +32,6 @@ compiled plan) in every crash report.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .. import telemetry
 from .pipeline import STAGE_ARITH
@@ -110,19 +110,19 @@ class StageFates:
 def run_tiles(
     plan: DecodePlan,
     stages_list: list,
+    windows: list,
     *,
-    schedule: Optional[dict] = None,
-    fates: Optional[StageFates] = None,
-) -> dict:
-    """Execute *plan* over the tiles; returns tile index → sample planes.
+    schedule: dict,
+    fates: StageFates,
+) -> None:
+    """Execute *plan* over the tiles, writing each into its window.
 
+    ``windows[i]`` is the output-frame window of ``stages_list[i]``'s
+    tile, one view per component (:mod:`~repro.jpeg2000.stages.assemble`).
     *schedule* is the caller's reporting dict
     (:func:`~repro.jpeg2000.plan.schedule_info`) installed into crash
-    reports; *fates* collects the per-stage outcome (one is created if
-    the caller keeps none).
+    reports; *fates* collects the per-stage outcome.
     """
-    if fates is None:
-        fates = StageFates(plan)
     fates.publish()
     binding = plan.stage(STAGE_ENTROPY)
     stream = None
@@ -134,27 +134,28 @@ def run_tiles(
     stages_run = (STAGE_PARSE, STAGE_ENTROPY, STAGE_RECONSTRUCT)
     for stage in stages_run:
         fates.begin(stage)
-    planes: dict = {}
     layouts: dict = {}
+    shipped = 0
     try:
-        if stream is not None:
-            # Every tile ships before the first drain, so the workers
-            # decode ahead while finished tiles reconstruct here.
-            for index, stages in enumerate(stages_list):
-                layouts[index], specs = _parse(stages)
-                stream.submit_tile(index, specs)
-            fates.done(STAGE_PARSE)
         for index, stages in enumerate(stages_list):
-            planes[stages.tile_index] = reconstruct_stage.finish_tiles(
-                stages, _tile_bands(stages, index, binding, stream, layouts,
-                                    plan.stage(STAGE_RECONSTRUCT).impl)
+            if stream is not None:
+                # Double buffering: the workers decode the next tile
+                # while this one drains and reconstructs here.
+                for ahead in stages_list[shipped:index + 2]:
+                    layouts[shipped], specs = _parse(ahead)
+                    stream.submit_tile(shipped, specs)
+                    shipped += 1
+            reconstruct_stage.finish_tiles(
+                stages,
+                _tile_bands(stages, index, binding, stream, layouts,
+                            plan.stage(STAGE_RECONSTRUCT).impl),
+                windows[index],
             )
     finally:
         if stream is not None:
             stream.close()
     for stage in stages_run:
         fates.done(stage)
-    return planes
 
 
 def _parse(stages) -> tuple:

@@ -104,10 +104,6 @@ class TileGrid:
         x0, y0, x1, y1 = self.tile_bounds(tile_index)
         return component[y0:y1, x0:x1].copy()
 
-    def insert(self, component: np.ndarray, tile_index: int, tile: np.ndarray) -> None:
-        x0, y0, x1, y1 = self.tile_bounds(tile_index)
-        component[y0:y1, x0:x1] = tile
-
 
 def synthetic_image(
     width: int = 512,

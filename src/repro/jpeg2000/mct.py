@@ -82,34 +82,38 @@ def dc_shift_inverse(samples: np.ndarray, bit_depth: int) -> np.ndarray:
 #
 # The two-stage path above exists as the readable Fig. 1 reference; the
 # fused kernels below combine the inverse colour transform with the DC
-# shift in one pass per plane, each step in place on the one array per
-# plane it allocates.  They are value-identical by construction: the RCT
-# path stays in int64 end to end (the reference's float64 round trip is
-# exact below 2^53, so skipping it changes nothing), and the ICT path
-# performs the identical float64 operations in the identical order.
+# shift in one pass per plane and write the samples into *out*, the
+# caller's three int64 planes (the tile's windows of the output frame).
+# They are value-identical by construction: the RCT path stays in int64
+# end to end (the reference's float64 round trip is exact below 2^53, so
+# skipping it changes nothing), and the ICT path performs the identical
+# float64 operations in the identical order.
 
 
-def rct_dc_inverse(y: np.ndarray, u: np.ndarray, v: np.ndarray, bit_depth: int):
+def rct_dc_inverse(y: np.ndarray, u: np.ndarray, v: np.ndarray, bit_depth: int,
+                   *, out: list) -> None:
     """Fused inverse RCT + DC level shift, all-integer (5/3 path)."""
     y = np.asarray(y, dtype=np.int64)
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    g = u + v
+    r, g, b = out
+    np.add(u, v, out=g)
     g >>= 2
     np.subtract(y, g, out=g)
-    r = v + g
-    b = u + g
-    for plane in (r, g, b):
+    np.add(v, g, out=r)
+    np.add(u, g, out=b)
+    for plane in out:
         plane += 1 << (bit_depth - 1)
         np.clip(plane, 0, (1 << bit_depth) - 1, out=plane)
-    return r, g, b
 
 
-def ict_dc_inverse(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, bit_depth: int):
+def ict_dc_inverse(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, bit_depth: int,
+                   *, out: list) -> None:
     """Fused inverse ICT + DC level shift (9/7 path)."""
     stack = np.stack([y, cb, cr]).astype(np.float64, copy=False)
     planes = np.tensordot(_ICT_INVERSE, stack, axes=1)
     planes += 1 << (bit_depth - 1)
     np.rint(planes, out=planes)
     np.clip(planes, 0, (1 << bit_depth) - 1, out=planes)
-    return tuple(planes.astype(np.int64))
+    for window, plane in zip(out, planes):
+        window[...] = plane

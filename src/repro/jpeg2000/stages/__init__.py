@@ -14,7 +14,8 @@ One module per :mod:`~repro.jpeg2000.plan` stage seam:
     DC shift — stage by stage, or fused and batched over one tile's
     components.
 :mod:`~repro.jpeg2000.stages.assemble`
-    The tile mosaic (full-size and resolution-truncated).
+    The output frame and each tile's window of it (full-size and
+    resolution-truncated).
 
 Stage modules never import each other's executors and never read
 :class:`~repro.jpeg2000.options.DecodeOptions` — the driver

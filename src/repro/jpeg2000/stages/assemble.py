@@ -1,57 +1,67 @@
-"""The assemble stage: the tile mosaic.
+"""The assemble stage: the output frame and each tile's window of it.
 
-Places every decoded tile's component planes into the full image frame
-(:func:`assemble_full`), or packs the shrunken tiles of a
-resolution-truncated decode edge to edge (:func:`assemble_reduced`).
+The frame is allocated once, before the first tile decodes, and every
+tile's reconstruction writes its samples straight into its window
+(:func:`~repro.jpeg2000.stages.reconstruct.finish_mct_dc`), so no
+finished tile plane outlives its tile.  At full size a window is the
+tile's grid bounds (:func:`assemble_full`); a resolution-truncated
+decode packs the shrunken tiles edge to edge (:func:`assemble_reduced`),
+their sizes read off the tile geometry alone.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
 from ..codestream import CodingParameters
 from ..image import Image, TileGrid
+from .reconstruct import native_layout
 
 
-def assemble_full(
-    grid: TileGrid, params: CodingParameters, tile_planes: dict
-) -> Image:
-    """The full-resolution mosaic: each tile lands at its grid bounds."""
-    components = [
-        np.zeros((params.height, params.width), dtype=np.int64)
-        for _ in range(params.num_components)
+def assemble_full(grid: TileGrid, params: CodingParameters) -> tuple:
+    """The full-size frame and each tile's window: ``(image, windows)``,
+    ``windows[tile]`` one view per component at the tile's grid bounds."""
+    image = _frame(params, params.height, params.width)
+    return image, [
+        _window(image, grid.tile_bounds(index))
+        for index in range(grid.num_tiles)
     ]
-    for tile_index in range(grid.num_tiles):
-        for component, plane in zip(components, tile_planes[tile_index]):
-            grid.insert(component, tile_index, plane)
-    return Image(components=components, bit_depth=params.bit_depth)
 
 
-def assemble_reduced(
-    grid: TileGrid, params: CodingParameters, tile_planes: dict
-) -> Image:
-    """Assemble the resolution-truncated mosaic (tiles shrink per axis)."""
-    # Cumulative offsets from the reduced per-tile sizes.
-    widths = [
-        tile_planes[tx][0].shape[1] for tx in range(grid.tiles_across)
+def assemble_reduced(grid: TileGrid, params: CodingParameters,
+                     max_resolution: int) -> tuple:
+    """The resolution-truncated frame and each tile's window, as
+    :func:`assemble_full`; each column (row) of tiles is as wide (high)
+    as its first tile at *max_resolution*."""
+    sizes = []
+    for index in range(grid.num_tiles):
+        x0, y0, x1, y1 = grid.tile_bounds(index)
+        layout = native_layout(x1 - x0, y1 - y0, params.num_levels,
+                               params.codeblock_size, max_resolution)
+        sizes.append((layout.width, layout.height))
+    across = grid.tiles_across
+    xs = [0, *accumulate(width for width, _ in sizes[:across])]
+    ys = [0, *accumulate(height for _, height in sizes[::across])]
+    image = _frame(params, ys[-1], xs[-1])
+    return image, [
+        _window(image, (xs[index % across], ys[index // across],
+                        xs[index % across] + width,
+                        ys[index // across] + height))
+        for index, (width, height) in enumerate(sizes)
     ]
-    heights = [
-        tile_planes[ty * grid.tiles_across][0].shape[0]
-        for ty in range(grid.tiles_down)
-    ]
-    total_w, total_h = sum(widths), sum(heights)
-    components = [
-        np.zeros((total_h, total_w), dtype=np.int64)
-        for _ in range(params.num_components)
-    ]
-    y_offset = 0
-    for ty in range(grid.tiles_down):
-        x_offset = 0
-        for tx in range(grid.tiles_across):
-            planes = tile_planes[ty * grid.tiles_across + tx]
-            height, width = planes[0].shape
-            for component, plane in zip(components, planes):
-                component[y_offset:y_offset + height, x_offset:x_offset + width] = plane
-            x_offset += width
-        y_offset += heights[ty]
-    return Image(components=components, bit_depth=params.bit_depth)
+
+
+def _frame(params: CodingParameters, height: int, width: int) -> Image:
+    """The zeroed frame as one ``(components, height, width)`` array,
+    its components views of it: separately allocated planes measured
+    several times the page faults per decode (EXPERIMENTS.md, "Each
+    tile into the frame")."""
+    frame = np.zeros((params.num_components, height, width), dtype=np.int64)
+    return Image(components=list(frame), bit_depth=params.bit_depth)
+
+
+def _window(image: Image, bounds: tuple) -> list:
+    x0, y0, x1, y1 = bounds
+    return [component[y0:y1, x0:x1] for component in image.components]

@@ -16,9 +16,10 @@ and the plan's reconstruct binding picks what they run:
     (:func:`repro.jpeg2000.t1_native.reconstruct_tile`), sample- and
     op-count-identical to the specification.
 
-Both end in the fused colour-transform + DC-shift kernels in NumPy, whose
-ICT goes through BLAS — the same call on either path, so host-dependent
-rounding there cannot tell the two apart.
+Both end in the fused colour-transform + DC-shift kernels in NumPy, which
+write each tile's samples straight into its window of the output frame
+and whose ICT goes through BLAS — the same call on either path, so
+host-dependent rounding there cannot tell the two apart.
 """
 
 from __future__ import annotations
@@ -172,34 +173,26 @@ def dc_shift(params: CodingParameters, planes: list, ops) -> list:
     return out
 
 
-def finish_mct_dc(params: CodingParameters, planes: list, ops) -> list:
-    """Fused inverse colour transform + DC shift, one pass per plane.
+def finish_mct_dc(params: CodingParameters, planes: list, ops, *,
+                  out: list) -> None:
+    """Fused inverse colour transform + DC shift into *out*.
 
-    Value- and op-count-identical to :func:`inverse_mct` followed by
-    :func:`dc_shift` (see the fused kernels in
-    :mod:`repro.jpeg2000.mct`); the batched reconstruction path uses
-    this so each tile plane is traversed once instead of three times.
+    *out* holds one int64 plane per component, the tile's windows of the
+    output frame.  Value- and op-count-identical to :func:`inverse_mct`
+    followed by :func:`dc_shift` (see the fused kernels in
+    :mod:`repro.jpeg2000.mct`), with each tile plane traversed once
+    instead of three times.
     """
+    rest = zip(out, planes)
     if params.use_mct:
-        if params.lossless:
-            fused = mct.rct_dc_inverse(
-                planes[0], planes[1], planes[2], params.bit_depth
-            )
-        else:
-            fused = mct.ict_dc_inverse(
-                planes[0], planes[1], planes[2], params.bit_depth
-            )
+        fused = mct.rct_dc_inverse if params.lossless else mct.ict_dc_inverse
+        fused(planes[0], planes[1], planes[2], params.bit_depth, out=out[:3])
         ops.add(STAGE_ICT, 3 * planes[0].size)
-        out = list(fused)
-        rest = planes[3:]
-    else:
-        out = []
-        rest = planes
-    for plane in rest:
-        out.append(mct.dc_shift_inverse(plane, params.bit_depth))
+        rest = zip(out[3:], planes[3:])
+    for window, plane in rest:
+        window[...] = mct.dc_shift_inverse(plane, params.bit_depth)
     for plane in planes:
         ops.add(STAGE_DC, plane.size)
-    return out
 
 
 @dataclass(frozen=True)
@@ -301,17 +294,18 @@ def reconstruct_native(
     return list(planes)
 
 
-def finish_tiles(stages, bands) -> list:
-    """Stages 2–5 for one tile; returns its component sample planes.
+def finish_tiles(stages, bands, out: list) -> None:
+    """Stages 2–5 for one tile, its samples written into *out*.
 
     *stages* is the tile's ``TileStages`` driver (op accumulator and
-    coding parameters) and *bands* what :func:`scatter_entropy` returned
-    for it.  A :class:`FlatTile` is gathered, dequantised and inverted
-    by the native kernel in one call; band planes are dequantised one
-    NumPy pass per subband and inverted per component by
+    coding parameters), *bands* what :func:`scatter_entropy` returned
+    for it, and *out* the tile's window of each output-frame component.
+    A :class:`FlatTile` is gathered, dequantised and inverted by the
+    native kernel in one call; band planes are dequantised one NumPy
+    pass per subband and inverted per component by
     :func:`~repro.jpeg2000.dwt.inverse`.  The colour transform and DC
-    shift then run as fused whole-plane kernels.  Values and op counts
-    are exactly those of the per-stage path.
+    shift then run as fused whole-plane kernels straight into *out*.
+    Values and op counts are exactly those of the per-stage path.
     """
     if isinstance(bands, FlatTile):
         with telemetry.software_span("stage", "iq_idwt", "decode"):
@@ -325,4 +319,4 @@ def finish_tiles(stages, bands) -> list:
         with telemetry.software_span("stage", "idwt", "decode"):
             planes = stages.inverse_dwt(subbands)
     with telemetry.software_span("stage", "mct_dc", "decode"):
-        return stages.finish_mct_dc(planes)
+        finish_mct_dc(stages.params, planes, stages.ops, out=out)

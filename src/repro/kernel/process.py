@@ -107,7 +107,6 @@ class Process:
             self.result = stop.value
             self.state = ProcessState.FINISHED
             self._notify_done()
-            self.sim._process_finished(self)
             return
         except Exception as exc:
             self.exception = exc

@@ -433,17 +433,8 @@ class Simulator:
     def _make_runnable(self, proc: Process) -> None:
         self._runnable.append(proc)
 
-    def _process_finished(self, proc: Process) -> None:
-        pass  # nothing to clean up; kept as an extension point
-
     def _process_failed(self, proc: Process, exc: BaseException) -> None:
         self.failure = ProcessError(proc, exc)
-
-    # -- convenience -----------------------------------------------------------
-
-    def wait_fs(self, duration_fs: int) -> SimTime:
-        """Helper mainly for tests: a SimTime of *duration_fs* femtoseconds."""
-        return SimTime.from_fs(duration_fs)
 
     def __repr__(self) -> str:
         return f"Simulator(now={self.now}, processes={len(self.processes)})"

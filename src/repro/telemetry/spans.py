@@ -115,12 +115,6 @@ class TelemetryRecorder:
         """Record an already-finished span with explicit timestamps."""
         self.spans.append(Span(category, name, track, begin_fs, end_fs, attrs))
 
-    def instant(self, category: str, name: str, track: str,
-                attrs: Optional[dict] = None) -> None:
-        """Record a zero-duration marker at the current clock."""
-        now = self.now_fs()
-        self.spans.append(Span(category, name, track, now, now, attrs))
-
     def span(self, category: str, name: str, track: str = "sw",
              **attrs) -> _LiveSpan:
         """Context manager: record a span clocked on enter/exit."""
@@ -138,12 +132,6 @@ class TelemetryRecorder:
             for span in self.spans
             if span.category == category and (name is None or span.name == name)
         )
-
-    def tracks(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for span in self.spans:
-            seen.setdefault(span.track)
-        return list(seen)
 
     def __len__(self) -> int:
         return len(self.spans)

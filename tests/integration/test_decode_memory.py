@@ -1,12 +1,16 @@
-"""Decode memory tracks one tile, not the image.
+"""Decode memory is the output frame plus about one tile.
 
-The driver drains each tile through entropy, gather and reconstruction
-before the next tile decodes, so a tile's flat coefficients and band
-planes are gone by then.  What stays is the reconstructed tile planes
-and the output frame they are assembled into: about twice the frame's
-bytes.  The bound here is 3x the frame, under the inline executor and
-under the pool (both start methods); decoding the whole image before
-reconstructing any tile reads about 9x on this 16-tile image.
+The frame is allocated before the first tile decodes and every tile's
+reconstruction writes straight into its window of it, so no finished
+tile plane is kept; the driver drains each tile through entropy, gather
+and reconstruction before the next, and the pool decodes only one tile
+ahead of the drain.  A 16-tile decode's traced peak is about 1.2x the
+frame's bytes inline and 1.3x under the pool (both start methods), and
+about 1.4x for a decode one resolution level down (the frame is a
+quarter the size, the one-tile transient is not).  The bound here is
+1.5x; holding every reconstructed tile until a separate assembly pass
+reads about 2x, and decoding the whole image before reconstructing any
+tile about 9x.
 """
 
 import multiprocessing
@@ -26,15 +30,17 @@ from repro.jpeg2000 import (
 
 START_METHODS = ["fork", "spawn"] if hasattr(os, "fork") else ["spawn"]
 
-PLANS = {"inline": DecodeOptions()} | {
-    f"pool-{method}": DecodeOptions(
-        workers=2, oversubscribe=True, start_method=method,
+#: Plan name -> (options, max_resolution).
+PLANS = {"inline": (DecodeOptions(), None)} | {
+    f"pool-{method}": (
+        DecodeOptions(workers=2, oversubscribe=True, start_method=method),
+        None,
     )
     for method in START_METHODS
-}
+} | {"inline-reduced": (DecodeOptions(), 2)}
 
 #: Traced peak of one decode, as a multiple of the output frame's bytes.
-MAX_PEAK_RATIO = 3.0
+MAX_PEAK_RATIO = 1.5
 
 
 @pytest.fixture(scope="module", params=[True, False], ids=["lossless", "lossy"])
@@ -56,11 +62,15 @@ def _clean_pool():
 
 @pytest.mark.parametrize("plan", list(PLANS))
 def test_peak_stays_under_three_frames(codestream, plan):
-    options = PLANS[plan]
+    options, max_resolution = PLANS[plan]
     # Warm up first: the pool, the native kernel and the lifting-index
     # memo are one-time costs, not per-decode memory.
-    Jpeg2000Decoder(codestream, options=options).decode()
-    decoder = Jpeg2000Decoder(codestream, options=options)
+    Jpeg2000Decoder(
+        codestream, options=options, max_resolution=max_resolution
+    ).decode()
+    decoder = Jpeg2000Decoder(
+        codestream, options=options, max_resolution=max_resolution
+    )
     assert decoder.parameters.num_tiles() == 16
     tracemalloc.start()
     try:

@@ -137,10 +137,12 @@ def _assert_parity(case):
         assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
     assert actual_ops.counts == expected_ops.counts
     ops = StageOps()
-    for ours, theirs in zip(
-        reconstruct.finish_mct_dc(params, actual, ops),
-        reconstruct.finish_mct_dc(params, expected, ops),
-    ):
+    samples = []
+    for planes in (actual, expected):
+        out = [np.zeros(plane.shape, dtype=np.int64) for plane in planes]
+        reconstruct.finish_mct_dc(params, planes, ops, out=out)
+        samples.append(out)
+    for ours, theirs in zip(*samples):
         assert ours.tobytes() == theirs.tobytes()
 
 

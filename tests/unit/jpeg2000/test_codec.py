@@ -125,8 +125,9 @@ class TestStageInstrumentation:
         ]
         for tile_index in range(grid.num_tiles):
             planes = decoder.tile_stages(tile_index).run()
+            x0, y0, x1, y1 = grid.tile_bounds(tile_index)
             for target, plane in zip(pieces, planes):
-                grid.insert(target, tile_index, plane)
+                target[y0:y1, x0:x1] = plane
         assert all(
             np.array_equal(a, b) for a, b in zip(pieces, full.components)
         )

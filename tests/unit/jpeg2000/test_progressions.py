@@ -5,6 +5,7 @@ import pytest
 
 from repro.jpeg2000 import (
     CodingParameters,
+    DecodeOptions,
     Jpeg2000Decoder,
     decode_codestream,
     encode_image,
@@ -27,6 +28,25 @@ def params(progression, layers=1, lossless=True, size=64, tile=32):
         progression=progression,
         base_step=1 / 8,
     )
+
+
+def _assert_mosaic(spec, out):
+    """*out* is *spec*'s per-stage tiles packed edge to edge in grid order."""
+    params = spec.parameters
+    across = -(-params.width // params.tile_width)
+    tiles = [
+        spec.tile_stages(index).run() for index in range(params.num_tiles())
+    ]
+    xs = np.cumsum([0] + [planes[0].shape[1] for planes in tiles[:across]])
+    ys = np.cumsum([0] + [planes[0].shape[0] for planes in tiles[::across]])
+    assert (out.width, out.height) == (xs[-1], ys[-1])
+    for index, planes in enumerate(tiles):
+        x, y = xs[index % across], ys[index // across]
+        for component, plane in zip(out.components, planes):
+            height, width = plane.shape
+            assert np.array_equal(
+                component[y:y + height, x:x + width], plane
+            ), (index, spec.max_resolution)
 
 
 @pytest.fixture(scope="module")
@@ -96,15 +116,38 @@ class TestResolutionScalability:
         assert (out.width, out.height) == (16, 16)
 
     def test_multi_tile_mosaic_alignment(self):
-        """Reduced tiles must land at the right offsets in the mosaic."""
-        image = synthetic_image(96, 64, 3, seed=5)
-        p = CodingParameters(
-            width=96, height=64, num_components=3,
-            tile_width=32, tile_height=32, num_levels=2, lossless=True,
-        )
-        codestream = encode_image(image, p)
-        out = Jpeg2000Decoder(codestream, max_resolution=1).decode()
-        assert (out.width, out.height) == (48, 32)
+        """Every tile lands whole at its offset in the mosaic, at every
+        resolution, on grids whose edge tiles are smaller, under both
+        wavelets and both Tier-1 kernels (so both reconstruct paths):
+        each tile's window equals the per-stage specification path
+        (``TileStages.run``), and the windows tile the frame edge to
+        edge."""
+        for width, height, tile in ((200, 120, 64), (130, 70, 32)):
+            image = synthetic_image(width, height, 3, seed=5)
+            for lossless in (True, False):
+                # The reference kernel's Tier-1 is slow: its cases use
+                # RLCP, so a reduced decode reads only the kept
+                # resolutions' packets, and leave the full-size decode
+                # to test_plan_matrix.py.
+                for kernel, progression, resolutions in (
+                    ("native", PROGRESSION_LRCP, range(4)),
+                    ("reference", PROGRESSION_RLCP, range(3)),
+                ):
+                    p = CodingParameters(
+                        width=width, height=height, num_components=3,
+                        tile_width=tile, tile_height=tile, num_levels=3,
+                        lossless=lossless, progression=progression,
+                    )
+                    codestream = encode_image(image, p)
+                    for resolution in resolutions:
+                        decoder = Jpeg2000Decoder(
+                            codestream, max_resolution=resolution,
+                            options=DecodeOptions(kernel=kernel),
+                        )
+                        spec = Jpeg2000Decoder(
+                            codestream, max_resolution=resolution
+                        )
+                        _assert_mosaic(spec, decoder.decode())
 
     def test_negative_resolution_rejected(self, image):
         codestream = encode_image(image, params(PROGRESSION_LRCP))

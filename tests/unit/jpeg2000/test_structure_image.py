@@ -75,7 +75,8 @@ class TestTileGrid:
         grid = TileGrid(64, 64, 32, 32)
         target = np.zeros_like(source)
         for index in range(grid.num_tiles):
-            grid.insert(target, index, grid.extract(source, index))
+            x0, y0, x1, y1 = grid.tile_bounds(index)
+            target[y0:y1, x0:x1] = grid.extract(source, index)
         assert np.array_equal(source, target)
 
     def test_out_of_range_tile(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import Event, Simulator, ns
+from repro.kernel import Event, Simulator, SimTime, ns
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ class TestDeltaNotify:
         sim.spawn(waiter(), "waiter")
         sim.spawn(notifier(), "notifier")
         sim.run()
-        assert log == [sim.wait_fs(0)]
+        assert log == [SimTime.from_fs(0)]
 
     def test_zero_delay_is_delta(self, sim):
         event = sim.event("e")
@@ -68,7 +68,7 @@ class TestDeltaNotify:
             woken.append(sim.now.femtoseconds)
 
         sim.spawn(waiter(), "w")
-        event.notify(sim.wait_fs(0))
+        event.notify(SimTime.from_fs(0))
         sim.run()
         assert woken == [0]
 

@@ -40,12 +40,6 @@ class TestRecorder:
         assert recorder.busy_fs("bus", "opb") == 30
         assert recorder.busy_fs("bus", "ddr") == 5
 
-    def test_tracks_in_first_seen_order(self, recorder):
-        recorder.complete("c", "n", "beta", 0, 1)
-        recorder.complete("c", "n", "alpha", 0, 1)
-        recorder.complete("c", "n", "beta", 1, 2)
-        assert recorder.tracks() == ["beta", "alpha"]
-
     def test_span_context_manager_uses_sim_clock(self, recorder):
         sim = Simulator()
         recorder.bind_sim(sim)
@@ -64,11 +58,6 @@ class TestRecorder:
             pass
         (span,) = recorder.spans
         assert span.end_fs >= span.begin_fs
-
-    def test_instant_marker_zero_duration(self, recorder):
-        recorder.instant("kernel", "mark", "sched")
-        (span,) = recorder.spans
-        assert span.duration_fs == 0
 
 
 class TestModuleState:
