@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core import OsssModule, Port
+from ..core import OsssModule
 from ..kernel import Fifo, SimTime, Simulator, ms
 from .messages import IdwtResult, TileComponentJob, WirePayload
 from .workload import Workload
@@ -59,15 +59,18 @@ class IdwtMetrics:
         return self.busy_fs / 1e12
 
 
+#: Stripes each stream-pipeline FIFO of a filter block holds.
+FIFO_DEPTH = 4
+
+
 class Idwt2dControl(OsssModule):
     """Control part: claims components, runs IQ, dispatches filter jobs."""
 
     def __init__(self, sim: Simulator, name: str, workload: Workload,
-                 total_jobs: int, num_filters: int = 2):
+                 total_jobs: int):
         super().__init__(sim, name)
         self.workload = workload
         self.total_jobs = total_jobs
-        self.num_filters = num_filters
         self.store_port = self.port("store")
         self.params_port = self.port("params")
 
@@ -92,7 +95,6 @@ class IdwtFilterBlock(OsssModule):
         workload: Workload,
         mode: str,
         metrics: IdwtMetrics,
-        fifo_depth: int = 4,
     ):
         super().__init__(sim, name)
         if mode not in ("5/3", "9/7"):
@@ -105,8 +107,8 @@ class IdwtFilterBlock(OsssModule):
         #: VTA knob: explicit-memory insertion inflates the per-stripe
         #: compute time (single-port block RAM instead of registers).
         self.compute_time_scale = 1.0
-        self._in_fifo: Fifo = Fifo(sim, fifo_depth, name=f"{name}.in")
-        self._out_fifo: Fifo = Fifo(sim, fifo_depth, name=f"{name}.out")
+        self._in_fifo: Fifo = Fifo(sim, FIFO_DEPTH, name=f"{name}.in")
+        self._out_fifo: Fifo = Fifo(sim, FIFO_DEPTH, name=f"{name}.out")
         self._job_started_fs: dict[tuple[int, int], int] = {}
 
     def start(self):

@@ -10,7 +10,7 @@ size still pays for the transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.serialisation import Serialisable
@@ -39,18 +39,15 @@ class WirePayload(Serialisable):
 class TileComponentJob(Serialisable):
     """A unit of IDWT work: one component of one tile.
 
-    ``subbands`` carries the real dequantised coefficient structure in
-    functional mode.  Only the small descriptor is what travels through
-    the IDWT-params Shared Object — the bulk data moves separately as
-    stripe payloads through the HW/SW Shared Object, exactly as in the
-    paper's architecture.
+    Only this small descriptor travels through the IDWT-params Shared
+    Object — the bulk data moves separately as stripe payloads through
+    the HW/SW Shared Object, exactly as in the paper's architecture.
     """
 
     tile_index: int
     component: int
     lossless: bool
     words: int
-    subbands: Optional[object] = None
 
     def payload_bits(self) -> int:
         return 4 * 32  # tile, component, mode, size descriptor

@@ -121,11 +121,11 @@ class StageTimes:
         return ms(self.as_dict()[stage])
 
 
-def stage_times_from_shares(shares: dict, arith_ms: float = ARITH_MS_PER_TILE) -> StageTimes:
+def stage_times_from_shares(shares: dict) -> StageTimes:
     """Derive absolute per-tile stage times from Fig. 1 shares + the anchor."""
-    scale = arith_ms / shares[STAGE_ARITH]
+    scale = ARITH_MS_PER_TILE / shares[STAGE_ARITH]
     return StageTimes(
-        arith=arith_ms,
+        arith=ARITH_MS_PER_TILE,
         iq=shares[STAGE_IQ] * scale,
         idwt=shares[STAGE_IDWT] * scale,
         ict=shares[STAGE_ICT] * scale,
@@ -172,9 +172,9 @@ def measured_shares(ops: StageOps, weights: dict = CYCLES_PER_OP) -> dict:
 def measured_stage_times(
     ops: StageOps,
     frequency_hz: float = 100e6,
-    weights: dict = CYCLES_PER_OP,
 ) -> dict:
     """Absolute stage times in ms implied by op counts at *frequency_hz*."""
     return {
-        stage: ops[stage] * weights[stage] / frequency_hz * 1e3 for stage in ALL_STAGES
+        stage: ops[stage] * CYCLES_PER_OP[stage] / frequency_hz * 1e3
+        for stage in ALL_STAGES
     }

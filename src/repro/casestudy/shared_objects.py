@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core import guarded, guarded_args, osss_method
-from ..kernel import SimTime, Simulator, ZERO_TIME, ms, us
+from ..kernel import SimTime, ZERO_TIME, ms, us
 from .messages import IdwtResult, TileComponentJob, WirePayload
 from .workload import Workload
 
@@ -221,11 +221,15 @@ class TileStoreBehaviour:
         return None
 
 
+#: Jobs the IDWT-params Shared Object queues before ``put_job`` blocks.
+PARAMS_QUEUE_CAPACITY = 8
+
+
 class IdwtParamsBehaviour:
     """Behaviour of the IDWT-params Shared Object."""
 
-    def __init__(self, queue_capacity: int = 8):
-        self.capacity = queue_capacity
+    def __init__(self):
+        self.capacity = PARAMS_QUEUE_CAPACITY
         self.jobs: list[TileComponentJob] = []
         self.finished = False
 

@@ -10,7 +10,7 @@ refinement step preserves function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .profiles import HW_COPROCESSOR_SPEEDUP, StageTimes, profile_for
@@ -84,7 +84,6 @@ def functional_workload(
     lossless: bool,
     image_size: int = 64,
     tile_size: int = 32,
-    seed: int = 2008,
 ) -> Workload:
     """A small real-data workload for functional verification.
 
@@ -94,7 +93,7 @@ def functional_workload(
     """
     from ..jpeg2000 import CodingParameters, Jpeg2000Decoder, encode_image, synthetic_image
 
-    image = synthetic_image(image_size, image_size, PAPER_COMPONENTS, seed=seed)
+    image = synthetic_image(image_size, image_size, PAPER_COMPONENTS)
     params = CodingParameters(
         width=image_size,
         height=image_size,

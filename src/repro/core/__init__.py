@@ -26,7 +26,6 @@ from .serialisation import (
     SerialisationError,
     SerialisedPayload,
     payload_bits,
-    register_payload_type,
     serialise_call,
 )
 from .shared import MethodSpec, SharedObject, SharedObjectStats, osss_method
@@ -60,6 +59,5 @@ __all__ = [
     "guarded_args",
     "osss_method",
     "payload_bits",
-    "register_payload_type",
     "serialise_call",
 ]

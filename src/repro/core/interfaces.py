@@ -24,20 +24,18 @@ class BindingError(RuntimeError):
 class Port:
     """A client-side access point for blocking method calls."""
 
-    def __init__(self, owner: Module, name: str = "port", priority: int = 0):
+    def __init__(self, owner: Module, name: str):
         self.owner = owner
         self.basename = name
-        self.priority = priority
+        #: Arbitration priority of this port's calls (lower wins); the
+        #: elaborator sets it from the design's link.
+        self.priority = 0
         self._provider = None
         self._client = None
 
     @property
     def name(self) -> str:
         return f"{self.owner.name}.{self.basename}"
-
-    @property
-    def bound(self) -> bool:
-        return self._provider is not None
 
     def bind(self, provider) -> None:
         """Bind to a provider (Shared Object or channel client transactor)."""
@@ -53,5 +51,5 @@ class Port:
         return self._provider.invoke(self._client, method, *args, **kwargs)
 
     def __repr__(self) -> str:
-        state = "bound" if self.bound else "unbound"
+        state = "bound" if self._provider is not None else "unbound"
         return f"Port({self.name!r}, {state})"

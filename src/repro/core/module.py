@@ -26,8 +26,8 @@ class OsssModule(Module):
         super().__init__(sim, name)
         self.ports: list[Port] = []
 
-    def port(self, name: str = "port", priority: int = 0) -> Port:
-        port = Port(self, name=name, priority=priority)
+    def port(self, name: str = "port") -> Port:
+        port = Port(self, name)
         self.ports.append(port)
         return port
 

@@ -14,7 +14,6 @@ payload type without a known wire size is rejected.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -34,23 +33,12 @@ class Serialisable:
         raise NotImplementedError(f"{type(self).__name__} must implement payload_bits()")
 
 
-_custom_sizers: dict[type, Callable[[object], int]] = {}
-
-
-def register_payload_type(cls: type, sizer: Callable[[object], int]) -> None:
-    """Register a wire-size function for an external payload type."""
-    _custom_sizers[cls] = sizer
-
-
 def payload_bits(obj: object) -> int:
     """Wire size of *obj* in bits."""
     if obj is None:
         return 0
     if isinstance(obj, Serialisable):
         return obj.payload_bits()
-    for cls, sizer in _custom_sizers.items():
-        if isinstance(obj, cls):
-            return sizer(obj)
     if isinstance(obj, bool):
         return 1
     if isinstance(obj, (int, float)):
@@ -69,8 +57,7 @@ def payload_bits(obj: object) -> int:
         return sum(payload_bits(k) + payload_bits(v) for k, v in obj.items())
     raise SerialisationError(
         f"cannot serialise {type(obj).__name__!r} payloads; pointers/references "
-        "are not allowed in OSSS method calls — implement Serialisable or "
-        "register_payload_type()"
+        "are not allowed in OSSS method calls — implement Serialisable"
     )
 
 

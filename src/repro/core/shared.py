@@ -233,14 +233,8 @@ class SharedObject(Module, GrantEngine):
         else:
             call.granted.notify(delta=True)
 
-    # -- introspection ---------------------------------------------------------------
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def __repr__(self) -> str:
-        return f"SharedObject({self.name!r}, clients={self.num_clients}, pending={self.pending_count})"
+        return f"SharedObject({self.name!r}, clients={self.num_clients}, pending={len(self._pending)})"
 
 
 class SharedObjectStats:

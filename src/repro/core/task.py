@@ -34,8 +34,8 @@ class SoftwareTask(Module):
         #: slowdown of time-sharing one CPU among several tasks.
         self.eet_scale = 1.0
 
-    def port(self, name: str = "port", priority: int = 0) -> Port:
-        port = Port(self, name=name, priority=priority)
+    def port(self, name: str = "port") -> Port:
+        port = Port(self, name)
         self.ports.append(port)
         return port
 

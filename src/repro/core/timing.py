@@ -44,7 +44,3 @@ class CycleBudget:
 
     def cycles(self, count: float) -> SimTime:
         return SimTime.intern(round(self._cycle_fs * count))
-
-    def cycles_for(self, duration: SimTime) -> int:
-        """Whole cycles needed to cover *duration* (ceiling)."""
-        return -(-duration.femtoseconds // self._cycle_fs)

@@ -129,11 +129,6 @@ def get(name: str) -> DesignSpec:
     return spec
 
 
-def specs() -> list:
-    """All registered specs, in Table 1 row order."""
-    return [get(name) for name in ROW_ORDER]
-
-
 def with_chunk_words(spec: DesignSpec, chunk_words: Optional[int]) -> DesignSpec:
     """*spec* with every RMI link's serialisation chunk replaced."""
     links = tuple(

@@ -105,18 +105,6 @@ class ResultCache:
         temp.write_text(json.dumps(entry, indent=1) + "\n", encoding="utf-8")
         os.replace(temp, path)
 
-    def clear(self) -> int:
-        """Delete every entry; returns the number of files removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
     def stats(self) -> dict:
         return {
             "hits": self.hits,

@@ -24,7 +24,7 @@ import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 #: Subsystems of ``src/repro`` whose sources every simulation/profile run
 #: depends on: the model/workload layers, the ``core`` primitives they
@@ -77,22 +77,14 @@ def subsystems_for_kind(kind: str) -> tuple:
     return DEFAULT_SUBSYSTEMS
 
 
-def code_fingerprint(
-    subsystems: Sequence[str] = DEFAULT_SUBSYSTEMS,
-    root: Optional[Path] = None,
-) -> str:
+def code_fingerprint(subsystems: Sequence[str] = DEFAULT_SUBSYSTEMS) -> str:
     """Hash of every source (``*.py``, and the ``*.c`` the native
-    kernels compile from) under *root*'s listed subsystems.
+    kernels compile from) under the installed package's listed subsystems.
 
     The digest covers relative path + file bytes in sorted path order, so
     renames, additions, deletions and single-byte edits all change it.
-    *root* defaults to the installed package; passing an explicit root is
-    how tests fingerprint a scratch tree.
     """
-    if root is None:
-        return _cached_fingerprint(tuple(subsystems))
-    root = Path(root)
-    return _fingerprint(tuple(subsystems), lambda name: _sources(name, root))
+    return _cached_fingerprint(tuple(subsystems))
 
 
 @lru_cache(maxsize=32)

@@ -74,23 +74,6 @@ def register(experiment: Experiment) -> Experiment:
     return experiment
 
 
-def ids() -> list:
-    """All registered experiment identifiers, in registration order."""
-    _ensure_loaded()
-    return list(_REGISTRY)
-
-
-def get(experiment_id: str) -> Experiment:
-    _ensure_loaded()
-    try:
-        return _REGISTRY[experiment_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; registered: {list(_REGISTRY)}"
-            f", groups: {sorted(GROUPS)}"
-        ) from None
-
-
 def all_experiments() -> list:
     _ensure_loaded()
     return list(_REGISTRY.values())
@@ -118,12 +101,6 @@ def expand(tokens) -> list:
                 f"{list(_REGISTRY)}, groups: {sorted(GROUPS)}"
             )
     return [entry for eid, entry in _REGISTRY.items() if eid in selected]
-
-
-def artefact_stems() -> list:
-    """Every result-file stem owned by the registry, in regen order."""
-    _ensure_loaded()
-    return [stem for entry in _REGISTRY.values() for stem in entry.artefacts]
 
 
 def _ensure_loaded() -> None:

@@ -47,10 +47,6 @@ class ExperimentResult:
         """``{artefact stem: Table}`` — rendered from the payloads."""
         return self.experiment.tables(self.payloads)
 
-    @property
-    def seconds(self) -> float:
-        return sum(result.seconds for result in self.results.values())
-
 
 @dataclass
 class Runner:
@@ -155,13 +151,15 @@ class Runner:
     # -- experiment-level API ---------------------------------------------
 
     def sweep(self, experiments) -> List[ExperimentResult]:
-        """Run several experiments as one deduplicated batch."""
-        if isinstance(experiments, str):
+        """Run several experiments as one deduplicated batch.
+
+        *experiments* is a list of registry entries, or experiment ids and
+        group names (one string or a list of them).
+        """
+        if isinstance(experiments, str) or all(
+            isinstance(exp, str) for exp in experiments
+        ):
             experiments = registry.expand(experiments)
-        experiments = [
-            registry.get(exp) if isinstance(exp, str) else exp
-            for exp in experiments
-        ]
         flat: List[RunRequest] = []
         spans = []
         for experiment in experiments:

@@ -17,7 +17,7 @@ machine".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 # -- expressions ----------------------------------------------------------------
 
@@ -73,16 +73,6 @@ Expr = Union[Const, Var, MemRef, Bin]
 COMPARE_OPS = frozenset({"=", "/=", "<", "<=", ">", ">="})
 #: Operators that map to arithmetic resources.
 ARITH_OPS = frozenset({"+", "-", "*", ">>", "<<", "&", "|"})
-
-
-def walk_expr(expr: Expr):
-    """Yield every node of an expression tree."""
-    yield expr
-    if isinstance(expr, Bin):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, MemRef):
-        yield from walk_expr(expr.addr)
 
 
 # -- statements -----------------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..vta.platform import FpgaDevice, VIRTEX4_LX25
 from .behaviour import (
     Assign,
     Bin,
@@ -34,8 +33,6 @@ from .behaviour import (
     For,
     If,
     MemRef,
-    Tick,
-    Var,
     walk_statements,
 )
 from .ir import Fsmd
@@ -102,7 +99,6 @@ class SynthesisReport:
     block_rams: int
     dsp48: int
     frequency_mhz: float
-    device: FpgaDevice = VIRTEX4_LX25
 
     @property
     def slices(self) -> int:
@@ -117,10 +113,6 @@ class SynthesisReport:
             + self.block_rams * GATES_PER_BRAM
             + self.dsp48 * GATES_PER_DSP
         )
-
-    @property
-    def utilisation(self) -> float:
-        return self.slices / self.device.slices
 
     def meets(self, frequency_hz: float) -> bool:
         return self.frequency_mhz * 1e6 >= frequency_hz
@@ -190,7 +182,7 @@ def _bram_count(memories) -> int:
 # -- reference style ------------------------------------------------------------------
 
 
-def estimate_reference(design: Design, device: FpgaDevice = VIRTEX4_LX25) -> SynthesisReport:
+def estimate_reference(design: Design) -> SynthesisReport:
     """Handcrafted RTL: one datapath per procedure, pipelined chains."""
     ops: dict = {}
     max_delay = FF_OVERHEAD_NS
@@ -241,7 +233,6 @@ def estimate_reference(design: Design, device: FpgaDevice = VIRTEX4_LX25) -> Syn
         block_rams=_bram_count(design.memories),
         dsp48=_dsp_count(ops),
         frequency_mhz=1000.0 / max_delay,
-        device=device,
     )
 
 
@@ -300,7 +291,7 @@ def _op_delays_raw(expr: Expr) -> list:
     return delays
 
 
-def estimate_fossy(fsmd: Fsmd, device: FpgaDevice = VIRTEX4_LX25) -> SynthesisReport:
+def estimate_fossy(fsmd: Fsmd) -> SynthesisReport:
     """Inlined single FSM: shared units behind muxes, big state decode."""
     per_state: list[dict] = []
     max_chain = 0.0
@@ -350,5 +341,4 @@ def estimate_fossy(fsmd: Fsmd, device: FpgaDevice = VIRTEX4_LX25) -> SynthesisRe
         block_rams=_bram_count(fsmd.memories),
         dsp48=_dsp_count(instances),
         frequency_mhz=1000.0 / critical_path,
-        device=device,
     )

@@ -10,8 +10,7 @@ and the LoC comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ..vta.platform import TargetPlatform, ml401
 from .behaviour import Design, count_statements
@@ -62,9 +61,8 @@ class BlockResult:
         return self.fossy_report.frequency_mhz / self.reference_report.frequency_mhz
 
 
-def synthesise_block(design: Design, platform: Optional[TargetPlatform] = None) -> BlockResult:
+def synthesise_block(design: Design) -> BlockResult:
     """Run one behavioural model through both implementation paths."""
-    platform = platform or ml401()
     statements = count_statements(design.main) + sum(
         count_statements(proc.body) for proc in design.procedures
     )
@@ -88,8 +86,8 @@ def synthesise_block(design: Design, platform: Optional[TargetPlatform] = None) 
         model_statements=statements,
         reference_vhdl=reference_vhdl,
         fossy_vhdl=fossy_vhdl,
-        reference_report=estimate_reference(design, platform.device),
-        fossy_report=estimate_fossy(fsmd, platform.device),
+        reference_report=estimate_reference(design),
+        fossy_report=estimate_fossy(fsmd),
         num_states=fsmd.num_states,
         testbench_vhdl=testbench,
     )
@@ -112,36 +110,26 @@ class SystemResult:
         raise KeyError(name)
 
 
-def synthesise_system(
-    num_processors: int = 1,
-    platform: Optional[TargetPlatform] = None,
-    design=None,
-) -> SystemResult:
+def synthesise_system(num_processors: int = 1) -> SystemResult:
     """Synthesise the whole JPEG 2000 hardware subsystem + platform files.
 
     The block layout (bus windows, P2P partners), the software task list,
     and the per-object method sets all come from a declarative design spec
-    (:mod:`repro.design`): by default the catalog's P2P mapping with
-    *num_processors* software processors (version 6b, or the scaled 7b
-    mapping for more than one).  Pass *design* to synthesise a custom
-    mapping — its ``synthesis_blocks`` section is the hand-off contract.
+    (:mod:`repro.design`): the catalog's P2P mapping with *num_processors*
+    software processors (version 6b, or the scaled 7b mapping for more
+    than one).  Its ``synthesis_blocks`` section is the hand-off contract.
     """
     from ..design import catalog, check_spec
     from ..design.spec import SHARED_OBJECT_BEHAVIOURS
 
-    if design is None:
-        design = (
-            catalog.get("6b")
-            if num_processors == 1
-            else catalog.scaled_vta_spec(num_processors, idwt_links_p2p=True)
-        )
+    design = (
+        catalog.get("6b")
+        if num_processors == 1
+        else catalog.scaled_vta_spec(num_processors, idwt_links_p2p=True)
+    )
     check_spec(design)
-    num_processors = len(design.mapping.processors)
-    platform = platform or ml401()
-    blocks = [
-        synthesise_block(build_idwt53(), platform),
-        synthesise_block(build_idwt97(), platform),
-    ]
+    platform = ml401()
+    blocks = [synthesise_block(build_idwt53()), synthesise_block(build_idwt97())]
     specs = [
         HardwareBlockSpec(
             block.name,

@@ -25,7 +25,6 @@ from .behaviour import (
     For,
     If,
     Tick,
-    Var,
 )
 from .ir import Fsmd, FsmState, Transfer, Transition
 

@@ -38,10 +38,6 @@ ADDR_BITS = 16
 IDX_BITS = 10
 
 
-def v(name: str, width: int = SAMPLE_BITS) -> Var:
-    return Var(name, width)
-
-
 def idx(name: str) -> Var:
     return Var(name, IDX_BITS)
 

@@ -19,7 +19,6 @@ from .behaviour import (
     Assign,
     Bin,
     Call,
-    Const,
     Design,
     Expr,
     For,

@@ -148,10 +148,10 @@ class FsmdSimulator:
 
     # -- convenience for memory-mapped data ------------------------------------------
 
-    def load_memory(self, name: str, values, base: int = 0) -> None:
+    def load_memory(self, name: str, values) -> None:
         memory = self.memories[name]
         for offset, value in enumerate(values):
-            memory[base + offset] = int(value)
+            memory[offset] = int(value)
 
-    def dump_memory(self, name: str, count: int, base: int = 0) -> list:
-        return list(self.memories[name][base : base + count])
+    def dump_memory(self, name: str, count: int) -> list:
+        return list(self.memories[name][:count])

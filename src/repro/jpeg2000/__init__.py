@@ -45,7 +45,6 @@ _EXPORTS = {
     "TilePart": ".codestream",
     "TileStages": ".decoder",
     "compile_plan": ".plan",
-    "decode_codestream": ".decoder",
     "encode_image": ".encoder",
     "parse_codestream": ".codestream",
     "shutdown_pool": ".stages.entropy",

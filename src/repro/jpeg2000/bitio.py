@@ -97,12 +97,6 @@ class BitReader:
             value = (value << 1) | self.get_bit()
         return value
 
-    def get_comma_code(self) -> int:
-        value = 0
-        while self.get_bit():
-            value += 1
-        return value
-
     def align(self) -> int:
         """Finish the current byte (and any stuffing byte); return position."""
         self._bit_pos = 0
@@ -111,10 +105,6 @@ class BitReader:
             if self._pos < len(self._data) and self._data[self._pos] == 0x00:
                 self._pos += 1
         self._last_byte = 0
-        return self._pos
-
-    @property
-    def position(self) -> int:
         return self._pos
 
 
@@ -195,12 +185,6 @@ class FastBitReader:
         self._nbits -= count
         return (self._acc >> self._nbits) & ((1 << count) - 1)
 
-    def get_comma_code(self) -> int:
-        value = 0
-        while self.get_bit():
-            value += 1
-        return value
-
     def _rewind(self) -> int:
         """Index of the current byte (last byte with a consumed bit) + 1.
 
@@ -232,7 +216,3 @@ class FastBitReader:
         self._acc = 0
         self._nbits = 0
         return pos
-
-    @property
-    def position(self) -> int:
-        return self._rewind()

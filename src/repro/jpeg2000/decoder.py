@@ -300,10 +300,3 @@ class Jpeg2000Decoder:
             self.ops.merge(stages.ops)
         self.fates.done(STAGE_ASSEMBLE)
         return image
-
-
-def decode_codestream(
-    data: bytes, options: Optional[DecodeOptions] = None
-) -> Image:
-    """Convenience one-shot decode (plan-compile + execute)."""
-    return Jpeg2000Decoder(data, options=options).decode()

@@ -41,11 +41,6 @@ class DwtOpCounts:
     mul_ops: int = 0
     samples: int = 0
 
-    def merge(self, other: "DwtOpCounts") -> None:
-        self.add_ops += other.add_ops
-        self.mul_ops += other.mul_ops
-        self.samples += other.samples
-
     @property
     def total(self) -> int:
         return self.add_ops + self.mul_ops

@@ -107,10 +107,14 @@ def rct_dc_inverse(y: np.ndarray, u: np.ndarray, v: np.ndarray, bit_depth: int,
         np.clip(plane, 0, (1 << bit_depth) - 1, out=plane)
 
 
-def ict_dc_inverse(y: np.ndarray, cb: np.ndarray, cr: np.ndarray, bit_depth: int,
-                   *, out: list) -> None:
-    """Fused inverse ICT + DC level shift (9/7 path)."""
-    stack = np.stack([y, cb, cr]).astype(np.float64, copy=False)
+def ict_dc_inverse(ycc, bit_depth: int, *, out: list) -> None:
+    """Fused inverse ICT + DC level shift (9/7 path).
+
+    *ycc* holds the Y, Cb and Cr planes: a ``(3, height, width)`` float64
+    array is used in place (the native reconstruct's output), a list of
+    planes is stacked into one.
+    """
+    stack = np.asarray(ycc, dtype=np.float64)
     planes = np.tensordot(_ICT_INVERSE, stack, axes=1)
     planes += 1 << (bit_depth - 1)
     np.rint(planes, out=planes)

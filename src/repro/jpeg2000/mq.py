@@ -14,7 +14,6 @@ adaptation uses the standard 47-state table.
 
 from __future__ import annotations
 
-from typing import Sequence
 
 #: The 47-row probability state table of ITU-T T.800 Table C.2:
 #: (Qe, NMPS, NLPS, SWITCH).
@@ -78,9 +77,9 @@ class ContextState:
         self.index = index
         self.mps = mps
 
-    def reset(self, index: int = 0, mps: int = 0) -> None:
+    def reset(self, index: int = 0) -> None:
         self.index = index
-        self.mps = mps
+        self.mps = 0
 
     def __repr__(self) -> str:
         return f"ContextState(index={self.index}, mps={self.mps})"
@@ -225,9 +224,7 @@ class MqDecoder:
         DECODE, MPS-/LPS-EXCHANGE, RENORMD and BYTEIN are flattened into
         one function with local-variable register state: the per-bit cost
         of this call dominates the whole decoder (Fig. 1), so the usual
-        flowchart-per-procedure structure is collapsed here.  The
-        flowcharts themselves still read off :meth:`_renorm` /
-        :meth:`_byte_in`, which remain the reference implementation.
+        flowchart-per-procedure structure is collapsed here.
         """
         qe, nmps, nlps, switch = QE_TABLE[ctx.index]
         self.ops += 1
@@ -293,17 +290,6 @@ class MqDecoder:
         self.ops = ops
         return bit
 
-    def _renorm(self) -> None:
-        while True:
-            if self.ct == 0:
-                self._byte_in()
-            self.a = (self.a << 1) & 0xFFFF
-            self.c = (self.c << 1) & 0xFFFFFFFF
-            self.ct -= 1
-            self.ops += 1
-            if self.a & 0x8000:
-                break
-
     def _byte_in(self) -> None:
         if self._byte_at(self.bp) == 0xFF:
             if self._byte_at(self.bp + 1) > 0x8F:
@@ -317,23 +303,3 @@ class MqDecoder:
             self.bp += 1
             self.c += self._byte_at(self.bp) << 8
             self.ct = 8
-
-
-def make_contexts(count: int) -> list[ContextState]:
-    """A fresh bank of *count* contexts, all at state 0 / MPS 0."""
-    return [ContextState() for _ in range(count)]
-
-
-def roundtrip(bits: Sequence[int], context_ids: Sequence[int], num_contexts: int) -> bool:
-    """Self-check helper: encode then decode a decision sequence."""
-    if len(bits) != len(context_ids):
-        raise ValueError("bits and context_ids must have equal length")
-    enc_ctx = make_contexts(num_contexts)
-    encoder = MqEncoder()
-    for bit, cid in zip(bits, context_ids):
-        encoder.encode(bit, enc_ctx[cid])
-    data = encoder.flush()
-    dec_ctx = make_contexts(num_contexts)
-    decoder = MqDecoder(data)
-    decoded = [decoder.decode(dec_ctx[cid]) for cid in context_ids]
-    return decoded == list(bits)

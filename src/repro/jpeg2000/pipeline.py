@@ -48,13 +48,6 @@ class StageOps:
         for stage, amount in other.counts.items():
             self.counts[stage] += amount
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def share(self, stage: str) -> float:
-        total = self.total()
-        return self.counts[stage] / total if total else 0.0
-
     def __getitem__(self, stage: str) -> int:
         return self.counts[stage]
 

@@ -73,11 +73,6 @@ def default_step(orientation: str, level: int, num_levels: int,
     return base_step * gain * 2.0 ** (num_levels - level)
 
 
-def guard_bits() -> int:
-    """Number of guard bits signalled in QCD (conventional value)."""
-    return 2
-
-
 def quantise(band: np.ndarray, delta: float) -> np.ndarray:
     """Dead-zone quantisation to signed integer indices."""
     if delta <= 0:
@@ -90,12 +85,3 @@ def dequantise(indices: np.ndarray, delta: float) -> np.ndarray:
     magnitudes = np.abs(indices).astype(np.float64)
     reconstructed = np.where(magnitudes > 0, (magnitudes + RECONSTRUCTION_R) * delta, 0.0)
     return np.sign(indices) * reconstructed
-
-
-def max_bitplanes(dynamic_range_bits: int, orientation: str, step: StepSize) -> int:
-    """Upper bound M_b on coded magnitude bit-planes (T.800 eq. E-2).
-
-    ``M_b = guard + eps_b - 1``; Tier-2 codes the number of *missing*
-    (all-zero) leading planes per code block against this bound.
-    """
-    return guard_bits() + step.exponent - 1

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..codestream import CodingParameters
+from ..codestream import CodestreamError, CodingParameters
 from ..image import Image, TileGrid
 from .reconstruct import native_layout
 
@@ -34,7 +34,12 @@ def assemble_reduced(grid: TileGrid, params: CodingParameters,
                      max_resolution: int) -> tuple:
     """The resolution-truncated frame and each tile's window, as
     :func:`assemble_full`; each column (row) of tiles is as wide (high)
-    as its first tile at *max_resolution*."""
+    as its first tile at *max_resolution*.
+
+    Raises :class:`CodestreamError` when a tile does not fit its column
+    or row: small edge tiles stop their DWT early, so on some grids the
+    reduced tiles do not pack into one frame.
+    """
     sizes = []
     for index in range(grid.num_tiles):
         x0, y0, x1, y1 = grid.tile_bounds(index)
@@ -42,6 +47,16 @@ def assemble_reduced(grid: TileGrid, params: CodingParameters,
                                params.codeblock_size, max_resolution)
         sizes.append((layout.width, layout.height))
     across = grid.tiles_across
+    for index, (width, height) in enumerate(sizes):
+        column = sizes[index % across][0]
+        row = sizes[index - index % across][1]
+        if (width, height) != (column, row):
+            raise CodestreamError(
+                f"tile {index} is {width}x{height} at resolution "
+                f"{max_resolution}, but its column is {column} wide and its "
+                f"row {row} high: the tiles stop their DWT at different "
+                "levels and do not pack into one reduced frame"
+            )
     xs = [0, *accumulate(width for width, _ in sizes[:across])]
     ys = [0, *accumulate(height for _, height in sizes[::across])]
     image = _frame(params, ys[-1], xs[-1])

@@ -43,10 +43,10 @@ def entropy_specs(
     dict (the Tier-2 protocol state, needed again by the gather step)
     and *specs* is the tile's :class:`~repro.jpeg2000.options.BlockSpec`
     list in scatter order.  The packet bodies are left in place — the
-    specs carry ``(start, end)`` segment spans into *data*
-    (``decode_packet(..., materialise=False)``), and the entropy stage
-    joins each block's codeword from them only when it decodes or ships
-    the block (:func:`repro.jpeg2000.stages.entropy.run_specs`).
+    specs carry the ``(start, end)`` segment spans into *data* that
+    :func:`~repro.jpeg2000.t2.decode_packet` records, and the entropy
+    stage joins each block's codeword from them only when it decodes or
+    ships the block (:func:`repro.jpeg2000.stages.entropy.run_specs`).
     Tier-1 itself runs in :mod:`repro.jpeg2000.stages.entropy`.
     """
     shapes = band_shapes(tile_width, tile_height, params.num_levels)
@@ -110,8 +110,7 @@ def entropy_specs(
                 offset = consume_sop(data, offset, packet_sequence)
             offset = decode_packet(
                 data, offset, packet_bands, res_bounds, layer,
-                use_eph=params.use_eph, materialise=False,
-                fast=fast_t2, ff_index=ff_index,
+                use_eph=params.use_eph, fast=fast_t2, ff_index=ff_index,
             )
             packet_sequence += 1
     # Every code block is an independent decode task; describe them

@@ -173,10 +173,12 @@ def dc_shift(params: CodingParameters, planes: list, ops) -> list:
     return out
 
 
-def finish_mct_dc(params: CodingParameters, planes: list, ops, *,
+def finish_mct_dc(params: CodingParameters, planes, ops, *,
                   out: list) -> None:
     """Fused inverse colour transform + DC shift into *out*.
 
+    *planes* is the tile's reconstructed components: a list of planes, or
+    the native reconstruct's ``(components, height, width)`` array.
     *out* holds one int64 plane per component, the tile's windows of the
     output frame.  Value- and op-count-identical to :func:`inverse_mct`
     followed by :func:`dc_shift` (see the fused kernels in
@@ -185,8 +187,11 @@ def finish_mct_dc(params: CodingParameters, planes: list, ops, *,
     """
     rest = zip(out, planes)
     if params.use_mct:
-        fused = mct.rct_dc_inverse if params.lossless else mct.ict_dc_inverse
-        fused(planes[0], planes[1], planes[2], params.bit_depth, out=out[:3])
+        if params.lossless:
+            mct.rct_dc_inverse(planes[0], planes[1], planes[2],
+                               params.bit_depth, out=out[:3])
+        else:
+            mct.ict_dc_inverse(planes[:3], params.bit_depth, out=out[:3])
         ops.add(STAGE_ICT, 3 * planes[0].size)
         rest = zip(out[3:], planes[3:])
     for window, plane in rest:
@@ -263,13 +268,14 @@ def reconstruct_native(
     tile: FlatTile,
     ops,
     max_resolution: Optional[int] = None,
-) -> list:
+) -> np.ndarray:
     """Gather, IQ and inverse DWT of one tile in one native call.
 
-    Returns the per-component planes (int64 for 5/3, float64 for 9/7)
-    and accumulates the IQ and IDWT op counts into *ops*: values and
-    counts are exactly those of :func:`scatter_entropy`,
-    :func:`dequantise` and :func:`inverse_dwt` run one after another.
+    Returns the ``(components, height, width)`` array of planes (int64
+    for 5/3, float64 for 9/7) and accumulates the IQ and IDWT op counts
+    into *ops*: values and counts are exactly those of
+    :func:`scatter_entropy`, :func:`dequantise` and :func:`inverse_dwt`
+    run one after another.
     """
     layout = native_layout(
         tile_width, tile_height, params.num_levels, params.codeblock_size,
@@ -291,7 +297,7 @@ def reconstruct_native(
         dwt.tally_level(counts, params.transform, height * width)
     ops.add(STAGE_IQ, components * layout.band_samples)
     ops.add(STAGE_IDWT, components * counts.total)
-    return list(planes)
+    return planes
 
 
 def finish_tiles(stages, bands, out: list) -> None:

@@ -21,10 +21,6 @@ class BandShape:
     height: int
     width: int
 
-    @property
-    def empty(self) -> bool:
-        return self.height == 0 or self.width == 0
-
 
 def band_shapes(tile_width: int, tile_height: int, num_levels: int) -> list[BandShape]:
     """All subbands of a tile, in QCD/packet order (coarse to fine).
@@ -51,18 +47,6 @@ def band_shapes(tile_width: int, tile_height: int, num_levels: int) -> list[Band
         shapes.append(BandShape(res, "LH", parent_h - low_h, low_w))
         shapes.append(BandShape(res, "HH", parent_h - low_h, parent_w - low_w))
     return shapes
-
-
-def effective_levels(tile_width: int, tile_height: int, num_levels: int) -> int:
-    """Decomposition levels actually applied (degenerate tiles stop early)."""
-    h, w = tile_height, tile_width
-    count = 0
-    for _ in range(num_levels):
-        if h <= 1 and w <= 1:
-            break
-        h, w = (h + 1) // 2, (w + 1) // 2
-        count += 1
-    return count
 
 
 @dataclass(frozen=True)

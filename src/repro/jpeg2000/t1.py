@@ -48,13 +48,6 @@ class CodeBlockResult:
         #: after the live byte position guarantees exact decoding.
         self.pass_lengths = pass_lengths or ([len(data)] * num_passes)
 
-    def bytes_for_passes(self, count: int) -> int:
-        """Segment length covering the first *count* passes."""
-        count = min(count, self.num_passes)
-        if count <= 0:
-            return 0
-        return self.pass_lengths[count - 1]
-
     def __repr__(self) -> str:
         return (
             f"CodeBlockResult({len(self.data)} bytes, passes={self.num_passes}, "

@@ -78,11 +78,6 @@ class CodeBlockContribution:
     bytes_done: int = 0
     lblock: int = 3
 
-    @property
-    def included(self) -> bool:
-        """Single-layer view: does the block contribute at all?"""
-        return self.num_passes > 0
-
     # -- encoder-side helpers ------------------------------------------------------
 
     def allocation(self, num_layers: int) -> list:
@@ -111,24 +106,6 @@ class CodeBlockContribution:
         if passes <= 0:
             return 0
         return self.pass_lengths[min(passes, self.num_passes) - 1]
-
-    # -- decoder-side helpers ------------------------------------------------------
-
-    def codeword(self, source: bytes) -> bytes:
-        """The block's MQ codeword, joined from its spans into *source*.
-
-        Equivalent to the eagerly-materialised ``data`` of a
-        ``decode_packet(..., materialise=True)`` run, but computed on
-        demand so the decode path can defer (or entirely avoid) the
-        per-block byte copies.
-        """
-        segments = self.segments
-        if not segments:
-            return self.data
-        if len(segments) == 1:
-            start, end = segments[0]
-            return source[start:end]
-        return b"".join(source[start:end] for start, end in segments)
 
 
 @dataclass
@@ -295,7 +272,6 @@ def decode_packet(
     max_bitplanes: dict,
     layer: int = 0,
     use_eph: bool = False,
-    materialise: bool = True,
     fast: bool = False,
     ff_index=None,
 ) -> int:
@@ -306,10 +282,7 @@ def decode_packet(
     :func:`encode_packet`.
 
     Each contributing block's segment span ``(start, end)`` into *data*
-    is appended to ``block.segments``; with ``materialise=True`` (the
-    default) the bytes are additionally concatenated onto ``block.data``.
-    The decoder passes ``materialise=False`` and works from the spans,
-    so per-block codeword bytes are never copied on the parent side.
+    is appended to ``block.segments``; no codeword byte is copied here.
 
     ``fast=True`` parses through :class:`~repro.jpeg2000.bitio.FastBitReader`
     (pass *ff_index* — :func:`~repro.jpeg2000.bitio.ff_positions` over
@@ -362,8 +335,6 @@ def decode_packet(
         if end > len(data):
             raise PacketError("packet body exceeds tile data")
         block.segments.append((position, end))
-        if materialise:
-            block.data = block.data + data[position:end]
         position = end
     return position
 

@@ -62,15 +62,6 @@ class TagTree:
                 grid.append(row)
             self._grids.append(grid)
 
-    def reset(self) -> None:
-        """Forget all values and coding state (decoder reuse between packets)."""
-        for grid in self._grids:
-            for row in grid:
-                for node in row:
-                    node.value = UNKNOWN
-                    node.low = 0
-                    node.known = False
-
     def _path(self, x: int, y: int) -> list[_Node]:
         """Nodes from root to leaf (x, y)."""
         node = self._grids[-1][y][x]
@@ -152,7 +143,7 @@ class FlatTagTree:
     """
 
     __slots__ = ("width", "height", "levels", "_widths", "_offsets",
-                 "_value", "_low", "_size", "_leaf_base")
+                 "_value", "_low", "_leaf_base")
 
     def __init__(self, width: int, height: int):
         if width < 1 or height < 1:
@@ -178,15 +169,9 @@ class FlatTagTree:
             total += level_w * level_h
         self._widths = widths
         self._offsets = offsets
-        self._size = total
         self._leaf_base = offsets[-1]
         self._value = [UNKNOWN] * total
         self._low = [0] * total
-
-    def reset(self) -> None:
-        """Forget all values and coding state (decoder reuse between packets)."""
-        self._value[:] = [UNKNOWN] * self._size
-        self._low[:] = [0] * self._size
 
     def decode(self, reader, x: int, y: int, threshold: int) -> bool:
         """Consume bits; return True iff leaf(x,y) < threshold."""

@@ -65,10 +65,6 @@ class Event:
         self._pending_at = target
         self._pending_handle = self.sim._schedule_timed(self, target)
 
-    def cancel(self) -> None:
-        """Cancel any pending delta/timed notification."""
-        self._cancel_pending()
-
     def _cancel_pending(self) -> None:
         if self._pending_handle is not None:
             self._pending_handle.cancelled = True

@@ -32,10 +32,6 @@ class Fifo(Generic[T]):
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def free(self) -> int:
-        return self.capacity - len(self._items)
-
     # -- non-blocking ------------------------------------------------------------
 
     def try_put(self, item: T) -> bool:

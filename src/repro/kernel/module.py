@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .event import Event
 from .process import Process, ProcessBody
 from .scheduler import Simulator
 
@@ -34,9 +33,6 @@ class Module:
         proc = self.sim.spawn(body_fn(*args), name=proc_name)
         self.processes.append(proc)
         return proc
-
-    def event(self, name: str = "event") -> Event:
-        return Event(self.sim, f"{self.name}.{name}")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

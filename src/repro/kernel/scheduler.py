@@ -265,10 +265,6 @@ class Simulator:
             )
         return self.now
 
-    def run_for(self, duration: SimTime) -> SimTime:
-        """Run for at most *duration* beyond the current time."""
-        return self.run(until=self.now + duration)
-
     def quiet_until(self) -> Optional[int]:
         """The instant [fs] before which only the running process can act.
 

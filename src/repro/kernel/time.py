@@ -73,36 +73,15 @@ class SimTime:
     def femtoseconds(self) -> int:
         return self._fs
 
-    def to(self, unit: str) -> float:
-        """Convert to a float in the given unit."""
-        return self._fs / _UNIT_FS[unit]
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "SimTime") -> "SimTime":
         return SimTime.from_fs(self._fs + other._fs)
 
-    def __sub__(self, other: "SimTime") -> "SimTime":
-        if other._fs > self._fs:
-            raise ValueError("time subtraction would be negative")
-        return SimTime.from_fs(self._fs - other._fs)
-
     def __mul__(self, factor: float) -> "SimTime":
         return SimTime.from_fs(round(self._fs * factor))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        """Duration ratio (SimTime/SimTime -> float) or scaling by a number."""
-        if isinstance(other, SimTime):
-            return self._fs / other._fs
-        return SimTime.from_fs(round(self._fs / other))
-
-    def __floordiv__(self, other: "SimTime") -> int:
-        return self._fs // other._fs
-
-    def __mod__(self, other: "SimTime") -> "SimTime":
-        return SimTime.from_fs(self._fs % other._fs)
 
     # -- comparison ---------------------------------------------------------
 

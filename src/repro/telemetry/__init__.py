@@ -37,7 +37,7 @@ from .export import (
     write_chrome_trace,
 )
 from .flight import FlightRecorder
-from .log import EventLog, capture_events, new_run_id, new_span_id
+from .log import EventLog, capture_events, new_run_id
 from .metrics import DEFAULT_BUCKETS_FS, Histogram, MetricsRegistry
 from .spans import Span, TelemetryRecorder
 
@@ -263,7 +263,6 @@ __all__ = [
     "log_event",
     "merge_worker_events",
     "new_run_id",
-    "new_span_id",
     "run_id",
     "session",
     "software_span",

@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .spans import Span, TelemetryRecorder
+from .spans import TelemetryRecorder
 
 #: Simulated femtoseconds per Chrome-trace microsecond.
 FS_PER_US = 1_000_000_000
@@ -90,13 +90,10 @@ def write_chrome_trace(recorder: TelemetryRecorder, path,
     return payload
 
 
-def aggregate(recorder: TelemetryRecorder,
-              category: Optional[str] = None) -> dict:
+def aggregate(recorder: TelemetryRecorder) -> dict:
     """Spans grouped by ``(category, name)``: count and summed duration."""
     groups: dict[tuple[str, str], dict] = {}
     for span in recorder.spans:
-        if category is not None and span.category != category:
-            continue
         entry = groups.get((span.category, span.name))
         if entry is None:
             entry = groups[(span.category, span.name)] = {
@@ -125,7 +122,11 @@ def stage_shares(recorder: TelemetryRecorder) -> dict[str, float]:
     return {name: total / grand for name, total in totals.items()}
 
 
-def flame_summary(recorder: TelemetryRecorder, top: int = 30) -> str:
+#: Rows of the widest span groups a flame summary prints.
+FLAME_ROWS = 30
+
+
+def flame_summary(recorder: TelemetryRecorder) -> str:
     """Aggregated span table, widest totals first — a textual flame view."""
     groups = sorted(
         aggregate(recorder).values(), key=lambda e: e["total_fs"], reverse=True
@@ -136,7 +137,7 @@ def flame_summary(recorder: TelemetryRecorder, top: int = 30) -> str:
         f"{len(groups)} distinct, {grand / 1e12:.3f} simulated ms total",
         f"{'category/name':<48} {'count':>8} {'total [ms]':>12} {'%':>6}",
     ]
-    for entry in groups[:top]:
+    for entry in groups[:FLAME_ROWS]:
         lines.append(
             f"{entry['category'] + '/' + entry['name']:<48} "
             f"{entry['count']:>8} {entry['total_fs'] / 1e12:>12.4f} "

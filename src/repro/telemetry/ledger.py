@@ -117,9 +117,9 @@ def make_record(
     return record
 
 
-def append_record(record: dict, path=None) -> Path:
+def append_record(record: dict) -> Path:
     """Append one record to the ledger file (created on first use)."""
-    path = Path(path) if path is not None else default_ledger_path()
+    path = default_ledger_path()
     path.parent.mkdir(parents=True, exist_ok=True)
     line = json.dumps(record, sort_keys=False, separators=(",", ":"))
     with path.open("a", encoding="utf-8") as handle:

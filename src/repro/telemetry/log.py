@@ -13,9 +13,9 @@ happened* — in which order, in which process, and under which run.  One
     Monotonic per-log sequence number: total order even when wall-clock
     timestamps tie.
 ``span``
-    Optional correlation id (see :func:`new_span_id`) linking the events
-    of one logical operation — a parallel fan-out, one simulation run —
-    across layers and, via :meth:`EventLog.merge`, across processes.
+    Optional correlation id linking the events of one logical
+    operation — a parallel fan-out, one simulation run — across layers
+    and, via :meth:`EventLog.merge`, across processes.
 
 Worker processes cannot append to the parent's log.  Instead the
 parallel fan-out passes ``events=True`` in its chunk payloads; workers
@@ -32,7 +32,6 @@ flag before building the event dict).
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 import uuid
@@ -43,16 +42,6 @@ from typing import Iterable, Optional
 def new_run_id() -> str:
     """A fresh 16-hex-digit run identifier."""
     return uuid.uuid4().hex[:16]
-
-
-#: Process-wide span-correlation counter; ids are unique within a process
-#: and namespaced by the run id when read across processes.
-_span_ids = itertools.count(1)
-
-
-def new_span_id() -> int:
-    """A fresh correlation id for one logical multi-event operation."""
-    return next(_span_ids)
 
 
 class EventLog:

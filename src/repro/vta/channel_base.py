@@ -17,6 +17,9 @@ from typing import Iterator, Optional
 from ..kernel import Event, SimTime, Simulator
 from ..core.arbiter import ArbitrationPolicy, ClientHandle, Fcfs, GrantEngine, Request
 
+#: Every channel of the case-study platform moves 32-bit words.
+WORD_BITS = 32
+
 
 class ChannelStats:
     """Traffic counters per channel, reported by the exploration runs."""
@@ -35,17 +38,6 @@ class ChannelStats:
             "busy_fs": self.busy_fs,
             "wait_fs": self.wait_fs,
         }
-
-    def utilisation(self, elapsed) -> float:
-        """Fraction of *elapsed* the medium was occupied.
-
-        *elapsed* is a :class:`~repro.kernel.time.SimTime` or a plain
-        femtosecond count; zero elapsed reads as zero utilisation.
-        """
-        elapsed_fs = getattr(elapsed, "femtoseconds", elapsed)
-        if not elapsed_fs:
-            return 0.0
-        return self.busy_fs / elapsed_fs
 
     def __repr__(self) -> str:
         return f"ChannelStats(transactions={self.transactions}, words={self.words})"
@@ -83,7 +75,6 @@ class OsssChannel(GrantEngine):
         self,
         sim: Simulator,
         name: str,
-        word_bits: int,
         cycle: SimTime,
         arbitration_cycles: int,
         setup_cycles: int,
@@ -93,7 +84,6 @@ class OsssChannel(GrantEngine):
         full_duplex: bool = False,
     ):
         self.name = name
-        self.word_bits = word_bits
         self.cycle = cycle
         self.arbitration_cycles = arbitration_cycles
         self.setup_cycles = setup_cycles
@@ -312,9 +302,6 @@ class OsssChannel(GrantEngine):
             request.granted.notify(delta=True)
 
     # -- reporting -----------------------------------------------------------------
-
-    def utilisation(self, elapsed: SimTime) -> float:
-        return self.stats.utilisation(elapsed)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, masters={len(self.masters)})"

@@ -9,40 +9,31 @@ burst costs activation latency plus a per-word streaming cost.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..kernel import SimTime, Simulator
-from ..core.arbiter import ArbitrationPolicy, ClientHandle, Fcfs
+from ..core.arbiter import ClientHandle, Fcfs
 from .channel_base import OsssChannel
+
+#: Activate + CAS latency of one burst, in controller cycles.
+ACTIVATION_CYCLES = 20
 
 
 class DdrMemoryController(OsssChannel):
     """Bulk-transfer interface to external DDR memory.
 
-    Defaults model a DDR-266 style part behind a 100 MHz controller:
+    It models a DDR-266 style part behind a 100 MHz controller:
     ~20 cycles activate+CAS latency per burst, then one 32-bit word per
     controller cycle.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cycle: SimTime,
-        name: str = "ddr",
-        word_bits: int = 32,
-        activation_cycles: int = 20,
-        cycles_per_word: float = 1.0,
-        policy: Optional[ArbitrationPolicy] = None,
-    ):
+    def __init__(self, sim: Simulator, cycle: SimTime):
         super().__init__(
             sim,
-            name,
-            word_bits=word_bits,
+            "ddr",
             cycle=cycle,
             arbitration_cycles=1,
-            setup_cycles=activation_cycles,
-            cycles_per_word=cycles_per_word,
-            policy=policy or Fcfs(),
+            setup_cycles=ACTIVATION_CYCLES,
+            cycles_per_word=1.0,
+            policy=Fcfs(),
         )
 
     def read_burst(self, master: ClientHandle, words: int):

@@ -2,32 +2,22 @@
 
 On the VTA, every Shared Object is wrapped by an Object Socket.  The socket
 is the server side of the RMI protocol: it registers remote clients with
-the underlying object, optionally charges socket processing overhead
-(request decoding, response encoding — a real hardware pipeline stage),
-and forwards execution to the object's own guard/arbitration machinery.
+the underlying object and forwards execution to the object's own
+guard/arbitration machinery.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..kernel import SimTime, Simulator, ZERO_TIME
+from ..kernel import Simulator
 from ..core.shared import SharedObject
 
 
 class ObjectSocket:
     """Server-side RMI endpoint wrapping one Shared Object."""
 
-    def __init__(
-        self,
-        shared_object: SharedObject,
-        name: Optional[str] = None,
-        processing_overhead: SimTime = ZERO_TIME,
-    ):
+    def __init__(self, shared_object: SharedObject):
         self.shared_object = shared_object
-        self.name = name or f"{shared_object.name}.socket"
-        #: Per-call decode/encode latency of the socket hardware.
-        self.processing_overhead = processing_overhead
+        self.name = f"{shared_object.name}.socket"
         self.served_calls = 0
 
     @property
@@ -39,8 +29,6 @@ class ObjectSocket:
 
     def execute(self, client, method: str, *args, **kwargs):
         """Run the call locally, under the object's arbitration."""
-        if self.processing_overhead:
-            yield self.processing_overhead
         result = yield from self.shared_object.invoke(client, method, *args, **kwargs)
         self.served_calls += 1
         return result
@@ -51,8 +39,6 @@ class ObjectSocket:
 
     def finish_call(self, call):
         """Execute a granted call registered via :meth:`request_call`."""
-        if self.processing_overhead:
-            yield self.processing_overhead
         result = yield from self.shared_object.finish_call(call)
         self.served_calls += 1
         return result

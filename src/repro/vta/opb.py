@@ -19,8 +19,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..kernel import SimTime, Simulator
-from ..core.arbiter import ArbitrationPolicy, StaticPriority
+from ..core.arbiter import StaticPriority
 from .channel_base import OsssChannel
+
+#: Address-phase cycles before each transaction's data beats.
+SETUP_CYCLES = 1
+#: Cycles per word of a sequential-address burst.
+BURST_CYCLES_PER_WORD = 1.0
 
 
 class OpbBus(OsssChannel):
@@ -31,24 +36,18 @@ class OpbBus(OsssChannel):
         sim: Simulator,
         cycle: SimTime,
         name: str = "opb",
-        word_bits: int = 32,
         arbitration_cycles: int = 2,
-        setup_cycles: int = 1,
         cycles_per_word: float = 2.0,
-        burst_cycles_per_word: float = 1.0,
-        policy: Optional[ArbitrationPolicy] = None,
     ):
         super().__init__(
             sim,
             name,
-            word_bits=word_bits,
             cycle=cycle,
             arbitration_cycles=arbitration_cycles,
-            setup_cycles=setup_cycles,
+            setup_cycles=SETUP_CYCLES,
             cycles_per_word=cycles_per_word,
-            policy=policy or StaticPriority(),
+            policy=StaticPriority(),
         )
-        self.burst_cycles_per_word = burst_cycles_per_word
         #: Transactions longer than this use sequential-address bursts.
         #: ``None`` (the default) disables bursts: the case-study peripherals
         #: only support single acknowledged transfers, which is precisely why
@@ -58,7 +57,7 @@ class OpbBus(OsssChannel):
     def transfer_time(self, words: int) -> SimTime:
         """OPB occupancy: bursts (when enabled) amortise the per-word handshake."""
         if self.burst_threshold_words is not None and words > self.burst_threshold_words:
-            cycles = self.setup_cycles + self.burst_cycles_per_word * words
+            cycles = self.setup_cycles + BURST_CYCLES_PER_WORD * words
         else:
             cycles = self.setup_cycles + self.cycles_per_word * words
         return SimTime.intern(round(self.cycle.femtoseconds * cycles))

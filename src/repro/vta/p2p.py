@@ -13,6 +13,9 @@ from __future__ import annotations
 from ..kernel import SimTime, Simulator
 from .channel_base import OsssChannel
 
+#: Link set-up cycles per transaction.
+SETUP_CYCLES = 1
+
 
 class P2PChannel(OsssChannel):
     """A dedicated full-bandwidth link between two endpoints."""
@@ -22,17 +25,14 @@ class P2PChannel(OsssChannel):
         sim: Simulator,
         cycle: SimTime,
         name: str = "p2p",
-        word_bits: int = 32,
-        setup_cycles: int = 1,
         cycles_per_word: float = 1.0,
     ):
         super().__init__(
             sim,
             name,
-            word_bits=word_bits,
             cycle=cycle,
             arbitration_cycles=0,
-            setup_cycles=setup_cycles,
+            setup_cycles=SETUP_CYCLES,
             cycles_per_word=cycles_per_word,
             max_masters=1,
             full_duplex=True,

@@ -26,9 +26,6 @@ class FpgaDevice:
     block_rams: int
     dsp48: int
 
-    def utilisation(self, slices_used: int) -> float:
-        return slices_used / self.slices
-
 
 #: The paper's device: Virtex-4 LX25 (10,752 slices, 21,504 FF/LUT).
 VIRTEX4_LX25 = FpgaDevice(
@@ -41,6 +38,10 @@ VIRTEX4_LX25 = FpgaDevice(
 )
 
 
+#: The on-chip processor of the case-study platform.
+PROCESSOR_KIND = "ppc405"
+
+
 @dataclass
 class TargetPlatform:
     """A board-level target: device plus system clock."""
@@ -48,8 +49,6 @@ class TargetPlatform:
     name: str
     device: FpgaDevice
     frequency_hz: float
-    processor_kind: str = "ppc405"
-    bus_kind: str = "opb"
 
     @property
     def budget(self) -> CycleBudget:
@@ -60,6 +59,6 @@ class TargetPlatform:
         return self.budget.cycle
 
 
-def ml401(frequency_hz: float = 100e6) -> TargetPlatform:
+def ml401() -> TargetPlatform:
     """The case study's Xilinx ML401 board at 100 MHz."""
-    return TargetPlatform(name="ml401", device=VIRTEX4_LX25, frequency_hz=frequency_hz)
+    return TargetPlatform(name="ml401", device=VIRTEX4_LX25, frequency_hz=100e6)

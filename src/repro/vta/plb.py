@@ -14,11 +14,12 @@ address pipelining, and bursts enabled from 4 words up.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..kernel import SimTime, Simulator
-from ..core.arbiter import ArbitrationPolicy, StaticPriority
+from ..core.arbiter import StaticPriority
 from .channel_base import OsssChannel
+
+#: Address and burst set-up cycles per transaction.
+SETUP_CYCLES = 2
 
 
 class PlbBus(OsssChannel):
@@ -29,19 +30,15 @@ class PlbBus(OsssChannel):
         sim: Simulator,
         cycle: SimTime,
         name: str = "plb",
-        word_bits: int = 32,
         arbitration_cycles: int = 1,
-        setup_cycles: int = 2,
         cycles_per_word: float = 0.5,
-        policy: Optional[ArbitrationPolicy] = None,
     ):
         super().__init__(
             sim,
             name,
-            word_bits=word_bits,
             cycle=cycle,
             arbitration_cycles=arbitration_cycles,
-            setup_cycles=setup_cycles,
+            setup_cycles=SETUP_CYCLES,
             cycles_per_word=cycles_per_word,
-            policy=policy or StaticPriority(),
+            policy=StaticPriority(),
         )

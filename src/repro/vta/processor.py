@@ -2,7 +2,7 @@
 
 ``add_sw_task`` mirrors the paper's mapping call: the task keeps its
 behaviour, but every EET it consumes now competes for the processor.  The
-processor round-robins between ready tasks with a configurable time slice
+processor round-robins between ready tasks in fixed time slices
 and charges a context-switch penalty whenever the running task changes,
 so mapping four tasks onto one core really does cost ~4x plus overhead
 (and mapping them onto four cores does not).
@@ -17,26 +17,20 @@ from ..kernel import Event, Module, SimTime, Simulator
 from ..core.task import SoftwareTask
 from ..core.timing import CycleBudget
 
+#: Preemption quantum for time-sharing: 1 ms at 100 MHz.
+TIME_SLICE_CYCLES = 100_000
+#: Pipeline/refill penalty when the running task changes.
+CONTEXT_SWITCH_CYCLES = 200
+
 
 class SoftwareProcessor(Module):
     """A processor resource executing the EETs of its mapped tasks."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        budget: CycleBudget,
-        time_slice: Optional[SimTime] = None,
-        context_switch: Optional[SimTime] = None,
-        kind: str = "ppc405",
-    ):
+    def __init__(self, sim: Simulator, name: str, budget: CycleBudget):
         super().__init__(sim, name)
         self.budget = budget
-        self.kind = kind
-        #: Preemption quantum for time-sharing (default 1 ms at 100 MHz).
-        self.time_slice = time_slice or budget.cycles(100_000)
-        #: Pipeline/refill penalty when the running task changes.
-        self.context_switch = context_switch or budget.cycles(200)
+        self.time_slice = budget.cycles(TIME_SLICE_CYCLES)
+        self.context_switch = budget.cycles(CONTEXT_SWITCH_CYCLES)
         self.tasks: list[SoftwareTask] = []
         self._run_queue: deque["_Slot"] = deque()
         self._cpu_free = Event(sim, f"{name}.cpu_free")
@@ -103,13 +97,6 @@ class SoftwareProcessor(Module):
         if self._running is None and self._run_queue:
             self._running = self._run_queue.popleft()
             self._running.granted.notify(delta=True)
-
-    # -- reporting --------------------------------------------------------------------
-
-    def utilisation(self, elapsed: SimTime) -> float:
-        if not elapsed:
-            return 0.0
-        return self.busy_fs / elapsed.femtoseconds
 
     def __repr__(self) -> str:
         return f"SoftwareProcessor({self.name!r}, tasks={len(self.tasks)})"

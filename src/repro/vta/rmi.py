@@ -28,11 +28,13 @@ from .. import telemetry as _telemetry
 from ..core.arbiter import ClientHandle
 from ..core.serialisation import SerialisedPayload, serialise_call
 from ..kernel import AnyOf, SimTime, Timeout
-from .channel_base import OsssChannel
+from .channel_base import WORD_BITS, OsssChannel
 from .object_socket import ObjectSocket
 
 #: Words of protocol header per direction (method id / status + client id).
 HEADER_WORDS = 1
+#: Words of one status poll (request + status register read).
+POLL_WORDS = 2
 
 
 class RmiClient:
@@ -45,7 +47,6 @@ class RmiClient:
         name: str = "rmi_client",
         chunk_words: Optional[int] = None,
         poll_interval: Optional[SimTime] = None,
-        poll_words: int = 2,
     ):
         self.channel = channel
         self.socket = socket
@@ -59,7 +60,6 @@ class RmiClient:
         #: interrupt line, so blocked clients poll the object's status
         #: register, and every poll is a real bus transaction.
         self.poll_interval = poll_interval
-        self.poll_words = poll_words
         self.polls = 0
         self._master: Optional[ClientHandle] = None
         self._remote_client = None
@@ -81,14 +81,14 @@ class RmiClient:
         sim = self.channel.sim
         tel = sim.telemetry
         begin_fs = sim._now_fs
-        request = serialise_call(args, kwargs, self.channel.word_bits)
+        request = serialise_call(args, kwargs, WORD_BITS)
         request_words = HEADER_WORDS + request.words
         yield from self.channel.transport(self._master, request_words, self.chunk_words)
         if self.poll_interval is None:
             result = yield from self.socket.execute(client, method, *args, **kwargs)
         else:
             result = yield from self._execute_polled(client, method, args, kwargs)
-        response = SerialisedPayload(result, self.channel.word_bits)
+        response = SerialisedPayload(result, WORD_BITS)
         response_words = HEADER_WORDS + response.words
         yield from self.channel.transport(self._master, response_words, self.chunk_words)
         self.calls += 1
@@ -133,14 +133,14 @@ class RmiClient:
                 # settled in one step; the client sleeps until the last
                 # one completes.  Every poll still counts on the channel.
                 polls, end_fs = self.channel.settle_alone(
-                    self._master, self.poll_words,
+                    self._master, POLL_WORDS,
                     _backoff(interval_fs, max_interval_fs),
                 )
                 if polls:
                     yield SimTime.from_fs(end_fs - sim._now_fs)
                 else:
                     # Status-register read: a real transaction on the channel.
-                    yield from self.channel.transport(self._master, self.poll_words)
+                    yield from self.channel.transport(self._master, POLL_WORDS)
                     polls = 1
                 self.polls += polls
                 _telemetry.count("rmi.polls", polls)
@@ -155,7 +155,7 @@ class RmiClient:
                 if call.is_granted:
                     break
                 # Status-register read: a real transaction on the channel.
-                yield from self.channel.transport(self._master, self.poll_words)
+                yield from self.channel.transport(self._master, POLL_WORDS)
                 self.polls += 1
                 _telemetry.count("rmi.polls")
                 interval_fs = min(interval_fs * 2, max_interval_fs)

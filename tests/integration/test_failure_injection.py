@@ -42,7 +42,7 @@ class TestDeadlockDetection:
         task.start()
         sim.run()
         assert not task.finished
-        assert so.pending_count == 1
+        assert len(so._pending) == 1
 
 
 class TestErrorPropagation:

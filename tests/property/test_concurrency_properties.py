@@ -102,7 +102,8 @@ def test_priority_policy_grants_highest_priority_ready_client(priorities)       
 
     for index, priority in enumerate(priorities):
         task = FunctionTask(sim, f"t{index}", body, priority)
-        port = task.port("p", priority=priority)
+        port = task.port("p")
+        port.priority = priority
         port.bind(so)
         task.p = port
         task.start()

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.jpeg2000.mq import ContextState, MqDecoder, MqEncoder, make_contexts
+from repro.jpeg2000.mq import ContextState, MqDecoder, MqEncoder
 
 
 @st.composite
@@ -22,12 +22,12 @@ def decision_streams(draw):
 def test_roundtrip_is_identity(stream):
     num_contexts, bits, context_ids = stream
     encoder = MqEncoder()
-    enc_bank = make_contexts(num_contexts)
+    enc_bank = [ContextState() for _ in range(num_contexts)]
     for bit, ctx in zip(bits, context_ids):
         encoder.encode(bit, enc_bank[ctx])
     data = encoder.flush()
     decoder = MqDecoder(data)
-    dec_bank = make_contexts(num_contexts)
+    dec_bank = [ContextState() for _ in range(num_contexts)]
     decoded = [decoder.decode(dec_bank[ctx]) for ctx in context_ids]
     assert decoded == bits
 
@@ -38,11 +38,11 @@ def test_context_states_converge_identically(stream):
     """Encoder and decoder context adaptation must track exactly."""
     num_contexts, bits, context_ids = stream
     encoder = MqEncoder()
-    enc_bank = make_contexts(num_contexts)
+    enc_bank = [ContextState() for _ in range(num_contexts)]
     for bit, ctx in zip(bits, context_ids):
         encoder.encode(bit, enc_bank[ctx])
     decoder = MqDecoder(encoder.flush())
-    dec_bank = make_contexts(num_contexts)
+    dec_bank = [ContextState() for _ in range(num_contexts)]
     for ctx in context_ids:
         decoder.decode(dec_bank[ctx])
     for enc_ctx, dec_ctx in zip(enc_bank, dec_bank):

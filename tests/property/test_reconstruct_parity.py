@@ -23,7 +23,7 @@ from repro.jpeg2000.pipeline import StageOps
 from repro.jpeg2000.plan import RECONSTRUCT_NATIVE
 from repro.jpeg2000.quant import StepSize
 from repro.jpeg2000.stages import reconstruct
-from repro.jpeg2000.structure import band_shapes, codeblock_grid, effective_levels
+from repro.jpeg2000.structure import band_shapes, codeblock_grid
 from repro.jpeg2000.t2 import CodeBlockContribution, PacketBand
 
 pytestmark = pytest.mark.skipif(
@@ -76,7 +76,7 @@ def tiles(draw, wide=False):
             StepSize.unpack(int(value))
             for value in rng.integers(0, 1 << 16, len(subband_order(levels)))
         ]
-    top = effective_levels(width, height, levels)
+    top = band_shapes(width, height, levels)[-1].resolution
     max_resolution = draw(st.one_of(st.none(), st.integers(0, top + 1)))
     layout = _layout(params, width, height)
     sizes = [

@@ -46,7 +46,7 @@ def _encoded(draw, width, height, amplitudes=(1, 7, 127, 2047)):
     if num_passes is None:
         data = result.data
     else:
-        data = result.data[: result.bytes_for_passes(num_passes)]
+        data = result.data[: result.pass_lengths[num_passes - 1]]
     return data, width, height, orientation, result.num_bitplanes, num_passes, coeffs
 
 

@@ -65,10 +65,10 @@ class TestDerivedStageTimes:
     def test_custom_shares(self):
         times = stage_times_from_shares(
             {"arith": 50.0, "iq": 20.0, "idwt": 20.0, "ict": 5.0, "dc": 5.0},
-            arith_ms=100.0,
         )
-        assert times.iq == pytest.approx(40.0)
-        assert times.total == pytest.approx(200.0)
+        assert times.arith == ARITH_MS_PER_TILE
+        assert times.iq == pytest.approx(0.4 * ARITH_MS_PER_TILE)
+        assert times.total == pytest.approx(2 * ARITH_MS_PER_TILE)
 
 
 class TestCostModel:

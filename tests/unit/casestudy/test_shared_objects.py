@@ -124,12 +124,12 @@ class TestTileStore:
             yield from task.p.call("put_component", 0, 0, WirePayload(1))
             start = sim.now
             yield from task.p.call("iq", 0, 0)
-            marks.append(sim.now - start)
+            marks.append(sim.now.femtoseconds - start.femtoseconds)
 
         bind_task(sim, so, "t", body)
         sim.run()
         expected_ms = workload.stage_times.iq / 3 / 16.0
-        assert marks[0].femtoseconds == pytest.approx(expected_ms * 1e12, rel=0.01)
+        assert marks[0] == pytest.approx(expected_ms * 1e12, rel=0.01)
 
     def test_iq_streaming_mode_is_cheap(self, sim, workload):
         store = TileStoreBehaviour(workload)
@@ -141,7 +141,7 @@ class TestTileStore:
             yield from task.p.call("put_component", 0, 0, WirePayload(1))
             start = sim.now
             yield from task.p.call("iq", 0, 0)
-            marks.append((sim.now - start).femtoseconds)
+            marks.append(sim.now.femtoseconds - start.femtoseconds)
 
         bind_task(sim, so, "t", body)
         sim.run()
@@ -193,7 +193,8 @@ class TestIdwtParams:
         assert got["97"].mode == "9/7"
 
     def test_queue_capacity_blocks_put(self, sim):
-        params = IdwtParamsBehaviour(queue_capacity=1)
+        params = IdwtParamsBehaviour()
+        params.capacity = 1
         so = SharedObject(sim, "params", params)
         puts = []
 

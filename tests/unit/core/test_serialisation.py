@@ -8,7 +8,6 @@ from repro.core import (
     SerialisationError,
     SerialisedPayload,
     payload_bits,
-    register_payload_type,
     serialise_call,
 )
 
@@ -42,13 +41,6 @@ class TestPayloadBits:
                 return 1000
 
         assert payload_bits(Tile()) == 1000
-
-    def test_registered_external_type(self):
-        class External:
-            pass
-
-        register_payload_type(External, lambda obj: 77)
-        assert payload_bits(External()) == 77
 
     def test_unserialisable_rejected(self):
         class Pointerish:

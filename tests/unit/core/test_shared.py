@@ -169,7 +169,7 @@ class TestGuards:
         task.start()
         sim.run()
         assert not task.finished
-        assert so.pending_count == 1
+        assert len(so._pending) == 1
         assert so.stats.guard_blocked > 0
 
 
@@ -186,11 +186,12 @@ class TestArbitration:
             return run
 
         low = FunctionTask(sim, "low", body("low"))
-        port = low.port("p", priority=9)
+        port = low.port("p")
+        port.priority = 9
         port.bind(so)
         low.p = port
         high = FunctionTask(sim, "high", body("high"))
-        port = high.port("p", priority=0)
+        port = high.port("p")
         port.bind(so)
         high.p = port
         low.start()

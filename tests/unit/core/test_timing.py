@@ -45,11 +45,6 @@ class TestCycleBudget:
         assert budget.cycles(100) == us(1)
         assert budget.cycles(2.5) == ns(25)
 
-    def test_cycles_for_ceiling(self):
-        budget = CycleBudget(100e6)
-        assert budget.cycles_for(ns(25)) == 3
-        assert budget.cycles_for(ns(30)) == 3
-
     def test_invalid_frequency(self):
         with pytest.raises(ValueError):
             CycleBudget(0)

@@ -92,7 +92,7 @@ def _by_value_specs() -> list:
     """Every catalog row and every ``scaling`` spec sent by value."""
     from repro.experiments.defs import TASK_COUNTS
 
-    return catalog.specs() + [
+    return [catalog.get(name) for name in catalog.names()] + [
         catalog.scaled_vta_spec(num_tasks, p2p)
         for num_tasks in TASK_COUNTS
         for p2p in (False, True)

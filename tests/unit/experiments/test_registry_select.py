@@ -34,7 +34,9 @@ class TestCatalogSelect:
 
 class TestRegistry:
     def test_all_paper_artefacts_have_owners(self):
-        stems = registry.artefact_stems()
+        stems = [
+            stem for entry in registry.all_experiments() for stem in entry.artefacts
+        ]
         for stem in (
             "fig1_profile", "fig1_anchor",
             "table1_application_layer", "table1_vta_layer",
@@ -43,10 +45,6 @@ class TestRegistry:
         ):
             assert stem in stems
         assert len(stems) == len(set(stems)), "artefact stems must be unique"
-
-    def test_get_unknown_names_vocabulary(self):
-        with pytest.raises(KeyError, match="registered"):
-            registry.get("nope")
 
     def test_expand_group(self):
         entries = registry.expand("table1")
@@ -64,7 +62,7 @@ class TestRegistry:
             registry.expand(["table1", "bogus"])
 
     def test_all_group_covers_every_entry(self):
-        assert {e.id for e in registry.expand("all")} == set(registry.ids())
+        assert registry.expand("all") == registry.all_experiments()
 
     def test_requests_have_unique_rids_per_experiment(self):
         for entry in registry.all_experiments():
@@ -72,7 +70,7 @@ class TestRegistry:
             assert len(rids) == len(set(rids)), entry.id
 
     def test_duplicate_registration_rejected(self):
-        entry = registry.get("fig1")
+        [entry] = registry.expand("fig1")
         with pytest.raises(ValueError, match="registered twice"):
             registry.register(entry)
 
@@ -116,12 +114,13 @@ class TestRegistryLoading:
             sys.modules.pop("repro.experiments.defs", None)
             sys.meta_path.insert(0, finder)
             with pytest.raises(ImportError, match="died partway"):
-                registry.ids()
+                registry.all_experiments()
             assert registry._REGISTRY == {}, "partial registrations must roll back"
             assert not registry._LOADED
 
             sys.meta_path.remove(finder)
-            assert "fig1" in registry.ids()  # retry loads cleanly
+            # A retry loads cleanly.
+            assert "fig1" in [e.id for e in registry.all_experiments()]
         finally:
             if finder in sys.meta_path:
                 sys.meta_path.remove(finder)

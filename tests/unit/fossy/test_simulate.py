@@ -231,31 +231,7 @@ class TestTestbenchGeneration:
         assert "entity idwt53_tb is" in text
         assert "entity work.idwt53" in text
         assert "wait until done = '1'" in text
+        assert "tile_w <= to_signed(8, " in text
         # the memory oracle must contain the true inverse-transform values
         for value in tile.flatten()[:8]:
             assert str(value) in text
-
-    def test_testbench_register_oracle(self):
-        from repro.fossy import (
-            Assign,
-            Bin,
-            Const,
-            Design,
-            TestbenchSpec,
-            Tick,
-            Var,
-            generate_testbench,
-        )
-
-        design = Design(
-            name="adder",
-            inputs=[Var("a", 8), Var("b", 8)],
-            registers=[Var("total", 16)],
-            main=[Assign(Var("total", 16), Bin("+", Var("a", 8), Var("b", 8), 16)),
-                  Tick()],
-        )
-        fsmd = elaborate(design)
-        spec = TestbenchSpec(inputs={"a": 3, "b": 4}, check_registers=["total"])
-        text = generate_testbench(fsmd, spec)
-        assert "to_signed(3, 8)" in text
-        assert "expected 7" in text

@@ -27,12 +27,6 @@ class TestBitWriter:
         data = writer.flush()
         assert data == b"\xff\x00"
 
-    def test_comma_code(self):
-        writer = BitWriter()
-        writer.put_bits(0b1110, 4)  # three ones, then the closing zero
-        reader = BitReader(writer.flush())
-        assert reader.get_comma_code() == 3
-
     def test_roundtrip_various_lengths(self):
         for n in (1, 7, 8, 9, 15, 16, 17, 64):
             writer = BitWriter()
@@ -123,13 +117,6 @@ class TestTagTree:
         # 64 leaves of value 3, naive cost 64 x 4 zero-bits + stop bits;
         # the shared ancestors make it much cheaper.
         assert len(writer.flush()) < 20
-
-    def test_reset_clears_state(self):
-        tree = TagTree(2, 2)
-        tree.set_value(0, 0, 1)
-        tree.reset()
-        with pytest.raises(ValueError):
-            tree.value_of(0, 0)
 
     def test_non_square_and_non_power_of_two(self):
         enc, dec = TagTree(3, 5), TagTree(3, 5)

@@ -7,7 +7,6 @@ from repro.jpeg2000 import (
     CodingParameters,
     EncodingError,
     Jpeg2000Decoder,
-    decode_codestream,
     encode_image,
     synthetic_image,
 )
@@ -33,29 +32,29 @@ def params(size=64, tile=32, lossless=True, components=3, **overrides):
 class TestLossless:
     def test_roundtrip_exact_multi_tile(self):
         image = synthetic_image(64, 64, 3, seed=20)
-        assert decode_codestream(encode_image(image, params())) == image
+        assert Jpeg2000Decoder(encode_image(image, params())).decode() == image
 
     def test_roundtrip_exact_single_tile(self):
         image = synthetic_image(32, 32, 3, seed=21)
-        assert decode_codestream(
+        assert Jpeg2000Decoder(
             encode_image(image, params(size=32, tile=32))
-        ) == image
+        ).decode() == image
 
     def test_roundtrip_grayscale(self):
         image = synthetic_image(32, 32, 1, seed=22)
-        out = decode_codestream(encode_image(image, params(size=32, components=1)))
+        out = Jpeg2000Decoder(encode_image(image, params(size=32, components=1))).decode()
         assert out == image
 
     def test_roundtrip_without_mct(self):
         image = synthetic_image(32, 32, 3, seed=23)
         p = params(size=32, use_mct=False)
-        assert decode_codestream(encode_image(image, p)) == image
+        assert Jpeg2000Decoder(encode_image(image, p)).decode() == image
 
     def test_non_square_non_tile_aligned(self):
         image = synthetic_image(48, 80, 3, seed=24)
         p = params()
         p.width, p.height = 48, 80
-        assert decode_codestream(encode_image(image, p)) == image
+        assert Jpeg2000Decoder(encode_image(image, p)).decode() == image
 
     def test_compresses_below_raw(self):
         image = synthetic_image(64, 64, 3, seed=25)
@@ -66,7 +65,7 @@ class TestLossless:
         flat = Image([np.full((32, 32), 200, dtype=np.int64)] * 3, bit_depth=8)
         p = params(size=32)
         data = encode_image(flat, p)
-        assert decode_codestream(data) == flat
+        assert Jpeg2000Decoder(data).decode() == flat
         assert len(data) < 600  # near-empty packets
 
     def test_extreme_values(self):
@@ -75,7 +74,7 @@ class TestLossless:
             [rng.choice([0, 255], size=(32, 32)).astype(np.int64) for _ in range(3)],
             bit_depth=8,
         )
-        assert decode_codestream(encode_image(extreme, params(size=32))) == extreme
+        assert Jpeg2000Decoder(encode_image(extreme, params(size=32))).decode() == extreme
 
 
 class TestLossy:
@@ -84,7 +83,7 @@ class TestLossy:
         psnrs = []
         for base in (1 / 2, 1 / 8, 1 / 32):
             p = params(lossless=False, base_step=base)
-            out = decode_codestream(encode_image(image, p))
+            out = Jpeg2000Decoder(encode_image(image, p)).decode()
             psnrs.append(out.psnr(image))
         assert psnrs[0] < psnrs[1] < psnrs[2]
 
@@ -96,7 +95,7 @@ class TestLossy:
 
     def test_reasonable_quality_at_moderate_rate(self):
         image = synthetic_image(64, 64, 3, seed=29)
-        out = decode_codestream(encode_image(image, params(lossless=False, base_step=1 / 8)))
+        out = Jpeg2000Decoder(encode_image(image, params(lossless=False, base_step=1 / 8))).decode()
         assert out.psnr(image) > 35.0
 
 
@@ -115,7 +114,7 @@ class TestStageInstrumentation:
     def test_tile_stages_match_full_decode(self):
         image = synthetic_image(64, 64, 3, seed=31)
         data = encode_image(image, params())
-        full = decode_codestream(data)
+        full = Jpeg2000Decoder(data).decode()
         decoder = Jpeg2000Decoder(data)
         from repro.jpeg2000 import TileGrid
 

@@ -109,8 +109,3 @@ class TestOpCounts:
         assert ops53.mul_ops == 0
         assert ops97.mul_ops > 0
 
-    def test_merge(self):
-        a = dwt.DwtOpCounts(add_ops=1, mul_ops=2, samples=3)
-        b = dwt.DwtOpCounts(add_ops=10, mul_ops=20, samples=30)
-        a.merge(b)
-        assert (a.add_ops, a.mul_ops, a.samples) == (11, 22, 33)

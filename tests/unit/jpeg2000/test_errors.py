@@ -8,7 +8,6 @@ from repro.jpeg2000 import (
     DecodeError,
     DecodingError,
     Jpeg2000Decoder,
-    decode_codestream,
     encode_image,
     parse_codestream,
     synthetic_image,
@@ -56,7 +55,7 @@ def _truncated_packet_body():
                  else part.data)
         for part in parsed.tile_parts
     ]
-    decode_codestream(write_codestream(parsed.parameters, parts))
+    Jpeg2000Decoder(write_codestream(parsed.parameters, parts)).decode()
 
 
 def _layer_truncation_of_rlcp():

@@ -69,12 +69,10 @@ class TestPinnedIdentity:
 
 class TestOptionsAreTheOnlyInput:
     def test_decoder_takes_no_hand_built_plan(self):
-        from repro.jpeg2000 import Jpeg2000Decoder, decode_codestream
+        from repro.jpeg2000 import Jpeg2000Decoder
 
         with pytest.raises(TypeError):
             Jpeg2000Decoder(b"", plan=compile_plan(DecodeOptions(), BIG_HOST))
-        with pytest.raises(TypeError):
-            decode_codestream(b"", plan=compile_plan(DecodeOptions(), BIG_HOST))
 
 
 class TestCompileTotality:

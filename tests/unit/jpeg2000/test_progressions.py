@@ -7,11 +7,14 @@ from repro.jpeg2000 import (
     CodingParameters,
     DecodeOptions,
     Jpeg2000Decoder,
-    decode_codestream,
     encode_image,
     synthetic_image,
 )
-from repro.jpeg2000.codestream import PROGRESSION_LRCP, PROGRESSION_RLCP
+from repro.jpeg2000.codestream import (
+    PROGRESSION_LRCP,
+    PROGRESSION_RLCP,
+    CodestreamError,
+)
 from repro.jpeg2000.decoder import DecodingError
 
 
@@ -59,7 +62,7 @@ class TestProgressionOrders:
     @pytest.mark.parametrize("layers", [1, 3])
     def test_roundtrip_exact(self, image, progression, layers):
         codestream = encode_image(image, params(progression, layers))
-        assert decode_codestream(codestream) == image
+        assert Jpeg2000Decoder(codestream).decode() == image
 
     def test_same_payload_different_order(self, image):
         lrcp = encode_image(image, params(PROGRESSION_LRCP, layers=2))
@@ -148,6 +151,29 @@ class TestResolutionScalability:
                             codestream, max_resolution=resolution
                         )
                         _assert_mosaic(spec, decoder.decode())
+
+    def test_unpackable_reduced_grid_is_a_codestream_error(self):
+        """A 2x1 corner tile stops its DWT after one level, so at
+        resolutions 1 and 2 it is wider than its column: the decode
+        raises a ``CodestreamError`` naming the tile and the resolution
+        instead of failing inside NumPy, and decodes where it packs."""
+        image = synthetic_image(66, 65, 1)
+        codestream = encode_image(image, CodingParameters(
+            width=66, height=65, num_components=1, tile_width=64,
+            tile_height=64, num_levels=3, lossless=True, use_mct=False,
+        ))
+        for resolution in (1, 2):
+            decoder = Jpeg2000Decoder(codestream, max_resolution=resolution)
+            with pytest.raises(CodestreamError,
+                               match=f"tile 3 .* resolution {resolution}"):
+                decoder.decode()
+        sizes = {
+            resolution: Jpeg2000Decoder(
+                codestream, max_resolution=resolution
+            ).decode().components[0].shape
+            for resolution in (0, 3, None)
+        }
+        assert sizes == {0: (9, 9), 3: (65, 66), None: (65, 66)}
 
     def test_negative_resolution_rejected(self, image):
         codestream = encode_image(image, params(PROGRESSION_LRCP))

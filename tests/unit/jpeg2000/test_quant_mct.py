@@ -114,9 +114,3 @@ class TestDcShift:
     def test_rounding(self):
         out = mct.dc_shift_inverse(np.array([0.4, 0.6]), 8)
         assert list(out) == [128, 129]
-
-
-class TestBounds:
-    def test_max_bitplanes_formula(self):
-        step = quant.StepSize(exponent=10, mantissa=0)
-        assert quant.max_bitplanes(8, "LL", step) == quant.guard_bits() + 10 - 1

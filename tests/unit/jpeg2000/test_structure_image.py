@@ -5,7 +5,7 @@ import pytest
 
 from repro.jpeg2000 import dwt
 from repro.jpeg2000.image import Image, TileGrid, synthetic_image
-from repro.jpeg2000.structure import band_shapes, codeblock_grid, effective_levels, grid_dimensions
+from repro.jpeg2000.structure import band_shapes, codeblock_grid, grid_dimensions
 
 
 class TestBandShapes:
@@ -30,9 +30,9 @@ class TestBandShapes:
         assert (shapes[0].height, shapes[0].width) == (16, 16)
 
     def test_effective_levels_stops_at_degenerate(self):
-        assert effective_levels(1, 1, 5) == 0
-        assert effective_levels(2, 2, 5) == 1
-        assert effective_levels(128, 128, 3) == 3
+        for size, levels, applied in ((1, 5, 0), (2, 5, 1), (128, 3, 3)):
+            top = band_shapes(size, size, levels)[-1].resolution
+            assert top == applied
 
 
 class TestCodeblockGrid:

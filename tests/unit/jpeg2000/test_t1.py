@@ -27,7 +27,6 @@ class TestRoundtrip:
     def test_all_zero_block_needs_no_bytes_for_any_pass(self):
         result = CodeBlockEncoder([0] * 16, 4, 4, "LL").encode()
         assert result.pass_lengths == []
-        assert [result.bytes_for_passes(n) for n in (-1, 0, 1, 3)] == [0] * 4
 
     def test_single_coefficient(self):
         coeffs = [0] * 16

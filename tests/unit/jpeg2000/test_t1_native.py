@@ -117,7 +117,6 @@ class TestEncoderValidation:
         (result,) = t1_native.encode_codeblock_batch([([0] * 16, 4, 4, "LL")])
         assert (result.data, result.num_passes, result.num_bitplanes,
                 result.ops, result.pass_lengths) == (b"", 0, 0, 0, [])
-        assert result.bytes_for_passes(1) == 0
 
 
 class TestEncoderBuffer:

@@ -55,6 +55,11 @@ def fresh_bands_like(band):
     return make_band(band.band_width, band.band_height, band.cb_size, band.orientation)
 
 
+def codeword(block, packet):
+    """The bytes of *block*'s segment spans into *packet*."""
+    return b"".join(packet[start:end] for start, end in block.segments)
+
+
 class TestPacketRoundtrip:
     def test_empty_packet_is_one_byte(self):
         band = make_band(64, 64, 32)
@@ -63,7 +68,7 @@ class TestPacketRoundtrip:
         out = fresh_bands_like(band)
         end = decode_packet(packet, 0, [out], {"HL": 8})
         assert end == 1
-        assert all(not blk.included for blk in out.blocks)
+        assert all(blk.num_passes == 0 for blk in out.blocks)
 
     def test_single_block_roundtrip(self):
         rng = random.Random(1)
@@ -78,7 +83,7 @@ class TestPacketRoundtrip:
         assert end == len(packet)
         assert block.num_passes == 7
         assert block.num_bitplanes == 5
-        assert block.data == band.blocks[0].data
+        assert codeword(block, packet) == band.blocks[0].data
 
     def test_mixed_inclusion(self):
         rng = random.Random(2)
@@ -92,9 +97,9 @@ class TestPacketRoundtrip:
         out = fresh_bands_like(band)
         decode_packet(packet, 0, [out], {"HL": 6})
         for index, (mine, theirs) in enumerate(zip(band.blocks, out.blocks)):
-            assert theirs.included == mine.included
-            if mine.included:
-                assert theirs.data == mine.data
+            assert theirs.num_passes == mine.num_passes
+            if mine.num_passes:
+                assert codeword(theirs, packet) == mine.data
                 assert theirs.num_passes == mine.num_passes
 
     def test_multiple_bands_in_one_packet(self):
@@ -109,7 +114,7 @@ class TestPacketRoundtrip:
         outs = [fresh_bands_like(band) for band in bands]
         decode_packet(packet, 0, outs, bounds)
         for mine, theirs in zip(bands, outs):
-            assert theirs.blocks[0].data == mine.blocks[0].data
+            assert codeword(theirs.blocks[0], packet) == mine.blocks[0].data
 
     def test_sequential_packets_share_buffer(self):
         rng = random.Random(4)
@@ -127,7 +132,7 @@ class TestPacketRoundtrip:
         for band in originals:
             out = fresh_bands_like(band)
             offset = decode_packet(buffer, offset, [out], {"HL": 4})
-            assert out.blocks[0].data == band.blocks[0].data
+            assert codeword(out.blocks[0], buffer) == band.blocks[0].data
         assert offset == len(buffer)
 
     def test_large_body_uses_lblock_expansion(self):
@@ -138,7 +143,7 @@ class TestPacketRoundtrip:
         packet = encode_packet([band], {"HL": 10})
         out = fresh_bands_like(band)
         decode_packet(packet, 0, [out], {"HL": 10})
-        assert len(out.blocks[0].data) == 10_000
+        assert len(codeword(out.blocks[0], packet)) == 10_000
 
     def test_bitplane_bound_violation_rejected(self):
         band = make_band(32, 32, 32)

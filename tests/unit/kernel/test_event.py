@@ -137,34 +137,3 @@ class TestTimedNotify:
         sim.spawn(notifier(), "n")
         sim.run()
         assert woken == [ns(2)]
-
-
-class TestCancel:
-    def test_cancel_suppresses_timed(self, sim):
-        event = sim.event("e")
-        woken = []
-
-        def waiter():
-            yield event
-            woken.append(sim.now)
-
-        sim.spawn(waiter(), "w")
-        event.notify(ns(5))
-        event.cancel()
-        sim.run()
-        assert woken == []
-
-    def test_renotify_after_cancel(self, sim):
-        event = sim.event("e")
-        woken = []
-
-        def waiter():
-            yield event
-            woken.append(sim.now)
-
-        sim.spawn(waiter(), "w")
-        event.notify(ns(5))
-        event.cancel()
-        event.notify(ns(8))
-        sim.run()
-        assert woken == [ns(8)]

@@ -19,7 +19,6 @@ class TestNonBlocking:
         ok, item = fifo.try_get()
         assert ok and item == 1
         assert len(fifo) == 1
-        assert fifo.free == 1
 
     def test_try_get_empty(self, sim):
         fifo = Fifo(sim, capacity=1)

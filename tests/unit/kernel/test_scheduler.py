@@ -57,17 +57,6 @@ class TestTimeLimit:
         sim.run(until=ns(35))
         assert marks == [ns(35)]
 
-    def test_run_for_extends_from_now(self, sim):
-        def body():
-            while True:
-                yield ns(10)
-
-        sim.spawn(body(), "p")
-        sim.run_for(ns(25))
-        assert sim.now == ns(25)
-        sim.run_for(ns(25))
-        assert sim.now == ns(50)
-
     def test_resume_after_limit(self, sim):
         marks = []
 

@@ -6,7 +6,12 @@ import sys
 import pytest
 
 from repro import telemetry
-from repro.telemetry.flight import FlightRecorder, install_excepthook, uninstall_excepthook
+from repro.telemetry.flight import (
+    CAPACITY,
+    FlightRecorder,
+    install_excepthook,
+    uninstall_excepthook,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -19,15 +24,11 @@ def _clean_sinks():
 
 class TestRingBuffer:
     def test_capacity_bounds_history(self):
-        recorder = FlightRecorder(capacity=3)
-        for index in range(10):
+        recorder = FlightRecorder()
+        for index in range(CAPACITY + 7):
             recorder.note("tick", n=index)
-        assert len(recorder) == 3
-        assert [event["n"] for event in recorder.events] == [7, 8, 9]
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+        assert len(recorder) == CAPACITY
+        assert [event["n"] for event in recorder.events][:3] == [7, 8, 9]
 
     def test_context_and_chunk_states(self):
         recorder = FlightRecorder()

@@ -37,19 +37,21 @@ class TestRecords:
 
 
 class TestAppendRead:
-    def test_append_creates_and_reads_back(self, tmp_path):
+    def test_append_creates_and_reads_back(self, tmp_path, monkeypatch):
         path = tmp_path / "sub" / "ledger.jsonl"
+        monkeypatch.setenv(ledger.ENV_LEDGER_PATH, str(path))
         first = ledger.make_record("decode", label="a")
         second = ledger.make_record("simulate", label="b")
-        ledger.append_record(first, path)
-        ledger.append_record(second, path)
+        assert ledger.append_record(first) == path
+        ledger.append_record(second)
         records = ledger.read_ledger(path)
         assert [r["label"] for r in records] == ["a", "b"]
 
-    def test_torn_and_corrupt_lines_are_skipped(self, tmp_path):
+    def test_torn_and_corrupt_lines_are_skipped(self, tmp_path, monkeypatch):
         path = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv(ledger.ENV_LEDGER_PATH, str(path))
         good = ledger.make_record("decode", label="good")
-        ledger.append_record(good, path)
+        ledger.append_record(good)
         with path.open("a", encoding="utf-8") as handle:
             handle.write("not json at all\n")
             handle.write('{"schema": 999, "run_id": "future"}\n')

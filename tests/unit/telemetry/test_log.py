@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.telemetry.log import EventLog, capture_events, new_run_id, new_span_id
+from repro.telemetry.log import EventLog, capture_events, new_run_id
 
 
 @pytest.fixture(autouse=True)
@@ -24,11 +24,6 @@ class TestIds:
         assert first != second
         assert len(first) == 16
         int(first, 16)  # raises if not hex
-
-    def test_span_ids_monotonic(self):
-        first, second = new_span_id(), new_span_id()
-        assert second > first
-
 
 class TestEventLog:
     def test_emit_stamps_run_seq_and_ts(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import CycleBudget, FunctionTask
-from repro.kernel import Simulator, ms, ns, us
+from repro.kernel import Simulator, ms, ns
 from repro.vta import SoftwareProcessor, ml401
 
 
@@ -31,8 +31,7 @@ class TestSoftwareProcessor:
         assert marks == [ms(5)]
 
     def test_two_tasks_share_one_processor(self, sim):
-        cpu = SoftwareProcessor(sim, "cpu", BUDGET,
-                                time_slice=ms(1), context_switch=us(0.001))
+        cpu = SoftwareProcessor(sim, "cpu", BUDGET)
         marks = {}
 
         def body(task):
@@ -64,8 +63,7 @@ class TestSoftwareProcessor:
         assert all(when == ms(4) for when in finish.values())
 
     def test_context_switch_cost_accumulates(self, sim):
-        cpu = SoftwareProcessor(sim, "cpu", BUDGET,
-                                time_slice=ms(1), context_switch=us(10))
+        cpu = SoftwareProcessor(sim, "cpu", BUDGET)
 
         def body(task):
             yield from task.eet(ms(3))
@@ -85,19 +83,6 @@ class TestSoftwareProcessor:
         with pytest.raises(RuntimeError, match="already mapped"):
             cpu.add_sw_task(task)
 
-    def test_utilisation(self, sim):
-        cpu = SoftwareProcessor(sim, "cpu", BUDGET)
-
-        def body(task):
-            yield from task.eet(ms(1))
-            yield ms(1)  # idle (not CPU work)
-
-        task = FunctionTask(sim, "t", body)
-        cpu.add_sw_task(task)
-        task.start()
-        sim.run()
-        assert cpu.utilisation(sim.now) == pytest.approx(0.5, rel=0.01)
-
 
 class TestPlatform:
     def test_ml401_defaults(self):
@@ -105,7 +90,3 @@ class TestPlatform:
         assert platform.device.part == "xc4vlx25"
         assert platform.frequency_hz == 100e6
         assert platform.clock_period == ns(10)
-
-    def test_utilisation_helper(self):
-        device = ml401().device
-        assert device.utilisation(device.slices) == pytest.approx(1.0)

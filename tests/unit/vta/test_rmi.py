@@ -17,7 +17,7 @@ from repro.core import (
 from repro.core.serialisation import Serialisable
 from repro.design import catalog, elaborate_design
 from repro.kernel import Simulator, ns, us
-from repro.vta import ObjectSocket, OpbBus, P2PChannel, RmiClient
+from repro.vta import ObjectSocket, OsssChannel, P2PChannel, RmiClient
 
 
 @pytest.fixture
@@ -26,6 +26,21 @@ def sim():
 
 
 CYCLE = ns(10)
+
+
+def bare_bus(sim):
+    """A static-priority medium with no arbitration or set-up cost and
+    one cycle per word."""
+    return OsssChannel(sim, "bus", cycle=CYCLE, arbitration_cycles=0,
+                       setup_cycles=0, cycles_per_word=1.0,
+                       policy=StaticPriority())
+
+
+def opb_with(sim, policy):
+    """The OPB's timing under another arbitration *policy*."""
+    return OsssChannel(sim, "opb", cycle=CYCLE, arbitration_cycles=2,
+                       setup_cycles=1, cycles_per_word=2.0,
+                       policy=policy or StaticPriority())
 
 
 class BigPayload(Serialisable):
@@ -58,8 +73,7 @@ def build(sim, channel, behaviour=None, **rmi_kwargs):
 
 class TestTransferAccounting:
     def test_call_time_includes_both_directions(self, sim):
-        bus = OpbBus(sim, CYCLE, arbitration_cycles=0, setup_cycles=0,
-                     cycles_per_word=1.0)
+        bus = bare_bus(sim)
         _, _, client, port = build(sim, bus)
         finish = []
 
@@ -76,8 +90,7 @@ class TestTransferAccounting:
         assert client.words_received == 2
 
     def test_payload_size_drives_duration(self, sim):
-        bus = OpbBus(sim, CYCLE, arbitration_cycles=0, setup_cycles=0,
-                     cycles_per_word=1.0)
+        bus = bare_bus(sim)
         _, _, _, port = build(sim, bus)
         finish = []
 
@@ -93,8 +106,7 @@ class TestTransferAccounting:
 
 class TestChunking:
     def test_large_transfer_split_into_transactions(self, sim):
-        bus = OpbBus(sim, CYCLE, arbitration_cycles=0, setup_cycles=0,
-                     cycles_per_word=1.0)
+        bus = bare_bus(sim)
         _, _, _, port = build(sim, bus, chunk_words=32)
 
         def body():
@@ -107,8 +119,7 @@ class TestChunking:
         assert bus.stats.words == 202
 
     def test_chunking_lets_other_master_interleave(self, sim):
-        bus = OpbBus(sim, CYCLE, arbitration_cycles=0, setup_cycles=0,
-                     cycles_per_word=1.0)
+        bus = bare_bus(sim)
         _, _, _, port = build(sim, bus, chunk_words=16)
         other = bus.connect_master("other")
         other_done = []
@@ -143,8 +154,7 @@ class TestPolling:
             return "entered"
 
     def test_blocked_call_polls_the_bus(self, sim):
-        bus = OpbBus(sim, CYCLE, arbitration_cycles=0, setup_cycles=0,
-                     cycles_per_word=1.0)
+        bus = bare_bus(sim)
         gate = self.Gate()
         so = SharedObject(sim, "gate", gate)
         socket = ObjectSocket(so)
@@ -175,8 +185,7 @@ class TestPolling:
         assert waiter_client.polls > 0  # status reads happened on the bus
 
     def test_fast_grant_avoids_polling(self, sim):
-        bus = OpbBus(sim, CYCLE, arbitration_cycles=0, setup_cycles=0,
-                     cycles_per_word=1.0)
+        bus = bare_bus(sim)
         _, _, client, port = build(sim, bus, poll_interval=us(1))
 
         def body():
@@ -187,8 +196,7 @@ class TestPolling:
         assert client.polls == 0
 
     def test_backoff_limits_poll_count(self, sim):
-        bus = OpbBus(sim, CYCLE, arbitration_cycles=0, setup_cycles=0,
-                     cycles_per_word=1.0)
+        bus = bare_bus(sim)
         gate = self.Gate()
         so = SharedObject(sim, "gate", gate)
         socket = ObjectSocket(so)
@@ -227,7 +235,7 @@ class TestPollFastForwardEquivalence:
              policy=None, until_ns=None):
         with telemetry.session(spans=True) as run:
             sim = Simulator(fast=fast)
-            bus = OpbBus(sim, CYCLE, policy=policy)
+            bus = opb_with(sim, policy)
             so = SharedObject(sim, "gate", TestPolling.Gate())
             socket = ObjectSocket(so)
             calls = []
