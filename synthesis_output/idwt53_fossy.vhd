@@ -30,12 +30,12 @@ architecture fossy of idwt53 is
     s010_tick,
     s011_for_level,
     s012_do_level,
-    s013_for_row,
-    s014_do_row,
-    s015_for_load_line_h_i1_k,
-    s016_do_load_line_h_i1_k,
+    s013_for_col,
+    s014_do_col,
+    s015_for_load_line_v_i1_k,
+    s016_do_load_line_v_i1_k,
     s017_tick,
-    s018_end_load_line_h_i1_k,
+    s018_end_load_line_v_i1_k,
     s019_for_interleave_i2_k,
     s020_do_interleave_i2_k,
     s021_tick,
@@ -60,17 +60,17 @@ architecture fossy of idwt53 is
     s040_tick,
     s041_end_predict_odd_i7_k,
     s042_join,
-    s043_for_store_line_h_i8_k,
-    s044_do_store_line_h_i8_k,
+    s043_for_store_line_v_i8_k,
+    s044_do_store_line_v_i8_k,
     s045_tick,
-    s046_end_store_line_h_i8_k,
-    s047_end_row,
-    s048_for_col,
-    s049_do_col,
-    s050_for_load_line_v_i9_k,
-    s051_do_load_line_v_i9_k,
+    s046_end_store_line_v_i8_k,
+    s047_end_col,
+    s048_for_row,
+    s049_do_row,
+    s050_for_load_line_h_i9_k,
+    s051_do_load_line_h_i9_k,
     s052_tick,
-    s053_end_load_line_v_i9_k,
+    s053_end_load_line_h_i9_k,
     s054_for_interleave_i10_k,
     s055_do_interleave_i10_k,
     s056_tick,
@@ -107,11 +107,11 @@ architecture fossy of idwt53 is
     s087_tick,
     s088_end_clamp_line_i16_k,
     s089_join,
-    s090_for_store_line_v_i17_k,
-    s091_do_store_line_v_i17_k,
+    s090_for_store_line_h_i17_k,
+    s091_do_store_line_h_i17_k,
     s092_tick,
-    s093_end_store_line_v_i17_k,
-    s094_end_col,
+    s093_end_store_line_h_i17_k,
+    s094_end_row,
     s095_tick,
     s096_end_level,
     s097_tick,
@@ -127,8 +127,8 @@ architecture fossy of idwt53 is
   signal latched_h : signed(9 downto 0);
   signal latched_n : signed(9 downto 0);
   signal row_base : signed(15 downto 0);
-  signal load_line_h_i1_k : signed(9 downto 0);
-  signal load_line_h_i1_addr : signed(15 downto 0);
+  signal load_line_v_i1_k : signed(9 downto 0);
+  signal load_line_v_i1_addr : signed(15 downto 0);
   signal interleave_i2_k : signed(9 downto 0);
   signal update_even_i5_k : signed(9 downto 0);
   signal update_even_i5_total : signed(17 downto 0);
@@ -136,10 +136,10 @@ architecture fossy of idwt53 is
   signal predict_odd_i7_k : signed(9 downto 0);
   signal predict_odd_i7_total : signed(17 downto 0);
   signal predict_odd_i7_half : signed(9 downto 0);
-  signal store_line_h_i8_k : signed(9 downto 0);
-  signal store_line_h_i8_addr : signed(15 downto 0);
-  signal load_line_v_i9_k : signed(9 downto 0);
-  signal load_line_v_i9_addr : signed(15 downto 0);
+  signal store_line_v_i8_k : signed(9 downto 0);
+  signal store_line_v_i8_addr : signed(15 downto 0);
+  signal load_line_h_i9_k : signed(9 downto 0);
+  signal load_line_h_i9_addr : signed(15 downto 0);
   signal interleave_i10_k : signed(9 downto 0);
   signal update_even_i13_k : signed(9 downto 0);
   signal update_even_i13_total : signed(17 downto 0);
@@ -149,8 +149,8 @@ architecture fossy of idwt53 is
   signal predict_odd_i15_half : signed(9 downto 0);
   signal clamp_line_i16_k : signed(9 downto 0);
   signal clamp_line_i16_value : signed(17 downto 0);
-  signal store_line_v_i17_k : signed(9 downto 0);
-  signal store_line_v_i17_addr : signed(15 downto 0);
+  signal store_line_h_i17_k : signed(9 downto 0);
+  signal store_line_h_i17_addr : signed(15 downto 0);
   type line_buf_t is array (0 to 260) of signed(17 downto 0);
   signal line_buf : line_buf_t;
   type scratch_buf_t is array (0 to 255) of signed(17 downto 0);
@@ -215,44 +215,43 @@ begin
               state <= s096_end_level;
             end if;
           when s012_do_level =>
-            row_base <= to_signed(0, 16);
-            row <= to_signed(0, 10);
-            state <= s013_for_row;
-          when s013_for_row =>
-            if (row < cur_h) then
-              state <= s014_do_row;
+            col <= to_signed(0, 10);
+            state <= s013_for_col;
+          when s013_for_col =>
+            if (col < cur_w) then
+              state <= s014_do_col;
             else
-              state <= s047_end_row;
+              state <= s047_end_col;
             end if;
-          when s014_do_row =>
-            load_line_h_i1_addr <= row_base;
-            load_line_h_i1_k <= to_signed(0, 10);
-            state <= s015_for_load_line_h_i1_k;
-          when s015_for_load_line_h_i1_k =>
-            if (load_line_h_i1_k < cur_w) then
-              state <= s016_do_load_line_h_i1_k;
+          when s014_do_col =>
+            load_line_v_i1_addr <= resize(col + to_signed(0, 16), 16);
+            load_line_v_i1_k <= to_signed(0, 10);
+            state <= s015_for_load_line_v_i1_k;
+          when s015_for_load_line_v_i1_k =>
+            if (load_line_v_i1_k < cur_h) then
+              state <= s016_do_load_line_v_i1_k;
             else
-              state <= s018_end_load_line_h_i1_k;
+              state <= s018_end_load_line_v_i1_k;
             end if;
-          when s016_do_load_line_h_i1_k =>
-            line_buf(to_integer(resize(load_line_h_i1_k + to_signed(2, 10), 10))) <= tile_ram(to_integer(load_line_h_i1_addr));
-            load_line_h_i1_addr <= resize(load_line_h_i1_addr + to_signed(1, 16), 16);
+          when s016_do_load_line_v_i1_k =>
+            line_buf(to_integer(resize(load_line_v_i1_k + to_signed(2, 10), 10))) <= tile_ram(to_integer(load_line_v_i1_addr));
+            load_line_v_i1_addr <= resize(load_line_v_i1_addr + resize(latched_w + to_signed(0, 16), 16), 16);
             state <= s017_tick;
           when s017_tick =>
-            load_line_h_i1_k <= resize(load_line_h_i1_k + to_signed(1, 10), 10);
-            state <= s015_for_load_line_h_i1_k;
-          when s018_end_load_line_h_i1_k =>
+            load_line_v_i1_k <= resize(load_line_v_i1_k + to_signed(1, 10), 10);
+            state <= s015_for_load_line_v_i1_k;
+          when s018_end_load_line_v_i1_k =>
             interleave_i2_k <= to_signed(0, 10);
             state <= s019_for_interleave_i2_k;
           when s019_for_interleave_i2_k =>
-            if (interleave_i2_k < shift_right(cur_w, to_integer(to_signed(1, 10)))) then
+            if (interleave_i2_k < resize(shift_right(cur_h, to_integer(to_signed(1, 10))) + (cur_h and to_signed(1, 10)), 10)) then
               state <= s020_do_interleave_i2_k;
             else
               state <= s022_end_interleave_i2_k;
             end if;
           when s020_do_interleave_i2_k =>
             scratch_buf(to_integer(shift_left(interleave_i2_k, to_integer(to_signed(1, 10))))) <= line_buf(to_integer(resize(interleave_i2_k + to_signed(2, 10), 10)));
-            scratch_buf(to_integer(resize(shift_left(interleave_i2_k, to_integer(to_signed(1, 10))) + to_signed(1, 10), 10))) <= line_buf(to_integer(resize(resize(interleave_i2_k + shift_right(cur_w, to_integer(to_signed(1, 10))), 10) + to_signed(2, 10), 10)));
+            scratch_buf(to_integer(resize(shift_left(interleave_i2_k, to_integer(to_signed(1, 10))) + to_signed(1, 10), 10))) <= line_buf(to_integer(resize(resize(interleave_i2_k + resize(shift_right(cur_h, to_integer(to_signed(1, 10))) + (cur_h and to_signed(1, 10)), 10), 10) + to_signed(2, 10), 10)));
             state <= s021_tick;
           when s021_tick =>
             interleave_i2_k <= resize(interleave_i2_k + to_signed(1, 10), 10);
@@ -261,7 +260,7 @@ begin
             interleave_i2_k <= to_signed(0, 10);
             state <= s023_for_interleave_i2_k;
           when s023_for_interleave_i2_k =>
-            if (interleave_i2_k < cur_w) then
+            if (interleave_i2_k < cur_h) then
               state <= s024_do_interleave_i2_k;
             else
               state <= s026_end_interleave_i2_k;
@@ -273,7 +272,7 @@ begin
             interleave_i2_k <= resize(interleave_i2_k + to_signed(1, 10), 10);
             state <= s023_for_interleave_i2_k;
           when s026_end_interleave_i2_k =>
-            if (cur_w > to_signed(1, 10)) then
+            if (cur_h > to_signed(1, 10)) then
               state <= s027_then;
             else
               state <= s042_join;
@@ -283,11 +282,11 @@ begin
             line_buf(to_integer(to_signed(0, 10))) <= line_buf(to_integer(to_signed(4, 10)));
             state <= s028_tick;
           when s028_tick =>
-            line_buf(to_integer(resize(cur_w + to_signed(2, 10), 10))) <= line_buf(to_integer(cur_w));
-            line_buf(to_integer(resize(cur_w + to_signed(3, 10), 10))) <= line_buf(to_integer(resize(cur_w - to_signed(1, 10), 10)));
+            line_buf(to_integer(resize(cur_h + to_signed(2, 10), 10))) <= line_buf(to_integer(cur_h));
+            line_buf(to_integer(resize(cur_h + to_signed(3, 10), 10))) <= line_buf(to_integer(resize(cur_h - to_signed(1, 10), 10)));
             state <= s029_tick;
           when s029_tick =>
-            update_even_i5_half <= resize(shift_right(cur_w, to_integer(to_signed(1, 10))) + (cur_w and to_signed(1, 10)), 10);
+            update_even_i5_half <= resize(shift_right(cur_h, to_integer(to_signed(1, 10))) + (cur_h and to_signed(1, 10)), 10);
             update_even_i5_k <= to_signed(0, 10);
             state <= s030_for_update_even_i5_k;
           when s030_for_update_even_i5_k =>
@@ -310,11 +309,11 @@ begin
             line_buf(to_integer(to_signed(0, 10))) <= line_buf(to_integer(to_signed(4, 10)));
             state <= s035_tick;
           when s035_tick =>
-            line_buf(to_integer(resize(cur_w + to_signed(2, 10), 10))) <= line_buf(to_integer(cur_w));
-            line_buf(to_integer(resize(cur_w + to_signed(3, 10), 10))) <= line_buf(to_integer(resize(cur_w - to_signed(1, 10), 10)));
+            line_buf(to_integer(resize(cur_h + to_signed(2, 10), 10))) <= line_buf(to_integer(cur_h));
+            line_buf(to_integer(resize(cur_h + to_signed(3, 10), 10))) <= line_buf(to_integer(resize(cur_h - to_signed(1, 10), 10)));
             state <= s036_tick;
           when s036_tick =>
-            predict_odd_i7_half <= shift_right(cur_w, to_integer(to_signed(1, 10)));
+            predict_odd_i7_half <= shift_right(cur_h, to_integer(to_signed(1, 10)));
             predict_odd_i7_k <= to_signed(0, 10);
             state <= s037_for_predict_odd_i7_k;
           when s037_for_predict_odd_i7_k =>
@@ -335,64 +334,64 @@ begin
           when s041_end_predict_odd_i7_k =>
             state <= s042_join;
           when s042_join =>
-            store_line_h_i8_addr <= row_base;
-            store_line_h_i8_k <= to_signed(0, 10);
-            state <= s043_for_store_line_h_i8_k;
-          when s043_for_store_line_h_i8_k =>
-            if (store_line_h_i8_k < cur_w) then
-              state <= s044_do_store_line_h_i8_k;
+            store_line_v_i8_addr <= resize(col + to_signed(0, 16), 16);
+            store_line_v_i8_k <= to_signed(0, 10);
+            state <= s043_for_store_line_v_i8_k;
+          when s043_for_store_line_v_i8_k =>
+            if (store_line_v_i8_k < cur_h) then
+              state <= s044_do_store_line_v_i8_k;
             else
-              state <= s046_end_store_line_h_i8_k;
+              state <= s046_end_store_line_v_i8_k;
             end if;
-          when s044_do_store_line_h_i8_k =>
-            tile_ram(to_integer(store_line_h_i8_addr)) <= line_buf(to_integer(resize(store_line_h_i8_k + to_signed(2, 10), 10)));
-            store_line_h_i8_addr <= resize(store_line_h_i8_addr + to_signed(1, 16), 16);
+          when s044_do_store_line_v_i8_k =>
+            tile_ram(to_integer(store_line_v_i8_addr)) <= line_buf(to_integer(resize(store_line_v_i8_k + to_signed(2, 10), 10)));
+            store_line_v_i8_addr <= resize(store_line_v_i8_addr + resize(latched_w + to_signed(0, 16), 16), 16);
             state <= s045_tick;
           when s045_tick =>
-            store_line_h_i8_k <= resize(store_line_h_i8_k + to_signed(1, 10), 10);
-            state <= s043_for_store_line_h_i8_k;
-          when s046_end_store_line_h_i8_k =>
-            row_base <= resize(row_base + resize(latched_w + to_signed(0, 16), 16), 16);
-            row <= resize(row + to_signed(1, 10), 10);
-            state <= s013_for_row;
-          when s047_end_row =>
-            col <= to_signed(0, 10);
-            state <= s048_for_col;
-          when s048_for_col =>
-            if (col < cur_w) then
-              state <= s049_do_col;
+            store_line_v_i8_k <= resize(store_line_v_i8_k + to_signed(1, 10), 10);
+            state <= s043_for_store_line_v_i8_k;
+          when s046_end_store_line_v_i8_k =>
+            col <= resize(col + to_signed(1, 10), 10);
+            state <= s013_for_col;
+          when s047_end_col =>
+            row_base <= to_signed(0, 16);
+            row <= to_signed(0, 10);
+            state <= s048_for_row;
+          when s048_for_row =>
+            if (row < cur_h) then
+              state <= s049_do_row;
             else
-              state <= s094_end_col;
+              state <= s094_end_row;
             end if;
-          when s049_do_col =>
-            load_line_v_i9_addr <= resize(col + to_signed(0, 16), 16);
-            load_line_v_i9_k <= to_signed(0, 10);
-            state <= s050_for_load_line_v_i9_k;
-          when s050_for_load_line_v_i9_k =>
-            if (load_line_v_i9_k < cur_h) then
-              state <= s051_do_load_line_v_i9_k;
+          when s049_do_row =>
+            load_line_h_i9_addr <= row_base;
+            load_line_h_i9_k <= to_signed(0, 10);
+            state <= s050_for_load_line_h_i9_k;
+          when s050_for_load_line_h_i9_k =>
+            if (load_line_h_i9_k < cur_w) then
+              state <= s051_do_load_line_h_i9_k;
             else
-              state <= s053_end_load_line_v_i9_k;
+              state <= s053_end_load_line_h_i9_k;
             end if;
-          when s051_do_load_line_v_i9_k =>
-            line_buf(to_integer(resize(load_line_v_i9_k + to_signed(2, 10), 10))) <= tile_ram(to_integer(load_line_v_i9_addr));
-            load_line_v_i9_addr <= resize(load_line_v_i9_addr + resize(latched_w + to_signed(0, 16), 16), 16);
+          when s051_do_load_line_h_i9_k =>
+            line_buf(to_integer(resize(load_line_h_i9_k + to_signed(2, 10), 10))) <= tile_ram(to_integer(load_line_h_i9_addr));
+            load_line_h_i9_addr <= resize(load_line_h_i9_addr + to_signed(1, 16), 16);
             state <= s052_tick;
           when s052_tick =>
-            load_line_v_i9_k <= resize(load_line_v_i9_k + to_signed(1, 10), 10);
-            state <= s050_for_load_line_v_i9_k;
-          when s053_end_load_line_v_i9_k =>
+            load_line_h_i9_k <= resize(load_line_h_i9_k + to_signed(1, 10), 10);
+            state <= s050_for_load_line_h_i9_k;
+          when s053_end_load_line_h_i9_k =>
             interleave_i10_k <= to_signed(0, 10);
             state <= s054_for_interleave_i10_k;
           when s054_for_interleave_i10_k =>
-            if (interleave_i10_k < shift_right(cur_h, to_integer(to_signed(1, 10)))) then
+            if (interleave_i10_k < resize(shift_right(cur_w, to_integer(to_signed(1, 10))) + (cur_w and to_signed(1, 10)), 10)) then
               state <= s055_do_interleave_i10_k;
             else
               state <= s057_end_interleave_i10_k;
             end if;
           when s055_do_interleave_i10_k =>
             scratch_buf(to_integer(shift_left(interleave_i10_k, to_integer(to_signed(1, 10))))) <= line_buf(to_integer(resize(interleave_i10_k + to_signed(2, 10), 10)));
-            scratch_buf(to_integer(resize(shift_left(interleave_i10_k, to_integer(to_signed(1, 10))) + to_signed(1, 10), 10))) <= line_buf(to_integer(resize(resize(interleave_i10_k + shift_right(cur_h, to_integer(to_signed(1, 10))), 10) + to_signed(2, 10), 10)));
+            scratch_buf(to_integer(resize(shift_left(interleave_i10_k, to_integer(to_signed(1, 10))) + to_signed(1, 10), 10))) <= line_buf(to_integer(resize(resize(interleave_i10_k + resize(shift_right(cur_w, to_integer(to_signed(1, 10))) + (cur_w and to_signed(1, 10)), 10), 10) + to_signed(2, 10), 10)));
             state <= s056_tick;
           when s056_tick =>
             interleave_i10_k <= resize(interleave_i10_k + to_signed(1, 10), 10);
@@ -401,7 +400,7 @@ begin
             interleave_i10_k <= to_signed(0, 10);
             state <= s058_for_interleave_i10_k;
           when s058_for_interleave_i10_k =>
-            if (interleave_i10_k < cur_h) then
+            if (interleave_i10_k < cur_w) then
               state <= s059_do_interleave_i10_k;
             else
               state <= s061_end_interleave_i10_k;
@@ -413,7 +412,7 @@ begin
             interleave_i10_k <= resize(interleave_i10_k + to_signed(1, 10), 10);
             state <= s058_for_interleave_i10_k;
           when s061_end_interleave_i10_k =>
-            if (cur_h > to_signed(1, 10)) then
+            if (cur_w > to_signed(1, 10)) then
               state <= s062_then;
             else
               state <= s077_join;
@@ -423,11 +422,11 @@ begin
             line_buf(to_integer(to_signed(0, 10))) <= line_buf(to_integer(to_signed(4, 10)));
             state <= s063_tick;
           when s063_tick =>
-            line_buf(to_integer(resize(cur_h + to_signed(2, 10), 10))) <= line_buf(to_integer(cur_h));
-            line_buf(to_integer(resize(cur_h + to_signed(3, 10), 10))) <= line_buf(to_integer(resize(cur_h - to_signed(1, 10), 10)));
+            line_buf(to_integer(resize(cur_w + to_signed(2, 10), 10))) <= line_buf(to_integer(cur_w));
+            line_buf(to_integer(resize(cur_w + to_signed(3, 10), 10))) <= line_buf(to_integer(resize(cur_w - to_signed(1, 10), 10)));
             state <= s064_tick;
           when s064_tick =>
-            update_even_i13_half <= resize(shift_right(cur_h, to_integer(to_signed(1, 10))) + (cur_h and to_signed(1, 10)), 10);
+            update_even_i13_half <= resize(shift_right(cur_w, to_integer(to_signed(1, 10))) + (cur_w and to_signed(1, 10)), 10);
             update_even_i13_k <= to_signed(0, 10);
             state <= s065_for_update_even_i13_k;
           when s065_for_update_even_i13_k =>
@@ -450,11 +449,11 @@ begin
             line_buf(to_integer(to_signed(0, 10))) <= line_buf(to_integer(to_signed(4, 10)));
             state <= s070_tick;
           when s070_tick =>
-            line_buf(to_integer(resize(cur_h + to_signed(2, 10), 10))) <= line_buf(to_integer(cur_h));
-            line_buf(to_integer(resize(cur_h + to_signed(3, 10), 10))) <= line_buf(to_integer(resize(cur_h - to_signed(1, 10), 10)));
+            line_buf(to_integer(resize(cur_w + to_signed(2, 10), 10))) <= line_buf(to_integer(cur_w));
+            line_buf(to_integer(resize(cur_w + to_signed(3, 10), 10))) <= line_buf(to_integer(resize(cur_w - to_signed(1, 10), 10)));
             state <= s071_tick;
           when s071_tick =>
-            predict_odd_i15_half <= shift_right(cur_h, to_integer(to_signed(1, 10)));
+            predict_odd_i15_half <= shift_right(cur_w, to_integer(to_signed(1, 10)));
             predict_odd_i15_k <= to_signed(0, 10);
             state <= s072_for_predict_odd_i15_k;
           when s072_for_predict_odd_i15_k =>
@@ -484,7 +483,7 @@ begin
             clamp_line_i16_k <= to_signed(0, 10);
             state <= s079_for_clamp_line_i16_k;
           when s079_for_clamp_line_i16_k =>
-            if (clamp_line_i16_k < cur_h) then
+            if (clamp_line_i16_k < cur_w) then
               state <= s080_do_clamp_line_i16_k;
             else
               state <= s088_end_clamp_line_i16_k;
@@ -520,26 +519,27 @@ begin
           when s088_end_clamp_line_i16_k =>
             state <= s089_join;
           when s089_join =>
-            store_line_v_i17_addr <= resize(col + to_signed(0, 16), 16);
-            store_line_v_i17_k <= to_signed(0, 10);
-            state <= s090_for_store_line_v_i17_k;
-          when s090_for_store_line_v_i17_k =>
-            if (store_line_v_i17_k < cur_h) then
-              state <= s091_do_store_line_v_i17_k;
+            store_line_h_i17_addr <= row_base;
+            store_line_h_i17_k <= to_signed(0, 10);
+            state <= s090_for_store_line_h_i17_k;
+          when s090_for_store_line_h_i17_k =>
+            if (store_line_h_i17_k < cur_w) then
+              state <= s091_do_store_line_h_i17_k;
             else
-              state <= s093_end_store_line_v_i17_k;
+              state <= s093_end_store_line_h_i17_k;
             end if;
-          when s091_do_store_line_v_i17_k =>
-            tile_ram(to_integer(store_line_v_i17_addr)) <= line_buf(to_integer(resize(store_line_v_i17_k + to_signed(2, 10), 10)));
-            store_line_v_i17_addr <= resize(store_line_v_i17_addr + resize(latched_w + to_signed(0, 16), 16), 16);
+          when s091_do_store_line_h_i17_k =>
+            tile_ram(to_integer(store_line_h_i17_addr)) <= line_buf(to_integer(resize(store_line_h_i17_k + to_signed(2, 10), 10)));
+            store_line_h_i17_addr <= resize(store_line_h_i17_addr + to_signed(1, 16), 16);
             state <= s092_tick;
           when s092_tick =>
-            store_line_v_i17_k <= resize(store_line_v_i17_k + to_signed(1, 10), 10);
-            state <= s090_for_store_line_v_i17_k;
-          when s093_end_store_line_v_i17_k =>
-            col <= resize(col + to_signed(1, 10), 10);
-            state <= s048_for_col;
-          when s094_end_col =>
+            store_line_h_i17_k <= resize(store_line_h_i17_k + to_signed(1, 10), 10);
+            state <= s090_for_store_line_h_i17_k;
+          when s093_end_store_line_h_i17_k =>
+            row_base <= resize(row_base + resize(latched_w + to_signed(0, 16), 16), 16);
+            row <= resize(row + to_signed(1, 10), 10);
+            state <= s048_for_row;
+          when s094_end_row =>
             cur_w <= shift_left(cur_w, to_integer(to_signed(1, 10)));
             cur_h <= shift_left(cur_h, to_integer(to_signed(1, 10)));
             state <= s095_tick;

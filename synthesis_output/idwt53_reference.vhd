@@ -197,24 +197,24 @@ begin
         -- cycle boundary (folded into the caller's schedule)
         for level_i in to_integer(to_signed(0, 10)) to to_integer(latched_n) - 1 loop
           level := to_signed(level_i, 10);
+          for col_i in to_integer(to_signed(0, 10)) to to_integer(cur_w) - 1 loop
+            col := to_signed(col_i, 10);
+            load_line_v(resize(col + to_signed(0, 16), 16), resize(latched_w + to_signed(0, 16), 16), cur_h);
+            interleave(cur_h, resize(shift_right(cur_h, to_integer(to_signed(1, 10))) + (cur_h and to_signed(1, 10)), 10));
+            lift_line_53(cur_h);
+            store_line_v(resize(col + to_signed(0, 16), 16), resize(latched_w + to_signed(0, 16), 16), cur_h);
+          end loop;
           row_base := to_signed(0, 16);
           for row_i in to_integer(to_signed(0, 10)) to to_integer(cur_h) - 1 loop
             row := to_signed(row_i, 10);
             load_line_h(row_base, to_signed(1, 16), cur_w);
-            interleave(cur_w, shift_right(cur_w, to_integer(to_signed(1, 10))));
+            interleave(cur_w, resize(shift_right(cur_w, to_integer(to_signed(1, 10))) + (cur_w and to_signed(1, 10)), 10));
             lift_line_53(cur_w);
+            if (level = resize(latched_n - to_signed(1, 10), 10)) then
+              clamp_line(cur_w);
+            end if;
             store_line_h(row_base, to_signed(1, 16), cur_w);
             row_base := resize(row_base + resize(latched_w + to_signed(0, 16), 16), 16);
-          end loop;
-          for col_i in to_integer(to_signed(0, 10)) to to_integer(cur_w) - 1 loop
-            col := to_signed(col_i, 10);
-            load_line_v(resize(col + to_signed(0, 16), 16), resize(latched_w + to_signed(0, 16), 16), cur_h);
-            interleave(cur_h, shift_right(cur_h, to_integer(to_signed(1, 10))));
-            lift_line_53(cur_h);
-            if (level = resize(latched_n - to_signed(1, 10), 10)) then
-              clamp_line(cur_h);
-            end if;
-            store_line_v(resize(col + to_signed(0, 16), 16), resize(latched_w + to_signed(0, 16), 16), cur_h);
           end loop;
           cur_w := shift_left(cur_w, to_integer(to_signed(1, 10)));
           cur_h := shift_left(cur_h, to_integer(to_signed(1, 10)));

@@ -113,17 +113,17 @@ architecture rtl of idwt97 is
 
   procedure clamp_line(length : in signed(9 downto 0)) is
     variable k : signed(9 downto 0);
-    variable value : signed(19 downto 0);
+    variable value : signed(25 downto 0);
   begin
     for k_i in to_integer(to_signed(0, 10)) to to_integer(length) - 1 loop
       k := to_signed(k_i, 10);
       value := line_buf(to_integer(resize(k + to_signed(2, 10), 10)));
       -- cycle boundary (folded into the caller's schedule)
-      if (value > to_signed(262143, 20)) then
-        line_buf(to_integer(resize(k + to_signed(2, 10), 10))) := to_signed(262143, 20);
+      if (value > to_signed(16777215, 26)) then
+        line_buf(to_integer(resize(k + to_signed(2, 10), 10))) := to_signed(16777215, 26);
       else
-        if (value < to_signed(-262144, 20)) then
-          line_buf(to_integer(resize(k + to_signed(2, 10), 10))) := to_signed(-262144, 20);
+        if (value < to_signed(-16777216, 26)) then
+          line_buf(to_integer(resize(k + to_signed(2, 10), 10))) := to_signed(-16777216, 26);
         end if;
       end if;
       -- cycle boundary (folded into the caller's schedule)
@@ -132,94 +132,94 @@ architecture rtl of idwt97 is
 
   procedure scale_line(length : in signed(9 downto 0)) is
     variable k : signed(9 downto 0);
-    variable product : signed(19 downto 0);
+    variable product : signed(25 downto 0);
     variable half : signed(9 downto 0);
   begin
     half := resize(shift_right(length, to_integer(to_signed(1, 10))) + (length and to_signed(1, 10)), 10);
     for k_i in to_integer(to_signed(0, 10)) to to_integer(half) - 1 loop
       k := to_signed(k_i, 10);
-      product := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) * to_signed(5039, 20), 20);
+      product := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) * to_signed(20155, 26), 26);
       -- cycle boundary (folded into the caller's schedule)
-      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) := shift_right(resize(product + to_signed(2048, 20), 20), to_integer(to_signed(12, 20)));
+      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) := shift_right(resize(product + to_signed(8192, 26), 26), to_integer(to_signed(14, 26)));
       -- cycle boundary (folded into the caller's schedule)
     end loop;
     for k_i in to_integer(to_signed(0, 10)) to to_integer(shift_right(length, to_integer(to_signed(1, 10)))) - 1 loop
       k := to_signed(k_i, 10);
-      product := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) * to_signed(3330, 20), 20);
+      product := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) * to_signed(13318, 26), 26);
       -- cycle boundary (folded into the caller's schedule)
-      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) := shift_right(resize(product + to_signed(2048, 20), 20), to_integer(to_signed(12, 20)));
+      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) := shift_right(resize(product + to_signed(8192, 26), 26), to_integer(to_signed(14, 26)));
       -- cycle boundary (folded into the caller's schedule)
     end loop;
   end procedure scale_line;
 
   procedure undo_delta(length : in signed(9 downto 0)) is
     variable k : signed(9 downto 0);
-    variable total : signed(19 downto 0);
-    variable product : signed(19 downto 0);
+    variable total : signed(25 downto 0);
+    variable product : signed(25 downto 0);
     variable half : signed(9 downto 0);
   begin
     half := resize(shift_right(length, to_integer(to_signed(1, 10))) + (length and to_signed(1, 10)), 10);
     for k_i in to_integer(to_signed(0, 10)) to to_integer(half) - 1 loop
       k := to_signed(k_i, 10);
-      total := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(1, 10), 10))) + line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))), 20);
+      total := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(1, 10), 10))) + line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))), 26);
       -- cycle boundary (folded into the caller's schedule)
-      product := resize(total * to_signed(-1817, 20), 20);
+      product := resize(total * to_signed(-7266, 26), 26);
       -- cycle boundary (folded into the caller's schedule)
-      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) + shift_right(resize(product + to_signed(2048, 20), 20), to_integer(to_signed(12, 20))), 20);
+      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) + shift_right(resize(product + to_signed(8192, 26), 26), to_integer(to_signed(14, 26))), 26);
       -- cycle boundary (folded into the caller's schedule)
     end loop;
   end procedure undo_delta;
 
   procedure undo_gamma(length : in signed(9 downto 0)) is
     variable k : signed(9 downto 0);
-    variable total : signed(19 downto 0);
-    variable product : signed(19 downto 0);
+    variable total : signed(25 downto 0);
+    variable product : signed(25 downto 0);
     variable half : signed(9 downto 0);
   begin
     half := shift_right(length, to_integer(to_signed(1, 10)));
     for k_i in to_integer(to_signed(0, 10)) to to_integer(half) - 1 loop
       k := to_signed(k_i, 10);
-      total := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) + line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(4, 10), 10))), 20);
+      total := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) + line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(4, 10), 10))), 26);
       -- cycle boundary (folded into the caller's schedule)
-      product := resize(total * to_signed(-3616, 20), 20);
+      product := resize(total * to_signed(-14464, 26), 26);
       -- cycle boundary (folded into the caller's schedule)
-      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) + shift_right(resize(product + to_signed(2048, 20), 20), to_integer(to_signed(12, 20))), 20);
+      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) + shift_right(resize(product + to_signed(8192, 26), 26), to_integer(to_signed(14, 26))), 26);
       -- cycle boundary (folded into the caller's schedule)
     end loop;
   end procedure undo_gamma;
 
   procedure undo_beta(length : in signed(9 downto 0)) is
     variable k : signed(9 downto 0);
-    variable total : signed(19 downto 0);
-    variable product : signed(19 downto 0);
+    variable total : signed(25 downto 0);
+    variable product : signed(25 downto 0);
     variable half : signed(9 downto 0);
   begin
     half := resize(shift_right(length, to_integer(to_signed(1, 10))) + (length and to_signed(1, 10)), 10);
     for k_i in to_integer(to_signed(0, 10)) to to_integer(half) - 1 loop
       k := to_signed(k_i, 10);
-      total := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(1, 10), 10))) + line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))), 20);
+      total := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(1, 10), 10))) + line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))), 26);
       -- cycle boundary (folded into the caller's schedule)
-      product := resize(total * to_signed(217, 20), 20);
+      product := resize(total * to_signed(868, 26), 26);
       -- cycle boundary (folded into the caller's schedule)
-      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) + shift_right(resize(product + to_signed(2048, 20), 20), to_integer(to_signed(12, 20))), 20);
+      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) + shift_right(resize(product + to_signed(8192, 26), 26), to_integer(to_signed(14, 26))), 26);
       -- cycle boundary (folded into the caller's schedule)
     end loop;
   end procedure undo_beta;
 
   procedure undo_alpha(length : in signed(9 downto 0)) is
     variable k : signed(9 downto 0);
-    variable total : signed(19 downto 0);
-    variable product : signed(19 downto 0);
+    variable total : signed(25 downto 0);
+    variable product : signed(25 downto 0);
     variable half : signed(9 downto 0);
   begin
     half := shift_right(length, to_integer(to_signed(1, 10)));
     for k_i in to_integer(to_signed(0, 10)) to to_integer(half) - 1 loop
       k := to_signed(k_i, 10);
-      total := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) + line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(4, 10), 10))), 20);
+      total := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(2, 10), 10))) + line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(4, 10), 10))), 26);
       -- cycle boundary (folded into the caller's schedule)
-      product := resize(total * to_signed(6497, 20), 20);
+      product := resize(total * to_signed(25987, 26), 26);
       -- cycle boundary (folded into the caller's schedule)
-      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) + shift_right(resize(product + to_signed(2048, 20), 20), to_integer(to_signed(12, 20))), 20);
+      line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) := resize(line_buf(to_integer(resize(shift_left(k, to_integer(to_signed(1, 10))) + to_signed(3, 10), 10))) + shift_right(resize(product + to_signed(8192, 26), 26), to_integer(to_signed(14, 26))), 26);
       -- cycle boundary (folded into the caller's schedule)
     end loop;
   end procedure undo_alpha;
@@ -266,24 +266,24 @@ begin
         -- cycle boundary (folded into the caller's schedule)
         for level_i in to_integer(to_signed(0, 10)) to to_integer(latched_n) - 1 loop
           level := to_signed(level_i, 10);
+          for col_i in to_integer(to_signed(0, 10)) to to_integer(cur_w) - 1 loop
+            col := to_signed(col_i, 10);
+            load_line_v(resize(col + to_signed(0, 16), 16), resize(latched_w + to_signed(0, 16), 16), cur_h);
+            interleave(cur_h, resize(shift_right(cur_h, to_integer(to_signed(1, 10))) + (cur_h and to_signed(1, 10)), 10));
+            lift_line_97(cur_h);
+            store_line_v(resize(col + to_signed(0, 16), 16), resize(latched_w + to_signed(0, 16), 16), cur_h);
+          end loop;
           row_base := to_signed(0, 16);
           for row_i in to_integer(to_signed(0, 10)) to to_integer(cur_h) - 1 loop
             row := to_signed(row_i, 10);
             load_line_h(row_base, to_signed(1, 16), cur_w);
-            interleave(cur_w, shift_right(cur_w, to_integer(to_signed(1, 10))));
+            interleave(cur_w, resize(shift_right(cur_w, to_integer(to_signed(1, 10))) + (cur_w and to_signed(1, 10)), 10));
             lift_line_97(cur_w);
+            if (level = resize(latched_n - to_signed(1, 10), 10)) then
+              clamp_line(cur_w);
+            end if;
             store_line_h(row_base, to_signed(1, 16), cur_w);
             row_base := resize(row_base + resize(latched_w + to_signed(0, 16), 16), 16);
-          end loop;
-          for col_i in to_integer(to_signed(0, 10)) to to_integer(cur_w) - 1 loop
-            col := to_signed(col_i, 10);
-            load_line_v(resize(col + to_signed(0, 16), 16), resize(latched_w + to_signed(0, 16), 16), cur_h);
-            interleave(cur_h, shift_right(cur_h, to_integer(to_signed(1, 10))));
-            lift_line_97(cur_h);
-            if (level = resize(latched_n - to_signed(1, 10), 10)) then
-              clamp_line(cur_h);
-            end if;
-            store_line_v(resize(col + to_signed(0, 16), 16), resize(latched_w + to_signed(0, 16), 16), cur_h);
           end loop;
           cur_w := shift_left(cur_w, to_integer(to_signed(1, 10)));
           cur_h := shift_left(cur_h, to_integer(to_signed(1, 10)));

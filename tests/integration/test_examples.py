@@ -40,6 +40,13 @@ def test_synthesis_flow(monkeypatch, tmp_path, capsys):
     assert {"system.mhs", "system.mss", "software.c"} <= names
     assert "idwt53_fossy.vhd" in names
     assert "idwt53_tb.vhd" in names
+    # The committed hand-off files are exactly what the flow writes.
+    committed = EXAMPLES.parent / "synthesis_output"
+    assert names == {path.name for path in committed.iterdir()}
+    for name in sorted(names):
+        assert (output_dir / name).read_bytes() == (
+            committed / name
+        ).read_bytes(), name
 
 
 def test_quality_scalability(monkeypatch, tmp_path, capsys):
