@@ -7,7 +7,9 @@ declares a complete VTA design — the 7b application description (four
 pipeline stages worth of behaviour on parallel software tasks, two IDWT
 filters, two Shared Objects) bound to only **two** MicroBlaze-style
 processors — as plain dataclasses, statically validates it, and then
-simulates it end-to-end from the very same spec.
+simulates it end-to-end from the very same spec.  What every VTA design
+shares is not restated: the board (an ML401 at 100 MHz), the external
+DDR, the round-robin arbitration and the block-RAM timing.
 
 The spec is exposed as ``SPEC``, so the CLI validates it too:
 
@@ -20,7 +22,6 @@ Run:  python examples/custom_mapping.py [--quick]
 import argparse
 
 from repro.casestudy.profiles import (
-    BRAM_EXTRA_CYCLES_PER_SAMPLE,
     OPB_ARBITRATION_CYCLES,
     OPB_CYCLES_PER_WORD,
     P2P_CYCLES_PER_WORD,
@@ -35,7 +36,6 @@ from repro.design import (
     ChannelSpec,
     DatapathSpec,
     DesignSpec,
-    ExternalMemorySpec,
     HardwareModuleSpec,
     LinkSpec,
     MappingSpec,
@@ -47,12 +47,7 @@ from repro.design import (
     check_spec,
     elaborate_design,
 )
-from repro.design.catalog import (
-    PORT_SETUP_CYCLES,
-    POLL_CYCLES,
-    RAM_SECONDS_PER_WORD,
-    TILE_WORDS,
-)
+from repro.design.catalog import POLL_CYCLES, TILE_WORDS
 from repro.reporting import Table
 
 NUM_CPUS = 2
@@ -68,7 +63,6 @@ SHARED_OBJECTS = (
     SharedObjectSpec(
         name="hwsw_so",
         behaviour="tile_store",
-        policy="round_robin",
         grant_overhead_us=SO_GRANT_OVERHEAD.femtoseconds / 1e9,
         per_client_overhead_us=SO_PER_CLIENT_OVERHEAD.femtoseconds / 1e9,
         capacity=SLOTS,
@@ -137,17 +131,9 @@ SPEC = DesignSpec(
     tasks=TASKS,
     shared_objects=SHARED_OBJECTS,
     modules=MODULES,
-    memories=(
-        MemorySpec(
-            "store_bram",
-            depth_words=SLOTS * TILE_WORDS,
-            seconds_per_word=RAM_SECONDS_PER_WORD,
-            port_setup_cycles=PORT_SETUP_CYCLES,
-        ),
-    ),
+    memories=(MemorySpec("store_bram", depth_words=SLOTS * TILE_WORDS),),
     mapping=MappingSpec(
         layer="vta",
-        platform="ml401",
         processors=tuple(
             ProcessorSpec(f"cpu{i}", tasks=(task.name,))
             for i, task in enumerate(TASKS)
@@ -161,14 +147,9 @@ SPEC = DesignSpec(
                 buffers=tuple(
                     BufferSpec(f"tile_slot{i}", TILE_WORDS) for i in range(SLOTS)
                 ),
-                streaming_iq=True,
             ),
         ),
-        datapaths=(
-            DatapathSpec("idwt53", BRAM_EXTRA_CYCLES_PER_SAMPLE),
-            DatapathSpec("idwt97", BRAM_EXTRA_CYCLES_PER_SAMPLE),
-        ),
-        external_memory=ExternalMemorySpec(kind="ddr", coded_words_ratio=0.25),
+        datapaths=(DatapathSpec("idwt53"), DatapathSpec("idwt97")),
     ),
 )
 

@@ -23,7 +23,7 @@ from repro.reporting import Table
 def main() -> None:
     # A small real workload: a 64x64 image in four 32x32 tiles, encoded by
     # our own encoder and decoded *through the OSSS models* for real.
-    workload = functional_workload(lossless=True, image_size=64, tile_size=32)
+    workload = functional_workload(lossless=True)
     print("decoding a real codestream through three refinements "
           "of the same model...\n")
 

@@ -24,7 +24,7 @@ OUTPUT_DIR = pathlib.Path("synthesis_output")
 
 def main() -> None:
     print("running the FOSSY flow for the JPEG 2000 hardware subsystem...\n")
-    system = synthesise_system(num_processors=4)
+    system = synthesise_system()
 
     OUTPUT_DIR.mkdir(exist_ok=True)
     written = []

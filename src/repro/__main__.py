@@ -176,8 +176,8 @@ def _run_decode(args):
     import warnings
 
     from . import telemetry
+    from .casestudy.workload import PAPER_COMPONENTS, PAPER_LEVELS, paper_coding
     from .jpeg2000 import (
-        CodingParameters,
         DecodeOptions,
         Jpeg2000Decoder,
         encode_image,
@@ -189,14 +189,10 @@ def _run_decode(args):
     size = 512 if args.size is None else args.size
     tile = min(128, size)
     mode = "lossy" if args.lossy else "lossless"
-    params = CodingParameters(
-        width=size, height=size, num_components=3,
-        tile_width=tile, tile_height=tile, num_levels=3,
-        lossless=not args.lossy, base_step=1 / 8,
-    )
     # Encoded before the session opens: the encoder is not the profile.
     codestream = encode_image(
-        synthetic_image(size, size, 3, seed=2008), params
+        synthetic_image(size, size, PAPER_COMPONENTS, seed=2008),
+        paper_coding(size, tile, lossless=not args.lossy),
     )
     options = DecodeOptions(kernel=args.kernel or "native",
                             workers=args.workers or 0)
@@ -220,7 +216,7 @@ def _run_decode(args):
         )
     payload = {
         "workload": f"{size}x{size} RGB synthetic (seed 2008), "
-                    f"tile {tile}, 3 levels",
+                    f"tile {tile}, {PAPER_LEVELS} levels",
         "mode": mode,
         "seconds": round(elapsed, 4),
         "schedule": schedule,

@@ -46,6 +46,12 @@ PAPER_SHARES_LOSSY = {
     STAGE_DC: 3.6,
 }
 
+#: The board clock [Hz]: the target processor, the buses and the block
+#: RAM all run at 100 MHz.  ``vta/platform.py`` builds its cycle budget
+#: from it; it lives here so the Fig. 1 tables, which a warm ``results
+#: --check`` renders, need not import the VTA library (and NumPy).
+FREQUENCY_HZ = 100e6
+
 #: The paper's absolute anchor (section 3.2): software arithmetic decoding
 #: of one tile on the 100 MHz target processor.
 ARITH_MS_PER_TILE = 180.0
@@ -160,21 +166,18 @@ CYCLES_PER_OP = {
 }
 
 
-def measured_shares(ops: StageOps, weights: dict = CYCLES_PER_OP) -> dict:
+def measured_shares(ops: StageOps) -> dict:
     """Stage shares in percent from measured op counts + the cost model."""
-    cycles = {stage: ops[stage] * weights[stage] for stage in ALL_STAGES}
+    cycles = {stage: ops[stage] * CYCLES_PER_OP[stage] for stage in ALL_STAGES}
     total = sum(cycles.values())
     if total == 0:
         raise ValueError("no operations recorded")
     return {stage: 100.0 * cycles[stage] / total for stage in ALL_STAGES}
 
 
-def measured_stage_times(
-    ops: StageOps,
-    frequency_hz: float = 100e6,
-) -> dict:
-    """Absolute stage times in ms implied by op counts at *frequency_hz*."""
+def measured_stage_times(ops: StageOps) -> dict:
+    """Absolute stage times in ms implied by op counts at the board clock."""
     return {
-        stage: ops[stage] * CYCLES_PER_OP[stage] / frequency_hz * 1e3
+        stage: ops[stage] * CYCLES_PER_OP[stage] / FREQUENCY_HZ * 1e3
         for stage in ALL_STAGES
     }

@@ -16,12 +16,36 @@ from typing import TYPE_CHECKING, Optional
 from .profiles import HW_COPROCESSOR_SPEEDUP, StageTimes, profile_for
 
 if TYPE_CHECKING:
-    from ..jpeg2000 import Image, Jpeg2000Decoder
+    from ..jpeg2000 import CodingParameters, Image, Jpeg2000Decoder
 
 #: Paper workload geometry: 512x512 RGB in 128x128 tiles = 16 tiles.
 PAPER_TILE_SIZE = 128
 PAPER_TILES = 16
 PAPER_COMPONENTS = 3
+#: DWT levels of every case-study codestream.
+PAPER_LEVELS = 3
+
+#: Functional-workload geometry: a 64x64 image in 32x32 tiles.
+FUNCTIONAL_IMAGE_SIZE = 64
+FUNCTIONAL_TILE_SIZE = 32
+
+
+def paper_coding(size: int, tile: int, lossless: bool) -> CodingParameters:
+    """Coding parameters of a case-study image: *size* x *size* with
+    three components in square *tile* x *tile* tiles, three DWT levels
+    and a base quantisation step of 1/8."""
+    from ..jpeg2000 import CodingParameters
+
+    return CodingParameters(
+        width=size,
+        height=size,
+        num_components=PAPER_COMPONENTS,
+        tile_width=tile,
+        tile_height=tile,
+        num_levels=PAPER_LEVELS,
+        lossless=lossless,
+        base_step=1 / 8,
+    )
 
 
 @dataclass
@@ -80,40 +104,27 @@ def paper_workload(lossless: bool) -> Workload:
     )
 
 
-def functional_workload(
-    lossless: bool,
-    image_size: int = 64,
-    tile_size: int = 32,
-) -> Workload:
+def functional_workload(lossless: bool) -> Workload:
     """A small real-data workload for functional verification.
 
     Stage EETs are scaled by tile area so the timing model stays in
     proportion; the payload is a real codestream decoded for real inside
     the models.
     """
-    from ..jpeg2000 import CodingParameters, Jpeg2000Decoder, encode_image, synthetic_image
+    from ..jpeg2000 import Jpeg2000Decoder, encode_image, synthetic_image
 
-    image = synthetic_image(image_size, image_size, PAPER_COMPONENTS)
-    params = CodingParameters(
-        width=image_size,
-        height=image_size,
-        num_components=PAPER_COMPONENTS,
-        tile_width=tile_size,
-        tile_height=tile_size,
-        num_levels=3,
-        lossless=lossless,
-        base_step=1 / 8,
-    )
-    codestream = encode_image(image, params)
+    size, tile = FUNCTIONAL_IMAGE_SIZE, FUNCTIONAL_TILE_SIZE
+    image = synthetic_image(size, size, PAPER_COMPONENTS)
+    codestream = encode_image(image, paper_coding(size, tile, lossless))
     decoder = Jpeg2000Decoder(codestream)
     reference = Jpeg2000Decoder(codestream).decode()
-    tiles = (image_size // tile_size) ** 2
-    scale = (tile_size * tile_size) / (PAPER_TILE_SIZE * PAPER_TILE_SIZE)
+    tiles = (size // tile) ** 2
+    scale = (tile * tile) / (PAPER_TILE_SIZE * PAPER_TILE_SIZE)
     return Workload(
         num_tiles=tiles,
         num_components=PAPER_COMPONENTS,
-        tile_width=tile_size,
-        tile_height=tile_size,
+        tile_width=tile,
+        tile_height=tile,
         lossless=lossless,
         stage_times=profile_for(lossless).scaled(scale),
         decoder=decoder,

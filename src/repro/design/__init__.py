@@ -26,7 +26,6 @@ _EXPORTS = {
     "DecodingReport": ".elaborate",
     "DesignSpec": ".spec",
     "ElaboratedModel": ".elaborate",
-    "ExternalMemorySpec": ".spec",
     "HardwareModuleSpec": ".spec",
     "LinkSpec": ".spec",
     "MappingSpec": ".spec",
@@ -41,7 +40,6 @@ _EXPORTS = {
     "check_spec": ".validate",
     "elaborate_design": ".elaborate",
     "model_topology": ".topology",
-    "spec_from_dict": ".spec",
     "validate_spec": ".validate",
 }
 

@@ -5,6 +5,8 @@ description (tasks, Shared Objects, hardware modules) paired with nine
 different mappings.  This module is the single source of truth for the
 version identifiers, Table 1 row order, and the paper's row labels;
 ``casestudy/explorer.py`` and the CLI derive their registries from it.
+Besides the nine rows, :func:`get` resolves the processor-count
+variants ``7a-n<k>`` and ``7b-n<k>`` (:func:`scaled_vta_spec`).
 
 Specs are built lazily on first access (the timing constants live in
 ``casestudy/profiles.py``, which must not be imported at module-import
@@ -13,6 +15,7 @@ time to keep ``repro.design`` importable on its own).
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from typing import Optional
 
@@ -21,7 +24,6 @@ from .spec import (
     ChannelSpec,
     DatapathSpec,
     DesignSpec,
-    ExternalMemorySpec,
     HardwareModuleSpec,
     LinkSpec,
     MappingSpec,
@@ -54,10 +56,15 @@ APPLICATION_ROWS = ("1", "2", "3", "4", "5")
 VTA_ROWS = ("6a", "6b", "7a", "7b")
 _LAYERS = {"application": APPLICATION_ROWS, "vta": VTA_ROWS}
 
-#: Block-RAM timing of the VTA store: one 100 MHz cycle per word, ten
-#: cycles of port setup per method call.
+#: Block-RAM timing of every placed store: one 100 MHz cycle per word,
+#: ten cycles of port setup per method call.  The IQ multiplier sits
+#: behind the RAM read port, so IQ streams at that rate.
 RAM_SECONDS_PER_WORD = 10e-9
 PORT_SETUP_CYCLES = 10
+
+#: External DDR of every VTA mapping: the coded input of a tile is this
+#: share of its raw size (the decoded output is written back in full).
+CODED_WORDS_RATIO = 0.25
 
 #: Guard polling interval of bus-attached RMI clients [bus cycles].
 POLL_CYCLES = 100
@@ -65,6 +72,9 @@ POLL_CYCLES = 100
 #: Paper workload geometry the static memory check is sized against
 #: (128x128 tiles, 3 components, one 32-bit word per sample).
 TILE_WORDS = 128 * 128 * 3
+
+#: Names :func:`get` resolves through :func:`scaled_vta_spec`.
+_SCALED_NAME = re.compile(r"7([ab])-n([1-9][0-9]*)")
 
 _CACHE: dict = {}
 
@@ -117,15 +127,22 @@ def select(ids=None, *, layer=None) -> list:
 
 
 def get(name: str) -> DesignSpec:
-    """The spec registered under *name* (raises ``KeyError`` if unknown)."""
+    """The spec registered under *name*: a Table 1 row, or ``7a-n<k>`` /
+    ``7b-n<k>`` for the scaled mappings (raises ``KeyError`` if unknown)."""
     spec = _CACHE.get(name)
     if spec is None:
         builder = _BUILDERS.get(name)
-        if builder is None:
+        scaled = _SCALED_NAME.fullmatch(name)
+        if builder is not None:
+            spec = builder()
+        elif scaled is not None:
+            spec = scaled_vta_spec(int(scaled[2]), scaled[1] == "b")
+        else:
             raise KeyError(
                 f"unknown design version {name!r}; registered: {list(ROW_ORDER)}"
+                " and the scaled mappings 7a-n<k>, 7b-n<k>"
             )
-        spec = _CACHE[name] = builder()
+        _CACHE[name] = spec
     return spec
 
 
@@ -206,7 +223,6 @@ def _store_so(capacity: Optional[int]) -> SharedObjectSpec:
     return SharedObjectSpec(
         name="hwsw_so",
         behaviour="tile_store",
-        policy="round_robin",
         grant_overhead_us=profiles.SO_GRANT_OVERHEAD.femtoseconds / 1e9,
         per_client_overhead_us=profiles.SO_PER_CLIENT_OVERHEAD.femtoseconds / 1e9,
         capacity=capacity,
@@ -332,24 +348,15 @@ def _vta_spec(
     for task in tasks:
         store_link(task.name, "sw", priority=0)
 
-    memory = MemorySpec(
-        "store_bram",
-        depth_words=capacity * TILE_WORDS,
-        seconds_per_word=RAM_SECONDS_PER_WORD,
-        port_setup_cycles=PORT_SETUP_CYCLES,
-    )
+    memory = MemorySpec("store_bram", depth_words=capacity * TILE_WORDS)
     placement = MemoryPlacementSpec(
         memory="store_bram",
         target="hwsw_so",
         buffers=tuple(
             BufferSpec(f"tile_slot{i}", TILE_WORDS) for i in range(capacity)
         ),
-        streaming_iq=True,
     )
-    datapaths = tuple(
-        DatapathSpec(filter_name, profiles.BRAM_EXTRA_CYCLES_PER_SAMPLE)
-        for filter_name in ("idwt53", "idwt97")
-    )
+    datapaths = tuple(DatapathSpec(name) for name in ("idwt53", "idwt97"))
     synthesis_blocks = (
         SynthesisBlockSpec("hwsw_so", 0x4000_0000, p2p_partner="idwt53"),
         SynthesisBlockSpec("idwt53", 0x4001_0000, p2p_partner="hwsw_so"),
@@ -365,7 +372,6 @@ def _vta_spec(
         memories=(memory,),
         mapping=MappingSpec(
             layer="vta",
-            platform="ml401",
             processors=tuple(
                 ProcessorSpec(f"cpu{i}", tasks=(task.name,))
                 for i, task in enumerate(tasks)
@@ -374,7 +380,6 @@ def _vta_spec(
             links=tuple(links),
             placements=(placement,),
             datapaths=datapaths,
-            external_memory=ExternalMemorySpec(kind="ddr", coded_words_ratio=0.25),
             synthesis_blocks=synthesis_blocks,
         ),
     )
@@ -385,8 +390,8 @@ def scaled_vta_spec(num_tasks: int, idwt_links_p2p: bool) -> DesignSpec:
 
     The paper closes on "7b does better scale with increasing
     parallelism"; these specs parameterise the models that quantify it.
-    The ``scaling`` experiment simulates them by value
-    (:func:`repro.experiments.request.spec_request`).
+    The spec is named ``7a-n<k>`` or ``7b-n<k>``, the name :func:`get`
+    resolves and the ``scaling`` experiment's requests carry.
     """
     if num_tasks < 1:
         raise ValueError("at least one software task is required")

@@ -24,13 +24,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core import FunctionTask, RoundRobin, SharedObject
+from ..core import FunctionTask, SharedObject
 from ..kernel import Simulator, join, us
+from .catalog import CODED_WORDS_RATIO, PORT_SETUP_CYCLES, RAM_SECONDS_PER_WORD
 from .spec import DesignSpec, MODULE_KINDS
 from .validate import check_spec
-
-#: Arbitration-policy registry (spec symbol -> policy factory).
-POLICIES = {"round_robin": RoundRobin}
 
 
 @dataclass
@@ -120,8 +118,6 @@ class ElaboratedModel:
         else:
             behaviour = IdwtParamsBehaviour()
         kwargs = {}
-        if so_spec.policy is not None:
-            kwargs["policy"] = POLICIES[so_spec.policy]()
         if so_spec.grant_overhead_us is not None:
             kwargs["grant_overhead"] = us(so_spec.grant_overhead_us)
         if so_spec.per_client_overhead_us is not None:
@@ -215,23 +211,22 @@ class ElaboratedModel:
         mapping = self.spec.mapping
         if mapping.layer != "vta":
             return
+        from ..casestudy.profiles import BRAM_EXTRA_CYCLES_PER_SAMPLE
         from ..vta import (
             DdrMemoryController,
             ObjectSocket,
             OpbBus,
             PlbBus,
             SoftwareProcessor,
-            ml401,
         )
+        from ..vta.platform import BUDGET, CLOCK_PERIOD
 
-        self.platform = ml401()
-        cycle = self.platform.clock_period
         buses = {"opb": OpbBus, "plb": PlbBus}
         self._channels: dict = {}
         for bus_spec in self.spec.bus_channels:
             self.opb = self._channels[bus_spec.name] = buses[bus_spec.kind](
                 self.sim,
-                cycle,
+                CLOCK_PERIOD,
                 name=bus_spec.name,
                 cycles_per_word=bus_spec.cycles_per_word,
                 arbitration_cycles=bus_spec.arbitration_cycles,
@@ -242,7 +237,7 @@ class ElaboratedModel:
         self.store_socket = self._sockets.get("hwsw_so")
         self.params_socket = self._sockets.get("idwt_params_so")
         self.processors = [
-            SoftwareProcessor(self.sim, cpu.name, self.platform.budget)
+            SoftwareProcessor(self.sim, cpu.name, BUDGET)
             for cpu in mapping.processors
         ]
         self._cpu_index = {
@@ -252,11 +247,7 @@ class ElaboratedModel:
         }
         # External DDR behind the multi-channel memory controller: the
         # coded input and the decoded output live there (paper Fig. 2/4).
-        self.ddr = (
-            DdrMemoryController(self.sim, self.platform.clock_period)
-            if mapping.external_memory is not None
-            else None
-        )
+        self.ddr = DdrMemoryController(self.sim, CLOCK_PERIOD)
         self._ddr_masters: dict = {}
         self._p2p_count = 0
         # Explicit memory insertion: the object's storage moves into the
@@ -264,27 +255,25 @@ class ElaboratedModel:
         # one sample per cycle, so only the filter datapaths pay the
         # refinement inflation below.
         for placement in mapping.placements:
-            memory = self.spec.memory(placement.memory)
             behaviour = self._shared[placement.target].behaviour
-            behaviour.ram_seconds_per_word = memory.seconds_per_word
-            behaviour.port_setup = self.platform.budget.cycles(
-                memory.port_setup_cycles
-            )
-            behaviour.iq_streaming = placement.streaming_iq
+            behaviour.ram_seconds_per_word = RAM_SECONDS_PER_WORD
+            behaviour.port_setup = BUDGET.cycles(PORT_SETUP_CYCLES)
+            behaviour.iq_streaming = True
         for datapath in mapping.datapaths:
             module = self._modules[datapath.module]
-            module.compute_time_scale = 1.0 + datapath.extra_cycles_per_sample
+            module.compute_time_scale = 1.0 + BRAM_EXTRA_CYCLES_PER_SAMPLE
 
     def _resolve_channel(self, link):
         channel = self._channels.get(link.channel)
         if channel is None:
             from ..vta import P2PChannel
+            from ..vta.platform import CLOCK_PERIOD
 
             channel_spec = self.spec.channel(link.channel)
             self._p2p_count += 1
             channel = self._channels[link.channel] = P2PChannel(
                 self.sim,
-                self.platform.clock_period,
+                CLOCK_PERIOD,
                 name=channel_spec.name,
                 cycles_per_word=channel_spec.cycles_per_word,
             )
@@ -298,6 +287,7 @@ class ElaboratedModel:
             port.bind(self._shared[link.target])
             return
         from ..vta import RmiClient
+        from ..vta.platform import BUDGET
 
         channel = self._resolve_channel(link)
         target_spec = self.spec.shared_object(link.target)
@@ -311,7 +301,7 @@ class ElaboratedModel:
             name=rmi_name,
             chunk_words=link.chunk_words,
             poll_interval=(
-                self.platform.budget.cycles(link.poll_cycles)
+                BUDGET.cycles(link.poll_cycles)
                 if link.poll_cycles is not None
                 else None
             ),
@@ -323,10 +313,7 @@ class ElaboratedModel:
         if not self.spec.is_vta:
             return
         self.processors[self._cpu_index[task.name]].add_sw_task(task)
-        if self.ddr is not None:
-            self._ddr_masters[task.name] = self.ddr.connect_master(
-                f"ddr[{task.name}]"
-            )
+        self._ddr_masters[task.name] = self.ddr.connect_master(f"ddr[{task.name}]")
 
     # -- execution -------------------------------------------------------------
 
@@ -397,9 +384,10 @@ class ElaboratedModel:
         ddr = getattr(self, "ddr", None)
         if ddr is None:
             return iter(())
-        ratio = self.spec.mapping.external_memory.coded_words_ratio
         words = int(
-            self.workload.num_components * self.workload.words_per_component * ratio
+            self.workload.num_components
+            * self.workload.words_per_component
+            * CODED_WORDS_RATIO
         )
         return ddr.read_burst(self._ddr_masters[task.name], words)
 

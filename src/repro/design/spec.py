@@ -3,7 +3,7 @@
 A :class:`DesignSpec` is pure data — frozen dataclasses describing the
 *application* (software tasks, Shared Objects, hardware modules) and the
 *mapping* (processors, channels, links, block-RAM placements, datapath
-refinements, external memory, synthesis block layout).  The same spec is
+refinements, synthesis block layout).  The same spec is
 
 * checked by :mod:`repro.design.validate` before any simulation starts,
 * elaborated to an executable Application-Layer or VTA model by
@@ -11,8 +11,13 @@ refinements, external memory, synthesis block layout).  The same spec is
 * consumed by the FOSSY flow (``fossy/flow.py``) for the platform files.
 
 Nothing in this module imports simulation machinery: a spec can be built,
-inspected, validated, and serialised without constructing a simulator.
+inspected, validated, and hashed without constructing a simulator.
 The nine paper versions live as specs in :mod:`repro.design.catalog`.
+
+Facts every spec would restate alike are not fields: the board (an
+ML401 at 100 MHz, ``vta/platform.py``), the round-robin arbitration of
+every Shared Object, the external DDR of every VTA mapping, and the
+block-RAM timing of every placement (``design.catalog`` constants).
 """
 
 from __future__ import annotations
@@ -24,50 +29,27 @@ from typing import Optional
 # Behaviour / kind registries.
 #
 # The IR names behaviours and kinds symbolically; these tables define the
-# legal vocabulary (used by the validator) plus the per-entry facts other
-# layers need: whether a Shared Object behaviour has guarded methods (a
-# bus-attached client then needs a polling interval — there is no
-# interrupt wiring on a shared bus) and which methods the software-side C
-# backend must wrap.
+# legal vocabulary (used by the validator) plus the one per-entry fact
+# another layer needs: which methods the software-side C backend must
+# wrap.  Every Shared Object behaviour has guarded methods, so a
+# bus-attached client always needs a polling interval (there is no
+# interrupt wiring on a shared bus).
 # --------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class TaskBehaviourInfo:
-    """Facts about one software-task behaviour."""
-
-    #: Does the body call into a tile-store Shared Object (port ``so``)?
-    uses_store: bool
-
-
-@dataclass(frozen=True)
-class SharedObjectBehaviourInfo:
-    """Facts about one Shared Object behaviour."""
-
-    #: Any guarded methods?  Guarded calls over a bus need polling.
-    guarded: bool
-    #: Methods the software subsystem calls (FOSSY C backend stubs).
-    sw_methods: tuple
-
-
-TASK_BEHAVIOURS = {
+TASK_BEHAVIOURS = (
     # v1: one task runs all five decoder stages in software.
-    "decode_all_stages": TaskBehaviourInfo(uses_store=False),
+    "decode_all_stages",
     # v2/v4: entropy decode in SW, IQ+IDWT as one blocking SO call.
-    "decode_coprocessor": TaskBehaviourInfo(uses_store=True),
+    "decode_coprocessor",
     # v3/v5/6x/7x: per-component streaming into the Fig. 3 pipeline.
-    "decode_pipelined": TaskBehaviourInfo(uses_store=True),
-}
+    "decode_pipelined",
+)
 
+#: Shared Object behaviours and the methods the software subsystem calls
+#: (FOSSY C backend stubs).
 SHARED_OBJECT_BEHAVIOURS = {
-    "tile_store": SharedObjectBehaviourInfo(
-        guarded=True,
-        sw_methods=("put_component", "get_result", "iq_idwt", "claim_component"),
-    ),
-    "idwt_params": SharedObjectBehaviourInfo(
-        guarded=True,
-        sw_methods=("put_job", "get_job_53", "get_job_97", "shutdown"),
-    ),
+    "tile_store": ("put_component", "get_result", "iq_idwt", "claim_component"),
+    "idwt_params": ("put_job", "get_job_53", "get_job_97", "shutdown"),
 }
 
 #: Hardware module kinds and the ports each kind opens.
@@ -83,8 +65,6 @@ BUS_CHANNEL_KINDS = ("opb", "plb")
 P2P_CHANNEL_KINDS = ("p2p",)
 CHANNEL_KINDS = BUS_CHANNEL_KINDS + P2P_CHANNEL_KINDS
 
-ARBITRATION_POLICIES = ("round_robin",)
-PLATFORMS = ("ml401",)
 LAYERS = ("application", "vta")
 TRANSPORTS = ("direct", "rmi")
 
@@ -106,12 +86,10 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class SharedObjectSpec:
-    """One Shared Object: behaviour + arbitration configuration."""
+    """One Shared Object: behaviour + arbitration costs (round robin)."""
 
     name: str
     behaviour: str
-    #: ``None`` keeps the core's default arbitration (round robin).
-    policy: Optional[str] = None
     #: Fixed per-grant arbitration cost [us]; ``None`` = zero.
     grant_overhead_us: Optional[float] = None
     #: Additional per-registered-client cost per grant [us].
@@ -193,8 +171,6 @@ class MemorySpec:
 
     name: str
     depth_words: int
-    seconds_per_word: float
-    port_setup_cycles: int = 0
 
 
 @dataclass(frozen=True)
@@ -204,26 +180,14 @@ class MemoryPlacementSpec:
     memory: str
     target: str  # Shared Object whose storage the memory implements
     buffers: tuple = ()
-    #: IQ multiplier sits behind the RAM read port (streaming rate).
-    streaming_iq: bool = False
 
 
 @dataclass(frozen=True)
 class DatapathSpec:
-    """Datapath refinement of one hardware module on the VTA."""
+    """Datapath refinement of one hardware module on the VTA: its samples
+    come from block RAM."""
 
     module: str
-    #: Extra block-RAM access cycles per processed sample.
-    extra_cycles_per_sample: float = 0.0
-
-
-@dataclass(frozen=True)
-class ExternalMemorySpec:
-    """Off-chip memory holding the coded input and decoded output."""
-
-    kind: str = "ddr"
-    #: Compressed input size relative to the raw tile size.
-    coded_words_ratio: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -240,13 +204,11 @@ class MappingSpec:
     """Where everything runs and how it is connected."""
 
     layer: str = "application"
-    platform: Optional[str] = None
     processors: tuple = ()
     channels: tuple = ()
     links: tuple = ()
     placements: tuple = ()
     datapaths: tuple = ()
-    external_memory: Optional[ExternalMemorySpec] = None
     synthesis_blocks: tuple = ()
 
 
@@ -328,8 +290,7 @@ class DesignSpec:
                 f"{p.target}->{p.memory}" for p in self.mapping.placements
             )
             parts.append(f"BRAM: {placed}")
-        if self.mapping.external_memory is not None:
-            parts.append(self.mapping.external_memory.kind)
+        parts.append("ddr")
         return f"vta: {app}; " + ", ".join(parts)
 
     def as_dict(self) -> dict:
@@ -344,78 +305,3 @@ def _as_plain(value):
         return [_as_plain(item) for item in value]
     return value
 
-
-# --------------------------------------------------------------------------
-# Deserialisation: the inverse of ``as_dict``.
-#
-# ``spec_from_dict(spec.as_dict()) == spec`` holds for every spec the IR
-# can express, which is what lets non-catalog designs travel through JSON
-# (RunRequest params, the result cache, worker processes) and come back
-# as the same frozen dataclasses.  Unknown keys raise — a serialised spec
-# from a newer IR should fail loudly, not silently drop fields.
-# --------------------------------------------------------------------------
-
-#: For each dataclass, the element type of its tuple fields (``None`` =
-#: plain values such as port-name strings).
-_TUPLE_FIELDS = {
-    "DesignSpec": {
-        "tasks": "TaskSpec",
-        "shared_objects": "SharedObjectSpec",
-        "modules": "HardwareModuleSpec",
-        "memories": "MemorySpec",
-    },
-    "MappingSpec": {
-        "processors": "ProcessorSpec",
-        "channels": "ChannelSpec",
-        "links": "LinkSpec",
-        "placements": "MemoryPlacementSpec",
-        "datapaths": "DatapathSpec",
-        "synthesis_blocks": "SynthesisBlockSpec",
-    },
-    "MemoryPlacementSpec": {"buffers": "BufferSpec"},
-    "TaskSpec": {"ports": None},
-    "ProcessorSpec": {"tasks": None},
-}
-
-#: For each dataclass, nested single-dataclass fields.
-_NESTED_FIELDS = {
-    "DesignSpec": {"mapping": "MappingSpec"},
-    "MappingSpec": {"external_memory": "ExternalMemorySpec"},
-}
-
-
-def _class_named(name: str):
-    return globals()[name]
-
-
-def _from_plain(cls, data):
-    if data is None:
-        return None
-    data = dict(data)
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(
-            f"{cls.__name__} does not know field(s) {sorted(unknown)}; "
-            "the serialised spec is from an incompatible IR"
-        )
-    tuples = _TUPLE_FIELDS.get(cls.__name__, {})
-    nested = _NESTED_FIELDS.get(cls.__name__, {})
-    kwargs = {}
-    for name, value in data.items():
-        if name in tuples:
-            element = tuples[name]
-            if element is None:
-                value = tuple(value)
-            else:
-                element_cls = _class_named(element)
-                value = tuple(_from_plain(element_cls, item) for item in value)
-        elif name in nested:
-            value = _from_plain(_class_named(nested[name]), value)
-        kwargs[name] = value
-    return cls(**kwargs)
-
-
-def spec_from_dict(data: dict) -> DesignSpec:
-    """Rebuild a :class:`DesignSpec` from its ``as_dict()`` form."""
-    return _from_plain(DesignSpec, data)

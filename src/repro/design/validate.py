@@ -35,14 +35,12 @@ Checked, among others:
 from __future__ import annotations
 
 from .spec import (
-    ARBITRATION_POLICIES,
     BUS_CHANNEL_KINDS,
     CHANNEL_KINDS,
     DesignSpec,
     LAYERS,
     MODULE_KINDS,
     P2P_CHANNEL_KINDS,
-    PLATFORMS,
     SHARED_OBJECT_BEHAVIOURS,
     TASK_BEHAVIOURS,
     TRANSPORTS,
@@ -180,13 +178,6 @@ def _check_vocabulary(spec, say) -> None:
                 f"shared object {shared.name!r} has unknown behaviour "
                 f"{shared.behaviour!r}; known: {sorted(SHARED_OBJECT_BEHAVIOURS)}",
                 rule="vocabulary.shared-object-behaviour",
-                path=f"shared_objects[{shared.name}]",
-            )
-        if shared.policy is not None and shared.policy not in ARBITRATION_POLICIES:
-            say(
-                f"shared object {shared.name!r} names unknown arbitration "
-                f"policy {shared.policy!r}; known: {sorted(ARBITRATION_POLICIES)}",
-                rule="vocabulary.arbitration-policy",
                 path=f"shared_objects[{shared.name}]",
             )
     for module in spec.modules:
@@ -337,17 +328,6 @@ def _check_store_capacity(spec, say) -> None:
 
 
 def _check_processor_mapping(spec, say) -> None:
-    if spec.mapping.platform is None:
-        say("vta mapping needs a platform; set MappingSpec.platform "
-            f"to one of {PLATFORMS}",
-            rule="processors.platform-missing", path="mapping.platform")
-    elif spec.mapping.platform not in PLATFORMS:
-        say(
-            f"unknown platform {spec.mapping.platform!r}; "
-            f"known: {PLATFORMS}",
-            rule="processors.platform-unknown",
-            path="mapping.platform",
-        )
     for task in spec.tasks:
         if task.behaviour != "decode_pipelined":
             say(
@@ -418,11 +398,10 @@ def _check_channels(spec, say) -> None:
             )
             continue
         endpoints[channel.name] += 1
+        # Every Shared Object behaviour has guarded methods.
         target = spec.shared_object(link.target)
         guarded = (
-            target is not None
-            and SHARED_OBJECT_BEHAVIOURS.get(target.behaviour) is not None
-            and SHARED_OBJECT_BEHAVIOURS[target.behaviour].guarded
+            target is not None and target.behaviour in SHARED_OBJECT_BEHAVIOURS
         )
         if channel.kind in BUS_CHANNEL_KINDS and guarded and link.poll_cycles is None:
             say(
@@ -493,22 +472,13 @@ def _check_memories(spec, say) -> None:
 
 def _check_datapaths(spec, say) -> None:
     for datapath in spec.mapping.datapaths:
-        module = spec.module(datapath.module)
-        path = f"mapping.datapaths[{datapath.module}]"
-        if module is None:
+        if spec.module(datapath.module) is None:
             say(
                 f"datapath refinement names unknown module "
                 f"{datapath.module!r}; declared: "
                 f"{[m.name for m in spec.modules]}",
                 rule="datapaths.unknown-module",
-                path=path,
-            )
-        if datapath.extra_cycles_per_sample < 0:
-            say(
-                f"datapath {datapath.module!r}: extra_cycles_per_sample "
-                "must be >= 0",
-                rule="datapaths.negative-cycles",
-                path=path,
+                path=f"mapping.datapaths[{datapath.module}]",
             )
 
 

@@ -24,7 +24,6 @@ from .request import (
     KIND_SIMULATE,
     KIND_SYNTHESISE,
     RunRequest,
-    spec_request,
 )
 
 #: Fig. 1 profiling subject: quarter-scale paper workload.  The stage
@@ -83,7 +82,6 @@ def _fig1_requests() -> tuple:
 
 def _fig1_tables(payloads) -> dict:
     from ..casestudy import (
-        CYCLES_PER_OP,
         PAPER_SHARES_LOSSLESS,
         PAPER_SHARES_LOSSY,
         measured_shares,
@@ -98,8 +96,8 @@ def _fig1_tables(payloads) -> dict:
          "paper lossy [%]", "measured lossy [%]"],
         title="Figure 1 - SW decoder profile (share of decoding time)",
     )
-    measured_ll = measured_shares(ops_ll, CYCLES_PER_OP)
-    measured_ly = measured_shares(ops_ly, CYCLES_PER_OP)
+    measured_ll = measured_shares(ops_ll)
+    measured_ly = measured_shares(ops_ly)
     for stage in ALL_STAGES:
         profile.add_row(
             stage,
@@ -113,7 +111,7 @@ def _fig1_tables(payloads) -> dict:
         ["stage", "measured ms/tile (lossless)", "paper anchor"],
         title="Figure 1 - absolute stage times per 128x128 tile",
     )
-    times = measured_stage_times(ops_ll, frequency_hz=100e6)
+    times = measured_stage_times(ops_ll)
     tiles = (PROFILE_SIZE // PROFILE_TILE) ** 2
     for stage in ALL_STAGES:
         anchor.add_row(
@@ -616,7 +614,6 @@ def _layers_requests() -> tuple:
             params={
                 "size": 64,
                 "tile": 32,
-                "levels": 3,
                 "num_layers": QUALITY_LAYERS,
                 "seed": 7,
                 "layers": count,
@@ -659,16 +656,10 @@ TASK_COUNTS = (1, 2, 4, 8)
 
 
 def _scaling_requests() -> tuple:
-    from ..design import catalog
-
     return tuple(
-        spec_request(
-            catalog.scaled_vta_spec(num_tasks, p2p),
-            True,
-            rid=f"scaled:{num_tasks}:{'p2p' if p2p else 'bus'}",
-        )
+        _sim(f"scaled:{num_tasks}:{link}", f"7{variant}-n{num_tasks}", True)
         for num_tasks in TASK_COUNTS
-        for p2p in (False, True)
+        for variant, link in (("a", "bus"), ("b", "p2p"))
     )
 
 

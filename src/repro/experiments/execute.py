@@ -146,27 +146,14 @@ def _plain_details(details: dict) -> dict:
 
 
 def _profile_decode(params: dict) -> dict:
-    from ..jpeg2000 import (
-        CodingParameters,
-        Jpeg2000Decoder,
-        encode_image,
-        synthetic_image,
-    )
+    from ..casestudy.workload import PAPER_COMPONENTS, paper_coding
+    from ..jpeg2000 import Jpeg2000Decoder, encode_image, synthetic_image
 
     size = int(params["size"])
-    tile = int(params["tile"])
-    lossless = bool(params["lossless"])
-    image = synthetic_image(size, size, 3, seed=int(params.get("seed", 2008)))
-    coding = CodingParameters(
-        width=size,
-        height=size,
-        num_components=3,
-        tile_width=tile,
-        tile_height=tile,
-        num_levels=int(params.get("levels", 3)),
-        lossless=lossless,
-        base_step=1 / 8,
+    image = synthetic_image(
+        size, size, PAPER_COMPONENTS, seed=int(params["seed"])
     )
+    coding = paper_coding(size, int(params["tile"]), bool(params["lossless"]))
     decoder = Jpeg2000Decoder(encode_image(image, coding))
     decoder.decode()
     return {"ops": dict(decoder.ops.counts), "plan": decoder.plan.digest()}
@@ -178,27 +165,15 @@ def _profile_decode(params: dict) -> dict:
 
 
 def _layers_decode(params: dict) -> dict:
-    from ..jpeg2000 import (
-        CodingParameters,
-        Jpeg2000Decoder,
-        encode_image,
-        synthetic_image,
-    )
+    from ..casestudy.workload import PAPER_COMPONENTS, paper_coding
+    from ..jpeg2000 import Jpeg2000Decoder, encode_image, synthetic_image
 
     size = int(params["size"])
-    tile = int(params["tile"])
-    image = synthetic_image(size, size, 3, seed=int(params.get("seed", 7)))
-    coding = CodingParameters(
-        width=size,
-        height=size,
-        num_components=3,
-        tile_width=tile,
-        tile_height=tile,
-        num_levels=int(params.get("levels", 3)),
-        lossless=False,
-        num_layers=int(params["num_layers"]),
-        base_step=1 / 8,
+    image = synthetic_image(
+        size, size, PAPER_COMPONENTS, seed=int(params["seed"])
     )
+    coding = paper_coding(size, int(params["tile"]), lossless=False)
+    coding.num_layers = int(params["num_layers"])
     codestream = encode_image(image, coding)
     decoder = Jpeg2000Decoder(codestream, max_layers=int(params["layers"]))
     decoded = decoder.decode()

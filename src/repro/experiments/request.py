@@ -103,53 +103,19 @@ class RunResult:
         return self.request.rid
 
 
-def spec_request(
-    spec,
-    lossless: bool,
-    *,
-    rid: Optional[str] = None,
-    **options,
-) -> RunRequest:
-    """A simulate request carrying an arbitrary :class:`DesignSpec`.
-
-    The spec travels *by value* (its ``as_dict()`` form) in the request
-    params, so designs outside the catalog (the ``scaling`` experiment's
-    processor counts) flow through the same process-pool fan-out and
-    content-addressed cache as catalog versions — no registry entry, no
-    string-id plumbing.  The workload is the full
-    16-tile paper geometry.
-    """
-    params: dict = {
-        "version": "spec",
-        "spec": spec.as_dict(),
-        "lossless": bool(lossless),
-    }
-    mode = "lossless" if lossless else "lossy"
-    return RunRequest(
-        rid=rid or f"sim:{spec.name}:{mode}",
-        kind=KIND_SIMULATE,
-        params=params,
-        options=options,
-    )
-
-
 def request_spec(request: RunRequest):
     """The :class:`DesignSpec` a simulate request elaborates (else None).
 
     The one resolver from request to design: the interpreter elaborates
     exactly this spec and the cache key hashes it.  ``version`` names a
-    catalog row, or is ``"spec"`` for a design carried by value; the
+    catalog spec (:func:`repro.design.catalog.get`); the
     ``rmi_chunk_words`` and ``so_bus`` options are mapping rewrites.
     """
     if request.kind != KIND_SIMULATE:
         return None
-    from ..design import catalog, spec_from_dict
+    from ..design import catalog
 
-    version = request.params["version"]
-    if version == "spec":
-        spec = spec_from_dict(request.params["spec"])
-    else:
-        spec = catalog.get(version)
+    spec = catalog.get(request.params["version"])
     chunk = request.options.get("rmi_chunk_words")
     if chunk is not None:
         spec = catalog.with_chunk_words(spec, int(chunk))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..vta.platform import TargetPlatform, ml401
 from .behaviour import Design, count_statements
 from .c_backend import emit_software_subsystem
 from .estimate import SynthesisReport, estimate_fossy, estimate_reference
@@ -97,7 +96,6 @@ def synthesise_block(design: Design) -> BlockResult:
 class SystemResult:
     """The full Fig. 4 output set."""
 
-    platform: TargetPlatform
     blocks: list
     mhs: str
     mss: str
@@ -110,25 +108,21 @@ class SystemResult:
         raise KeyError(name)
 
 
-def synthesise_system(num_processors: int = 1) -> SystemResult:
+def synthesise_system() -> SystemResult:
     """Synthesise the whole JPEG 2000 hardware subsystem + platform files.
 
     The block layout (bus windows, P2P partners), the software task list,
-    and the per-object method sets all come from a declarative design spec
-    (:mod:`repro.design`): the catalog's P2P mapping with *num_processors*
-    software processors (version 6b, or the scaled 7b mapping for more
-    than one).  Its ``synthesis_blocks`` section is the hand-off contract.
+    the processor count and the per-object method sets all come from the
+    catalog's version 7b (:mod:`repro.design`): four processors and the
+    P2P mapping.  Its ``synthesis_blocks`` section is the hand-off
+    contract.
     """
     from ..design import catalog, check_spec
     from ..design.spec import SHARED_OBJECT_BEHAVIOURS
 
-    design = (
-        catalog.get("6b")
-        if num_processors == 1
-        else catalog.scaled_vta_spec(num_processors, idwt_links_p2p=True)
-    )
+    design = catalog.get("7b")
     check_spec(design)
-    platform = ml401()
+    num_processors = len(design.mapping.processors)
     blocks = [synthesise_block(build_idwt53()), synthesise_block(build_idwt97())]
     specs = [
         HardwareBlockSpec(
@@ -140,16 +134,13 @@ def synthesise_system(num_processors: int = 1) -> SystemResult:
     ]
     tasks = [task.name for task in design.tasks]
     return SystemResult(
-        platform=platform,
         blocks=blocks,
-        mhs=emit_mhs(platform, specs, num_processors=num_processors),
-        mss=emit_mss(platform, tasks, num_processors=num_processors),
+        mhs=emit_mhs(specs, num_processors),
+        mss=emit_mss(tasks, num_processors),
         software_c=emit_software_subsystem(
             tasks,
             objects={
-                shared.name: list(
-                    SHARED_OBJECT_BEHAVIOURS[shared.behaviour].sw_methods
-                )
+                shared.name: list(SHARED_OBJECT_BEHAVIOURS[shared.behaviour])
                 for shared in design.shared_objects
             },
         ),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..vta.platform import PROCESSOR_KIND, TargetPlatform
+from ..vta.platform import BOARD, FREQUENCY_HZ, PART, PROCESSOR_KIND
 
 
 #: Bytes of OPB address space each generated peripheral decodes.
@@ -30,13 +30,12 @@ class HardwareBlockSpec:
     p2p_partner: str = ""  # non-empty: extra dedicated link to this block
 
 
-def emit_mhs(platform: TargetPlatform, blocks: Sequence[HardwareBlockSpec],
-             num_processors: int = 1) -> str:
+def emit_mhs(blocks: Sequence[HardwareBlockSpec], num_processors: int) -> str:
     """The Microprocessor Hardware Specification."""
     lines = [
         "# Generated by the repro FOSSY flow",
-        f"# Target: {platform.name} ({platform.device.part}), "
-        f"{platform.frequency_hz / 1e6:.0f} MHz system clock",
+        f"# Target: {BOARD} ({PART}), "
+        f"{FREQUENCY_HZ / 1e6:.0f} MHz system clock",
         "",
         "PORT sys_clk_pin = dcm_clk_s, DIR = I, SIGIS = CLK",
         "PORT sys_rst_pin = sys_rst_s, DIR = I, SIGIS = RST",
@@ -90,8 +89,7 @@ def emit_mhs(platform: TargetPlatform, blocks: Sequence[HardwareBlockSpec],
     return "\n".join(lines) + "\n"
 
 
-def emit_mss(platform: TargetPlatform, tasks: Sequence[str],
-             num_processors: int = 1) -> str:
+def emit_mss(tasks: Sequence[str], num_processors: int) -> str:
     """The Microprocessor Software Specification."""
     lines = [
         "# Generated by the repro FOSSY flow",

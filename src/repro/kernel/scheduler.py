@@ -19,9 +19,8 @@ Fast paths
 ----------
 
 The kernel carries two scheduling representations for the common wait
-patterns, selected per :class:`Simulator` by the ``fast`` flag (default on,
-overridable with the ``REPRO_KERNEL_FAST`` environment variable or
-:func:`set_default_fast`):
+patterns, selected per :class:`Simulator` by the ``fast`` flag (default on;
+:func:`set_default_fast` changes the default for new simulators):
 
 * ``yield SimTime(...)`` normally builds a throwaway :class:`Event`, routes
   it through the notification machinery and tears it down again.  The fast
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from collections import deque
 from time import perf_counter
 from typing import Callable, Optional
@@ -56,7 +54,7 @@ from .time import SimTime, ZERO_TIME
 from .. import telemetry as _telemetry
 
 #: Process-level default for the per-simulator ``fast`` flag.
-_DEFAULT_FAST = os.environ.get("REPRO_KERNEL_FAST", "1") != "0"
+_DEFAULT_FAST = True
 
 
 def set_default_fast(enabled: bool) -> bool:

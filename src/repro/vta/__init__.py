@@ -17,7 +17,6 @@ from .memory_controller import DdrMemoryController
 from .object_socket import ObjectSocket
 from .opb import OpbBus
 from .p2p import P2PChannel
-from .platform import VIRTEX4_LX25, FpgaDevice, TargetPlatform, ml401
 from .plb import PlbBus
 from .processor import SoftwareProcessor
 from .rmi import HEADER_WORDS, RmiClient
@@ -25,7 +24,6 @@ from .rmi import HEADER_WORDS, RmiClient
 __all__ = [
     "ChannelStats",
     "DdrMemoryController",
-    "FpgaDevice",
     "HEADER_WORDS",
     "ObjectSocket",
     "OpbBus",
@@ -34,7 +32,4 @@ __all__ = [
     "PlbBus",
     "RmiClient",
     "SoftwareProcessor",
-    "TargetPlatform",
-    "VIRTEX4_LX25",
-    "ml401",
 ]

@@ -8,7 +8,6 @@ step here, running against real data.
 import pytest
 
 from repro.casestudy import (
-    CYCLES_PER_OP,
     PAPER_SHARES_LOSSLESS,
     PAPER_SHARES_LOSSY,
     functional_workload,
@@ -45,22 +44,22 @@ class TestProfilingStep:
     """Fig. 1: the SW profile that motivates the whole partitioning."""
 
     def test_lossless_profile_shape(self, profiled):
-        shares = measured_shares(profiled[True], CYCLES_PER_OP)
+        shares = measured_shares(profiled[True])
         assert shares["arith"] == pytest.approx(
             PAPER_SHARES_LOSSLESS["arith"], abs=8.0
         )
         assert shares["idwt"] == pytest.approx(PAPER_SHARES_LOSSLESS["idwt"], abs=5.0)
 
     def test_lossy_profile_shape(self, profiled):
-        shares = measured_shares(profiled[False], CYCLES_PER_OP)
+        shares = measured_shares(profiled[False])
         assert shares["arith"] == pytest.approx(PAPER_SHARES_LOSSY["arith"], abs=8.0)
         # lossy IDWT share roughly doubles or more vs lossless
-        lossless_shares = measured_shares(profiled[True], CYCLES_PER_OP)
+        lossless_shares = measured_shares(profiled[True])
         assert shares["idwt"] > 1.5 * lossless_shares["idwt"]
 
     def test_arith_is_the_bottleneck_in_both_modes(self, profiled):
         for lossless in (True, False):
-            shares = measured_shares(profiled[lossless], CYCLES_PER_OP)
+            shares = measured_shares(profiled[lossless])
             assert shares["arith"] > 60.0
             assert shares["arith"] == max(shares.values())
 
@@ -69,7 +68,7 @@ class TestExplorationStep:
     """Fig. 3 middle: the partitioning walk 1 -> 3 on real data."""
 
     def test_partitioning_improves_while_preserving_output(self):
-        workload = functional_workload(True, image_size=64, tile_size=32)
+        workload = functional_workload(True)
         previous_ms = None
         for version in ("1", "2", "3"):
             report = run_version(version, True, workload)
@@ -84,7 +83,7 @@ class TestSynthesisStep:
 
     @pytest.fixture(scope="class")
     def system(self):
-        return synthesise_system(num_processors=4)
+        return synthesise_system()
 
     def test_vhdl_is_well_formed(self, system):
         for block in system.blocks:

@@ -14,12 +14,12 @@ from repro.casestudy import ALL_VERSIONS, functional_workload, run_version
 
 @pytest.fixture(scope="module")
 def lossless_workload():
-    return functional_workload(True, image_size=64, tile_size=32)
+    return functional_workload(True)
 
 
 @pytest.fixture(scope="module")
 def lossy_workload():
-    return functional_workload(False, image_size=64, tile_size=32)
+    return functional_workload(False)
 
 
 @pytest.mark.parametrize("version", list(ALL_VERSIONS))

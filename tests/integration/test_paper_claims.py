@@ -9,7 +9,7 @@ ratios are checked by ``tests/unit/fossy/test_estimate_flow.py``.
 
 import pytest
 
-from repro.casestudy import CYCLES_PER_OP, measured_shares, measured_stage_times
+from repro.casestudy import measured_shares, measured_stage_times
 from repro.experiments.defs import PROFILE_SIZE, PROFILE_TILE
 
 
@@ -20,17 +20,15 @@ def payloads(sweep_payloads):
 
 class TestFig1Profile:
     def test_arith_shares_match_paper(self, payloads):
-        lossless = measured_shares(payloads["profile:lossless"]["ops"], CYCLES_PER_OP)
-        lossy = measured_shares(payloads["profile:lossy"]["ops"], CYCLES_PER_OP)
+        lossless = measured_shares(payloads["profile:lossless"]["ops"])
+        lossy = measured_shares(payloads["profile:lossy"]["ops"])
         assert lossless["arith"] == pytest.approx(88.8, abs=8.0)
         assert lossy["arith"] == pytest.approx(78.6, abs=8.0)
 
     def test_arith_ms_per_tile_anchor(self, payloads):
         """The paper's '~180 ms per tile', recomputed from op counts; a
         factor of ~2 either way covers the unknown target CPU's IPC."""
-        times = measured_stage_times(
-            payloads["profile:lossless"]["ops"], frequency_hz=100e6
-        )
+        times = measured_stage_times(payloads["profile:lossless"]["ops"])
         tiles = (PROFILE_SIZE // PROFILE_TILE) ** 2
         assert 60.0 < times["arith"] / tiles < 400.0
 

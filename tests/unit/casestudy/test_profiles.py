@@ -10,7 +10,6 @@ from repro.casestudy import (
     PROFILE_LOSSLESS,
     PROFILE_LOSSY,
     measured_shares,
-    measured_stage_times,
     profile_for,
     stage_times_from_shares,
 )
@@ -88,9 +87,3 @@ class TestCostModel:
             weight for stage, weight in CYCLES_PER_OP.items() if stage != "arith"
         )
 
-    def test_measured_stage_times_scale_with_frequency(self):
-        ops = StageOps()
-        ops.add("arith", 10_000)
-        slow = measured_stage_times(ops, frequency_hz=50e6)
-        fast = measured_stage_times(ops, frequency_hz=100e6)
-        assert slow["arith"] == pytest.approx(2 * fast["arith"])

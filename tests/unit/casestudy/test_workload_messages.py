@@ -34,20 +34,20 @@ class TestPaperWorkload:
 
 class TestFunctionalWorkload:
     def test_carries_decoder_and_reference(self):
-        workload = functional_workload(True, image_size=64, tile_size=32)
+        workload = functional_workload(True)
         assert workload.functional
         assert workload.num_tiles == 4
         assert workload.reference.width == 64
 
     def test_stage_times_scaled_by_tile_area(self):
         paper = paper_workload(True)
-        small = functional_workload(True, image_size=64, tile_size=32)
+        small = functional_workload(True)
         ratio = (32 * 32) / (128 * 128)
         assert small.stage_times.arith == pytest.approx(paper.stage_times.arith * ratio)
 
     def test_reference_decode_is_deterministic(self):
-        a = functional_workload(False, image_size=64, tile_size=32)
-        b = functional_workload(False, image_size=64, tile_size=32)
+        a = functional_workload(False)
+        b = functional_workload(False)
         assert a.reference == b.reference
 
 

@@ -1,5 +1,7 @@
 """The design catalog: registry contents and spec structure."""
 
+import pytest
+
 from repro.design import catalog
 
 
@@ -29,8 +31,6 @@ class TestCatalog:
         assert catalog.get("3") is catalog.get("3")
 
     def test_unknown_version_raises(self):
-        import pytest
-
         with pytest.raises(KeyError, match="registered"):
             catalog.get("9z")
 
@@ -88,32 +88,41 @@ def _reorder_keys(value):
     return value
 
 
-def _by_value_specs() -> list:
-    """Every catalog row and every ``scaling`` spec sent by value."""
-    from repro.experiments.defs import TASK_COUNTS
+class TestScaledNames:
+    """``catalog.get`` resolves the ``scaling`` experiment's spec names."""
 
-    return [catalog.get(name) for name in catalog.names()] + [
-        catalog.scaled_vta_spec(num_tasks, p2p)
-        for num_tasks in TASK_COUNTS
-        for p2p in (False, True)
-    ]
+    @pytest.mark.parametrize("num_tasks", [1, 2, 4, 8])
+    @pytest.mark.parametrize("p2p", [False, True])
+    def test_get_builds_the_scaled_spec(self, num_tasks, p2p):
+        name = f"7{'b' if p2p else 'a'}-n{num_tasks}"
+        spec = catalog.scaled_vta_spec(num_tasks, p2p)
+        assert spec.name == name
+        assert catalog.get(name) == spec
+        assert catalog.get(name) is catalog.get(name)
+
+    @pytest.mark.parametrize("name", ["7a-n0", "7b-n01", "7c-n2", "6b-n2", "7a-n"])
+    def test_other_names_stay_unknown(self, name):
+        with pytest.raises(KeyError, match=r"registered: \['1', '2'"):
+            catalog.get(name)
+
+    def test_names_stay_the_table1_rows(self):
+        catalog.get("7b-n2")
+        assert catalog.names() == list(catalog.ROW_ORDER)
 
 
-class TestSpecRoundTrip:
-    """``spec_request`` ships a spec as ``as_dict()`` and ``cache_key``
-    hashes it, so both must survive the JSON round trip unchanged."""
-
-    def test_round_trip_is_identity_and_hash_ignores_key_order(self):
-        from repro.design import spec_from_dict
+class TestSpecHash:
+    def test_hash_ignores_key_order(self):
+        """The cache key hashes ``as_dict()`` canonically: key order in
+        the plain-data view does not matter."""
         from repro.experiments import fingerprint as fp
+        from repro.experiments.defs import TASK_COUNTS
 
-        specs = _by_value_specs()
-        assert len(specs) == len(catalog.names()) + 8
+        specs = [catalog.get(name) for name in catalog.names()] + [
+            catalog.scaled_vta_spec(num_tasks, p2p)
+            for num_tasks in TASK_COUNTS
+            for p2p in (False, True)
+        ]
         for spec in specs:
-            assert spec_from_dict(spec.as_dict()) == spec, spec.name
             reordered = _reorder_keys(spec.as_dict())
-            shuffled = spec_from_dict(reordered)
-            assert shuffled == spec, spec.name
-            assert fp.spec_hash(shuffled) == fp.spec_hash(spec), spec.name
             assert (fp.sha256_hex(fp.canonical_json(reordered))
                     == fp.spec_hash(spec)), spec.name

@@ -32,7 +32,7 @@ SYNTH_97 = RunRequest("synth:idwt97", KIND_SYNTHESISE, {"block": "idwt97"})
 def _layers_request(rid="layers:1", count=1):
     return RunRequest(
         rid, KIND_LAYERS,
-        {"size": 32, "tile": 16, "levels": 2, "num_layers": 2,
+        {"size": 32, "tile": 16, "num_layers": 2,
          "seed": 7, "layers": count},
     )
 

@@ -17,7 +17,6 @@ from repro.fossy import (
 from repro.fossy.c_backend import emit_software_subsystem
 from repro.fossy.estimate import _expr_ops
 from repro.fossy.platform_files import HardwareBlockSpec
-from repro.vta.platform import VIRTEX4_LX25, ml401
 
 
 def state_operations(fsmd) -> list:
@@ -62,9 +61,10 @@ class TestEstimatorBasics:
         assert report.slices >= max(report.luts, report.flip_flops) / 2
 
     def test_utilisation_fits_lx25(self, idwt53_results, idwt97_results):
+        lx25_slices = 10752  # Virtex-4 LX25
         for result in (idwt53_results, idwt97_results):
-            assert result.fossy_report.slices < 0.5 * VIRTEX4_LX25.slices
-            assert result.reference_report.slices < 0.5 * VIRTEX4_LX25.slices
+            assert result.fossy_report.slices < 0.5 * lx25_slices
+            assert result.reference_report.slices < 0.5 * lx25_slices
 
     def test_meets_helper(self, idwt53_results):
         assert idwt53_results.fossy_report.meets(100e6)
@@ -136,20 +136,18 @@ class TestSharingMechanics:
 
 class TestPlatformFiles:
     def test_mhs_structure(self):
-        mhs = emit_mhs(ml401(), [HardwareBlockSpec("idwt53", 0x40000000)], 2)
+        mhs = emit_mhs([HardwareBlockSpec("idwt53", 0x40000000)], 2)
         assert mhs.count("BEGIN ppc405") == 2
         assert "BEGIN opb_v20" in mhs
         assert "mch_opb_ddr" in mhs
         assert "C_BASEADDR = 0x40000000" in mhs
 
     def test_mhs_p2p_interfaces(self):
-        mhs = emit_mhs(
-            ml401(), [HardwareBlockSpec("idwt53", 0x0, p2p_partner="hwsw_so")], 1
-        )
+        mhs = emit_mhs([HardwareBlockSpec("idwt53", 0x0, p2p_partner="hwsw_so")], 1)
         assert "BUS_INTERFACE P2P = hwsw_so_link" in mhs
 
     def test_mss_structure(self):
-        mss = emit_mss(ml401(), ["sw0", "sw1"], num_processors=2)
+        mss = emit_mss(["sw0", "sw1"], num_processors=2)
         assert mss.count("BEGIN OS") == 2
         assert "osss_embedded" in mss
         assert "sw0, sw1" in mss
@@ -165,7 +163,7 @@ class TestPlatformFiles:
 
 class TestSystemFlow:
     def test_system_bundle_complete(self):
-        system = synthesise_system(num_processors=4)
+        system = synthesise_system()
         assert {b.name for b in system.blocks} == {"idwt53", "idwt97"}
         assert system.mhs.count("BEGIN ppc405") == 4
         assert "sw3" in system.mss

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import CycleBudget, FunctionTask
 from repro.kernel import Simulator, ms, ns
-from repro.vta import SoftwareProcessor, ml401
+from repro.vta import SoftwareProcessor, platform
 
 
 @pytest.fixture
@@ -86,7 +86,7 @@ class TestSoftwareProcessor:
 
 class TestPlatform:
     def test_ml401_defaults(self):
-        platform = ml401()
-        assert platform.device.part == "xc4vlx25"
-        assert platform.frequency_hz == 100e6
-        assert platform.clock_period == ns(10)
+        assert platform.PART == "xc4vlx25"
+        assert platform.FREQUENCY_HZ == 100e6
+        assert platform.CLOCK_PERIOD == ns(10)
+        assert platform.BUDGET.cycles(10) == ns(100)
