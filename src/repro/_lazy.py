@@ -2,9 +2,10 @@
 
 An ``__init__`` that imported its submodules eagerly would make every
 ``import repro.<package>.<module>`` pay for the whole package (numpy,
-the decoder, the simulator), however little the caller needs.  The
-``jpeg2000``, ``design``, ``casestudy`` and ``kernel`` packages instead
-declare ``{name: module}`` and install the PEP 562 hooks this returns::
+the decoder, the simulator), however little the caller needs.  Every
+re-exporting package (all but ``telemetry``, whose ``__init__`` is the
+session implementation) instead declares ``{name: module}`` and
+installs the PEP 562 hooks this returns::
 
     __getattr__, __dir__ = lazy_exports(__name__, {"Event": ".event"})
 

@@ -47,9 +47,11 @@ PAPER_SHARES_LOSSY = {
 }
 
 #: The board clock [Hz]: the target processor, the buses and the block
-#: RAM all run at 100 MHz.  ``vta/platform.py`` builds its cycle budget
-#: from it; it lives here so the Fig. 1 tables, which a warm ``results
-#: --check`` renders, need not import the VTA library (and NumPy).
+#: RAM all run at 100 MHz.  The one definition: ``vta/platform.py``
+#: builds its cycle budget from it, the elaborator its block-RAM word
+#: time, FOSSY its testbench clock and the synthesis request its timing
+#: check.  It stays beside the processor, bus and block-RAM cycle counts
+#: below, which it turns into time.
 FREQUENCY_HZ = 100e6
 
 #: The paper's absolute anchor (section 3.2): software arithmetic decoding

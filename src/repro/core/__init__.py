@@ -9,55 +9,37 @@ plain Python values; bit widths enter only through the serialisation
 (:func:`payload_bits`) and FOSSY's synthesis IR.
 """
 
-from .arbiter import (
-    ArbitrationPolicy,
-    ClientHandle,
-    Fcfs,
-    Request,
-    RoundRobin,
-    StaticPriority,
-)
-from .guards import ALWAYS, Guard, guarded, guarded_args
-from .interfaces import BindingError, Port
-from .module import OsssModule
-from .serialisation import (
-    DEFAULT_SCALAR_BITS,
-    Serialisable,
-    SerialisationError,
-    SerialisedPayload,
-    payload_bits,
-    serialise_call,
-)
-from .shared import MethodSpec, SharedObject, SharedObjectStats, osss_method
-from .task import FunctionTask, SoftwareTask
-from .timing import CycleBudget, eet
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALWAYS",
-    "ArbitrationPolicy",
-    "BindingError",
-    "ClientHandle",
-    "CycleBudget",
-    "DEFAULT_SCALAR_BITS",
-    "Fcfs",
-    "FunctionTask",
-    "Guard",
-    "MethodSpec",
-    "OsssModule",
-    "Port",
-    "Request",
-    "RoundRobin",
-    "Serialisable",
-    "SerialisationError",
-    "SerialisedPayload",
-    "SharedObject",
-    "SharedObjectStats",
-    "SoftwareTask",
-    "StaticPriority",
-    "eet",
-    "guarded",
-    "guarded_args",
-    "osss_method",
-    "payload_bits",
-    "serialise_call",
-]
+_EXPORTS = {
+    "ALWAYS": ".guards",
+    "ArbitrationPolicy": ".arbiter",
+    "BindingError": ".interfaces",
+    "ClientHandle": ".arbiter",
+    "CycleBudget": ".timing",
+    "DEFAULT_SCALAR_BITS": ".serialisation",
+    "Fcfs": ".arbiter",
+    "FunctionTask": ".task",
+    "Guard": ".guards",
+    "MethodSpec": ".shared",
+    "OsssModule": ".module",
+    "Port": ".interfaces",
+    "Request": ".arbiter",
+    "RoundRobin": ".arbiter",
+    "Serialisable": ".serialisation",
+    "SerialisationError": ".serialisation",
+    "SerialisedPayload": ".serialisation",
+    "SharedObject": ".shared",
+    "SharedObjectStats": ".shared",
+    "SoftwareTask": ".task",
+    "StaticPriority": ".arbiter",
+    "eet": ".timing",
+    "guarded": ".guards",
+    "guarded_args": ".guards",
+    "osss_method": ".shared",
+    "payload_bits": ".serialisation",
+    "serialise_call": ".serialisation",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,14 +8,15 @@ number of transfer cycles while the object itself travels by reference
 inside the simulator.
 
 Pointers and references are not synthesisable in OSSS; mirroring that, any
-payload type without a known wire size is rejected.
+payload type without a known wire size is rejected.  Only sizes are needed,
+never the values, so NumPy arrays are sized without importing NumPy: no
+array can exist before something else has loaded it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 #: Default wire width of a Python int/float payload, matching the 32-bit
 #: buses of the case-study platform.
@@ -43,9 +44,8 @@ def payload_bits(obj: object) -> int:
         return 1
     if isinstance(obj, (int, float)):
         return DEFAULT_SCALAR_BITS
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes) * 8
-    if isinstance(obj, np.generic):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return int(obj.nbytes) * 8
     if isinstance(obj, (bytes, bytearray)):
         return len(obj) * 8

@@ -56,10 +56,10 @@ APPLICATION_ROWS = ("1", "2", "3", "4", "5")
 VTA_ROWS = ("6a", "6b", "7a", "7b")
 _LAYERS = {"application": APPLICATION_ROWS, "vta": VTA_ROWS}
 
-#: Block-RAM timing of every placed store: one 100 MHz cycle per word,
-#: ten cycles of port setup per method call.  The IQ multiplier sits
-#: behind the RAM read port, so IQ streams at that rate.
-RAM_SECONDS_PER_WORD = 10e-9
+#: Block-RAM timing of every placed store: one board-clock cycle per word
+#: (``casestudy.profiles.FREQUENCY_HZ``), ten cycles of port setup per
+#: method call.  The IQ multiplier sits behind the RAM read port, so IQ
+#: streams at that rate.
 PORT_SETUP_CYCLES = 10
 
 #: External DDR of every VTA mapping: the coded input of a tile is this

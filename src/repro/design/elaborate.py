@@ -26,7 +26,7 @@ from typing import Optional
 
 from ..core import FunctionTask, SharedObject
 from ..kernel import Simulator, join, us
-from .catalog import CODED_WORDS_RATIO, PORT_SETUP_CYCLES, RAM_SECONDS_PER_WORD
+from .catalog import CODED_WORDS_RATIO, PORT_SETUP_CYCLES
 from .spec import DesignSpec, MODULE_KINDS
 from .validate import check_spec
 
@@ -211,7 +211,7 @@ class ElaboratedModel:
         mapping = self.spec.mapping
         if mapping.layer != "vta":
             return
-        from ..casestudy.profiles import BRAM_EXTRA_CYCLES_PER_SAMPLE
+        from ..casestudy.profiles import BRAM_EXTRA_CYCLES_PER_SAMPLE, FREQUENCY_HZ
         from ..vta import (
             DdrMemoryController,
             ObjectSocket,
@@ -256,7 +256,7 @@ class ElaboratedModel:
         # refinement inflation below.
         for placement in mapping.placements:
             behaviour = self._shared[placement.target].behaviour
-            behaviour.ram_seconds_per_word = RAM_SECONDS_PER_WORD
+            behaviour.ram_seconds_per_word = 1 / FREQUENCY_HZ
             behaviour.port_setup = BUDGET.cycles(PORT_SETUP_CYCLES)
             behaviour.iq_streaming = True
         for datapath in mapping.datapaths:

@@ -18,52 +18,36 @@ Typical use::
 """
 
 from . import registry
-from .artifacts import render_artifacts, results_dir
-from .cache import CACHE_SCHEMA, ENV_CACHE_DIR, ResultCache, default_cache_dir
-from .execute import execute_request, timed_execute
-from .fingerprint import canonical_json, code_fingerprint, spec_hash, subsystems_for_kind
-from .registry import Experiment
-from .request import (
-    KIND_LAYERS,
-    KIND_PROFILE,
-    KIND_SIMULATE,
-    KIND_SYNTHESISE,
-    KNOWN_KINDS,
-    CacheKey,
-    RunRequest,
-    RunResult,
-    cache_key,
-    request_spec,
-    workload_descriptor,
-)
-from .runner import ExperimentResult, Runner
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "CacheKey",
-    "ENV_CACHE_DIR",
-    "Experiment",
-    "ExperimentResult",
-    "KIND_LAYERS",
-    "KIND_PROFILE",
-    "KIND_SIMULATE",
-    "KIND_SYNTHESISE",
-    "KNOWN_KINDS",
-    "ResultCache",
-    "RunRequest",
-    "RunResult",
-    "Runner",
-    "cache_key",
-    "canonical_json",
-    "code_fingerprint",
-    "default_cache_dir",
-    "execute_request",
-    "registry",
-    "render_artifacts",
-    "request_spec",
-    "results_dir",
-    "spec_hash",
-    "subsystems_for_kind",
-    "timed_execute",
-    "workload_descriptor",
-]
+_EXPORTS = {
+    "CACHE_SCHEMA": ".cache",
+    "CacheKey": ".request",
+    "ENV_CACHE_DIR": ".cache",
+    "Experiment": ".registry",
+    "ExperimentResult": ".runner",
+    "KIND_LAYERS": ".request",
+    "KIND_PROFILE": ".request",
+    "KIND_SIMULATE": ".request",
+    "KIND_SYNTHESISE": ".request",
+    "KNOWN_KINDS": ".request",
+    "ResultCache": ".cache",
+    "RunRequest": ".request",
+    "RunResult": ".request",
+    "Runner": ".runner",
+    "cache_key": ".request",
+    "canonical_json": ".fingerprint",
+    "code_fingerprint": ".fingerprint",
+    "default_cache_dir": ".cache",
+    "execute_request": ".execute",
+    "render_artifacts": ".artifacts",
+    "request_spec": ".request",
+    "results_dir": ".artifacts",
+    "spec_hash": ".fingerprint",
+    "subsystems_for_kind": ".fingerprint",
+    "timed_execute": ".execute",
+    "workload_descriptor": ".request",
+}
+
+__all__ = sorted([*_EXPORTS, "registry"])
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

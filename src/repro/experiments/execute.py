@@ -186,6 +186,7 @@ def _layers_decode(params: dict) -> dict:
 
 
 def _synthesise(params: dict) -> dict:
+    from ..casestudy.profiles import FREQUENCY_HZ
     from ..fossy import build_idwt53, build_idwt97, synthesise_block
 
     builders = {"idwt53": build_idwt53, "idwt97": build_idwt97}
@@ -201,7 +202,7 @@ def _synthesise(params: dict) -> dict:
             "slices": source.slices,
             "gate_count": source.gate_count,
             "frequency_mhz": source.frequency_mhz,
-            "meets_100mhz": bool(source.meets(100e6)),
+            "meets_100mhz": bool(source.meets(FREQUENCY_HZ)),
         }
 
     return {

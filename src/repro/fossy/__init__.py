@@ -11,80 +11,52 @@ platform files (:mod:`platform_files`) and C for the software tasks
 :mod:`idwt53` / :mod:`idwt97`; :mod:`flow` drives everything.
 """
 
-from .behaviour import (
-    Assign,
-    Bin,
-    Call,
-    Const,
-    Design,
-    For,
-    If,
-    MemRef,
-    Memory,
-    Procedure,
-    Tick,
-    Var,
-    count_statements,
-)
-from .estimate import SynthesisReport, estimate_fossy, estimate_reference
-from .flow import BlockResult, SystemResult, synthesise_block, synthesise_system
-from .frontend import ElaborationError, elaborate
-from .idwt53 import build_idwt53
-from .idwt97 import build_idwt97
-from .inline import InlineError, inline_design
-from .ir import Fsmd, FsmState, Transfer, Transition
-from .platform_files import HardwareBlockSpec, emit_mhs, emit_mss
-from .simulate import FsmdSimulator, SimulationLimit
-from .testbench import TestbenchSpec, generate_testbench
-from .vhdl import (
-    VhdlLintError,
-    emit_fossy_vhdl,
-    emit_reference_vhdl,
-    line_count,
-    lint_vhdl,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Assign",
-    "Bin",
-    "BlockResult",
-    "Call",
-    "Const",
-    "Design",
-    "ElaborationError",
-    "For",
-    "Fsmd",
-    "FsmState",
-    "FsmdSimulator",
-    "HardwareBlockSpec",
-    "If",
-    "InlineError",
-    "MemRef",
-    "Memory",
-    "Procedure",
-    "SimulationLimit",
-    "SynthesisReport",
-    "TestbenchSpec",
-    "SystemResult",
-    "Tick",
-    "Transfer",
-    "Transition",
-    "Var",
-    "VhdlLintError",
-    "build_idwt53",
-    "build_idwt97",
-    "count_statements",
-    "elaborate",
-    "emit_fossy_vhdl",
-    "emit_mhs",
-    "emit_mss",
-    "emit_reference_vhdl",
-    "generate_testbench",
-    "estimate_fossy",
-    "estimate_reference",
-    "inline_design",
-    "line_count",
-    "lint_vhdl",
-    "synthesise_block",
-    "synthesise_system",
-]
+_EXPORTS = {
+    "Assign": ".behaviour",
+    "Bin": ".behaviour",
+    "BlockResult": ".flow",
+    "Call": ".behaviour",
+    "Const": ".behaviour",
+    "Design": ".behaviour",
+    "ElaborationError": ".frontend",
+    "For": ".behaviour",
+    "FsmState": ".ir",
+    "Fsmd": ".ir",
+    "FsmdSimulator": ".simulate",
+    "HardwareBlockSpec": ".platform_files",
+    "If": ".behaviour",
+    "InlineError": ".inline",
+    "MemRef": ".behaviour",
+    "Memory": ".behaviour",
+    "Procedure": ".behaviour",
+    "SimulationLimit": ".simulate",
+    "SynthesisReport": ".estimate",
+    "SystemResult": ".flow",
+    "TestbenchSpec": ".testbench",
+    "Tick": ".behaviour",
+    "Transfer": ".ir",
+    "Transition": ".ir",
+    "Var": ".behaviour",
+    "VhdlLintError": ".vhdl",
+    "build_idwt53": ".idwt53",
+    "build_idwt97": ".idwt97",
+    "count_statements": ".behaviour",
+    "elaborate": ".frontend",
+    "emit_fossy_vhdl": ".vhdl",
+    "emit_mhs": ".platform_files",
+    "emit_mss": ".platform_files",
+    "emit_reference_vhdl": ".vhdl",
+    "estimate_fossy": ".estimate",
+    "estimate_reference": ".estimate",
+    "generate_testbench": ".testbench",
+    "inline_design": ".inline",
+    "line_count": ".vhdl",
+    "lint_vhdl": ".vhdl",
+    "synthesise_block": ".flow",
+    "synthesise_system": ".flow",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..casestudy.profiles import FREQUENCY_HZ
 from .ir import Fsmd
 from .simulate import FsmdSimulator
 
-#: The testbench clock: the case-study platform's 100 MHz.
-CLOCK_PERIOD_NS = 10.0
+#: The testbench clock period: the case-study board clock's.
+CLOCK_PERIOD_NS = 1e9 / FREQUENCY_HZ
 
 _TB_HEADER = """\
 -- Self-checking testbench generated by the repro FOSSY flow.

@@ -1,9 +1,12 @@
 """``repro.reporting`` — result tables."""
 
-from .tables import CHANNEL_TRAFFIC_COLUMNS, Table, channel_traffic_row
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHANNEL_TRAFFIC_COLUMNS",
-    "Table",
-    "channel_traffic_row",
-]
+_EXPORTS = {
+    "CHANNEL_TRAFFIC_COLUMNS": ".tables",
+    "Table": ".tables",
+    "channel_traffic_row": ".tables",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

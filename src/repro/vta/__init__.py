@@ -7,29 +7,26 @@ Objects get an :class:`ObjectSocket`, and communication links become OSSS
 Channels (:class:`OpbBus` or :class:`P2PChannel`) spoken through
 :class:`RmiClient` transactors.  The block-RAM cost of explicit memory
 insertion, the data-locality cost the paper highlights, comes from the
-store's per-word timing (``design.catalog.RAM_SECONDS_PER_WORD``, which
-the elaborator passes on as ``ram_seconds_per_word``), not from a memory
-model.
+store's per-word timing (one board-clock cycle, which the elaborator
+sets as ``ram_seconds_per_word``), not from a memory model.  The names
+load on first use (``repro._lazy``), so reading the board constants of
+``repro.vta.platform`` loads none of the simulator.
 """
 
-from .channel_base import ChannelStats, OsssChannel
-from .memory_controller import DdrMemoryController
-from .object_socket import ObjectSocket
-from .opb import OpbBus
-from .p2p import P2PChannel
-from .plb import PlbBus
-from .processor import SoftwareProcessor
-from .rmi import HEADER_WORDS, RmiClient
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChannelStats",
-    "DdrMemoryController",
-    "HEADER_WORDS",
-    "ObjectSocket",
-    "OpbBus",
-    "OsssChannel",
-    "P2PChannel",
-    "PlbBus",
-    "RmiClient",
-    "SoftwareProcessor",
-]
+_EXPORTS = {
+    "ChannelStats": ".channel_base",
+    "DdrMemoryController": ".memory_controller",
+    "HEADER_WORDS": ".rmi",
+    "ObjectSocket": ".object_socket",
+    "OpbBus": ".opb",
+    "OsssChannel": ".channel_base",
+    "P2PChannel": ".p2p",
+    "PlbBus": ".plb",
+    "RmiClient": ".rmi",
+    "SoftwareProcessor": ".processor",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

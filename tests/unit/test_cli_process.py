@@ -41,6 +41,26 @@ print(json.dumps({"status": status, "requests": len(requests),
 """ % (HEAVY_MODULES,)
 
 
+#: Modules the simulator and the synthesis flow have no use for: a VTA
+#: channel charges a payload by its size and never computes on it, so
+#: only the codec loads numpy.
+CODEC_MODULES = ("numpy", "repro.jpeg2000.decoder")
+
+COLD_SCRIPT = """
+import contextlib, io, json, sys
+from repro.__main__ import main
+
+def synthesise():
+    from repro.fossy import build_idwt53, build_idwt97, synthesise_block
+    return [synthesise_block(build()).name for build in (build_idwt53, build_idwt97)]
+
+with contextlib.redirect_stdout(io.StringIO()):
+    outcome = %s
+print(json.dumps({"outcome": outcome,
+                  "loaded": [name for name in %r if name in sys.modules]}))
+"""
+
+
 def _env(**extra) -> dict:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
@@ -56,6 +76,21 @@ def test_warm_results_check_imports_no_codec_or_simulator(tmp_path):
     assert "OK: 8 artifact files reproduce byte-identically" in proc.stdout
     outcome = json.loads(proc.stdout.splitlines()[-1])
     assert outcome == {"status": 0, "requests": 60, "loaded": []}
+
+
+@pytest.mark.parametrize("call, expected", [
+    ('main(["run", "7b"])', 0),
+    ('main(["validate", "all"])', 0),
+    ("synthesise()", ["idwt53", "idwt97"]),
+], ids=["run-7b", "validate-all", "synthesise-idwt"])
+def test_simulation_and_synthesis_import_no_codec(tmp_path, call, expected):
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_SCRIPT % (call, CODEC_MODULES)],
+        env=_env(REPRO_CACHE_DIR=str(tmp_path)),
+        capture_output=True, text=True, check=True,
+    )
+    outcome = json.loads(proc.stdout.splitlines()[-1])
+    assert outcome == {"outcome": expected, "loaded": []}
 
 
 @pytest.mark.parametrize("argv", [["plan", "decode", "--workers", "4",

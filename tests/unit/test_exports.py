@@ -1,8 +1,8 @@
 """Every package's public names resolve.
 
-The ``jpeg2000``, ``design``, ``casestudy`` and ``kernel`` packages
-resolve their exports on first use (``repro._lazy``), so a stale entry in
-an export table would otherwise fail only when something first uses it.
+Every re-exporting package but ``telemetry`` resolves its exports on
+first use (``repro._lazy``), so a stale entry in an export table would otherwise
+fail only when something first uses it.
 """
 
 import importlib
